@@ -10,6 +10,8 @@ seeded random.Random instances so every test is reproducible.
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from quiverdyn.network import ColouredNetwork, ResponseFamily
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation
@@ -197,3 +199,15 @@ def cm_coupled_tuple():
     p1 = Poly(2, {(1, 1): 1})
     p2 = Poly(2, {(0, 1): -1, (2, 0): 1})
     return single_vertex_tuple([p1, p2])
+
+
+def float_copy(F):
+    """The same tuple in float mode: float arrow matrices and coefficients."""
+    rep = F.representation
+    frep = QuiverRepresentation(
+        rep.quiver, rep.dim,
+        {a: np.array([[float(x) for x in row] for row in m], dtype=float)
+         for a, m in rep.arrow_matrix.items()}, mode="float")
+    comps = {v: PolyMap([p.to_float() for p in pm.outputs], nvars=pm.nvars)
+             for v, pm in F.components.items()}
+    return PolyMapTuple(frep, comps, F.param_dim, F.max_degree)

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import cm_coupled_tuple, cm_feedforward_tuple
+from helpers import cm_coupled_tuple, cm_feedforward_tuple, float_copy
 from quiverdyn.centermanifold import (check_cm_equivariance, cm_taylor,
                                       flow_consistency)
 from quiverdyn.errors import NotEquilibrium
@@ -35,6 +36,71 @@ def test_cm_equivariance_exact():
     exp = cm_taylor(F, 4)
     report = check_cm_equivariance(exp)
     assert report.passed and report.max_residual() == 0
+
+
+def as_array(B, rows):
+    return np.array([[float(x) for x in row] for row in B]).reshape(rows, -1)
+
+
+def linear_map(S):
+    """The Polys u |-> S u, one per row of the float matrix S."""
+    n = S.shape[1]
+    return [Poly(n, {tuple(int(k == j) for k in range(n)): float(S[i, j])
+                     for j in range(n)}) for i in range(S.shape[0])]
+
+
+def mix(S, polys, nvars):
+    """The Polys sum_j S[i, j] polys[j], one per row of S."""
+    return [sum((p.scale(float(S[i, j])) for j, p in enumerate(polys)),
+                Poly.zero(nvars)) for i in range(S.shape[0])]
+
+
+def assert_float_jets_match_exact(F, degree):
+    """The jets of the float copy of F, carried into the split coordinates
+    of the exact run, agree with the exact jets to 1e-9.
+
+    The two runs may pick different bases of the same center and
+    hyperbolic subspaces: with B_float = B_exact S, the float graph map and
+    reduced field satisfy S_h phi_f(u) = phi_e(S_c u) and
+    S_c r_f(u) = r_e(S_c u).
+    """
+    exact = cm_taylor(F, degree)
+    flt = cm_taylor(float_copy(F), degree)
+    assert flt.representation.mode == "float"
+    for v, ve in exact.vertices.items():
+        vf = flt.vertices[v]
+        nc, d = ve.center_dim, F.representation.dim[v]
+        assert (vf.center_dim, vf.hyperbolic_dim) == \
+            (nc, ve.hyperbolic_dim)
+        S = {}
+        for name, sub_e, sub_f in (("c", exact.center, flt.center),
+                                   ("h", exact.hyperbolic, flt.hyperbolic)):
+            Be, Bf = as_array(sub_e.basis[v], d), as_array(sub_f.basis[v], d)
+            S[name] = np.linalg.lstsq(Be, Bf, rcond=None)[0] if Be.size \
+                else np.zeros((0, 0))
+            assert np.allclose(Be @ S[name], Bf, rtol=0, atol=1e-9)
+        u = linear_map(S["c"])
+        pairs = list(zip(mix(S["h"], vf.phi, nc),
+                         [p.to_float().compose(u) for p in ve.phi]))
+        pairs += zip(mix(S["c"], vf.reduced, nc),
+                     [p.to_float().compose(u) for p in ve.reduced])
+        for got, want in pairs:
+            assert (got - want).max_abs_coeff() <= 1e-9, (v, got, want)
+
+
+def test_feedforward_float_jets_match_exact():
+    assert_float_jets_match_exact(cm_feedforward_tuple(), 4)
+
+
+def test_coupled_float_jets_match_exact():
+    assert_float_jets_match_exact(cm_coupled_tuple(), 5)
+
+
+def test_cm_equivariance_float():
+    exp = cm_taylor(float_copy(cm_feedforward_tuple()), 4)
+    report = check_cm_equivariance(exp)
+    assert report.mode == "float"
+    assert report.passed and report.max_residual() <= 1e-12
 
 
 def test_coupled_fixture_jet_solves_invariance_equation():

@@ -1,0 +1,108 @@
+"""Frozen CLI reports of the reduction pipeline, in exact and float mode.
+
+Each case writes its fixture files into a fresh directory, runs one CLI
+command there with input paths relative to that directory (so `config` and
+`config_hash` do not depend on where the test runs), and compares the exit
+code and every file the command writes with the frozen copies under
+`tests/golden/<case>/`.
+
+- Exact-mode cases must match byte for byte.
+- Float-mode cases (the same fixture with float matrices and coefficients)
+  must match once every number is masked: the same keys, rows and text,
+  and each number within 1e-9 relative to max(1, |number|).
+
+The frozen files are data, not output of this test: a change that moves a
+report must explain itself by editing them in its own commit.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from helpers import (cm_coupled_tuple, cm_feedforward_tuple, float_copy,
+                     hopf_tuple)
+from quiverdyn.fileio import (dump_json, endomorphism_to_json,
+                              representation_to_json, tuple_to_json)
+from quiverdyn.spectral import EndomorphismTuple
+from test_cli import run_cli
+from test_lsreduction import transcritical_with_slave
+
+GOLDEN = Path(__file__).parent / "golden"
+FLOAT_RTOL = 1e-9
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+FIXTURES = {
+    "hopf": hopf_tuple,
+    "cmff": cm_feedforward_tuple,
+    "cmcoupled": cm_coupled_tuple,
+    "transcritical": transcritical_with_slave,
+}
+
+# (command arguments, fixture names); the spectral commands read the
+# representation and the linearization of the fixture instead of the tuple
+COMMANDS = [
+    (["check-equivariance", "pvf.json", "--mode", "exact"], ["hopf", "cmff"]),
+    (["check-equivariance", "pvf.json", "--mode", "sampled"],
+     ["hopf", "cmff"]),
+    (["spectrum", "rep.json", "endo.json"], ["cmff"]),
+    (["sn", "rep.json", "endo.json"], ["cmff"]),
+    (["cm-reduce", "pvf.json"], ["cmff", "cmcoupled"]),
+    (["normal-form", "pvf.json"], ["hopf"]),
+    (["ls-reduce", "pvf.json"], ["transcritical"]),
+]
+
+
+def case_name(args, fixture, mode):
+    return "-".join([args[0]] + args[3:4] + [fixture, mode])
+
+
+CASES = [(case_name(args, fx, mode), args, fx, mode)
+         for args, fixtures in COMMANDS for fx in fixtures
+         for mode in ("exact", "float")]
+
+
+def write_inputs(fixture, mode, directory):
+    F = FIXTURES[fixture]()
+    if mode == "float":
+        F = float_copy(F)
+    dump_json(tuple_to_json(F), directory / "pvf.json")
+    dump_json(representation_to_json(F.representation),
+              directory / "rep.json")
+    dump_json(endomorphism_to_json(EndomorphismTuple.from_linearization(F)),
+              directory / "endo.json")
+
+
+def run_case(args, fixture, mode, directory):
+    """Run one case in `directory`; returns (exit code, {name: text})."""
+    write_inputs(fixture, mode, directory)
+    r = run_cli(args, directory)
+    out = directory / "reports"
+    files = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted(out.iterdir())} if out.exists() else {}
+    return r.returncode, files
+
+
+def assert_numbers_close(got, want, where):
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", want), where
+    for a, b in zip(NUMBER.findall(got), NUMBER.findall(want)):
+        a, b = float(a), float(b)
+        assert math.isclose(a, b, rel_tol=FLOAT_RTOL,
+                            abs_tol=FLOAT_RTOL), f"{where}: {a!r} != {b!r}"
+
+
+@pytest.mark.parametrize("name,args,fixture,mode", CASES,
+                         ids=[c[0] for c in CASES])
+def test_golden_report(tmp_path, name, args, fixture, mode):
+    frozen = GOLDEN / name
+    code, files = run_case(args, fixture, mode, tmp_path)
+    assert code == int((frozen / "exit_code").read_text())
+    want = sorted(p.name for p in frozen.iterdir() if p.name != "exit_code")
+    assert sorted(files) == want
+    for fname in want:
+        text = (frozen / fname).read_text(encoding="utf-8")
+        if mode == "exact":
+            assert files[fname] == text, f"{name}/{fname}"
+        else:
+            assert_numbers_close(files[fname], text, f"{name}/{fname}")

@@ -84,10 +84,27 @@ def test_float_mode_tolerance():
             rep, {"v": np.array([[1.0], [1.0]])})
 
 
-def test_full_and_zero_subrepresentations():
+def test_full_and_zero_subrepresentations(mode="exact"):
     rep = feedforward_rep()
+    if mode == "float":
+        rep = QuiverRepresentation(rep.quiver, rep.dim,
+                                   {"p": np.array([[1.0, 0.0]])},
+                                   mode="float")
     full = Subrepresentation.full(rep)
     zero = Subrepresentation.zero(rep)
     assert full.subdim == {"big": 2, "small": 1}
     assert zero.subdim == {"big": 0, "small": 0}
-    assert full.coords["p"] == rep.arrow_matrix["p"]
+    assert np.array_equal(np.asarray(full.coords["p"]),
+                          np.asarray(rep.arrow_matrix["p"]))
+    assert np.array_equal(np.asarray(full.basis["big"], dtype=float),
+                          np.eye(2))
+    assert np.asarray(zero.basis["big"]).shape == (2, 0)
+    assert np.asarray(zero.coords["p"]).size == 0
+    # both are invariant families: rebuilding coordinates from the bases
+    # gives the same subspace dimensions
+    for S in (full, zero):
+        assert Subrepresentation.from_bases(rep, S.basis).subdim == S.subdim
+
+
+def test_full_and_zero_subrepresentations_float():
+    test_full_and_zero_subrepresentations("float")

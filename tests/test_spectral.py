@@ -28,29 +28,47 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def block_fixture():
+def mode_matrix(rows, mode):
+    """Exact rows as Fractions, or the same entries as a float array."""
+    if mode == "exact":
+        return frac_matrix(rows)
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
+
+
+def as_array(M):
+    return np.array([[float(x) for x in row] for row in M]).reshape(
+        len(M), -1) if not isinstance(M, np.ndarray) else M
+
+
+def block_fixture(mode="exact"):
     """5x5 block diagonal: rotation (eigenvalues +-i), Jordan block at 3,
     and the scalar -2."""
-    L5 = frac_matrix([
+    L5 = mode_matrix([
         [0, -1, 0, 0, 0],
         [1, 0, 0, 0, 0],
         [0, 0, 3, 1, 0],
         [0, 0, 0, 3, 0],
-        [0, 0, 0, 0, -2]])
-    rep = one_vertex_rep(5)
+        [0, 0, 0, 0, -2]], mode)
+    rep = one_vertex_rep(5, mode)
     return rep, EndomorphismTuple(rep, {"v": L5})
 
 
-def test_endomorphism_check_accepts_and_rejects():
+def test_endomorphism_check_accepts_and_rejects(mode="exact"):
     q = Quiver(["big", "small"], [("p", "big", "small")])
     rep = QuiverRepresentation(q, {"big": 2, "small": 1},
-                               {"p": frac_matrix([[1, 0]])}, mode="exact")
-    good = EndomorphismTuple(rep, {"big": frac_matrix([[2, 0], [1, -1]]),
-                                   "small": frac_matrix([[2]])})
-    bad = EndomorphismTuple(rep, {"big": frac_matrix([[2, 1], [1, -1]]),
-                                  "small": frac_matrix([[2]])})
+                               {"p": mode_matrix([[1, 0]], mode)}, mode=mode)
+    good = EndomorphismTuple(rep, {"big": mode_matrix([[2, 0], [1, -1]], mode),
+                                   "small": mode_matrix([[2]], mode)})
+    bad = EndomorphismTuple(rep, {"big": mode_matrix([[2, 1], [1, -1]], mode),
+                                  "small": mode_matrix([[2]], mode)})
     assert check_endomorphism(rep, good).passed
-    assert not check_endomorphism(rep, bad).passed
+    report = check_endomorphism(rep, bad)
+    assert not report.passed
+    assert report.mode == mode and report.per_arrow["p"] == 1
+
+
+def test_endomorphism_check_accepts_and_rejects_float():
+    test_endomorphism_check_accepts_and_rejects("float")
 
 
 def test_joint_spectrum_exact_clusters():
@@ -64,12 +82,18 @@ def test_joint_spectrum_exact_clusters():
     assert len(pair) == 1 and pair[0].multiplicity["v"] == 1
 
 
-def test_generalized_eigenspace_dimensions():
-    rep, L = block_fixture()
-    for c in joint_spectrum(L):
+def test_generalized_eigenspace_dimensions(mode="exact"):
+    rep, L = block_fixture(mode)
+    clusters = joint_spectrum(L)
+    assert len(clusters) == 3
+    for c in clusters:
         sub = generalized_eigenspace_subrep(rep, L, c)
         expected = c.multiplicity["v"] * (2 if c.is_pair else 1)
         assert sub.subdim["v"] == expected
+
+
+def test_generalized_eigenspace_dimensions_float():
+    test_generalized_eigenspace_dimensions("float")
 
 
 def test_generalized_kernel_of_nilpotent_block():
@@ -81,26 +105,38 @@ def test_generalized_kernel_of_nilpotent_block():
     assert sub.subdim["v"] == 2
 
 
-def test_center_hyperbolic_split():
-    rep, L = block_fixture()
+def test_center_hyperbolic_split(mode="exact"):
+    rep, L = block_fixture(mode)
     center, hyper, projectors = center_hyperbolic_split(rep, L)
     assert center.subdim["v"] == 2          # the +-i pair
     assert hyper.subdim["v"] == 3
     Pc, Ph = projectors["v"]
-    Pc, Ph = np.asarray(exactlin.to_float(Pc)), \
-        np.asarray(exactlin.to_float(Ph))
+    Pc, Ph = as_array(Pc), as_array(Ph)
     assert np.allclose(Pc + Ph, np.eye(5))
     assert np.allclose(Pc @ Pc, Pc)
+    # the projectors do not depend on the bases, so both modes agree
+    _, _, exact = center_hyperbolic_split(*block_fixture("exact"))
+    assert np.allclose(Pc, as_array(exact["v"][0]), rtol=0, atol=1e-9)
 
 
-def test_kernel_image_split():
-    rep = one_vertex_rep(3)
-    L = EndomorphismTuple(rep, {"v": frac_matrix([[0, 0, 0],
+def test_center_hyperbolic_split_float():
+    test_center_hyperbolic_split("float")
+
+
+def test_kernel_image_split(mode="exact"):
+    rep = one_vertex_rep(3, mode)
+    L = EndomorphismTuple(rep, {"v": mode_matrix([[0, 0, 0],
                                                   [0, 1, 0],
-                                                  [0, 0, -1]])})
-    ker, im, _ = kernel_image_split(rep, L)
+                                                  [0, 0, -1]], mode)})
+    ker, im, projectors = kernel_image_split(rep, L)
     assert ker.subdim["v"] == 1
     assert im.subdim["v"] == 2
+    Pk = as_array(projectors["v"][0])
+    assert np.allclose(Pk, np.diag([1, 0, 0]), rtol=0, atol=1e-9)
+
+
+def test_kernel_image_split_float():
+    test_kernel_image_split("float")
 
 
 def test_sn_decomposition_exact_axioms():

@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import random_poly
-from quiverdyn.errors import DegreeOverflow, ModeUnavailable
+from helpers import float_copy, random_poly
+from quiverdyn.errors import DegreeOverflow, ModeUnavailable, NotInvariant
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
 from quiverdyn.tuples import (PolyMap, PolyMapTuple, bracket_tuple,
@@ -114,18 +115,47 @@ def test_linear_tuple_and_linear_part_roundtrip():
     assert back["big"] == tuple(tuple(r) for r in mats["big"])
 
 
-def test_restrict_to_subrep_conjugates_dynamics():
-    # one vertex, identity arrow; invariant axis of a diagonal system
+def axis_fixture(mode):
+    """x' = x^2, y' = y on one vertex with the identity arrow, and the
+    invariant x axis; the float copy carries the same data in floats."""
     q = Quiver(["v"], [("id", "v", "v")])
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     rep = QuiverRepresentation(q, {"v": 2}, {"id": eye}, mode="exact")
-    # x' = x^2, y' = y (axis x is invariant)
     F = PolyMapTuple(rep, {"v": PolyMap([Poly(2, {(2, 0): 1}),
                                          Poly(2, {(0, 1): 1})])})
     basis = {"v": ((Fraction(1),), (Fraction(0),))}
-    S = Subrepresentation.from_bases(rep, basis)
+    if mode == "float":
+        F = float_copy(F)
+        basis = {"v": np.array([[1.0], [0.0]])}
+    return F, Subrepresentation.from_bases(F.representation, basis)
+
+
+def test_restrict_to_subrep_conjugates_dynamics(mode="exact"):
+    F, S = axis_fixture(mode)
     red = restrict_to_subrep(F, S)
+    assert red.representation.mode == mode
+    # the float result equals the exact one
     assert red.components["v"].outputs[0].terms == {(2,): Fraction(1)}
+
+
+def test_restrict_to_subrep_conjugates_dynamics_float():
+    test_restrict_to_subrep_conjugates_dynamics("float")
+
+
+def test_restrict_to_subrep_rejects_image_leaving_subspace(mode="exact"):
+    F, S = axis_fixture(mode)
+    # x' = x^2 + x, y' = x: the image of the x axis leaves it
+    G = PolyMapTuple(F.representation, {"v": PolyMap([
+        Poly(2, {(2, 0): 1, (1, 0): 1}), Poly(2, {(1, 0): 1})])})
+    if mode == "float":
+        G = PolyMapTuple(F.representation, {"v": PolyMap(
+            [p.to_float() for p in G.components["v"].outputs])})
+    with pytest.raises(NotInvariant):
+        restrict_to_subrep(G, S)
+
+
+def test_restrict_to_subrep_rejects_image_leaving_subspace_float():
+    test_restrict_to_subrep_rejects_image_leaving_subspace("float")
 
 
 def test_equivariance_defect_is_zero_map_for_equivariant_input():
