@@ -34,10 +34,6 @@ class SubnetworkLattice:
     """Nonempty in-closed node subsets with the containment partial order."""
     subsets: list  # of tuples of node ids, canonical order
 
-    def leq(self, a, b):
-        """a is a subnetwork of b."""
-        return set(a) <= set(b)
-
 
 def enumerate_subnetworks(N):
     """All nonempty node subsets closed under incoming edges.

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import CaseMismatch
 from .fileio import parse_poly_dsl
 from .lsreduction import (check_reduced_equivariance, find_branches_1param,
-                          ls_reduce, reduced_cross_derivative)
+                          ls_reduce, reduced_cross_derivative,
+                          synchrony_groups)
 from .polynomial import Poly
 from .quiver import Quiver, QuiverRepresentation
 from .spectral import EndomorphismTuple, kernel_image_split
@@ -155,20 +156,10 @@ def _synchrony_pattern(red, vertex, branch, tol=1e-6):
     lam, root = branch.points[0]        # largest parameter value
     x = red.lift(vertex, root, [lam])
     scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    groups = []
-    for i, name in enumerate(names):
-        placed = False
-        for g in groups:
-            j = g[0][0]
-            if abs(x[i] - x[j]) <= tol * scale:
-                g.append((i, name))
-                placed = True
-                break
-        if not placed:
-            groups.append([(i, name)])
-    zero = tuple(sorted(n for i, n in sum(
-        ([g for g in groups if abs(x[g[0][0]]) <= tol * scale]), [])))
-    pattern = tuple(tuple(n for _, n in g) for g in groups if len(g) > 1)
+    groups = synchrony_groups(x, tol)
+    zero = tuple(sorted(names[i] for g in groups
+                        if abs(x[g[0]]) <= tol * scale for i in g))
+    pattern = tuple(tuple(names[i] for i in g) for g in groups if len(g) > 1)
     return {"equal_groups": pattern, "zero_coordinates": zero}
 
 

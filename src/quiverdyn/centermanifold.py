@@ -21,19 +21,22 @@ about an actual invariant manifold is certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import exactlin
+from . import arith
+from .arith import as_float_matrix
 from .errors import (DegreeOverflow, IllConditioned, NotEquilibrium,
                      ResonantBlock, SolveFailed)
-from .polynomial import Poly, monomial_exponents
-from .quiver import Subrepresentation, as_float_matrix
+from .polynomial import (Poly, combine_rows, linear_forms, monomial_exponents,
+                         substitute_linear)
 from .spectral import EndomorphismTuple, center_hyperbolic_split
-from .tuples import DEGREE_CAP
+from .tuples import DEGREE_CAP, EquivarianceReport
 
 SPECTRAL_GAP_MIN = 1e-6
+# a float solve of the jet equations passes when its residual is at most
+# this fraction of max(1, largest right-hand side entry)
+JET_SOLVE_RTOL = 1e-10
 
 
 @dataclass
@@ -57,30 +60,10 @@ class CMExpansion:
     vertices: dict          # vertex -> VertexExpansion
 
 
-def _change_coords(polys, M, Minv, exact):
+def _change_coords(polys, M, Minv):
     """Express a vector field in the coordinates z with x = M z."""
-    d = len(polys)
-    nvars = polys[0].nvars if polys else 0
-    subs = []
-    for i in range(d):
-        terms = {}
-        for j in range(d):
-            c = M[i][j] if exact else float(M[i, j])
-            if c != 0:
-                e = [0] * nvars
-                e[j] = 1
-                terms[tuple(e)] = c
-        subs.append(Poly(nvars, terms))
-    composed = [p.compose(subs) for p in polys]
-    out = []
-    for i in range(d):
-        acc = Poly.zero(nvars)
-        for j in range(d):
-            c = Minv[i][j] if exact else float(Minv[i, j])
-            if c != 0:
-                acc = acc + composed[j].scale(c)
-        out.append(acc)
-    return out
+    n = len(polys)
+    return combine_rows(Minv, substitute_linear(polys, M, n), n)
 
 
 def _spectral_gap(L, center_sub, hyper_sub):
@@ -122,39 +105,28 @@ def cm_taylor(F, degree):
         raise IllConditioned(
             f"center/hyperbolic spectral gap {gap:.2e} below "
             f"{SPECTRAL_GAP_MIN:.0e}")
-    exact = rep.mode == "exact" and F.is_exact()
+    ar = arith.joint(rep.mode, F.arith.mode)
 
     vertices = {}
     for v in rep.quiver.vertices:
         d = rep.dim[v]
         nc = center_sub.subdim[v]
         nh = hyper_sub.subdim[v]
-        Bc, Bh = center_sub.basis[v], hyper_sub.basis[v]
-        if exact:
-            M = [[Bc[i][j] for j in range(nc)]
-                 + [Bh[i][j] for j in range(nh)] for i in range(d)]
-            Minv = exactlin.inverse(M) if d else []
-        else:
-            M = np.hstack([as_float_matrix(Bc).reshape(d, -1),
-                           as_float_matrix(Bh).reshape(d, -1)])
-            Minv = np.linalg.inv(M) if d else M
-        field = _change_coords(list(F.components[v].outputs), M, Minv, exact)
+        M = ar.hstack([center_sub.basis[v], hyper_sub.basis[v]], d)
+        field = _change_coords(list(F.components[v].outputs), M,
+                               ar.inverse(M))
         fc = field[:nc]       # center components f(u, w)
         fh = field[nc:]       # hyperbolic components g(u, w)
         # linear blocks
-        zero = [0] * d
-
-        def lin_entry(p, j):
-            e = [0] * d
-            e[j] = 1
-            return p.terms.get(tuple(e), Fraction(0) if exact else 0.0)
-
-        Ac = [[lin_entry(fc[i], j) for j in range(nc)] for i in range(nc)]
-        Ah = [[lin_entry(fh[i], j) for j in range(nc, d)] for i in range(nh)]
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        Ac = [[p.terms.get(units[j], ar.zero) for j in range(nc)]
+              for p in fc]
+        Ah = [[p.terms.get(units[j], ar.zero) for j in range(nc, d)]
+              for p in fh]
 
         phi = [Poly.zero(nc) for _ in range(nh)]
         for dd in range(2, degree + 1):
-            phi = _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, exact)
+            phi = _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, ar)
         # reduced field: f(u, phi(u)) truncated at `degree`
         subs = [Poly.variable(nc, j) for j in range(nc)] + list(phi)
         reduced = [p.compose(subs).truncate(degree) for p in fc]
@@ -163,11 +135,10 @@ def cm_taylor(F, degree):
                        vertices)
 
 
-def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, exact):
+def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, ar):
     """Solve the degree-dd coefficient equations for phi and append them."""
     if nh == 0 or nc == 0:
         return phi
-    d = nc + nh
     subs = [Poly.variable(nc, j) for j in range(nc)] + list(phi)
     # current residual of the invariance equation
     f_at = [p.compose(subs) for p in fc]
@@ -182,65 +153,29 @@ def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, exact):
         return phi
     monos = monomial_exponents(nc, dd)
     unknowns = [(i, m) for i in range(nh) for m in monos]
-    N = len(unknowns)
     # linear operator on a degree-dd correction psi:
     #   T(psi) = Ah psi - D psi . (Ac u)
+    lin = linear_forms(Ac, nc)
     cols = []
     for (i, m) in unknowns:
         psi = [Poly.zero(nc) for _ in range(nh)]
         psi[i] = Poly.monomial(nc, m)
-        img = []
+        img = combine_rows(Ah, psi, nc)
         for r in range(nh):
-            acc = Poly.zero(nc)
-            for j in range(nh):
-                c = Ah[r][j]
-                if c != 0:
-                    acc = acc + psi[j].scale(c)
-            img.append(acc)
-        for r in range(nh):
-            dpsi = psi[r]
-            acc = img[r]
             for j in range(nc):
-                lin = Poly.zero(nc)
-                for l in range(nc):
-                    c = Ac[j][l]
-                    if c != 0:
-                        lin = lin + Poly.variable(nc, l).scale(c)
-                acc = acc - dpsi.diff(j) * lin
-            img[r] = acc
-        col = []
-        for (r, mm) in unknowns:
-            col.append(img[r].terms.get(mm, Fraction(0) if exact else 0.0))
-        cols.append(col)
-    rhs = [-resid[r].terms.get(mm, Fraction(0) if exact else 0.0)
-           for (r, mm) in unknowns]
-    if exact:
-        T = exactlin.transpose([[Fraction(c) for c in col] for col in cols])
-        try:
-            sol = exactlin.solve(T, [Fraction(c) for c in rhs])
-        except SolveFailed:
-            raise ResonantBlock(
-                f"degree-{dd} invariance operator is singular")
-        if exactlin.matvec(T, sol) != [Fraction(c) for c in rhs]:
-            raise ResonantBlock(
-                f"degree-{dd} invariance operator is singular")
-    else:
-        T = np.array(cols, dtype=float).T
-        try:
-            sol = np.linalg.solve(T, np.array(rhs, dtype=float))
-        except np.linalg.LinAlgError:
-            raise ResonantBlock(f"degree-{dd} invariance operator is singular")
-    new_phi = []
-    for i in range(nh):
-        extra = {}
-        for idx, (r, m) in enumerate(unknowns):
-            if r == i:
-                c = sol[idx]
-                c = c if exact else float(c)
-                if c != 0:
-                    extra[m] = c
-        new_phi.append(phi[i] + Poly(nc, extra))
-    return new_phi
+                img[r] = img[r] - psi[r].diff(j) * lin[j]
+        cols.append([img[r].terms.get(mm, ar.zero) for (r, mm) in unknowns])
+    rhs = [-resid[r].terms.get(mm, ar.zero) for (r, mm) in unknowns]
+    tol = JET_SOLVE_RTOL * max(1.0, ar.max_abs(rhs))
+    try:
+        sol = ar.solve_vector(ar.columns(cols, len(unknowns)), rhs, tol)
+    except SolveFailed:
+        raise ResonantBlock(f"degree-{dd} invariance operator is singular")
+    extra = [dict() for _ in range(nh)]
+    for (r, m), c in zip(unknowns, arith.tolist(sol)):
+        if c != 0:
+            extra[r][m] = c
+    return [phi[i] + Poly(nc, extra[i]) for i in range(nh)]
 
 
 def check_cm_equivariance(exp, tol=1e-10):
@@ -251,51 +186,23 @@ def check_cm_equivariance(exp, tol=1e-10):
     matrices of R_a on the center and hyperbolic subspaces.
     """
     rep = exp.representation
-    exact = rep.mode == "exact"
+    ar = rep.arith
     per_arrow = {}
     for a, s, t in rep.quiver.arrows:
         Cc = exp.center.coords[a]
-        Ch = exp.hyperbolic.coords[a]
         vs, vt = exp.vertices[s], exp.vertices[t]
-        ncs, nct = vs.center_dim, vt.center_dim
-        # substitutions u_t = Cc u_s
-        subs = []
-        for i in range(nct):
-            terms = {}
-            for j in range(ncs):
-                c = Cc[i][j] if exact else float(as_float_matrix(Cc)[i, j])
-                if c != 0:
-                    e = [0] * ncs
-                    e[j] = 1
-                    terms[tuple(e)] = c
-            subs.append(Poly(ncs, terms))
-        worst = Fraction(0) if exact else 0.0
-        # hyperbolic intertwining of phi
-        for i in range(vt.hyperbolic_dim):
-            lhs = Poly.zero(ncs)
-            for j in range(vs.hyperbolic_dim):
-                c = Ch[i][j] if exact else float(as_float_matrix(Ch)[i, j])
-                if c != 0:
-                    lhs = lhs + vs.phi[j].scale(c)
-            rhs = vt.phi[i].compose(subs)
-            worst = max(worst, (lhs - rhs).max_abs_coeff())
-        # center intertwining of the reduced field
-        for i in range(nct):
-            lhs = Poly.zero(ncs)
-            for j in range(ncs):
-                c = Cc[i][j] if exact else float(as_float_matrix(Cc)[i, j])
-                if c != 0:
-                    lhs = lhs + vs.reduced[j].scale(c)
-            rhs = vt.reduced[i].compose(subs)
-            worst = max(worst, (lhs - rhs).max_abs_coeff())
+        n = vs.center_dim
+        # target jets at u_t = Cc u_s against the source jets mapped by the
+        # hyperbolic and center coordinate matrices
+        rhs = substitute_linear(vt.phi + vt.reduced, Cc, n)
+        lhs = (combine_rows(exp.hyperbolic.coords[a], vs.phi, n)
+               + combine_rows(Cc, vs.reduced, n))
+        worst = ar.zero
+        for l, r in zip(lhs, rhs):
+            worst = max(worst, (l - r).max_abs_coeff())
         per_arrow[a] = worst
-    if exact:
-        passed = all(w == 0 for w in per_arrow.values())
-    else:
-        passed = all(float(w) <= tol for w in per_arrow.values())
-    from .tuples import EquivarianceReport
-    return EquivarianceReport(per_arrow, passed,
-                              "exact" if exact else "float", tol)
+    passed = all(ar.passes(w, tol) for w in per_arrow.values())
+    return EquivarianceReport(per_arrow, passed, ar.mode, tol)
 
 
 def flow_consistency(F, exp, vertex, radius=1e-2, time=1.0):
@@ -311,8 +218,7 @@ def flow_consistency(F, exp, vertex, radius=1e-2, time=1.0):
     vd = exp.vertices[vertex]
     nc, nh = vd.center_dim, vd.hyperbolic_dim
     d = nc + nh
-    M = as_float_matrix(vd.basis) if not isinstance(vd.basis, np.ndarray) \
-        else vd.basis
+    M = as_float_matrix(vd.basis)
     Minv = np.linalg.inv(M)
     full = [p.to_float() for p in F.components[vertex].outputs]
     red = [p.to_float() for p in vd.reduced]

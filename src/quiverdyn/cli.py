@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__, fileio
 from .builders import build_quoq, build_subq, enumerate_fibrations
@@ -24,7 +23,7 @@ from .casestudy import casestudy_s10 as _run_casestudy
 from .centermanifold import check_cm_equivariance, cm_taylor
 from .errors import ParseError, QuiverdynError
 from .lsreduction import (check_reduced_equivariance, find_branches_1param,
-                          ls_reduce)
+                          ls_reduce, synchrony_groups)
 from .network import check_admissible, validate_coloured_network
 from .normalform import normal_form, verify_normal_form
 from .spectral import (check_endomorphism, joint_spectrum, sn_decomposition)
@@ -294,21 +293,6 @@ def ls_reduce_cmd(pvf, samples, tol, out, seed):
     sys.exit(_emit(out, "ls-reduce", config, payload, rpt.passed))
 
 
-def _synchrony_groups(red, vertex, branch, tol=1e-6):
-    lam, root = branch.points[0]
-    x = red.lift(vertex, root, [lam])
-    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    groups = []
-    for i in range(len(x)):
-        for g in groups:
-            if abs(x[i] - x[g[0]]) <= tol * scale:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    return [g for g in groups if len(g) > 1]
-
-
 @main.command()
 @click.argument("pvf", type=click.Path(exists=True))
 @click.option("--vertex", required=True, help="vertex id to trace branches at")
@@ -327,7 +311,9 @@ def branches(pvf, vertex, lam_min, lam_max, grid, out, seed):
     rows = []
     payload_branches = []
     for i, b in enumerate(brs):
-        sync = _synchrony_groups(red, vertex, b)
+        lam, root = b.points[0]
+        sync = [g for g in synchrony_groups(red.lift(vertex, root, [lam]))
+                if len(g) > 1]
         rows.append((vertex, i, b.exponents, b.coefficients, sync))
         payload_branches.append({
             "exponents": b.exponents,

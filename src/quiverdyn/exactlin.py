@@ -18,11 +18,6 @@ from .errors import SolveFailed
 
 # --- matrix basics -----------------------------------------------------------
 
-def mat(rows):
-    """Deep-coerce a nested iterable into a Fraction matrix (list of lists)."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def shape(A):
     return (len(A), len(A[0]) if A else 0)
 

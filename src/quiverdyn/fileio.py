@@ -26,8 +26,7 @@ import numpy as np
 from .errors import ParseError
 from .network import ColouredNetwork
 from .polynomial import Poly
-from .quiver import Quiver, QuiverRepresentation, Subrepresentation, \
-    as_float_matrix, matrix_shape
+from .quiver import Quiver, QuiverRepresentation
 from .tuples import PolyMap, PolyMapTuple
 
 SCHEMA_VERSION = 1
@@ -208,32 +207,6 @@ def tuple_from_json(obj):
         return PolyMapTuple(rep, comps, param_dim, max_degree)
     except ValueError as exc:
         raise ParseError(str(exc))
-
-
-def subrep_to_json(S):
-    rep = S.rep
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "subrepresentation",
-        "representation": representation_to_json(rep),
-        "basis": {v: encode_matrix(S.basis[v]) for v in rep.quiver.vertices},
-        "coords": {a: encode_matrix(S.coords[a])
-                   for a, _, _ in rep.quiver.arrows},
-    }
-
-
-def subrep_from_json(obj):
-    _require(obj, "subrepresentation")
-    try:
-        rep = representation_from_json(obj["representation"])
-        basis, coords = {}, {}
-        for v in rep.quiver.vertices:
-            basis[v] = decode_matrix(obj["basis"][v], rep.mode)
-        for a, _, _ in rep.quiver.arrows:
-            coords[a] = decode_matrix(obj["coords"][a], rep.mode)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed subrepresentation: {exc}")
-    return Subrepresentation(rep, basis, coords)
 
 
 def network_map_to_json(pm, param_dim=0):

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import FLOAT, as_float_matrix
 from .errors import (DomainTooSmall, NewtonDiverged, NotEquilibrium,
                      SingularImageBlock)
-from .polynomial import Poly
-from .quiver import as_float_matrix
+from .polynomial import Poly, combine_rows, linear_forms
 from .spectral import EndomorphismTuple, kernel_image_split
+from .tuples import EquivarianceReport
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -165,56 +166,28 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
     shifted_exact = all(float(x) == 0.0 for v in rep.quiver.vertices
                         for x in np.atleast_1d(base[v])) and \
         all(float(x) == 0.0 for x in lam0)
-    if rep.mode == "exact" and shifted_exact:
-        L = EndomorphismTuple(rep, {v: [[x for x in row] for row in M]
-                                    for v, M in L_mats.items()})
-    else:
-        from .quiver import QuiverRepresentation
-        rep_f = QuiverRepresentation(
-            rep.quiver, rep.dim,
-            {a: as_float_matrix(rep.arrow_matrix[a])
-             for a, _, _ in rep.quiver.arrows}, mode="float")
-        L = EndomorphismTuple(rep_f, L_mats)
-        rep = rep_f
+    if not shifted_exact:
+        rep = rep.to_float()
+    L = EndomorphismTuple(rep, L_mats)
     ker_sub, im_sub, projectors = kernel_image_split(rep, L)
 
     vertex_data = {}
     for v in rep.quiver.vertices:
         d = rep.dim[v]
         m = ker_sub.subdim[v]
-        Bk = as_float_matrix(ker_sub.basis[v])
-        Bi = as_float_matrix(im_sub.basis[v])
-        M = np.hstack([Bk.reshape(d, -1), Bi.reshape(d, -1)]) if d else \
-            np.zeros((0, 0))
-        Minv = np.linalg.inv(M) if d else M
-        # field in split coordinates, shifted to the equilibrium
+        M = FLOAT.hstack([ker_sub.basis[v], im_sub.basis[v]], d)
+        Minv = FLOAT.inverse(M)
+        # field in split coordinates, shifted to the equilibrium:
+        # z |-> M^{-1} F(M z + base; lam + lam0)
         polys = _float_polys(F.components[v].outputs)
         nvars = d + p
-        shift = []
-        bx = np.asarray(base[v], dtype=float)
-        for i in range(d):
-            terms = {}
-            for j in range(d):
-                if M[i, j] != 0.0:
-                    e = [0] * nvars
-                    e[j] = 1
-                    terms[tuple(e)] = float(M[i, j])
-            if bx[i] != 0.0:
-                terms[(0,) * nvars] = float(bx[i])
-            shift.append(Poly(nvars, terms))
-        for l in range(p):
-            terms = {tuple(int(t == d + l) for t in range(nvars)): 1.0}
-            if lam0[l] != 0.0:
-                terms[(0,) * nvars] = float(lam0[l])
-            shift.append(Poly(nvars, terms))
-        composed = [q.compose(shift) for q in polys]
-        coord_field = []
-        for i in range(d):
-            acc = Poly.zero(nvars)
-            for j in range(d):
-                if Minv[i, j] != 0.0:
-                    acc = acc + composed[j].scale(float(Minv[i, j]))
-            coord_field.append(acc)
+        A = np.eye(nvars)
+        A[:d, :d] = M
+        offset = np.concatenate([np.asarray(base[v], dtype=float), lam0])
+        shift = [s + Poly.constant(nvars, c) if c != 0.0 else s
+                 for s, c in zip(linear_forms(A, nvars), offset.tolist())]
+        coord_field = combine_rows(Minv, [q.compose(shift) for q in polys],
+                                   nvars)
         jac = [[coord_field[i].diff(j) for j in range(d)] for i in range(d)]
         # image block of the linearization must be invertible
         z0 = [0.0] * nvars
@@ -269,8 +242,26 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
             done += 1
         per_arrow[a] = worst
     passed = all(w <= tol for w in per_arrow.values())
-    from .tuples import EquivarianceReport
     return EquivarianceReport(per_arrow, passed, "sampled", tol)
+
+
+def synchrony_groups(x, tol=1e-6):
+    """Indices of the coordinates of x grouped by equal value.
+
+    Two coordinates are equal when they differ by at most tol times
+    max(1, max |x|). Groups are listed by their first index and include
+    singletons.
+    """
+    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    groups = []
+    for i in range(len(x)):
+        for g in groups:
+            if abs(x[i] - x[g[0]]) <= tol * scale:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
 
 
 def reduced_cross_derivative(red, v, i, j, h=FD_STEP):

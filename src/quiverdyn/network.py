@@ -146,9 +146,6 @@ class InputBijection:
     to_node: str
     edge_map: tuple  # pairs (edge at from_node, edge at to_node)
 
-    def as_dict(self):
-        return dict(self.edge_map)
-
 
 def input_bijections(N, n1, n2):
     """All colour-preserving bijections t^{-1}(n1) -> t^{-1}(n2), canonical order."""

@@ -15,17 +15,19 @@ Parameter-dependent fields are out of scope: param_dim must be zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import exactlin, polyfield
+from . import polyfield
 from .errors import DegreeOverflow, NotEquilibrium
-from .polynomial import Poly
-from .quiver import as_float_matrix
+from .polynomial import linear_forms
 from .spectral import EndomorphismTuple, sn_decomposition
 from .tuples import (DEGREE_CAP, PolyMap, PolyMapTuple, bracket_polys,
                      check_equivariance)
+
+# equivariance of exact results is checked on coefficients, of float
+# results at sampled points
+CHECK_MODE = {"exact": "exact", "float": "sampled"}
 
 
 @dataclass
@@ -69,7 +71,7 @@ def normal_form(F, r):
                 raise NotEquilibrium(f"vertex {v!r}: F(0) != 0")
     L = EndomorphismTuple.from_linearization(F)
     LS, LN = sn_decomposition(L)
-    exact = F.is_exact()
+    ar = F.arith
 
     current = {v: [p.truncate(r + 1) for p in F.components[v].outputs]
                for v in rep.quiver.vertices}
@@ -77,16 +79,14 @@ def normal_form(F, r):
     kernel_residuals = {}
     for k in range(1, r + 1):
         gen_comps = {}
-        worst = Fraction(0) if exact else 0.0
+        worst = ar.zero
         for v in rep.quiver.vertices:
             d = rep.dim[v]
             if d == 0:
                 gen_comps[v] = PolyMap([], nvars=0)
                 continue
-            Lv = [list(row) for row in L.matrices[v]] if exact else \
-                np.asarray(L.matrices[v], dtype=float)
-            LSv = [list(row) for row in LS.matrices[v]] if exact else \
-                np.asarray(LS.matrices[v], dtype=float)
+            Lv = ar.freeze(L.matrices[v])
+            LSv = ar.freeze(LS.matrices[v])
             Fk = polyfield.grade_part(current[v], k)
             G, rem = polyfield.solve_homological(Lv, LSv, Fk, k)
             gen_comps[v] = PolyMap(G, nvars=d)
@@ -94,16 +94,8 @@ def normal_form(F, r):
             # residual of the surviving grade against ker ad_{L^S}
             adS = polyfield.ad_operator_matrix(LSv, k)
             coords = adS.basis.coords(polyfield.grade_part(current[v], k))
-            if exact:
-                img = exactlin.matvec(adS.matrix,
-                                      [Fraction(c) for c in coords]) \
-                    if adS.basis.size else []
-                res = max((abs(x) for x in img), default=Fraction(0))
-            else:
-                img = np.asarray(adS.matrix, dtype=float) @ np.array(
-                    [float(c) for c in coords])
-                res = float(np.max(np.abs(img))) if img.size else 0.0
-            worst = max(worst, res)
+            worst = max(worst, ar.max_abs(ar.matvec(adS.matrix,
+                                                    ar.vector(coords))))
         generators[k] = PolyMapTuple(
             rep, gen_comps, 0, F.max_degree)
         kernel_residuals[k] = worst
@@ -124,26 +116,21 @@ def verify_normal_form(res, samples=1, radius=1e-2, time=1.0,
     original and normalized flows through the composed generator flows.
     """
     rep = res.representation
-    exact = res.transformed.is_exact()
+    ar = res.transformed.arith
     report = {"commutator": {}, "equivariance": {}, "conjugacy": None}
     for k in range(1, res.grade + 1):
-        worst = Fraction(0) if exact else 0.0
+        worst = ar.zero
         for v in rep.quiver.vertices:
             d = rep.dim[v]
             if d == 0:
                 continue
-            LSv = res.LS.matrices[v]
-            LS_field = polyfield._linear_field(
-                [list(row) for row in LSv] if exact else
-                np.asarray(LSv, dtype=float), d)
+            LS_field = linear_forms(ar.freeze(res.LS.matrices[v]), d)
             Fk = [p.homogeneous_part(k + 1)
                   for p in res.transformed.components[v].outputs]
             br = bracket_polys(LS_field, Fk, d, d)
-            r = max((p.max_abs_coeff() for p in br),
-                    default=Fraction(0) if exact else 0.0)
-            worst = max(worst, r)
+            worst = max([worst] + [p.max_abs_coeff() for p in br])
         report["commutator"][k] = worst
-    mode = "exact" if exact else "sampled"
+    mode = CHECK_MODE[ar.mode]
     for k in range(1, res.grade + 1):
         gk = check_equivariance(res.generators[k], mode=mode)
         fk = check_equivariance(res.transformed_grade(k), mode=mode)

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactlin
+from . import arith, exactlin
 from .errors import RankAmbiguous, SizeOverflow, SolveFailed
-from .polynomial import Poly, monomial_exponents
+from .polynomial import Poly, linear_forms, monomial_exponents
 from .tuples import bracket_polys
 
 SIZE_CAP = 20000
@@ -112,44 +112,18 @@ def _matrix_key(L):
 _AD_CACHE = {}
 
 
-def _linear_field(L, n):
-    """The vector field x |-> L x as a list of Polys."""
-    exact = not isinstance(L, np.ndarray)
-    polys = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            c = L[i][j] if exact else float(L[i, j])
-            if c != 0:
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = c
-        polys.append(Poly(n, terms))
-    return polys
-
-
 def ad_operator_matrix(L, k):
     """The matrix of ad_{L x} restricted to grade k (columns = images of
     basis fields). Cached by matrix content."""
-    exact = not isinstance(L, np.ndarray)
-    n = len(L) if exact else L.shape[0]
+    n = arith.matrix_shape(L)[0]
     key = (_matrix_key(L), k)
     if key in _AD_CACHE:
         return _AD_CACHE[key]
     basis = hom_basis(n, k)
-    Lx = _linear_field(L, n)
-    cols = []
-    for idx in range(basis.size):
-        G = basis.field(idx)
-        img = bracket_polys(Lx, G, n, n)
-        cols.append(basis.coords(img))
-    if exact:
-        M = exactlin.transpose([[Fraction(c) for c in col] for col in cols])
-        if not M:
-            M = [[] for _ in range(basis.size)]
-    else:
-        M = np.array(cols, dtype=float).T if cols else np.zeros((0, 0))
-    out = AdMatrix(basis, M, L)
+    Lx = linear_forms(L, n)
+    cols = [basis.coords(bracket_polys(Lx, basis.field(idx), n, n))
+            for idx in range(basis.size)]
+    out = AdMatrix(basis, arith.of_matrix(L).columns(cols, basis.size), L)
     _AD_CACHE[key] = out
     return out
 
@@ -216,44 +190,23 @@ def solve_homological(L, LS, Fk, k, tol=RANK_THRESHOLD):
     """
     split = im_ker_split_adLS(LS, k, tol)
     basis = split.basis
-    f = basis.coords(Fk)
     adL = ad_operator_matrix(L, k)
-    r = len(split.im_vectors)
-    if adL.is_exact():
-        fi = exactlin.matvec(split.proj_im, [Fraction(c) for c in f]) \
-            if basis.size else []
-        if r == 0:
-            g = [Fraction(0)] * basis.size
-        else:
-            Bim = exactlin.transpose([list(v) for v in split.im_vectors])
-            ABim = exactlin.matmul(adL.matrix, Bim)
-            y = exactlin.solve(ABim, fi)
-            if exactlin.matvec(ABim, y) != fi:
-                raise SolveFailed(
-                    "restricted homological system is inconsistent")
-            g = exactlin.matvec(Bim, y)
-        Ag = exactlin.matvec(adL.matrix, g) if basis.size else []
-        rem = [a - b for a, b in zip([Fraction(c) for c in f], Ag)]
+    ar = arith.of_matrix(adL.matrix)
+    f = ar.vector(basis.coords(Fk))
+    fi = ar.matvec(split.proj_im, f)
+    if split.im_vectors:
+        Bim = ar.columns(split.im_vectors, basis.size)
+        # float residuals are judged relative to the right-hand side
+        scale = max(1.0, ar.max_abs(fi))
+        try:
+            y = ar.solve_vector(ar.matmul(adL.matrix, Bim), fi, 1e-10 * scale)
+        except SolveFailed as exc:
+            raise SolveFailed(f"restricted homological system: {exc}")
+        g = ar.matvec(Bim, y)
     else:
-        fvec = np.array([float(c) for c in f])
-        fi = split.proj_im @ fvec
-        if r == 0:
-            g = np.zeros(basis.size)
-        else:
-            Bim = np.column_stack(split.im_vectors)
-            ABim = np.asarray(adL.matrix, dtype=float) @ Bim
-            y, *_ = np.linalg.lstsq(ABim, fi, rcond=None)
-            resid = ABim @ y - fi
-            scale = max(1.0, float(np.max(np.abs(fi))) if fi.size else 1.0)
-            if resid.size and np.max(np.abs(resid)) > 1e-10 * scale:
-                raise SolveFailed(
-                    f"restricted homological solve residual "
-                    f"{np.max(np.abs(resid)):.2e}")
-            g = Bim @ y
-        rem = fvec - np.asarray(adL.matrix, dtype=float) @ g
-    G = basis.from_coords(list(g))
-    R = basis.from_coords(list(rem))
-    return G, R
+        g = ar.vector([0] * basis.size)
+    rem = ar.sub(f, ar.matvec(adL.matrix, g))
+    return basis.from_coords(list(g)), basis.from_coords(list(rem))
 
 
 def lie_transform(F, G, k, r):

@@ -14,6 +14,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from .arith import tolist
+
 
 def _coerce(c):
     if isinstance(c, (int, Fraction)):
@@ -246,6 +248,54 @@ class Poly:
     def to_float(self):
         return Poly(self.nvars,
                     {e: float(c) for e, c in self.terms.items()})
+
+
+def linear_forms(M, nvars):
+    """The Polys sum_j M[i][j] x_j, one per row of M, in nvars variables.
+
+    M is an exact or float matrix with at most nvars columns; zero entries
+    are skipped.
+    """
+    out = []
+    for row in tolist(M):
+        terms = {}
+        for j, c in enumerate(row):
+            if c != 0:
+                e = [0] * nvars
+                e[j] = 1
+                terms[tuple(e)] = c
+        out.append(Poly(nvars, terms))
+    return out
+
+
+def substitute_linear(polys, M, n_src, param_dim=0):
+    """p(M x, lambda) for each p in polys.
+
+    Each p is a Poly in rows(M) + param_dim variables; the results are in
+    the n_src + param_dim variables (x, lambda), also when M has no rows.
+    """
+    n = n_src + param_dim
+    subs = linear_forms(M, n) + [Poly.variable(n, n_src + l)
+                                 for l in range(param_dim)]
+    if not subs:
+        return [Poly.constant(n, p.terms.get((), 0)) for p in polys]
+    return [p.compose(subs) for p in polys]
+
+
+def combine_rows(M, polys, nvars):
+    """The Polys sum_j M[i][j] polys[j], one per row of M.
+
+    Terms are added in ascending j and zero entries are skipped, so float
+    results do not depend on the matrix storage.
+    """
+    out = []
+    for row in tolist(M):
+        acc = Poly.zero(nvars)
+        for c, p in zip(row, polys):
+            if c != 0:
+                acc = acc + p.scale(c)
+        out.append(acc)
+    return out
 
 
 def monomial_exponents(nvars, degree):

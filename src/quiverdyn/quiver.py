@@ -9,31 +9,11 @@ comparison in float mode carries a tolerance.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import numpy as np
-
-from . import exactlin
-from .errors import DanglingArrow, NotInvariant, ShapeMismatch, SolveFailed
+from . import arith
+from .arith import matrix_shape
+from .errors import DanglingArrow, NotInvariant, SolveFailed
 
 DEFAULT_TOL = 1e-9
-
-
-def _freeze_exact(matrix):
-    return tuple(tuple(Fraction(x) for x in row) for row in matrix)
-
-
-def as_float_matrix(matrix):
-    """Convert an exact or float matrix to a numpy array."""
-    if isinstance(matrix, np.ndarray):
-        return matrix
-    return np.array([[float(x) for x in row] for row in matrix], dtype=float)
-
-
-def matrix_shape(matrix):
-    if isinstance(matrix, np.ndarray):
-        return matrix.shape
-    return (len(matrix), len(matrix[0]) if len(matrix) else 0)
 
 
 class Quiver:
@@ -55,9 +35,6 @@ class Quiver:
         self.source = {a: s for a, s, t in arrows}
         self.target = {a: t for a, s, t in arrows}
 
-    def arrow_ids(self):
-        return [a for a, _, _ in self.arrows]
-
     def __eq__(self, other):
         return (isinstance(other, Quiver) and self.vertices == other.vertices
                 and self.arrows == other.arrows)
@@ -70,21 +47,20 @@ class QuiverRepresentation:
     """Per-vertex dimensions and per-arrow matrices over a quiver."""
 
     def __init__(self, quiver, dim, arrow_matrix, mode="exact"):
-        if mode not in ("exact", "float"):
-            raise ValueError("mode must be 'exact' or 'float'")
+        self.arith = arith.of(mode)
         self.quiver = quiver
         self.dim = {str(v): int(d) for v, d in dim.items()}
         self.mode = mode
-        mats = {}
-        for a, m in arrow_matrix.items():
-            if mode == "exact":
-                mats[str(a)] = _freeze_exact(m)
-            else:
-                mats[str(a)] = np.array(as_float_matrix(m), dtype=float)
-        self.arrow_matrix = mats
+        self.arrow_matrix = {str(a): self.arith.freeze(m)
+                             for a, m in arrow_matrix.items()}
 
     def matrix(self, arrow_id):
         return self.arrow_matrix[arrow_id]
+
+    def to_float(self):
+        """The same quiver, dimensions and arrow matrices in float mode."""
+        return QuiverRepresentation(self.quiver, self.dim, self.arrow_matrix,
+                                    mode="float")
 
     def __repr__(self):
         return (f"QuiverRepresentation({self.quiver!r}, mode={self.mode!r})")
@@ -118,12 +94,6 @@ def validate_representation(rep):
     return errors
 
 
-def require_valid(rep):
-    errors = validate_representation(rep)
-    if errors:
-        raise ShapeMismatch("; ".join(errors))
-
-
 class Subrepresentation:
     """A family of subspaces (one per vertex) invariant under all arrows.
 
@@ -141,55 +111,29 @@ class Subrepresentation:
     def from_bases(rep, basis, tol=DEFAULT_TOL):
         """Build coordinate matrices from per-vertex bases.
 
-        Exact mode solves B_t C = R_a B_s exactly and raises NotInvariant on
-        inconsistency; float mode uses least squares and checks the residual
-        against tol.
+        Solves B_t C = R_a B_s for every arrow and raises NotInvariant when
+        there is no solution: exactly in exact mode, and in float mode when
+        the least-squares residual exceeds tol.
         """
+        ar = rep.arith
         coords = {}
         for a, s, t in rep.quiver.arrows:
-            R = rep.arrow_matrix[a]
             Bs, Bt = basis[s], basis[t]
             ks = matrix_shape(Bs)[1]
             kt = matrix_shape(Bt)[1]
             if ks == 0:
-                if rep.mode == "exact":
-                    coords[a] = tuple(tuple() for _ in range(kt))
-                else:
-                    coords[a] = np.zeros((kt, 0))
+                coords[a] = ar.zeros(kt, 0)
                 continue
-            if rep.mode == "exact":
-                RBs = exactlin.matmul([list(r) for r in R],
-                                      [list(r) for r in Bs])
-                if kt == 0:
-                    if any(x != 0 for row in RBs for x in row):
-                        raise NotInvariant(f"arrow {a!r} leaves the subspace")
-                    coords[a] = tuple()  # 0 x ks
-                    continue
-                try:
-                    C = exactlin.solve_matrix([list(r) for r in Bt], RBs)
-                except SolveFailed:
+            RBs = ar.matmul(rep.arrow_matrix[a], Bs)
+            if kt == 0:
+                if not ar.passes(ar.max_abs(RBs), tol):
                     raise NotInvariant(f"arrow {a!r} leaves the subspace")
-                # solve_matrix zero-fills free variables; verify exactly
-                if exactlin.matmul([list(r) for r in Bt], C) != RBs:
-                    raise NotInvariant(f"arrow {a!r} leaves the subspace")
-                coords[a] = _freeze_exact(C)
-            else:
-                Rn = as_float_matrix(R)
-                Bsn = as_float_matrix(Bs)
-                Btn = as_float_matrix(Bt)
-                RBs = Rn @ Bsn
-                if kt == 0:
-                    if RBs.size and np.max(np.abs(RBs)) > tol:
-                        raise NotInvariant(f"arrow {a!r} leaves the subspace")
-                    coords[a] = np.zeros((0, ks))
-                    continue
-                C, *_ = np.linalg.lstsq(Btn, RBs, rcond=None)
-                resid = Btn @ C - RBs
-                if resid.size and np.max(np.abs(resid)) > tol:
-                    raise NotInvariant(
-                        f"arrow {a!r} leaves the subspace "
-                        f"(residual {np.max(np.abs(resid)):.2e})")
-                coords[a] = C
+                coords[a] = ar.zeros(0, ks)
+                continue
+            try:
+                coords[a] = ar.solve(Bt, RBs, tol)
+            except SolveFailed as exc:
+                raise NotInvariant(f"arrow {a!r} leaves the subspace ({exc})")
         return Subrepresentation(rep, dict(basis), coords)
 
     def as_representation(self):
@@ -200,23 +144,12 @@ class Subrepresentation:
     @staticmethod
     def full(rep):
         """The whole representation as a subrepresentation (identity bases)."""
-        if rep.mode == "exact":
-            basis = {v: _freeze_exact(exactlin.identity(rep.dim[v]))
-                     for v in rep.quiver.vertices}
-            coords = dict(rep.arrow_matrix)
-        else:
-            basis = {v: np.eye(rep.dim[v]) for v in rep.quiver.vertices}
-            coords = dict(rep.arrow_matrix)
-        return Subrepresentation(rep, basis, coords)
+        basis = {v: rep.arith.identity(rep.dim[v]) for v in rep.quiver.vertices}
+        return Subrepresentation(rep, basis, dict(rep.arrow_matrix))
 
     @staticmethod
     def zero(rep):
         """The zero subspace at every vertex."""
-        if rep.mode == "exact":
-            basis = {v: tuple(tuple() for _ in range(rep.dim[v]))
-                     for v in rep.quiver.vertices}
-            coords = {a: tuple() for a, _, _ in rep.quiver.arrows}
-        else:
-            basis = {v: np.zeros((rep.dim[v], 0)) for v in rep.quiver.vertices}
-            coords = {a: np.zeros((0, 0)) for a, _, _ in rep.quiver.arrows}
+        basis = {v: rep.arith.zeros(rep.dim[v], 0) for v in rep.quiver.vertices}
+        coords = {a: rep.arith.zeros(0, 0) for a, _, _ in rep.quiver.arrows}
         return Subrepresentation(rep, basis, coords)

@@ -24,19 +24,15 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from . import exactlin
+from . import arith, exactlin
+from .arith import as_float_matrix, matrix_shape
 from .errors import (AxisAmbiguous, ClusterSplit, IllConditioned,
                      ShapeMismatch)
-from .quiver import (Subrepresentation, as_float_matrix, matrix_shape)
+from .quiver import Subrepresentation
+from .tuples import EquivarianceReport, linear_part
 
 EPS_EIG = 1e-8
 EPS_AXIS = 1e-8
-
-
-def _as_lists(M):
-    if isinstance(M, np.ndarray):
-        raise TypeError("expected exact matrix")
-    return [list(row) for row in M]
 
 
 class EndomorphismTuple:
@@ -45,6 +41,7 @@ class EndomorphismTuple:
     def __init__(self, representation, matrices):
         self.representation = representation
         self.mode = representation.mode
+        self.arith = representation.arith
         mats = {}
         for v in representation.quiver.vertices:
             M = matrices[v]
@@ -52,10 +49,7 @@ class EndomorphismTuple:
             if matrix_shape(M) != (d, d) and d > 0:
                 raise ShapeMismatch(
                     f"vertex {v!r}: matrix shape {matrix_shape(M)} != ({d},{d})")
-            if self.mode == "exact":
-                mats[v] = tuple(tuple(Fraction(x) for x in row) for row in M)
-            else:
-                mats[v] = np.array(as_float_matrix(M), dtype=float)
+            mats[v] = self.arith.freeze(M)
         self.matrices = mats
 
     def matrix(self, v):
@@ -63,54 +57,26 @@ class EndomorphismTuple:
 
     @staticmethod
     def identity(rep):
-        if rep.mode == "exact":
-            mats = {v: exactlin.identity(rep.dim[v]) for v in rep.quiver.vertices}
-        else:
-            mats = {v: np.eye(rep.dim[v]) for v in rep.quiver.vertices}
-        return EndomorphismTuple(rep, mats)
+        return EndomorphismTuple(rep, {v: rep.arith.identity(rep.dim[v])
+                                       for v in rep.quiver.vertices})
 
     @staticmethod
     def from_linearization(F):
         """D_x F_v(0;0) per vertex (an endomorphism whenever F is
         equivariant and fixes the origin)."""
-        from .tuples import linear_part
         return EndomorphismTuple(F.representation, linear_part(F))
-
-
-@dataclass
-class EndomorphismReport:
-    per_arrow: dict
-    passed: bool
-    mode: str
-    tol: float
-
-    def max_residual(self):
-        return max(self.per_arrow.values(), default=0)
 
 
 def check_endomorphism(rep, L, tol=EPS_EIG):
     """Verify R_a L_s = L_t R_a for every arrow; per-arrow max residuals."""
+    ar = arith.joint(rep.mode, L.mode)
     per_arrow = {}
-    exact = rep.mode == "exact" and L.mode == "exact"
     for a, s, t in rep.quiver.arrows:
         R = rep.arrow_matrix[a]
-        if exact:
-            lhs = exactlin.matmul(_as_lists(R), _as_lists(L.matrices[s]))
-            rhs = exactlin.matmul(_as_lists(L.matrices[t]), _as_lists(R))
-            D = exactlin.msub(lhs, rhs)
-            per_arrow[a] = max((abs(x) for row in D for x in row),
-                               default=Fraction(0))
-        else:
-            Rn = as_float_matrix(R)
-            Ls = as_float_matrix(L.matrices[s])
-            Lt = as_float_matrix(L.matrices[t])
-            D = Rn @ Ls - Lt @ Rn
-            per_arrow[a] = float(np.max(np.abs(D))) if D.size else 0.0
-    if exact:
-        passed = all(r == 0 for r in per_arrow.values())
-        return EndomorphismReport(per_arrow, passed, "exact", 0.0)
-    passed = all(r <= tol for r in per_arrow.values())
-    return EndomorphismReport(per_arrow, passed, "float", tol)
+        D = ar.sub(ar.matmul(R, L.matrices[s]), ar.matmul(L.matrices[t], R))
+        per_arrow[a] = ar.max_abs(D)
+    passed = all(ar.passes(r, tol) for r in per_arrow.values())
+    return EquivarianceReport(per_arrow, passed, ar.mode, ar.report_tol(tol))
 
 
 @dataclass
@@ -129,11 +95,6 @@ class SpectralCluster:
     is_pair: bool = False
     factor: object = None       # exact monic factor, or None in float mode
     roots: tuple = ()           # numeric roots of the factor
-
-    def real_dim(self, v):
-        deg = len(self.factor) - 1 if self.factor is not None else (
-            2 if self.is_pair else 1)
-        return deg * self.multiplicity.get(v, 0)
 
 
 def _extract_quadratic_factors(g):
@@ -187,7 +148,7 @@ def _exact_factors(L):
         if rep.dim[v] == 0:
             charpolys[v] = [Fraction(1)]
             continue
-        p = exactlin.charpoly(_as_lists(L.matrices[v]))
+        p = exactlin.charpoly(L.matrices[v])
         charpolys[v] = p
         roots, cofactor = exactlin.rational_roots(p)
         pieces = [[-r, Fraction(1)] for r, _ in roots]
@@ -285,7 +246,7 @@ def generalized_eigenspace_subrep(rep, L, cluster, tol=EPS_EIG):
             fpow = [Fraction(1)]
             for _ in range(m):
                 fpow = exactlin.poly_mul(fpow, cluster.factor)
-            M = exactlin.eval_matrix_poly(fpow, _as_lists(L.matrices[v]))
+            M = exactlin.eval_matrix_poly(fpow, L.matrices[v])
             kern = exactlin.nullspace(M)
             want = len(cluster.factor[:-1]) * m  # deg(factor) * mult
             if len(kern) != want:
@@ -360,8 +321,8 @@ def _split_clusters(rep, L, clusters, predicate, eps, what, tol):
     sel, rest = _classify_clusters(L, clusters, predicate, eps, what)
     sub_sel = _union_subrep(rep, L, sel, tol)
     sub_rest = _union_subrep(rep, L, rest, tol)
+    ar = arith.joint(rep.mode, L.mode)
     projectors = {}
-    exact = rep.mode == "exact" and L.mode == "exact"
     for v in rep.quiver.vertices:
         d = rep.dim[v]
         Bs, Bh = sub_sel.basis[v], sub_rest.basis[v]
@@ -369,56 +330,19 @@ def _split_clusters(rep, L, clusters, predicate, eps, what, tol):
         if sub_sel.subdim[v] + sub_rest.subdim[v] != d:
             raise AxisAmbiguous(
                 f"vertex {v!r}: split dimensions do not add up to {d}")
-        if exact:
-            M = [[Bs[i][j] for j in range(k)]
-                 + [Bh[i][j] for j in range(d - k)] for i in range(d)]
-            Minv = exactlin.inverse(M) if d else []
-            Pc = exactlin.matmul([list(r) for r in Bs],
-                                 Minv[:k]) if k else exactlin.zeros(d, d)
-            Ph = exactlin.msub(exactlin.identity(d), Pc)
-            projectors[v] = (tuple(tuple(r) for r in Pc),
-                             tuple(tuple(r) for r in Ph))
-        else:
-            Bs = as_float_matrix(Bs)
-            Bh = as_float_matrix(Bh)
-            M = np.hstack([Bs, Bh]) if d else np.zeros((0, 0))
-            Minv = np.linalg.inv(M) if d else M
-            Pc = Bs @ Minv[:k] if k else np.zeros((d, d))
-            projectors[v] = (Pc, np.eye(d) - Pc)
+        Minv = ar.inverse(ar.hstack([Bs, Bh], d))
+        Pc = ar.matmul(Bs, Minv[:k]) if k else ar.zeros(d, d)
+        projectors[v] = (Pc, ar.sub(ar.identity(d), Pc))
     return sub_sel, sub_rest, projectors
 
 
 def _union_subrep(rep, L, clusters, tol):
     """Direct sum of the generalized eigenspaces of several clusters."""
-    exact = rep.mode == "exact" and L.mode == "exact"
+    ar = arith.joint(rep.mode, L.mode)
     parts = [generalized_eigenspace_subrep(rep, L, c, tol) for c in clusters]
-    basis = {}
-    for v in rep.quiver.vertices:
-        d = rep.dim[v]
-        if exact:
-            cols = []
-            for S in parts:
-                B = S.basis[v]
-                for j in range(S.subdim[v]):
-                    cols.append([B[i][j] for i in range(d)])
-            basis[v] = tuple(tuple(col[i] for col in cols) for i in range(d))
-        else:
-            blocks = [as_float_matrix(S.basis[v]) for S in parts]
-            basis[v] = np.hstack(blocks) if blocks else np.zeros((d, 0))
+    basis = {v: ar.hstack([S.basis[v] for S in parts], rep.dim[v])
+             for v in rep.quiver.vertices}
     return Subrepresentation.from_bases(rep, basis, tol)
-
-
-def _maybe_float(L):
-    """Fall back to a float endomorphism when exact factoring is partial."""
-    rep = L.representation
-    from .quiver import QuiverRepresentation
-    frep = QuiverRepresentation(
-        rep.quiver, rep.dim,
-        {a: as_float_matrix(rep.arrow_matrix[a]) for a, _, _ in rep.quiver.arrows},
-        mode="float")
-    fl = EndomorphismTuple(
-        frep, {v: as_float_matrix(L.matrices[v]) for v in rep.quiver.vertices})
-    return frep, fl
 
 
 def _spectrum_with_fallback(rep, L, tol):
@@ -427,7 +351,8 @@ def _spectrum_with_fallback(rep, L, tol):
             c.factor is not None and len(c.factor) > 3 for c in clusters):
         warnings.warn("characteristic polynomial did not factor over Q; "
                       "falling back to float arithmetic")
-        rep, L = _maybe_float(L)
+        rep = L.representation.to_float()
+        L = EndomorphismTuple(rep, L.matrices)
         clusters = joint_spectrum(L, tol)
     return rep, L, clusters
 
@@ -483,10 +408,10 @@ def sn_decomposition(L, tol=EPS_EIG, max_iter=50):
             N_mats[v] = L.matrices[v]
             continue
         if L.mode == "exact":
-            A = _as_lists(L.matrices[v])
+            A = L.matrices[v]
             q = exactlin.poly_squarefree_part(exactlin.charpoly(A))
             dq = exactlin.poly_deriv(q)
-            S = [row[:] for row in A]
+            S = A
             for _ in range(max_iter):
                 qS = exactlin.eval_matrix_poly(q, S)
                 if exactlin.is_zero_matrix(qS):

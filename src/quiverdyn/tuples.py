@@ -16,11 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactlin
+from . import arith
 from .errors import DegreeOverflow, ModeUnavailable, NotInvariant, SolveFailed
-from .polynomial import Poly
-from .quiver import (QuiverRepresentation, Subrepresentation, as_float_matrix,
-                     matrix_shape)
+from .polynomial import Poly, combine_rows, linear_forms, substitute_linear
 
 DEGREE_CAP = 8
 SAMPLED_DEFAULTS = {"samples": 64, "seed": 0, "tol": 1e-9}
@@ -82,15 +80,14 @@ class PolyMapTuple:
         return (self.representation.mode == "exact"
                 and all(pm.is_exact() for pm in self.components.values()))
 
+    @property
+    def arith(self):
+        """Exact arithmetic when the matrices and coefficients are all
+        rational, float arithmetic otherwise."""
+        return arith.EXACT if self.is_exact() else arith.FLOAT
+
     def degree(self):
         return max((pm.degree() for pm in self.components.values()), default=-1)
-
-    def map_components(self, fn):
-        """Apply fn to every component Poly; returns a new tuple."""
-        comps = {v: PolyMap([fn(p) for p in pm.outputs], nvars=pm.nvars)
-                 for v, pm in self.components.items()}
-        return PolyMapTuple(self.representation, comps, self.param_dim,
-                            self.max_degree)
 
     def __eq__(self, other):
         return (isinstance(other, PolyMapTuple)
@@ -122,66 +119,21 @@ def linear_tuple(rep, matrices, param_dim=0, max_degree=DEGREE_CAP):
     """The tuple x |-> L_v x from per-vertex square matrices."""
     comps = {}
     for v in rep.quiver.vertices:
-        d = rep.dim[v]
-        n = d + param_dim
-        L = matrices[v]
-        rows = []
-        for i in range(d):
-            terms = {}
-            for j in range(d):
-                e = [0] * n
-                e[j] = 1
-                entry = L[i][j] if not isinstance(L, np.ndarray) else float(L[i, j])
-                terms[tuple(e)] = entry
-            rows.append(Poly(n, terms))
-        comps[v] = PolyMap(rows, nvars=n)
+        n = rep.dim[v] + param_dim
+        comps[v] = PolyMap(linear_forms(matrices[v], n), nvars=n)
     return PolyMapTuple(rep, comps, param_dim, max_degree)
-
-
-def _linear_substitutions(R, n_src, param_dim):
-    """Polys realizing x_k := sum_j R[k][j] x_j, params passed through.
-
-    Returns one Poly per target-side variable, each in n_src + param_dim
-    variables.
-    """
-    nt = matrix_shape(R)[0]
-    n = n_src + param_dim
-    subs = []
-    for k in range(nt):
-        terms = {}
-        for j in range(n_src):
-            entry = R[k][j] if not isinstance(R, np.ndarray) else float(R[k, j])
-            if entry != 0:
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = entry
-        subs.append(Poly(n, terms))
-    for l in range(param_dim):
-        subs.append(Poly.variable(n, n_src + l))
-    return subs
 
 
 def equivariance_defect(F, arrow):
     """R_a o F_s - F_t o (R_a x id) as a PolyMap on the source variables."""
     rep = F.representation
-    q = rep.quiver
-    a = arrow
-    s, t = q.source[a], q.target[a]
-    R = rep.arrow_matrix[a]
-    Fs, Ft = F.components[s], F.components[t]
-    ns, nt = rep.dim[s], rep.dim[t]
-    p = F.param_dim
-    subs = _linear_substitutions(R, ns, p)
-    lhs = []
-    for i in range(nt):
-        acc = Poly.zero(ns + p)
-        for j in range(ns):
-            entry = R[i][j] if not isinstance(R, np.ndarray) else float(R[i, j])
-            if entry != 0:
-                acc = acc + Fs.outputs[j].scale(entry)
-        lhs.append(acc)
-    rhs = [Ft.outputs[i].compose(subs) for i in range(nt)]
-    return PolyMap([l - r for l, r in zip(lhs, rhs)], nvars=ns + p)
+    s, t = rep.quiver.source[arrow], rep.quiver.target[arrow]
+    R = rep.arrow_matrix[arrow]
+    n = rep.dim[s] + F.param_dim
+    rhs = substitute_linear(F.components[t].outputs, R, rep.dim[s],
+                            F.param_dim)
+    lhs = combine_rows(R, F.components[s].outputs, n)
+    return PolyMap([l - r for l, r in zip(lhs, rhs)], nvars=n)
 
 
 def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
@@ -287,62 +239,29 @@ def restrict_to_subrep(F, S, tol=1e-9):
     subspace (coefficient-wise in exact mode, beyond tol in float mode).
     """
     rep = F.representation
-    sub_rep = S.as_representation()
+    ar = F.arith
     p = F.param_dim
-    exact = F.is_exact()
     comps = {}
     for v in rep.quiver.vertices:
         B = S.basis[v]
-        d = rep.dim[v]
         k = S.subdim[v]
-        n_new = k + p
-        # substitute x = B u into F_v
-        subs = []
-        for i in range(d):
-            terms = {}
-            for j in range(k):
-                entry = B[i][j] if not isinstance(B, np.ndarray) else float(B[i, j])
-                if entry != 0:
-                    e = [0] * n_new
-                    e[j] = 1
-                    terms[tuple(e)] = entry
-            subs.append(Poly(n_new, terms))
-        for l in range(p):
-            subs.append(Poly.variable(n_new, k + l))
-        composed = [F.components[v].outputs[i].compose(subs) for i in range(d)]
+        composed = substitute_linear(F.components[v].outputs, B, k, p)
         # solve B * out = composed, monomial by monomial
         monos = sorted({e for poly in composed for e in poly.terms},
                        key=lambda e: (sum(e), e))
         outs = [dict() for _ in range(k)]
-        if exact:
-            Bl = [list(row) for row in B]
-            for e in monos:
-                rhs = [poly.terms.get(e, Fraction(0)) for poly in composed]
-                try:
-                    y = exactlin.solve(Bl, rhs)
-                except SolveFailed:
-                    raise NotInvariant(
-                        f"image of component at {v!r} leaves the subspace")
-                if exactlin.matvec(Bl, y) != [Fraction(c) for c in rhs]:
-                    raise NotInvariant(
-                        f"image of component at {v!r} leaves the subspace")
-                for j in range(k):
-                    if y[j] != 0:
-                        outs[j][e] = y[j]
-        else:
-            Bn = as_float_matrix(B)
-            for e in monos:
-                rhs = np.array([float(poly.terms.get(e, 0)) for poly in composed])
-                y, *_ = np.linalg.lstsq(Bn, rhs, rcond=None)
-                resid = Bn @ y - rhs
-                if resid.size and np.max(np.abs(resid)) > tol:
-                    raise NotInvariant(
-                        f"image of component at {v!r} leaves the subspace")
-                for j in range(k):
-                    if y[j] != 0.0:
-                        outs[j][e] = float(y[j])
-        comps[v] = PolyMap([Poly(n_new, t) for t in outs], nvars=n_new)
-    return PolyMapTuple(sub_rep, comps, p, F.max_degree)
+        for e in monos:
+            rhs = [poly.terms.get(e, 0) for poly in composed]
+            try:
+                y = ar.solve_vector(B, rhs, tol)
+            except SolveFailed:
+                raise NotInvariant(
+                    f"image of component at {v!r} leaves the subspace")
+            for j, c in enumerate(arith.tolist(y)):
+                if c != 0:
+                    outs[j][e] = c
+        comps[v] = PolyMap([Poly(k + p, t) for t in outs], nvars=k + p)
+    return PolyMapTuple(S.as_representation(), comps, p, F.max_degree)
 
 
 def linear_part(F):
@@ -351,27 +270,7 @@ def linear_part(F):
     out = {}
     for v, pm in F.components.items():
         d = rep.dim[v]
-        if rep.mode == "exact":
-            L = [[Fraction(0)] * d for _ in range(d)]
-        else:
-            L = np.zeros((d, d))
-        for i, poly in enumerate(pm.outputs):
-            for j in range(d):
-                e = [0] * pm.nvars
-                e[j] = 1
-                c = poly.terms.get(tuple(e), 0)
-                if rep.mode == "exact":
-                    L[i][j] = Fraction(c)
-                else:
-                    L[i, j] = float(c)
-        out[v] = tuple(tuple(row) for row in L) if rep.mode == "exact" else L
-    return out
-
-
-def constant_part(F):
-    """F_v(0;0) per vertex."""
-    out = {}
-    for v, pm in F.components.items():
-        zero = (0,) * pm.nvars
-        out[v] = [p.terms.get(zero, 0) for p in pm.outputs]
+        units = [tuple(int(i == j) for i in range(pm.nvars)) for j in range(d)]
+        out[v] = rep.arith.freeze([[poly.terms.get(e, 0) for e in units]
+                                   for poly in pm.outputs])
     return out

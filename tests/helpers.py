@@ -201,6 +201,22 @@ def cm_coupled_tuple():
     return single_vertex_tuple([p1, p2])
 
 
+def cm_lost_center_tuple():
+    """Two-vertex fixture whose arrow maps the center direction to zero.
+
+    Source s: x0' = x0^2, x1' = -x1 (center x0, hyperbolic x1); target t:
+    y' = -y (hyperbolic only); the arrow reads x1. The target has no
+    center direction while its source has one.
+    """
+    quiver = Quiver(["s", "t"], [("a", "s", "t")])
+    rep = QuiverRepresentation(quiver, {"s": 2, "t": 1},
+                               {"a": [[Fraction(0), Fraction(1)]]},
+                               mode="exact")
+    fs = PolyMap([Poly(2, {(2, 0): 1}), Poly(2, {(0, 1): -1})])
+    ft = PolyMap([Poly(1, {(1,): -1})])
+    return PolyMapTuple(rep, {"s": fs, "t": ft})
+
+
 def float_copy(F):
     """The same tuple in float mode: float arrow matrices and coefficients."""
     rep = F.representation

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import cm_coupled_tuple, cm_feedforward_tuple, float_copy
+from helpers import (cm_coupled_tuple, cm_feedforward_tuple,
+                     cm_lost_center_tuple, float_copy)
 from quiverdyn.centermanifold import (check_cm_equivariance, cm_taylor,
                                       flow_consistency)
 from quiverdyn.errors import NotEquilibrium
@@ -101,6 +102,25 @@ def test_cm_equivariance_float():
     report = check_cm_equivariance(exp)
     assert report.mode == "float"
     assert report.passed and report.max_residual() <= 1e-12
+
+
+def test_cm_equivariance_target_without_center_direction(mode="exact"):
+    # the arrow maps the source's center direction to zero: the target jets
+    # are functions of no variables and must still be compared as functions
+    # of the source's center coordinates
+    F = cm_lost_center_tuple()
+    if mode == "float":
+        F = float_copy(F)
+    exp = cm_taylor(F, 3)
+    assert {v: vd.center_dim for v, vd in exp.vertices.items()} == \
+        {"s": 1, "t": 0}
+    report = check_cm_equivariance(exp)
+    assert report.mode == mode
+    assert report.passed and report.max_residual() == 0
+
+
+def test_cm_equivariance_target_without_center_direction_float():
+    test_cm_equivariance_target_without_center_direction("float")
 
 
 def test_coupled_fixture_jet_solves_invariance_equation():

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import quiverdyn
-from helpers import feedforward_chain_network, two_type_network, hopf_tuple
+from helpers import (cm_lost_center_tuple, feedforward_chain_network,
+                     hopf_tuple, two_type_network)
 from quiverdyn.fileio import dump_json, network_to_json, tuple_to_json
 
 CLI = [sys.executable, "-m", "quiverdyn.cli"]
@@ -134,6 +135,16 @@ def test_normal_form_command(tmp_path, hopf):
     assert r.returncode == 0, r.stderr
     doc, _ = report(tmp_path, "normal-form")
     assert doc["passed"] is True
+
+
+def test_cm_reduce_target_without_center_direction(tmp_path):
+    p = tmp_path / "lost_center.json"
+    dump_json(tuple_to_json(cm_lost_center_tuple()), p)
+    r = run_cli(["cm-reduce", str(p), "--degree", "3"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc, _ = report(tmp_path, "cm-reduce")
+    assert doc["center_dims"] == {"s": 1, "t": 0}
+    assert doc["per_arrow_residual"] == {"a": "0/1"}
 
 
 def test_casestudy_command(tmp_path):
