@@ -8,9 +8,11 @@ build, combine and invert matrices, solve a linear system and verify the
 solution, and decide whether a residual passes.
 
 The exact implementation verifies solutions by exact equality. The float
-one solves by least squares and accepts a solution whose largest residual
-is at most the caller's tolerance. Both raise SolveFailed otherwise, which
-each caller maps to the error it documents.
+one solves by least squares and accepts a solution that is unique (the
+matrix has full numerical column rank) and whose largest residual is at
+most the caller's tolerance, by default SOLVE_RTOL relative to the
+right-hand side. Both raise SolveFailed otherwise, which each caller maps
+to the error it documents.
 """
 
 from __future__ import annotations
@@ -22,11 +24,15 @@ import numpy as np
 from . import exactlin
 from .errors import SolveFailed
 
+# a float solve passes when its largest residual is at most this fraction
+# of max(1, largest right-hand side entry), unless the caller gives a tol
+SOLVE_RTOL = 1e-10
+
 
 def as_float_matrix(matrix):
     """Convert an exact or float matrix to a two-dimensional numpy array."""
     if isinstance(matrix, np.ndarray):
-        return matrix
+        return np.asarray(matrix, dtype=float)
     return np.array([[float(x) for x in row] for row in matrix],
                     dtype=float).reshape(matrix_shape(matrix))
 
@@ -93,14 +99,14 @@ class ExactArith:
     def inverse(self, A):
         return tuple(map(tuple, exactlin.inverse(A))) if len(A) else ()
 
-    def solve(self, A, B, tol=0.0):
+    def solve(self, A, B, tol=None):
         """X with A X = B exactly (free variables zero)."""
         X = exactlin.solve_matrix(A, B)
         if exactlin.matmul(A, X) != [list(row) for row in B]:
             raise SolveFailed("inconsistent linear system")
         return tuple(map(tuple, X))
 
-    def solve_vector(self, A, b, tol=0.0):
+    def solve_vector(self, A, b, tol=None):
         """x with A x = b exactly (free variables zero)."""
         b = self.vector(b)
         x = exactlin.solve(A, b)
@@ -147,7 +153,7 @@ class FloatArith:
         """The matrix whose columns are the given vectors."""
         if not vectors:
             return np.zeros((nrows, 0))
-        return np.column_stack(vectors)
+        return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
 
     def matmul(self, A, B):
         return as_float_matrix(A) @ as_float_matrix(B)
@@ -167,11 +173,16 @@ class FloatArith:
         except np.linalg.LinAlgError:
             raise SolveFailed("matrix is singular")
 
-    def solve(self, A, B, tol):
-        """Least-squares X with max |A X - B| <= tol."""
+    def solve(self, A, B, tol=None):
+        """The unique least-squares X, accepted when max |A X - B| <= tol
+        (default SOLVE_RTOL * max(1, max |B|))."""
         A = as_float_matrix(A)
         B = np.asarray(B, dtype=float)
-        X, *_ = np.linalg.lstsq(A, B, rcond=None)
+        if tol is None:
+            tol = SOLVE_RTOL * max(1.0, self.max_abs(B))
+        X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        if rank < A.shape[1]:
+            raise SolveFailed(f"matrix has rank {rank} < {A.shape[1]} columns")
         residual = self.max_abs(A @ X - B)
         if residual > tol:
             raise SolveFailed(f"residual {residual:.2e}")

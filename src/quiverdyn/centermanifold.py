@@ -34,9 +34,6 @@ from .spectral import EndomorphismTuple, center_hyperbolic_split
 from .tuples import DEGREE_CAP, EquivarianceReport
 
 SPECTRAL_GAP_MIN = 1e-6
-# a float solve of the jet equations passes when its residual is at most
-# this fraction of max(1, largest right-hand side entry)
-JET_SOLVE_RTOL = 1e-10
 
 
 @dataclass
@@ -166,9 +163,8 @@ def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, ar):
                 img[r] = img[r] - psi[r].diff(j) * lin[j]
         cols.append([img[r].terms.get(mm, ar.zero) for (r, mm) in unknowns])
     rhs = [-resid[r].terms.get(mm, ar.zero) for (r, mm) in unknowns]
-    tol = JET_SOLVE_RTOL * max(1.0, ar.max_abs(rhs))
     try:
-        sol = ar.solve_vector(ar.columns(cols, len(unknowns)), rhs, tol)
+        sol = ar.solve_vector(ar.columns(cols, len(unknowns)), rhs)
     except SolveFailed:
         raise ResonantBlock(f"degree-{dd} invariance operator is singular")
     extra = [dict() for _ in range(nh)]

@@ -196,10 +196,8 @@ def solve_homological(L, LS, Fk, k, tol=RANK_THRESHOLD):
     fi = ar.matvec(split.proj_im, f)
     if split.im_vectors:
         Bim = ar.columns(split.im_vectors, basis.size)
-        # float residuals are judged relative to the right-hand side
-        scale = max(1.0, ar.max_abs(fi))
         try:
-            y = ar.solve_vector(ar.matmul(adL.matrix, Bim), fi, 1e-10 * scale)
+            y = ar.solve_vector(ar.matmul(adL.matrix, Bim), fi)
         except SolveFailed as exc:
             raise SolveFailed(f"restricted homological system: {exc}")
         g = ar.matvec(Bim, y)

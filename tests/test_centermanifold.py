@@ -7,9 +7,10 @@ import pytest
 
 from helpers import (cm_coupled_tuple, cm_feedforward_tuple,
                      cm_lost_center_tuple, float_copy)
-from quiverdyn.centermanifold import (check_cm_equivariance, cm_taylor,
-                                      flow_consistency)
-from quiverdyn.errors import NotEquilibrium
+from quiverdyn import arith
+from quiverdyn.centermanifold import (_add_phi_degree, check_cm_equivariance,
+                                      cm_taylor, flow_consistency)
+from quiverdyn.errors import NotEquilibrium, ResonantBlock
 from quiverdyn.polynomial import Poly
 from quiverdyn.tuples import PolyMap, PolyMapTuple
 
@@ -132,6 +133,34 @@ def test_coupled_fixture_jet_solves_invariance_equation():
     assert vd.phi[0].terms == {(2,): Fraction(1), (4,): Fraction(-2)}
     # reduced field u' = u * phi(u) = u^3 - 2 u^5
     assert vd.reduced[0].terms == {(3,): Fraction(1), (5,): Fraction(-2)}
+
+
+def test_singular_jet_operator(mode="exact"):
+    # A true center/hyperbolic split keeps the invariance operator
+    # nonsingular (its eigenvalues have the hyperbolic real parts), so the
+    # degree step is driven directly with a resonant block: center rate 1,
+    # hyperbolic rates 2 and 3, u' = u, w0' = 2 w0, w1' = 3 w1 + u^2. On
+    # u^2 the operator is diag(2 - 2, 3 - 2), singular but consistent.
+    # Exact mode returns the solution with the free coefficient zero,
+    # w1 = -u^2; float mode raises ResonantBlock rather than pick one.
+    ar = arith.of(mode)
+    conv = float if mode == "float" else Fraction
+    fc = [Poly(3, {(1, 0, 0): conv(1)})]
+    fh = [Poly(3, {(0, 1, 0): conv(2)}),
+          Poly(3, {(0, 0, 1): conv(3), (2, 0, 0): conv(1)})]
+    Ac = [[conv(1)]]
+    Ah = [[conv(2), conv(0)], [conv(0), conv(3)]]
+    phi = [Poly.zero(1), Poly.zero(1)]
+    if mode == "float":
+        with pytest.raises(ResonantBlock):
+            _add_phi_degree(fc, fh, Ac, Ah, phi, 1, 2, 2, ar)
+        return
+    phi = _add_phi_degree(fc, fh, Ac, Ah, phi, 1, 2, 2, ar)
+    assert [p.terms for p in phi] == [{}, {(2,): Fraction(-1)}]
+
+
+def test_singular_jet_operator_float():
+    test_singular_jet_operator("float")
 
 
 def test_flow_consistency_error_scales_with_jet_order():

@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import hopf_tuple, single_vertex_tuple
+from helpers import float_copy, hopf_tuple, single_vertex_tuple
 from quiverdyn.errors import DegreeOverflow, NotEquilibrium
 from quiverdyn.normalform import normal_form, verify_normal_form
 from quiverdyn.polyfield import ad_operator_matrix
 from quiverdyn.polynomial import Poly
-from quiverdyn.tuples import PolyMap, PolyMapTuple
+from quiverdyn.tuples import PolyMap, PolyMapTuple, linear_part
 
 
 def resonant_span_residual(LS, polys, k):
@@ -85,6 +85,28 @@ def test_exact_hyperbolic_normal_form_keeps_only_resonant_terms():
     assert all(isinstance(c, Fraction)
                for p in out for c in p.terms.values())
     assert res.kernel_residuals[2] == 0
+
+
+def resonant_diagonal_tuple():
+    """L = diag(0, -1): x' = x^2 + x^3, y' = -y + x^2 + x*y. The brackets
+    [Lx, x^k d/dx] vanish, so those ad-matrix columns are exactly zero."""
+    p1 = Poly(2, {(2, 0): 1, (3, 0): 1})
+    p2 = Poly(2, {(0, 1): -1, (2, 0): 1, (1, 1): 1})
+    return single_vertex_tuple([p1, p2])
+
+
+def test_float_resonant_diagonal_matches_exact():
+    F = resonant_diagonal_tuple()
+    G = float_copy(F)
+    L = linear_part(G)["v"]
+    for k in (1, 2):
+        assert ad_operator_matrix(L, k).matrix.dtype == np.float64
+    exact, flt = normal_form(F, 2), normal_form(G, 2)
+    for p, q in zip(exact.transformed.components["v"].outputs,
+                    flt.transformed.components["v"].outputs):
+        for e in set(p.terms) | set(q.terms):
+            assert abs(float(p.terms.get(e, 0)) - q.terms.get(e, 0.0)) <= 1e-9
+    assert max(flt.kernel_residuals.values()) <= 1e-9
 
 
 def test_generators_live_in_image_of_ad():
