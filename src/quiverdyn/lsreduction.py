@@ -39,6 +39,35 @@ def _float_polys(polys):
     return [p.to_float() for p in polys]
 
 
+class CompiledField:
+    """A polynomial field and its Jacobian, evaluated by one matrix product.
+
+    The exponent array E has one row per monomial in the union of the
+    monomials of every field component and every Jacobian entry. The
+    coefficient matrix C has one row per field component, then one per
+    Jacobian entry in row-major order, so C @ prod(z ** E, axis=1) lists
+    the field and then the whole Jacobian at z.
+    """
+
+    def __init__(self, field, jacobian, nvars):
+        self.dim = len(field)
+        polys = list(field) + [p for row in jacobian for p in row]
+        monos = sorted({e for p in polys for e in p.terms})
+        column = {e: k for k, e in enumerate(monos)}
+        self.exponents = np.array(monos, dtype=float).reshape(len(monos),
+                                                              nvars)
+        self.coeffs = np.zeros((len(polys), len(monos)))
+        for i, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coeffs[i, column[e]] = float(c)
+
+    def __call__(self, z):
+        """(field, Jacobian) at the point z."""
+        vals = self.coeffs @ np.prod(z ** self.exponents, axis=1)
+        d = self.dim
+        return vals[:d], vals[d:].reshape(d, d)
+
+
 @dataclass
 class VertexReduction:
     """Per-vertex data of a Lyapunov-Schmidt reduction (float arithmetic)."""
@@ -49,6 +78,18 @@ class VertexReduction:
     coord_field: list          # Polys of z |-> M^{-1} F(M z + base; lam0 + lam)
     jacobian: list             # list of lists of Polys, d(coord_field)/dz
     radius: float
+    evaluator: CompiledField   # coord_field and jacobian, compiled
+
+
+def _solve_image_block(v, jac, rhs, u, lam):
+    """g_w^{-1} rhs, with g_w the image block of the field Jacobian."""
+    m = len(u)
+    try:
+        return np.linalg.solve(jac[m:, m:], rhs)
+    except np.linalg.LinAlgError:
+        raise NewtonDiverged(
+            f"vertex {v!r}: singular image-block Jacobian at "
+            f"u={u.tolist()}, lam={lam.tolist()}")
 
 
 @dataclass
@@ -70,26 +111,17 @@ class LSReduction:
         """Image-block coordinates w solving the eliminated equations."""
         vd = self.vertex_data[v]
         m = vd.ker_dim
-        h = vd.dim - m
         u = np.asarray(u, dtype=float)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        w = np.zeros(h)
+        w = np.zeros(vd.dim - m)
+        gvals, jac = vd.evaluator(np.concatenate([u, w, lam]))
         for _ in range(self.newton_max_iter):
-            z = np.concatenate([u, w, lam])
-            gvals = np.array([p.eval(list(z)) for p in vd.coord_field])
             res = gvals[m:]
             if np.max(np.abs(res), initial=0.0) <= self.newton_tol:
                 return w
-            J = np.array([[vd.jacobian[i][j].eval(list(z))
-                           for j in range(m, vd.dim)]
-                          for i in range(m, vd.dim)])
-            try:
-                step = np.linalg.solve(J, res)
-            except np.linalg.LinAlgError:
-                raise NewtonDiverged(
-                    f"vertex {v!r}: singular image-block Jacobian at "
-                    f"u={u.tolist()}, lam={lam.tolist()}")
-            # damped step, clamped to the neighbourhood radius
+            step = _solve_image_block(v, jac, res, u, lam)
+            # damped step, clamped to the neighbourhood radius; an accepted
+            # candidate's field and Jacobian serve the next iteration
             alpha = 1.0
             norm0 = np.max(np.abs(res))
             while alpha > 1e-4:
@@ -97,12 +129,10 @@ class LSReduction:
                 if np.max(np.abs(cand), initial=0.0) > vd.radius:
                     alpha *= 0.5
                     continue
-                z2 = np.concatenate([u, cand, lam])
-                res2 = np.array([p.eval(list(z2))
-                                 for p in vd.coord_field])[m:]
-                if np.max(np.abs(res2), initial=0.0) < norm0 or \
-                        np.max(np.abs(res2), initial=0.0) <= self.newton_tol:
-                    w = cand
+                cvals, cjac = vd.evaluator(np.concatenate([u, cand, lam]))
+                norm = np.max(np.abs(cvals[m:]), initial=0.0)
+                if norm < norm0 or norm <= self.newton_tol:
+                    w, gvals, jac = cand, cvals, cjac
                     break
                 alpha *= 0.5
             else:
@@ -114,12 +144,26 @@ class LSReduction:
     def reduced_eval(self, v, u, lam):
         """The reduced bifurcation map f_v(u; lam) on kernel coordinates."""
         vd = self.vertex_data[v]
+        u = np.asarray(u, dtype=float)
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        w = self.phi(v, u, lam)
+        return vd.evaluator(np.concatenate([u, w, lam]))[0][:vd.ker_dim]
+
+    def reduced_jacobian(self, v, u, lam):
+        """f_v(u; lam) and its Jacobian in u, by the implicit-function formula.
+
+        With f the kernel rows and g the image rows of the field at
+        z = (u, phi(u; lam), lam), differentiating g(u, phi(u; lam), lam) = 0
+        gives D_u phi = -g_w^{-1} g_u, so D_u f_v = f_u - f_w g_w^{-1} g_u.
+        """
+        vd = self.vertex_data[v]
         m = vd.ker_dim
         u = np.asarray(u, dtype=float)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         w = self.phi(v, u, lam)
-        z = np.concatenate([u, w, lam])
-        return np.array([p.eval(list(z)) for p in vd.coord_field[:m]])
+        vals, jac = vd.evaluator(np.concatenate([u, w, lam]))
+        dphi = _solve_image_block(v, jac, jac[m:, :m], u, lam)
+        return vals[:m], jac[:m, :m] - jac[:m, m:] @ dphi
 
     def lift(self, v, u, lam):
         """The full-space point x = base-shifted M (u, phi(u; lam))."""
@@ -189,11 +233,10 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
         coord_field = combine_rows(Minv, [q.compose(shift) for q in polys],
                                    nvars)
         jac = [[coord_field[i].diff(j) for j in range(d)] for i in range(d)]
+        evaluator = CompiledField(coord_field, jac, nvars)
         # image block of the linearization must be invertible
-        z0 = [0.0] * nvars
         if d - m:
-            Jw = np.array([[jac[i][j].eval(z0) for j in range(m, d)]
-                           for i in range(m, d)])
+            Jw = evaluator(np.zeros(nvars))[1][m:, m:]
             sv = np.linalg.svd(Jw, compute_uv=False)
             if sv[-1] <= 1e-12 * max(1.0, sv[0]):
                 raise SingularImageBlock(
@@ -202,7 +245,8 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
                 0.1 / max(1.0, np.linalg.norm(np.linalg.inv(Jw)))
         else:
             r_v = radius if radius is not None else 0.1
-        vertex_data[v] = VertexReduction(d, m, M, Minv, coord_field, jac, r_v)
+        vertex_data[v] = VertexReduction(d, m, M, Minv, coord_field, jac, r_v,
+                                         evaluator)
     return LSReduction(rep, p, ker_sub, im_sub, projectors, vertex_data)
 
 
@@ -297,22 +341,12 @@ def _roots_at(red, v, lam, seeds_per_axis=9, scale=None, tol=1e-9):
         ok = False
         for _ in range(NEWTON_MAX_ITER):
             try:
-                fval = red.reduced_eval(v, u, [lam])
+                fval, J = red.reduced_jacobian(v, u, [lam])
             except NewtonDiverged:
                 break
             if np.max(np.abs(fval), initial=0.0) <= 1e-12:
                 ok = True
                 break
-            J = np.zeros((m, m))
-            h = 1e-7 * max(1.0, np.max(np.abs(u)))
-            for j in range(m):
-                e = np.zeros(m)
-                e[j] = h
-                try:
-                    J[:, j] = (red.reduced_eval(v, u + e, [lam])
-                               - red.reduced_eval(v, u - e, [lam])) / (2 * h)
-                except NewtonDiverged:
-                    break
             try:
                 step = np.linalg.solve(J, fval)
             except np.linalg.LinAlgError:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import single_vertex_tuple
+from test_casestudy import CASE1, CASE2, CASE3
+from quiverdyn.casestudy import assemble_case_tuple
 from quiverdyn.errors import NotEquilibrium
-from quiverdyn.lsreduction import (check_reduced_equivariance,
+from quiverdyn.fileio import parse_poly_dsl
+from quiverdyn.lsreduction import (FD_STEP, check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
                                    reduced_cross_derivative)
 from quiverdyn.polynomial import Poly
@@ -111,3 +114,60 @@ def test_lift_reconstructs_full_state():
     x = red.lift("v", np.array([0.02]), [0.001])
     assert x[0] == pytest.approx(0.02, abs=1e-12)
     assert x[1] == pytest.approx(0.0004, abs=1e-10)
+
+
+def case_study_reduction(case):
+    """The reduction casestudy_s10 builds for one of the three paper cases."""
+    f, g = (parse_poly_dsl(text, param_dim=1)[2] for text in case[:2])
+    return ls_reduce(assemble_case_tuple(f, g))
+
+
+def reduction(name):
+    if name == "transcritical":
+        return ls_reduce(transcritical_with_slave())
+    return case_study_reduction({"a=0": CASE1, "b=0": CASE2,
+                                 "ab-cd=0": CASE3}[name])
+
+
+@pytest.mark.parametrize("name", ["transcritical", "a=0", "b=0", "ab-cd=0"])
+def test_compiled_field_matches_poly_eval(name):
+    red = reduction(name)
+    rng = np.random.default_rng(0)
+    for vd in red.vertex_data.values():
+        for _ in range(20):
+            z = rng.uniform(-1.0, 1.0, size=vd.dim + red.param_dim)
+            field, jac = vd.evaluator(z)
+            want = [(field[i], p) for i, p in enumerate(vd.coord_field)] + [
+                (jac[i, j], p) for i, row in enumerate(vd.jacobian)
+                for j, p in enumerate(row)]
+            for got, p in want:
+                ref = p.eval(list(z))
+                assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_reduced_jacobian_matches_closed_form():
+    # f(u, lam) = lam*u - u^2 + u^4, so df/du = lam - 2u + 4u^3
+    red = ls_reduce(transcritical_with_slave())
+    for u, lam in [(0.01, 0.005), (-0.02, 0.003), (0.04, -0.001)]:
+        f, J = red.reduced_jacobian("v", np.array([u]), [lam])
+        assert f[0] == pytest.approx(lam * u - u ** 2 + u ** 4, abs=1e-12)
+        assert J.shape == (1, 1)
+        assert J[0, 0] == pytest.approx(lam - 2 * u + 4 * u ** 3, abs=1e-10)
+
+
+def test_reduced_jacobian_matches_central_differences():
+    red = case_study_reduction(CASE1)
+    rng = np.random.default_rng(1)
+    for v in ("N1", "N2"):
+        m = red.kernel_dim(v)
+        for _ in range(5):
+            u = rng.uniform(-0.01, 0.01, size=m)
+            lam = rng.uniform(-0.005, 0.005, size=1)
+            f, J = red.reduced_jacobian(v, u, lam)
+            assert np.array_equal(f, red.reduced_eval(v, u, lam))
+            for j in range(m):
+                e = np.zeros(m)
+                e[j] = FD_STEP
+                fd = (red.reduced_eval(v, u + e, lam)
+                      - red.reduced_eval(v, u - e, lam)) / (2 * FD_STEP)
+                assert np.max(np.abs(J[:, j] - fd)) <= 1e-6
