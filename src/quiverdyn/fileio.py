@@ -27,7 +27,7 @@ from .errors import ParseError
 from .network import ColouredNetwork
 from .polynomial import Poly
 from .quiver import Quiver, QuiverRepresentation
-from .tuples import PolyMap, PolyMapTuple
+from .tuples import DEGREE_CAP, PolyMap, PolyMapTuple
 
 SCHEMA_VERSION = 1
 
@@ -128,9 +128,15 @@ def network_from_json(obj):
         nodes = [(n["id"], n["colour"]) for n in obj["nodes"]]
         edges = [(e["id"], e["source"], e["target"], e["colour"])
                  for e in obj["edges"]]
-        dims = {c: int(d) for c, d in obj.get("internal_dim", {}).items()}
+        dims = obj.get("internal_dim", {})
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed network object: {exc}")
+    if not isinstance(dims, dict):
+        raise ParseError("internal_dim must map colours to dimensions")
+    for c, d in dims.items():
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise ParseError(f"internal_dim of colour {c!r} must be a "
+                             f"non-negative integer, got {d!r}")
     if not nodes:
         raise ParseError("network has no nodes")
     try:
@@ -358,9 +364,15 @@ def parse_poly_dsl(text, param_dim=None):
                 continue
             nm = re.match(r"^([0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)$", factor)
             if nm:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ParseError(f"division by zero in factor {factor!r}")
                 continue
             raise ParseError(f"cannot parse factor {factor!r}")
+        if sum(powers.values()) > DEGREE_CAP:
+            raise ParseError(f"term {piece!r} has degree "
+                             f"{sum(powers.values())} > cap {DEGREE_CAP}")
         parsed_terms.append((coeff, powers))
 
     p = param_dim if param_dim is not None else (

@@ -175,3 +175,27 @@ def test_custom_output_directory(tmp_path, net3):
     r = run_cli(["validate", str(net3), "--out", "elsewhere"], tmp_path)
     assert r.returncode == 0
     assert (tmp_path / "elsewhere" / "validate.json").exists()
+
+
+@pytest.mark.parametrize("dim", [1.5, -1, "x"], ids=["fraction", "negative",
+                                                     "string"])
+def test_bad_internal_dim_exits_2(tmp_path, dim):
+    doc = network_to_json(feedforward_chain_network())
+    doc["internal_dim"] = {c: dim for c in doc["internal_dim"]}
+    p = tmp_path / "bad_dim.json"
+    dump_json(doc, p)
+    r = run_cli(["subq", str(p)], tmp_path)
+    assert r.returncode == 2
+    assert "input error" in r.stderr and "internal_dim" in r.stderr, r.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("f_text,message", [
+    ("f(x,y) = 1/0*x + y", "division by zero"),
+    ("f(x,y) = x^100000 + y", "> cap"),
+], ids=["zero-denominator", "degree-above-cap"])
+def test_bad_dsl_term_exits_2(tmp_path, f_text, message):
+    r = run_cli(["casestudy-s10", "--f", f_text, "--g", "g(y,x) = -y + x",
+                 "--case", "a=0"], tmp_path)
+    assert r.returncode == 2
+    assert "input error" in r.stderr and message in r.stderr, r.stderr
