@@ -93,9 +93,8 @@ def normal_form(F, r):
             current[v] = polyfield.lie_transform(current[v], G, k, r)
             # residual of the surviving grade against ker ad_{L^S}
             adS = polyfield.ad_operator_matrix(LSv, k)
-            coords = adS.basis.coords(polyfield.grade_part(current[v], k))
-            worst = max(worst, ar.max_abs(ar.matvec(adS.matrix,
-                                                    ar.vector(coords))))
+            coords = adS.basis.coords(polyfield.grade_part(current[v], k), ar)
+            worst = max(worst, ar.max_abs(ar.matvec(adS.matrix, coords)))
         generators[k] = PolyMapTuple(
             rep, gen_comps, 0, F.max_degree)
         kernel_residuals[k] = worst

@@ -13,6 +13,7 @@ quiver tuples happens in the normal-form module.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,15 +50,15 @@ class HomBasis:
         polys[j] = Poly.monomial(self.n, m)
         return polys
 
-    def coords(self, polys, strict=True):
-        """Coefficient vector of a vector field in this basis.
+    def coords(self, polys, ar, strict=True):
+        """Coefficient vector of a vector field in this basis, in the
+        arithmetic ar (see quiverdyn.arith).
 
         With strict=True, raises ValueError if the field has terms outside
         the grade (wrong degree or extra variables).
         """
         index = {elem: i for i, elem in enumerate(self.elements)}
-        exact = all(p.is_exact() for p in polys)
-        vec = [Fraction(0) if exact else 0.0] * self.size
+        vec = [ar.zero] * self.size
         for j, p in enumerate(polys):
             for e, c in p.terms.items():
                 key = (j, tuple(e))
@@ -67,7 +68,7 @@ class HomBasis:
                             f"term {e} in output {j} is not grade {self.k}")
                     continue
                 vec[index[key]] = c
-        return vec
+        return ar.vector(vec)
 
     def from_coords(self, vec):
         """The vector field with the given coefficient vector."""
@@ -109,22 +110,29 @@ def _matrix_key(L):
     return ("exact", tuple(tuple(Fraction(x) for x in row) for row in L))
 
 
-_AD_CACHE = {}
+# the ad matrices of the most recently used (L, grade) pairs, oldest first
+AD_CACHE_SIZE = 256
+_AD_CACHE = OrderedDict()
 
 
 def ad_operator_matrix(L, k):
     """The matrix of ad_{L x} restricted to grade k (columns = images of
-    basis fields). Cached by matrix content."""
+    basis fields). Cached by matrix content, least recently used first
+    out once AD_CACHE_SIZE matrices are held."""
     n = arith.matrix_shape(L)[0]
     key = (_matrix_key(L), k)
     if key in _AD_CACHE:
+        _AD_CACHE.move_to_end(key)
         return _AD_CACHE[key]
     basis = hom_basis(n, k)
+    ar = arith.of_matrix(L)
     Lx = linear_forms(L, n)
-    cols = [basis.coords(bracket_polys(Lx, basis.field(idx), n, n))
+    cols = [basis.coords(bracket_polys(Lx, basis.field(idx), n, n), ar)
             for idx in range(basis.size)]
-    out = AdMatrix(basis, arith.of_matrix(L).columns(cols, basis.size), L)
+    out = AdMatrix(basis, ar.columns(cols, basis.size), L)
     _AD_CACHE[key] = out
+    if len(_AD_CACHE) > AD_CACHE_SIZE:
+        _AD_CACHE.popitem(last=False)
     return out
 
 
@@ -192,7 +200,7 @@ def solve_homological(L, LS, Fk, k, tol=RANK_THRESHOLD):
     basis = split.basis
     adL = ad_operator_matrix(L, k)
     ar = arith.of_matrix(adL.matrix)
-    f = ar.vector(basis.coords(Fk))
+    f = basis.coords(Fk, ar)
     fi = ar.matvec(split.proj_im, f)
     if split.im_vectors:
         Bim = ar.columns(split.im_vectors, basis.size)

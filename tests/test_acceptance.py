@@ -17,7 +17,7 @@ from helpers import (cm_feedforward_tuple, feedforward_chain_network,
                      feedforward_pair_network, hopf_tuple, monoid_maps,
                      random_poly, random_response_family,
                      single_vertex_tuple, two_type_network)
-from quiverdyn import exactlin
+from quiverdyn import arith, exactlin
 from quiverdyn.builders import (build_quoq, build_subq, induce_on_quotients,
                                 induce_on_subnetworks)
 from quiverdyn.casestudy import casestudy_s10
@@ -348,7 +348,8 @@ def test_criterion_8_normal_form():
     assert null.shape[1] == 2
     g2 = [p.homogeneous_part(3)
           for p in res.transformed.components["v"].outputs]
-    coords = np.array([float(c) for c in ad.basis.coords(g2)])
+    coords = np.array([float(c) for c in
+                       ad.basis.coords(g2, arith.of_matrix(ad.matrix))])
     proj = null @ (null.T @ coords)
     assert float(np.max(np.abs(coords - proj), initial=0.0)) <= 1e-10
     # generators and surviving grades equivariant; commutators <= 1e-10

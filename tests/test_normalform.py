@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import float_copy, hopf_tuple, single_vertex_tuple
+from quiverdyn import arith
 from quiverdyn.errors import DegreeOverflow, NotEquilibrium
 from quiverdyn.normalform import normal_form, verify_normal_form
 from quiverdyn.polyfield import ad_operator_matrix
@@ -20,7 +21,8 @@ def resonant_span_residual(LS, polys, k):
     ad matrix and measure what is left over.
     """
     ad = ad_operator_matrix(LS, k)
-    coords = np.array([float(c) for c in ad.basis.coords(polys)])
+    coords = np.array([float(c) for c in
+                       ad.basis.coords(polys, arith.of_matrix(ad.matrix))])
     A = np.array([[float(x) for x in row] for row in ad.matrix])
     _, s, vh = np.linalg.svd(A)
     tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
@@ -117,7 +119,8 @@ def test_generators_live_in_image_of_ad():
     for k in (1, 2):
         G = res.generators[k].components["v"].outputs
         ad = ad_operator_matrix(LS, k)
-        coords = np.array([float(c) for c in ad.basis.coords(G)])
+        coords = np.array([float(c) for c in
+                           ad.basis.coords(G, arith.of_matrix(ad.matrix))])
         A = np.array([[float(x) for x in row] for row in ad.matrix])
         z, *_ = np.linalg.lstsq(A, coords, rcond=None)
         assert float(np.max(np.abs(A @ z - coords), initial=0.0)) <= 1e-9

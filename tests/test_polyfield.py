@@ -2,12 +2,13 @@
 
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quiverdyn import exactlin
+from quiverdyn import arith, exactlin, polyfield
 from quiverdyn.errors import SizeOverflow
 from quiverdyn.polyfield import (ad_operator_matrix, grade_part, hom_basis,
                                  im_ker_split_adLS, lie_transform,
@@ -32,7 +33,7 @@ def test_hom_basis_coords_roundtrip():
     rng = random.Random(0)
     vec = [Fraction(rng.randint(-3, 3)) for _ in range(b.size)]
     polys = b.from_coords(vec)
-    assert b.coords(polys) == vec
+    assert b.coords(polys, arith.EXACT) == vec
 
 
 def test_size_cap():
@@ -47,7 +48,7 @@ def test_ad_matrix_columns_are_bracket_images():
     Lx = [Poly(2, {(1, 0): 1}), Poly(2, {(0, 1): -1})]
     for idx in range(b.size):
         G = b.field(idx)
-        expected = b.coords(bracket_polys(Lx, G, 2, 2))
+        expected = b.coords(bracket_polys(Lx, G, 2, 2), arith.EXACT)
         got = [ad.matrix[i][idx] for i in range(b.size)]
         assert got == expected
 
@@ -56,6 +57,31 @@ def test_ad_matrix_is_cached():
     L = frac_matrix([[2, 0], [0, 3]])
     assert ad_operator_matrix(L, 1) is ad_operator_matrix(
         frac_matrix([[2, 0], [0, 3]]), 1)
+
+
+def test_ad_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(polyfield, "_AD_CACHE", OrderedDict())
+    size = polyfield.AD_CACHE_SIZE
+    first = ad_operator_matrix([[Fraction(0)]], 0)
+    for i in range(1, size):
+        ad_operator_matrix([[Fraction(i)]], 0)
+    # a hit makes L = 0 the most recent entry, so L = 1 is evicted next
+    assert ad_operator_matrix([[Fraction(0)]], 0) is first
+    ad_operator_matrix([[Fraction(size)]], 0)
+    assert len(polyfield._AD_CACHE) == size
+    assert ad_operator_matrix([[Fraction(0)]], 0) is first
+    assert (polyfield._matrix_key([[Fraction(1)]]), 0) \
+        not in polyfield._AD_CACHE
+
+
+def test_coords_take_the_callers_arithmetic():
+    # a vanishing float field gets float zeros, not exact ones
+    b = hom_basis(2, 1)
+    zero = [Poly.zero(2), Poly.zero(2)]
+    vec = b.coords(zero, arith.FLOAT)
+    assert isinstance(vec, np.ndarray) and vec.dtype == np.float64
+    assert not vec.any()
+    assert b.coords(zero, arith.EXACT) == [Fraction(0)] * b.size
 
 
 def test_im_ker_split_semisimple_diagonal():
