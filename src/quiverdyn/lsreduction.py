@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .arith import FLOAT, as_float_matrix
 from .errors import (DomainTooSmall, NewtonDiverged, NotEquilibrium,
@@ -63,7 +64,7 @@ class CompiledField:
 
     def __call__(self, z):
         """(field, Jacobian) at the point z."""
-        vals = self.coeffs @ np.prod(z ** self.exponents, axis=1)
+        vals = self.coeffs @ (z ** self.exponents).prod(axis=1)
         d = self.dim
         return vals[:d], vals[d:].reshape(d, d)
 
@@ -81,11 +82,32 @@ class VertexReduction:
     evaluator: CompiledField   # coord_field and jacobian, compiled
 
 
+def _max_abs(x):
+    """max |x_i|, 0 for an empty x (the ndarray method skips np.max's
+    per-call dispatch, which dominates at these sizes)."""
+    return np.abs(x).max(initial=0.0)
+
+
+def _solve(A, b):
+    """A^{-1} b for the small dense systems of the Newton loops.
+
+    The same LU solve as np.linalg.solve (LAPACK gesv) without its
+    per-call checks, which cost more than the solve at these sizes.
+    Raises np.linalg.LinAlgError when A is exactly singular.
+    """
+    if not A.size:
+        return np.zeros(b.shape)
+    x, info = lapack.dgesv(A, b)[2:]
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
 def _solve_image_block(v, jac, rhs, u, lam):
     """g_w^{-1} rhs, with g_w the image block of the field Jacobian."""
     m = len(u)
     try:
-        return np.linalg.solve(jac[m:, m:], rhs)
+        return _solve(jac[m:, m:], rhs)
     except np.linalg.LinAlgError:
         raise NewtonDiverged(
             f"vertex {v!r}: singular image-block Jacobian at "
@@ -117,20 +139,20 @@ class LSReduction:
         gvals, jac = vd.evaluator(np.concatenate([u, w, lam]))
         for _ in range(self.newton_max_iter):
             res = gvals[m:]
-            if np.max(np.abs(res), initial=0.0) <= self.newton_tol:
+            if _max_abs(res) <= self.newton_tol:
                 return w
             step = _solve_image_block(v, jac, res, u, lam)
             # damped step, clamped to the neighbourhood radius; an accepted
             # candidate's field and Jacobian serve the next iteration
             alpha = 1.0
-            norm0 = np.max(np.abs(res))
+            norm0 = _max_abs(res)
             while alpha > 1e-4:
                 cand = w - alpha * step
-                if np.max(np.abs(cand), initial=0.0) > vd.radius:
+                if _max_abs(cand) > vd.radius:
                     alpha *= 0.5
                     continue
                 cvals, cjac = vd.evaluator(np.concatenate([u, cand, lam]))
-                norm = np.max(np.abs(cvals[m:]), initial=0.0)
+                norm = _max_abs(cvals[m:])
                 if norm < norm0 or norm <= self.newton_tol:
                     w, gvals, jac = cand, cvals, cjac
                     break
@@ -344,14 +366,14 @@ def _roots_at(red, v, lam, seeds_per_axis=9, scale=None, tol=1e-9):
                 fval, J = red.reduced_jacobian(v, u, [lam])
             except NewtonDiverged:
                 break
-            if np.max(np.abs(fval), initial=0.0) <= 1e-12:
+            if _max_abs(fval) <= 1e-12:
                 ok = True
                 break
             try:
-                step = np.linalg.solve(J, fval)
+                step = _solve(J, fval)
             except np.linalg.LinAlgError:
                 break
-            if np.max(np.abs(step)) > 10 * scale:
+            if _max_abs(step) > 10 * scale:
                 break
             u = u - step
         if not ok or np.max(np.abs(u), initial=0.0) > 2 * scale:

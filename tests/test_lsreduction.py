@@ -10,7 +10,8 @@ from test_casestudy import CASE1, CASE2, CASE3
 from quiverdyn.casestudy import assemble_case_tuple
 from quiverdyn.errors import NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
-from quiverdyn.lsreduction import (FD_STEP, check_reduced_equivariance,
+from quiverdyn.lsreduction import (FD_STEP, _solve,
+                                   check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
                                    reduced_cross_derivative)
 from quiverdyn.polynomial import Poly
@@ -171,3 +172,15 @@ def test_reduced_jacobian_matches_central_differences():
                 fd = (red.reduced_eval(v, u + e, lam)
                       - red.reduced_eval(v, u - e, lam)) / (2 * FD_STEP)
                 assert np.max(np.abs(J[:, j] - fd)) <= 1e-6
+
+
+def test_small_solve_matches_numpy():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 5):
+        A = rng.normal(size=(n, n))
+        for b in (rng.normal(size=n), rng.normal(size=(n, 2))):
+            assert np.allclose(_solve(A, b), np.linalg.solve(A, b),
+                               rtol=1e-12, atol=1e-12)
+    assert _solve(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
