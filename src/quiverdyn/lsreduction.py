@@ -125,6 +125,9 @@ class LSReduction:
     vertex_data: dict          # vertex -> VertexReduction
     newton_tol: float = NEWTON_TOL
     newton_max_iter: int = NEWTON_MAX_ITER
+    # (u, lam, field Jacobian) of the latest reduced_eval
+    _last_point: tuple = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def kernel_dim(self, v):
         return self.vertex_data[v].ker_dim
@@ -164,12 +167,19 @@ class LSReduction:
             f"vertex {v!r}: no convergence in {self.newton_max_iter} steps")
 
     def reduced_eval(self, v, u, lam):
-        """The reduced bifurcation map f_v(u; lam) on kernel coordinates."""
+        """The reduced bifurcation map f_v(u; lam) on kernel coordinates.
+
+        The field Jacobian at z = (u, phi(u; lam), lam) comes with the field
+        from the compiled evaluator; it is kept, with u and lam, in
+        _last_point for reduced_jacobian.
+        """
         vd = self.vertex_data[v]
         u = np.asarray(u, dtype=float)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         w = self.phi(v, u, lam)
-        return vd.evaluator(np.concatenate([u, w, lam]))[0][:vd.ker_dim]
+        vals, jac = vd.evaluator(np.concatenate([u, w, lam]))
+        self._last_point = (u, lam, jac)
+        return vals[:vd.ker_dim]
 
     def reduced_jacobian(self, v, u, lam):
         """f_v(u; lam) and its Jacobian in u, by the implicit-function formula.
@@ -177,15 +187,14 @@ class LSReduction:
         With f the kernel rows and g the image rows of the field at
         z = (u, phi(u; lam), lam), differentiating g(u, phi(u; lam), lam) = 0
         gives D_u phi = -g_w^{-1} g_u, so D_u f_v = f_u - f_w g_w^{-1} g_u.
+        f_v comes from reduced_eval, so every evaluation of the reduced map,
+        and every NewtonDiverged of its phi solve, is a reduced_eval call.
         """
-        vd = self.vertex_data[v]
-        m = vd.ker_dim
-        u = np.asarray(u, dtype=float)
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        w = self.phi(v, u, lam)
-        vals, jac = vd.evaluator(np.concatenate([u, w, lam]))
+        f = self.reduced_eval(v, u, lam)
+        u, lam, jac = self._last_point
+        m = len(f)
         dphi = _solve_image_block(v, jac, jac[m:, :m], u, lam)
-        return vals[:m], jac[:m, :m] - jac[:m, m:] @ dphi
+        return f, jac[:m, :m] - jac[:m, m:] @ dphi
 
     def lift(self, v, u, lam):
         """The full-space point x = base-shifted M (u, phi(u; lam))."""
@@ -223,9 +232,9 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
         pt = list(np.concatenate([bx, lam0]))
         polys = _float_polys(F.components[v].outputs)
         vals = np.array([q.eval(pt) for q in polys])
-        if vals.size and np.max(np.abs(vals)) > EQUILIBRIUM_TOL:
+        if _max_abs(vals) > EQUILIBRIUM_TOL:
             raise NotEquilibrium(
-                f"vertex {v!r}: |F(base; lam0)| = {np.max(np.abs(vals)):.2e}")
+                f"vertex {v!r}: |F(base; lam0)| = {_max_abs(vals):.2e}")
         L_mats[v] = np.array([[polys[i].diff(j).eval(pt) for j in range(d)]
                               for i in range(d)])
 
@@ -303,8 +312,7 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
                     raise DomainTooSmall(
                         f"arrow {a!r}: no common neighbourhood above 1e-6")
                 continue
-            if lhs.size:
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = max(worst, float(_max_abs(lhs - rhs)))
             done += 1
         per_arrow[a] = worst
     passed = all(w <= tol for w in per_arrow.values())
@@ -318,7 +326,7 @@ def synchrony_groups(x, tol=1e-6):
     max(1, max |x|). Groups are listed by their first index and include
     singletons.
     """
-    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    scale = max(1.0, float(_max_abs(x)))
     groups = []
     for i in range(len(x)):
         for g in groups:
@@ -376,9 +384,9 @@ def _roots_at(red, v, lam, seeds_per_axis=9, scale=None, tol=1e-9):
             if _max_abs(step) > 10 * scale:
                 break
             u = u - step
-        if not ok or np.max(np.abs(u), initial=0.0) > 2 * scale:
+        if not ok or _max_abs(u) > 2 * scale:
             continue
-        if all(np.max(np.abs(u - r), initial=0.0) > tol + 1e-6 * scale
+        if all(_max_abs(u - r) > tol + 1e-6 * scale
                for r in roots):
             roots.append(u)
     roots.sort(key=lambda r: tuple(np.round(r / max(scale, 1e-12), 6)))
@@ -416,7 +424,7 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
             for idx, r in enumerate(roots):
                 if used[idx]:
                     continue
-                d = min(np.max(np.abs(r - pr), initial=0.0) for pr in preds)
+                d = min(_max_abs(r - pr) for pr in preds)
                 if d < best_d:
                     best, best_d = idx, d
             if best is not None and best_d <= 0.5 * math.sqrt(lam) + 1e-9:

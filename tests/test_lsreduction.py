@@ -8,9 +8,9 @@ import pytest
 from helpers import single_vertex_tuple
 from test_casestudy import CASE1, CASE2, CASE3
 from quiverdyn.casestudy import assemble_case_tuple
-from quiverdyn.errors import NotEquilibrium
+from quiverdyn.errors import NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
-from quiverdyn.lsreduction import (FD_STEP, _solve,
+from quiverdyn.lsreduction import (FD_STEP, LSReduction, _roots_at, _solve,
                                    check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
                                    reduced_cross_derivative)
@@ -173,6 +173,36 @@ def test_reduced_jacobian_matches_central_differences():
                       - red.reduced_eval(v, u - e, lam)) / (2 * FD_STEP)
                 assert np.max(np.abs(J[:, j] - fd)) <= 1e-6
 
+
+def test_branch_tracer_evaluates_the_reduced_map_through_reduced_eval(
+        monkeypatch):
+    # The outer Newton takes f and its Jacobian from reduced_jacobian; each
+    # of its phi solves, and each NewtonDiverged, must pass through
+    # reduced_eval, the method perfbench/tracing.py wraps.
+    calls = {"phi": 0, "reduced_eval": 0, "diverged": 0}
+    phi, reduced_eval = LSReduction.phi, LSReduction.reduced_eval
+
+    def counted_phi(self, *args):
+        calls["phi"] += 1
+        return phi(self, *args)
+
+    def counted_reduced_eval(self, *args):
+        calls["reduced_eval"] += 1
+        try:
+            return reduced_eval(self, *args)
+        except NewtonDiverged:
+            calls["diverged"] += 1
+            raise
+
+    monkeypatch.setattr(LSReduction, "phi", counted_phi)
+    monkeypatch.setattr(LSReduction, "reduced_eval", counted_reduced_eval)
+    red = ls_reduce(transcritical_with_slave())
+    roots = _roots_at(red, "v", 1e-2)
+    assert [float(r[0]) for r in roots] == pytest.approx([0.0, 0.010001],
+                                                         abs=1e-6)
+    assert calls["reduced_eval"] == calls["phi"] > 0
+    # seeds beyond the neighbourhood radius fail inside phi
+    assert calls["diverged"] > 0
 
 def test_small_solve_matches_numpy():
     rng = np.random.default_rng(2)
