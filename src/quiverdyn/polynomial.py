@@ -6,23 +6,49 @@ floats; integers are normalized to Fraction. Terms with zero coefficient are
 dropped, so the zero polynomial has an empty term dict. Term order, wherever
 terms are listed, is graded lexicographic: by total degree, then by the
 exponent tuple.
+
+The public constructor validates its input: nvars and every exponent must be
+non-negative integers, every multi-index must have length nvars. Arithmetic
+inside this module builds term dicts that already satisfy those rules and
+hold no zero coefficient, and hands them to ``Poly(nvars, terms,
+_clean=True)``, which stores them unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .arith import tolist
 
 
+_ONE = Fraction(1)
+
+
 def _coerce(c):
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, float):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _count(x, what):
+    """x as a non-negative int; ValueError for a bool, float, string or
+    negative number."""
+    if type(x) is int and x >= 0:
+        return x
+    try:
+        n = operator.index(x)
+    except TypeError:
+        n = -1
+    if n < 0 or isinstance(x, bool):
+        raise ValueError(f"{what} must be a non-negative integer, got {x!r}")
+    return n
 
 
 class Poly:
@@ -30,21 +56,24 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = int(nvars)
+    def __init__(self, nvars, terms=None, *, _clean=False):
+        if _clean:
+            # trusted: a fresh dict of valid multi-indices, no zero terms
+            self.nvars = nvars
+            self.terms = terms
+            return
+        self.nvars = nvars = _count(nvars, "nvars")
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars:
+            exps = tuple(_count(e, "exponent") for e in exps)
+            if len(exps) != nvars:
                 raise ValueError(
-                    f"multi-index length {len(exps)} != nvars {self.nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
+                    f"multi-index length {len(exps)} != nvars {nvars}")
             c = _coerce(c)
-            if c != 0:
+            if c:
                 prev = clean.get(exps)
                 c = c if prev is None else prev + c
-                if c != 0:
+                if c:
                     clean[exps] = c
                 elif exps in clean:
                     del clean[exps]
@@ -107,30 +136,37 @@ class Poly:
     def __add__(self, other):
         self._check_compat(other)
         terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
-        return Poly(self.nvars, terms)
+        _accumulate(terms, other.terms)
+        return Poly(self.nvars, _nonzero(terms), _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.nvars, {e: -c for e, c in self.terms.items()},
+                    _clean=True)
 
     def scale(self, c):
         c = _coerce(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return Poly(self.nvars, {}, _clean=True)
+        # a float product can underflow to zero
+        return Poly(self.nvars, _nonzero({e: c * v for e, v in
+                                          self.terms.items()}), _clean=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         self._check_compat(other)
         terms = {}
+        get = terms.get
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(self.nvars, terms)
+                e = tuple(map(add, e1, e2))
+                prev = get(e)
+                terms[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return Poly(self.nvars, _nonzero(terms), _clean=True)
 
     __rmul__ = __mul__
 
@@ -174,7 +210,7 @@ class Poly:
             new = list(exps)
             new[i] -= 1
             terms[tuple(new)] = c * exps[i]
-        return Poly(self.nvars, terms)
+        return Poly(self.nvars, terms, _clean=True)
 
     def eval(self, point):
         if len(point) != self.nvars:
@@ -192,19 +228,25 @@ class Poly:
         """Substitute substitutions[i] (a Poly) for variable i.
 
         All substituted polynomials must share a common nvars, which becomes
-        the nvars of the result.
+        the nvars of the result. When every substitution is a monomial with
+        coefficient 1 the exponents are remapped without multiplying;
+        otherwise each term is expanded as c * s_0^e_0 * s_1^e_1 * ... in
+        that order, with the powers of each s_i cached.
         """
         if len(substitutions) != self.nvars:
             raise ValueError("need one substitution per variable")
         if not substitutions:
             # 0-variable polynomial: only a constant term survives
-            return Poly(0, dict(self.terms))
+            return Poly(0, dict(self.terms), _clean=True)
         m = substitutions[0].nvars
         for p in substitutions:
             if p.nvars != m:
                 raise ValueError("substitutions must share nvars")
-        result = Poly.zero(m)
-        powers = [{0: Poly.constant(m, 1)} for _ in range(self.nvars)]
+        targets = self._unit_monomials(substitutions)
+        if targets is not None:
+            return self._remap(m, targets)
+        one = Poly(m, {(0,) * m: _ONE}, _clean=True)
+        powers = [{0: one} for _ in range(self.nvars)]
 
         def power(i, e):
             cache = powers[i]
@@ -212,42 +254,104 @@ class Poly:
                 cache[e] = power(i, e - 1) * substitutions[i]
             return cache[e]
 
+        terms = {}
         for exps, c in self.terms.items():
-            term = Poly.constant(m, c)
+            term = Poly(m, {(0,) * m: c}, _clean=True)
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)
-            result = result + term
-        return result
+            _accumulate(terms, term.terms)
+        return Poly(m, _nonzero(terms), _clean=True)
+
+    def _unit_monomials(self, substitutions):
+        """The exponent tuples of the substitutions if each is one monomial
+        with coefficient 1 that leaves this Poly's coefficients as they are,
+        else None.
+
+        A float 1.0 would turn a Fraction coefficient into a float, so it
+        qualifies only when every coefficient is a float already.
+        """
+        targets = []
+        float_one = False
+        for p in substitutions:
+            if len(p.terms) != 1:
+                return None
+            (e, c), = p.terms.items()
+            if c != 1:
+                return None
+            float_one = float_one or isinstance(c, float)
+            targets.append(e)
+        if float_one and not all(isinstance(c, float)
+                                 for c in self.terms.values()):
+            return None
+        return targets
+
+    def _remap(self, m, targets):
+        """This Poly with variable i replaced by the monomial x^targets[i],
+        in m variables: each term's exponents move, its coefficient stays."""
+        supports = [[(j, a) for j, a in enumerate(t) if a] for t in targets]
+        terms = {}
+        get = terms.get
+        for exps, c in self.terms.items():
+            new = [0] * m
+            for e, support in zip(exps, supports):
+                if e:
+                    for j, a in support:
+                        new[j] += e * a
+            key = tuple(new)
+            prev = get(key)
+            terms[key] = c if prev is None else prev + c
+        if len(terms) < len(self.terms):     # terms merged, some may cancel
+            terms = _nonzero(terms)
+        return Poly(m, terms, _clean=True)
 
     # --- structure ------------------------------------------------------
 
     def homogeneous_part(self, d):
         return Poly(self.nvars,
-                    {e: c for e, c in self.terms.items() if sum(e) == d})
+                    {e: c for e, c in self.terms.items() if sum(e) == d},
+                    _clean=True)
 
     def truncate(self, maxdeg):
         return Poly(self.nvars,
-                    {e: c for e, c in self.terms.items() if sum(e) <= maxdeg})
+                    {e: c for e, c in self.terms.items() if sum(e) <= maxdeg},
+                    _clean=True)
 
     def embed(self, new_nvars, var_map):
         """Relabel variables: old variable i becomes var_map[i] among new_nvars."""
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * new_nvars
-            for i, e in enumerate(exps):
-                if e:
-                    new[var_map[i]] += e
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + c
-        return Poly(new_nvars, terms)
+        if len(var_map) != self.nvars:
+            raise ValueError("need one target variable per variable")
+        targets = []
+        for j in var_map:
+            t = [0] * new_nvars
+            t[j] = 1
+            targets.append(t)
+        return self._remap(new_nvars, targets)
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0)
 
     def to_float(self):
+        # a tiny Fraction can round to 0.0
         return Poly(self.nvars,
-                    {e: float(c) for e, c in self.terms.items()})
+                    _nonzero({e: float(c) for e, c in self.terms.items()}),
+                    _clean=True)
+
+
+def _accumulate(terms, more):
+    """Add the terms of `more` into the dict `terms` in place; a cancelled
+    term stays in `terms` with coefficient zero."""
+    get = terms.get
+    for e, c in more.items():
+        prev = get(e)
+        terms[e] = c if prev is None else prev + c
+
+
+def _nonzero(terms):
+    """terms without its zero coefficients."""
+    if all(terms.values()):
+        return terms
+    return {e: c for e, c in terms.items() if c}
 
 
 def linear_forms(M, nvars):
@@ -290,11 +394,15 @@ def combine_rows(M, polys, nvars):
     """
     out = []
     for row in tolist(M):
-        acc = Poly.zero(nvars)
+        terms = {}
         for c, p in zip(row, polys):
             if c != 0:
-                acc = acc + p.scale(c)
-        out.append(acc)
+                if p.nvars != nvars:
+                    raise ValueError("nvars mismatch")
+                # an exact 1 leaves every coefficient as it is
+                exact_one = c == 1 and not isinstance(c, float)
+                _accumulate(terms, p.terms if exact_one else p.scale(c).terms)
+        out.append(Poly(nvars, _nonzero(terms), _clean=True))
     return out
 
 

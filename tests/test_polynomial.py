@@ -1,8 +1,10 @@
-"""Polynomial arithmetic against evaluation and calculus oracles."""
+"""Polynomial arithmetic against evaluation, calculus, a naive expansion and
+sympy."""
 
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,3 +88,126 @@ def test_invalid_terms_rejected():
         Poly(2, {(1,): 1})
     with pytest.raises(ValueError):
         Poly(1, {(-1,): 1})
+    with pytest.raises(ValueError):
+        Poly(1, {(1.5,): 1})
+
+
+# --- compose against a naive expansion ----------------------------------------
+
+def naive_compose(p, subs, m):
+    """sum_c c * prod_i subs[i]^e_i on plain term dicts: every power is
+    multiplied out factor by factor, nothing is cached or remapped."""
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    total = {}
+    for exps, c in p.terms.items():
+        term = {(0,) * m: c}
+        for s, e in zip(subs, exps):
+            for _ in range(e):
+                term = mul(term, s.terms)
+        for e, v in term.items():
+            total[e] = total.get(e, 0) + v
+    return {e: c for e, c in total.items() if c != 0}
+
+
+def unit_monomials(nvars, m):
+    """Substitutions x_i -> a monomial with coefficient 1 in m variables; the
+    same target variable may repeat, and the monomial may be 1."""
+    mono = st.tuples(*([st.integers(0, 2)] * m))
+    return st.lists(mono, min_size=nvars, max_size=nvars).map(
+        lambda es: [Poly(m, {e: 1}) for e in es])
+
+
+def general_substitutions(nvars, m):
+    """Arbitrary substitutions, at least one of which is not a monomial with
+    coefficient 1."""
+    return st.lists(polys(m, 2), min_size=nvars, max_size=nvars).filter(
+        lambda subs: any(len(s.terms) != 1 or 1 not in s.terms.values()
+                         for s in subs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.just(m), polys(2, 3), unit_monomials(2, m))))
+def test_compose_by_exponent_remap_matches_expansion(case):
+    m, p, subs = case
+    assert p.compose(subs).terms == naive_compose(p, subs, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.just(m), polys(2, 3), general_substitutions(2, m))))
+def test_compose_by_multiplication_matches_expansion(case):
+    m, p, subs = case
+    assert p.compose(subs).terms == naive_compose(p, subs, m)
+
+
+def test_compose_matches_sympy_expand():
+    x, y, u, v, w = sympy.symbols("x y u v w")
+    p = Poly(2, {(2, 1): Fraction(3), (1, 0): Fraction(-1, 2),
+                 (0, 0): Fraction(2), (0, 3): Fraction(5, 7)})
+    s0 = Poly(3, {(1, 0, 0): Fraction(1), (0, 1, 1): Fraction(-2, 3)})
+    s1 = Poly(3, {(0, 0, 2): Fraction(4), (0, 0, 0): Fraction(1, 5)})
+    to_sympy = lambda q, xs: sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(z ** e for z, e in zip(xs, exps)))
+        for exps, c in q.terms.items())
+    want = sympy.Poly(sympy.expand(to_sympy(p, (x, y)).subs(
+        {x: to_sympy(s0, (u, v, w)), y: to_sympy(s1, (u, v, w))},
+        simultaneous=True)), u, v, w)
+    got = p.compose([s0, s1]).terms
+    assert got == {e: Fraction(int(c.p), int(c.q))
+                   for e, c in want.as_dict().items()}
+
+
+def test_float_unit_substitution_keeps_general_coefficient_type():
+    # a float 1.0 multiplies an exact coefficient into a float, and so does
+    # the monomial fast path
+    p = Poly(1, {(1,): Fraction(1, 3)})
+    q = p.compose([Poly(1, {(1,): 1.0})])
+    assert q.terms == {(1,): 1 / 3} and isinstance(q.terms[(1,)], float)
+
+
+# --- every result is a valid Poly ---------------------------------------------
+
+def assert_valid(q, nvars):
+    assert q.nvars == nvars
+    for e, c in q.terms.items():
+        assert type(e) is tuple and len(e) == nvars
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) in (Fraction, float) and c != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.fractions(min_value=-2, max_value=2,
+                                      max_denominator=3),
+       st.lists(st.integers(0, 3), min_size=2, max_size=2))
+def test_results_hold_no_zero_and_no_malformed_term(p, q, c, var_map):
+    for r in (p + q, p - q, p - p, -p, p * q, p * q - q * p, p.scale(c),
+              p.scale(0), p.diff(0), p.diff(1)):
+        assert_valid(r, 2)
+    assert_valid(p.embed(4, var_map), 4)
+    assert_valid(p.compose([q, q]), 2)
+    assert_valid(p.compose([Poly.variable(3, var_map[0] % 3),
+                            Poly.variable(3, var_map[1] % 3)]), 3)
+
+
+def test_merged_terms_cancel():
+    p = Poly(2, {(1, 0): 1, (0, 1): -1})       # x - y
+    x = Poly.variable(1, 0)
+    assert p.compose([x, x]).terms == {}
+    assert p.embed(1, [0, 0]).terms == {}
+    assert p.compose([x, x.scale(2)]).terms == {(1,): Fraction(-1)}
+
+
+def test_float_underflow_drops_terms():
+    p = Poly(1, {(1,): 1e-200, (0,): 1.0})
+    assert p.scale(1e-200).terms == {(0,): 1e-200}
+    assert (p * p).terms == {(0,): 1.0, (1,): 2e-200}
+    assert Poly(1, {(1,): Fraction(1, 10 ** 400)}).to_float().is_zero()
