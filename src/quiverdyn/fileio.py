@@ -57,6 +57,14 @@ def decode_number(x):
     raise ParseError(f"expected a number, got {type(x).__name__}")
 
 
+def decode_count(x, what):
+    """A JSON non-negative integer; a bool, float, string or negative
+    number is a ParseError."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ParseError(f"{what} must be a non-negative integer, got {x!r}")
+    return x
+
+
 def encode_matrix(M):
     if isinstance(M, np.ndarray):
         return [[float(x) for x in row] for row in M]
@@ -87,10 +95,10 @@ def encode_poly(p):
 
 def decode_poly(obj):
     try:
-        nvars = int(obj["nvars"])
+        nvars = decode_count(obj["nvars"], "nvars")
         terms = {}
         for t in obj["terms"]:
-            e = tuple(int(k) for k in t["exponents"])
+            e = tuple(decode_count(k, "exponent") for k in t["exponents"])
             if len(e) != nvars:
                 raise ParseError(f"exponent tuple {e} has wrong length")
             terms[e] = decode_number(t["coefficient"])
@@ -134,9 +142,7 @@ def network_from_json(obj):
     if not isinstance(dims, dict):
         raise ParseError("internal_dim must map colours to dimensions")
     for c, d in dims.items():
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise ParseError(f"internal_dim of colour {c!r} must be a "
-                             f"non-negative integer, got {d!r}")
+        decode_count(d, f"internal_dim of colour {c!r}")
     if not nodes:
         raise ParseError("network has no nodes")
     try:
@@ -163,7 +169,8 @@ def representation_from_json(obj):
     try:
         mode = obj["mode"]
         vertices = [v["id"] for v in obj["vertices"]]
-        dim = {v["id"]: int(v["dim"]) for v in obj["vertices"]}
+        dim = {v["id"]: decode_count(v["dim"], f"dim of vertex {v['id']!r}")
+               for v in obj["vertices"]}
         arrows = [(a["id"], a["source"], a["target"]) for a in obj["arrows"]]
         mats = {}
         for a in obj["arrows"]:
@@ -201,8 +208,8 @@ def tuple_from_json(obj):
     _require(obj, "polynomial_tuple")
     try:
         rep = representation_from_json(obj["representation"])
-        param_dim = int(obj["param_dim"])
-        max_degree = int(obj.get("max_degree", 8))
+        param_dim = decode_count(obj["param_dim"], "param_dim")
+        max_degree = decode_count(obj.get("max_degree", 8), "max_degree")
         comps = {}
         for v in rep.quiver.vertices:
             polys = [decode_poly(p) for p in obj["components"][v]]
@@ -228,7 +235,7 @@ def network_map_from_json(obj):
     _require(obj, "network_map")
     try:
         polys = [decode_poly(p) for p in obj["outputs"]]
-        param_dim = int(obj.get("param_dim", 0))
+        param_dim = decode_count(obj.get("param_dim", 0), "param_dim")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed network map: {exc}")
     if not polys:

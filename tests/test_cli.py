@@ -10,7 +10,10 @@ import pytest
 import quiverdyn
 from helpers import (cm_lost_center_tuple, feedforward_chain_network,
                      hopf_tuple, two_type_network)
-from quiverdyn.fileio import dump_json, network_to_json, tuple_to_json
+from quiverdyn.fileio import (dump_json, network_map_to_json,
+                              network_to_json, tuple_to_json)
+from quiverdyn.polynomial import Poly
+from quiverdyn.tuples import PolyMap
 
 CLI = [sys.executable, "-m", "quiverdyn.cli"]
 
@@ -188,6 +191,49 @@ def test_bad_internal_dim_exits_2(tmp_path, dim):
     assert r.returncode == 2
     assert "input error" in r.stderr and "internal_dim" in r.stderr, r.stderr
     assert not (tmp_path / "reports").exists()
+
+
+# (path into the hopf tuple document, value); one group per decoder
+BAD_TUPLE_COUNTS = {
+    "poly-exponent-fraction": (
+        ["components", "v", 0, "terms", 0, "exponents", 0], 1.5),
+    "poly-exponent-negative": (
+        ["components", "v", 0, "terms", 0, "exponents", 0], -1),
+    "poly-exponent-string": (
+        ["components", "v", 0, "terms", 0, "exponents", 0], "x"),
+    "poly-nvars-string": (["components", "v", 0, "nvars"], "x"),
+    "representation-dim-fraction": (
+        ["representation", "vertices", 0, "dim"], 1.5),
+    "tuple-param_dim-fraction": (["param_dim"], 1.5),
+    "tuple-max_degree-negative": (["max_degree"], -1),
+}
+
+
+@pytest.mark.parametrize("path,value", BAD_TUPLE_COUNTS.values(),
+                         ids=BAD_TUPLE_COUNTS.keys())
+def test_bad_count_in_tuple_exits_2(tmp_path, path, value):
+    doc = tuple_to_json(hopf_tuple())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p = tmp_path / "bad_count.json"
+    dump_json(doc, p)
+    r = run_cli(["check-equivariance", str(p)], tmp_path)
+    assert r.returncode == 2
+    assert "input error" in r.stderr, r.stderr
+    assert "must be a non-negative integer" in r.stderr, r.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+def test_bad_param_dim_in_network_map_exits_2(tmp_path, net3):
+    doc = network_map_to_json(PolyMap([Poly.variable(3, 0)]))
+    doc["param_dim"] = "x"
+    p = tmp_path / "bad_map.json"
+    dump_json(doc, p)
+    r = run_cli(["check-admissible", str(net3), str(p)], tmp_path)
+    assert r.returncode == 2
+    assert "input error" in r.stderr and "param_dim" in r.stderr, r.stderr
 
 
 @pytest.mark.parametrize("f_text,message", [
