@@ -21,7 +21,7 @@ from . import __version__, fileio
 from .builders import build_quoq, build_subq, enumerate_fibrations
 from .casestudy import casestudy_s10 as _run_casestudy
 from .centermanifold import check_cm_equivariance, cm_taylor
-from .errors import ParseError, QuiverdynError
+from .errors import ModeUnavailable, ParseError, QuiverdynError
 from .lsreduction import (check_reduced_equivariance, find_branches_1param,
                           ls_reduce, synchrony_groups)
 from .network import check_admissible, validate_coloured_network
@@ -450,7 +450,8 @@ def run():
     except click.ClickException as exc:
         exc.show()
         sys.exit(2)
-    except ParseError as exc:
+    except (ParseError, ModeUnavailable) as exc:
+        # a mode the input cannot satisfy is an input error, not a failed check
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     except QuiverdynError as exc:
