@@ -24,9 +24,6 @@ from fractions import Fraction
 from .arith import tolist
 
 
-_ONE = Fraction(1)
-
-
 def _coerce(c):
     if isinstance(c, Fraction):
         return c
@@ -245,8 +242,7 @@ class Poly:
         targets = self._unit_monomials(substitutions)
         if targets is not None:
             return self._remap(m, targets)
-        one = Poly(m, {(0,) * m: _ONE}, _clean=True)
-        powers = [{0: one} for _ in range(self.nvars)]
+        powers = [{0: Poly.constant(m, 1)} for _ in range(self.nvars)]
 
         def power(i, e):
             cache = powers[i]
