@@ -5,14 +5,17 @@ or in floats, as a numpy array. Each representation picks one of the two
 implementations below from its mode string, and the algorithms that are
 the same in both arithmetics are written once against that interface:
 build, combine and invert matrices, solve a linear system and verify the
-solution, and decide whether a residual passes.
+solution, split off the image and kernel of a matrix, and decide whether a
+residual passes. The projector onto one subspace along a complementary one
+is written once, on top of that interface.
 
 The exact implementation verifies solutions by exact equality. The float
 one solves by least squares and accepts a solution that is unique (the
 matrix has full numerical column rank) and whose largest residual is at
 most the caller's tolerance, by default SOLVE_RTOL relative to the
 right-hand side. Both raise SolveFailed otherwise, which each caller maps
-to the error it documents.
+to the error it documents. Image and kernel come from one rref in exact
+arithmetic and from an SVD with a rank gap in floats.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactlin
-from .errors import SolveFailed
+from .errors import RankAmbiguous, SolveFailed
 
 # a float solve passes when its largest residual is at most this fraction
 # of max(1, largest right-hand side entry), unless the caller gives a tol
@@ -114,6 +117,15 @@ class ExactArith:
             raise SolveFailed("inconsistent linear system")
         return x
 
+    def image_kernel(self, A, tol):
+        """Bases of the column space (the pivot columns of A) and of the
+        kernel (as exactlin.nullspace gives it), from one rref; tol is
+        unused."""
+        R, pivots = exactlin.rref(A)
+        cols = list(zip(*A))
+        return ([list(cols[c]) for c in pivots],
+                exactlin.rref_nullspace(R, pivots, len(cols)))
+
     def max_abs(self, values):
         return max((abs(x) for x in _entries(values)), default=Fraction(0))
 
@@ -190,6 +202,21 @@ class FloatArith:
 
     solve_vector = solve
 
+    def image_kernel(self, A, tol):
+        """Orthonormal bases of the column space and the kernel of A from its
+        SVD, with rank the number of singular values above
+        tol * max(1, largest). A singular value within a factor 10 of that
+        threshold raises RankAmbiguous."""
+        U, s, Vt = np.linalg.svd(as_float_matrix(A))
+        thr = tol * max(s[0] if s.size else 0.0, 1.0)
+        near = [x for x in s if 0.1 * thr < x < 10 * thr]
+        if near:
+            raise RankAmbiguous(
+                f"singular values {near} near the rank threshold {thr:.2e}")
+        r = int(np.sum(s > thr))
+        return ([U[:, i].copy() for i in range(r)],
+                [Vt[i, :].copy() for i in range(r, Vt.shape[0])])
+
     def max_abs(self, values):
         values = np.asarray(values, dtype=float)
         return float(np.max(np.abs(values))) if values.size else 0.0
@@ -203,6 +230,21 @@ class FloatArith:
 
 EXACT = ExactArith()
 FLOAT = FloatArith()
+
+
+def projector(B_on, B_along):
+    """The projector onto the column span of B_on along that of B_along.
+
+    Raises SolveFailed unless the columns of both together form a basis.
+    """
+    ar = of_matrix(B_on)
+    d, k = matrix_shape(B_on)
+    k_along = matrix_shape(B_along)[1]
+    if k + k_along != d:
+        raise SolveFailed(f"{k} + {k_along} basis vectors in dimension {d}")
+    if not k:
+        return ar.zeros(d, d)
+    return ar.matmul(B_on, ar.inverse(ar.hstack([B_on, B_along], d))[:k])
 
 
 def of(mode):

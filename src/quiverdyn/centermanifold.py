@@ -63,21 +63,6 @@ def _change_coords(polys, M, Minv):
     return combine_rows(Minv, substitute_linear(polys, M, n), n)
 
 
-def _spectral_gap(L, center_sub, hyper_sub):
-    """Minimal |Re| distance between center and hyperbolic eigenvalues."""
-    gaps = []
-    for v in L.representation.quiver.vertices:
-        if hyper_sub.subdim[v] == 0 or L.representation.dim[v] == 0:
-            continue
-        A = as_float_matrix(L.matrices[v])
-        eigs = np.linalg.eigvals(A)
-        center_re = [w.real for w in eigs if abs(w.real) < 1e-7]
-        hyper_re = [w.real for w in eigs if abs(w.real) >= 1e-7]
-        for h in hyper_re:
-            gaps.append(abs(h) - max((abs(c) for c in center_re), default=0.0))
-    return min(gaps, default=np.inf)
-
-
 def cm_taylor(F, degree):
     """Compute the center-manifold jet and reduced field to `degree`.
 
@@ -95,13 +80,13 @@ def cm_taylor(F, degree):
         for p in F.components[v].outputs:
             if p.terms.get(zero, 0) != 0:
                 raise NotEquilibrium(f"vertex {v!r}: F(0) != 0")
-    center_sub, hyper_sub, projectors = center_hyperbolic_split(rep, L)
-    rep = center_sub.rep  # may have been demoted to float by the split
-    gap = _spectral_gap(L, center_sub, hyper_sub)
-    if gap < SPECTRAL_GAP_MIN:
+    split = center_hyperbolic_split(rep, L)
+    if split.gap < SPECTRAL_GAP_MIN:
         raise IllConditioned(
-            f"center/hyperbolic spectral gap {gap:.2e} below "
+            f"center/hyperbolic spectral gap {split.gap:.2e} below "
             f"{SPECTRAL_GAP_MIN:.0e}")
+    center_sub, hyper_sub, projectors = split
+    rep = center_sub.rep  # may have been demoted to float by the split
     ar = arith.joint(rep.mode, F.arith.mode)
 
     vertices = {}

@@ -80,10 +80,6 @@ def is_zero_matrix(A):
     return all(x == 0 for row in A for x in row)
 
 
-def to_float(A):
-    return [[float(x) for x in row] for row in A]
-
-
 # --- elimination ------------------------------------------------------------
 
 def rref(A):
@@ -120,26 +116,20 @@ def nullspace(A):
     Uses the free-variable convention: each basis vector has a 1 in one free
     column and 0 in the others, ordered by ascending free column index.
     """
-    m, n = shape(A)
-    if n == 0:
-        return []
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
+    n = shape(A)[1]
+    return rref_nullspace(*rref(A), n) if n else []
+
+
+def rref_nullspace(R, pivots, n):
+    """The nullspace basis of a matrix with n columns from its rref."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][fc]
         basis.append(v)
     return basis
-
-
-def column_space_basis(A):
-    """The pivot columns of A (a basis of its column space)."""
-    _, pivots = rref(A)
-    cols = transpose(A)
-    return [list(cols[c]) for c in pivots]
 
 
 def solve(A, b):

@@ -72,6 +72,10 @@ def encode_matrix(M):
 
 
 def decode_matrix(rows, mode):
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == len(rows[0])
+            for row in rows):
+        raise ParseError("a matrix must be a list of rows of equal length")
     out = [[decode_number(x) for x in row] for row in rows]
     if mode == "float":
         return np.array([[float(x) for x in row] for row in out],
@@ -101,6 +105,8 @@ def decode_poly(obj):
             e = tuple(decode_count(k, "exponent") for k in t["exponents"])
             if len(e) != nvars:
                 raise ParseError(f"exponent tuple {e} has wrong length")
+            if e in terms:
+                raise ParseError(f"exponent tuple {e} appears twice")
             terms[e] = decode_number(t["coefficient"])
         return Poly(nvars, terms)
     except (KeyError, TypeError) as exc:
@@ -176,7 +182,8 @@ def representation_from_json(obj):
         for a in obj["arrows"]:
             M = decode_matrix(a["matrix"], mode)
             # zero-row matrices lose their column count in JSON; re-shape
-            if mode == "float" and isinstance(M, np.ndarray) and M.size == 0:
+            if mode == "float" and M.size == 0 and \
+                    dim[a["target"]] * dim[a["source"]] == 0:
                 M = M.reshape(dim[a["target"]], dim[a["source"]])
             mats[a["id"]] = M
     except (KeyError, TypeError) as exc:

@@ -13,13 +13,14 @@ quiver tuples happens in the normal-form module.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import arith, exactlin
+from . import arith
 from .errors import RankAmbiguous, SizeOverflow, SolveFailed
 from .polynomial import Poly, linear_forms, monomial_exponents
 from .tuples import bracket_polys
@@ -100,9 +101,6 @@ class AdMatrix:
     matrix: object  # exact list-of-rows or numpy array
     L: object
 
-    def is_exact(self):
-        return not isinstance(self.matrix, np.ndarray)
-
 
 def _matrix_key(L):
     if isinstance(L, np.ndarray):
@@ -149,44 +147,19 @@ def im_ker_split_adLS(LS, k, tol=RANK_THRESHOLD):
     """im/ker of ad_{L^S} on grade k, with the oblique projector onto im.
 
     Requires L^S semisimple, so that the two subspaces are complementary;
-    complementarity is verified and a failure raises RankAmbiguous.
+    a failure raises RankAmbiguous, as does a float singular value near
+    the rank threshold.
     """
     ad = ad_operator_matrix(LS, k)
+    ar = arith.of_matrix(ad.matrix)
     N = ad.basis.size
-    if ad.is_exact():
-        A = ad.matrix
-        im = exactlin.column_space_basis(A)
-        ker = exactlin.nullspace(A)
-        if len(im) + len(ker) != N:
-            raise RankAmbiguous(
-                "image and kernel of ad_{L^S} are not complementary; "
-                "is L^S semisimple?")
-        cols = [list(v) for v in im] + [list(v) for v in ker]
-        M = exactlin.transpose(cols) if cols else []
-        Minv = exactlin.inverse(M) if N else []
-        r = len(im)
-        if r:
-            Bim = exactlin.transpose([list(v) for v in im])
-            P = exactlin.matmul(Bim, Minv[:r])
-        else:
-            P = exactlin.zeros(N, N)
-        return ImKerSplit(ad.basis, im, ker, P)
-    A = ad.matrix
-    if N == 0:
-        return ImKerSplit(ad.basis, [], [], np.zeros((0, 0)))
-    U, s, Vt = np.linalg.svd(A)
-    smax = s[0] if s.size else 0.0
-    thr = tol * max(smax, 1.0)
-    near = [x for x in s if 0.1 * thr < x < 10 * thr]
-    if near:
+    im, ker = ar.image_kernel(ad.matrix, tol)
+    try:
+        P = arith.projector(ar.columns(im, N), ar.columns(ker, N))
+    except SolveFailed:
         raise RankAmbiguous(
-            f"singular values {near} near the rank threshold {thr:.2e}")
-    r = int(np.sum(s > thr))
-    im = [U[:, i].copy() for i in range(r)]
-    ker = [Vt[i, :].copy() for i in range(r, N)]
-    M = np.column_stack(im + ker) if (im or ker) else np.zeros((N, 0))
-    Minv = np.linalg.inv(M)
-    P = (np.column_stack(im) @ Minv[:r]) if r else np.zeros((N, N))
+            "image and kernel of ad_{L^S} are not complementary; "
+            "is L^S semisimple?")
     return ImKerSplit(ad.basis, im, ker, P)
 
 
@@ -227,22 +200,14 @@ def lie_transform(F, G, k, r):
         raise ValueError("generator grade must be >= 1")
     n = len(F)
     maxdeg = r + 1
-    exact = all(p.is_exact() for p in F) and all(p.is_exact() for p in G)
     total = [p.truncate(maxdeg) for p in F]
     term = list(F)
-    i = 0
-    while True:
-        i += 1
-        if i * k > r:
-            break
-        term = bracket_polys(G, term, n, n)
-        term = [p.truncate(maxdeg) for p in term]
+    for i in range(1, r // k + 1):
+        term = [p.truncate(maxdeg) for p in bracket_polys(G, term, n, n)]
         if all(p.is_zero() for p in term):
             break
-        fact = Fraction(1)
-        for j in range(1, i + 1):
-            fact *= j
-        coeff = Fraction(1, 1) / fact if exact else 1.0 / float(fact)
+        # an exact 1/i! scales a float coefficient by the float 1/i!
+        coeff = Fraction(1, math.factorial(i))
         total = [t + p.scale(coeff) for t, p in zip(total, term)]
     return total
 

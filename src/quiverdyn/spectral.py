@@ -5,7 +5,8 @@ arrow matrix. Its per-vertex spectra are pooled into joint clusters; each
 cluster carries a generalized eigenspace at every vertex, and these families
 of subspaces are invariant under all arrows, i.e. subrepresentations. On top
 of that sit the two complementary splittings used by the reductions
-(generalized kernel vs. reduced image, and center vs. hyperbolic) and the
+(generalized kernel vs. reduced image, and center vs. hyperbolic), which
+share one body and classify every cluster in one place, and the
 semisimple/nilpotent (Jordan-Chevalley) decomposition.
 
 Exact mode factors characteristic polynomials over the rationals (linear
@@ -27,7 +28,7 @@ import scipy.linalg
 from . import arith, exactlin
 from .arith import as_float_matrix, matrix_shape
 from .errors import (AxisAmbiguous, ClusterSplit, IllConditioned,
-                     ShapeMismatch)
+                     ShapeMismatch, SolveFailed)
 from .quiver import Subrepresentation
 from .tuples import EquivarianceReport, linear_part
 
@@ -282,63 +283,9 @@ def generalized_eigenspace_subrep(rep, L, cluster, tol=EPS_EIG):
     return Subrepresentation.from_bases(rep, basis, tol)
 
 
-def _classify_clusters(L, clusters, predicate, eps, what):
-    """Partition clusters by a predicate on eigenvalues; every root of a
-    cluster must classify the same way, with a float-mode safety margin."""
-    yes, no = [], []
-    for c in clusters:
-        votes = []
-        for z in c.roots:
-            z = complex(z)
-            for w in (z, np.conj(z)):
-                if c.factor is not None:
-                    votes.append(predicate(w, exact_zero=_root_exact(c, w)))
-                else:
-                    votes.append(predicate(w, exact_zero=None))
-        if all(votes):
-            yes.append(c)
-        elif not any(votes):
-            no.append(c)
-        else:
-            raise AxisAmbiguous(
-                f"cluster at {c.value} has roots on both sides of the "
-                f"{what} split")
-    return yes, no
-
-
-def _root_exact(cluster, w):
-    """Exact predicates about a root of an exactly known factor."""
-    f = cluster.factor
-    if len(f) == 2:                       # linear: root is rational
-        return {"is_zero": f[0] == 0, "re_zero": f[0] == 0}
-    if len(f) == 3:                       # quadratic t^2 + p t + q
-        return {"is_zero": False, "re_zero": f[1] == 0}
-    return None
-
-
-def _split_clusters(rep, L, clusters, predicate, eps, what, tol):
-    """Complementary subrepresentations and block-inverse projectors."""
-    sel, rest = _classify_clusters(L, clusters, predicate, eps, what)
-    sub_sel = _union_subrep(rep, L, sel, tol)
-    sub_rest = _union_subrep(rep, L, rest, tol)
-    ar = arith.joint(rep.mode, L.mode)
-    projectors = {}
-    for v in rep.quiver.vertices:
-        d = rep.dim[v]
-        Bs, Bh = sub_sel.basis[v], sub_rest.basis[v]
-        k = sub_sel.subdim[v]
-        if sub_sel.subdim[v] + sub_rest.subdim[v] != d:
-            raise AxisAmbiguous(
-                f"vertex {v!r}: split dimensions do not add up to {d}")
-        Minv = ar.inverse(ar.hstack([Bs, Bh], d))
-        Pc = ar.matmul(Bs, Minv[:k]) if k else ar.zeros(d, d)
-        projectors[v] = (Pc, ar.sub(ar.identity(d), Pc))
-    return sub_sel, sub_rest, projectors
-
-
 def _union_subrep(rep, L, clusters, tol):
     """Direct sum of the generalized eigenspaces of several clusters."""
-    ar = arith.joint(rep.mode, L.mode)
+    ar = rep.arith
     parts = [generalized_eigenspace_subrep(rep, L, c, tol) for c in clusters]
     basis = {v: ar.hstack([S.basis[v] for S in parts], rep.dim[v])
              for v in rep.quiver.vertices}
@@ -357,37 +304,79 @@ def _spectrum_with_fallback(rep, L, tol):
     return rep, L, clusters
 
 
+class SpectralSplit(tuple):
+    """(selected, rest, projectors) of a spectral split, plus `gap`: the
+    least distance of a rest eigenvalue from the selected set (|z| for the
+    kernel split, |Re z| for the center split) minus the largest distance
+    of a selected one."""
+
+    def __new__(cls, selected, rest, projectors, gap):
+        split = super().__new__(cls, (selected, rest, projectors))
+        split.gap = gap
+        return split
+
+
+def _distance(what, z):
+    return abs(z) if what == "kernel" else abs(z.real)
+
+
+def _is_selected(c, what, eps_axis):
+    """Whether a cluster lies in the kernel (eigenvalue 0) or the center
+    (imaginary axis) part of its split.
+
+    An exact cluster is decided from its factor: it has the root 0 when its
+    constant coefficient is 0, and a complex pair t^2 + q lies on the axis.
+    A float cluster is decided from its root, and one within the band
+    [eps_axis, 100 eps_axis) raises AxisAmbiguous.
+    """
+    if c.factor is not None:
+        return c.factor[0] == 0 or (
+            what == "center" and c.is_pair and c.factor[1] == 0)
+    dist = _distance(what, complex(c.value))
+    if eps_axis <= dist < 100 * eps_axis:
+        raise AxisAmbiguous(f"eigenvalue {c.value} within the ambiguity "
+                            f"band of the {what} split")
+    return dist < eps_axis
+
+
+def _split(rep, L, what, eps_axis, tol):
+    """The clusters `what` selects against the rest, as a SpectralSplit of
+    complementary subrepresentations with intertwining projectors."""
+    rep, L, clusters = _spectrum_with_fallback(rep, L, tol)
+    sel, rest = [], []
+    for c in clusters:
+        (sel if _is_selected(c, what, eps_axis) else rest).append(c)
+
+    def distances(cs):
+        return [_distance(what, complex(z)) for c in cs for z in c.roots]
+
+    gap = (min(distances(rest), default=np.inf)
+           - max(distances(sel), default=0.0))
+    sub_sel = _union_subrep(rep, L, sel, tol)
+    sub_rest = _union_subrep(rep, L, rest, tol)
+    ar = rep.arith
+    projectors = {}
+    for v in rep.quiver.vertices:
+        try:
+            P = arith.projector(sub_sel.basis[v], sub_rest.basis[v])
+        except SolveFailed as exc:
+            raise AxisAmbiguous(f"vertex {v!r}: {what} split is not a "
+                                f"direct sum ({exc})")
+        projectors[v] = (P, ar.sub(ar.identity(rep.dim[v]), P))
+    return SpectralSplit(sub_sel, sub_rest, projectors, gap)
+
+
 def center_hyperbolic_split(rep, L, eps_axis=EPS_AXIS, tol=EPS_EIG):
     """Split into the center (eigenvalues on the imaginary axis) and
-    hyperbolic subrepresentations, with intertwining projectors."""
-    rep, L, clusters = _spectrum_with_fallback(rep, L, tol)
-
-    def on_axis(w, exact_zero=None):
-        if exact_zero is not None:
-            return exact_zero["re_zero"]
-        if eps_axis <= abs(w.real) < 100 * eps_axis:
-            raise AxisAmbiguous(
-                f"eigenvalue {w} within the ambiguity band of the "
-                "imaginary axis")
-        return abs(w.real) < eps_axis
-
-    return _split_clusters(rep, L, clusters, on_axis, eps_axis, "center", tol)
+    hyperbolic subrepresentations, with intertwining projectors, as a
+    SpectralSplit."""
+    return _split(rep, L, "center", eps_axis, tol)
 
 
 def kernel_image_split(rep, L, eps_axis=EPS_AXIS, tol=EPS_EIG):
     """Split into the generalized kernel (eigenvalue 0) and the reduced
-    image, with intertwining projectors."""
-    rep, L, clusters = _spectrum_with_fallback(rep, L, tol)
-
-    def at_zero(w, exact_zero=None):
-        if exact_zero is not None:
-            return exact_zero["is_zero"]
-        if eps_axis <= abs(w) < 100 * eps_axis:
-            raise AxisAmbiguous(
-                f"eigenvalue {w} within the ambiguity band of zero")
-        return abs(w) < eps_axis
-
-    return _split_clusters(rep, L, clusters, at_zero, eps_axis, "kernel", tol)
+    image, with intertwining projectors, as a SpectralSplit."""
+    return _split(rep, L, "kernel", eps_axis, tol)
 
 
 def sn_decomposition(L, tol=EPS_EIG, max_iter=50):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import (cm_coupled_tuple, cm_feedforward_tuple,
-                     cm_lost_center_tuple, float_copy)
+                     cm_lost_center_tuple, float_copy, single_vertex_tuple)
 from quiverdyn import arith
 from quiverdyn.centermanifold import (_add_phi_degree, check_cm_equivariance,
                                       cm_taylor, flow_consistency)
-from quiverdyn.errors import NotEquilibrium, ResonantBlock
+from quiverdyn.errors import IllConditioned, NotEquilibrium, ResonantBlock
 from quiverdyn.polynomial import Poly
 from quiverdyn.tuples import PolyMap, PolyMapTuple
 
@@ -183,3 +183,13 @@ def test_requires_equilibrium():
         Poly(2, {(0, 1): -1})])})
     with pytest.raises(NotEquilibrium):
         cm_taylor(bad, 3)
+
+
+@pytest.mark.parametrize("rate", [Fraction(1, 2000000), Fraction(1, 20000000)])
+def test_spectral_gap_below_minimum(rate):
+    # x' = x^2, y' = rate * y + x^2: the hyperbolic eigenvalue sits closer
+    # to the axis than SPECTRAL_GAP_MIN, however far below it
+    F = single_vertex_tuple([Poly(2, {(2, 0): 1}),
+                             Poly(2, {(0, 1): rate, (2, 0): 1})])
+    with pytest.raises(IllConditioned):
+        cm_taylor(F, 3)

@@ -9,7 +9,7 @@ import pytest
 
 import quiverdyn
 from helpers import (cm_lost_center_tuple, feedforward_chain_network,
-                     hopf_tuple, two_type_network)
+                     float_copy, hopf_tuple, two_type_network)
 from quiverdyn.fileio import (dump_json, network_map_to_json,
                               network_to_json, tuple_to_json)
 from quiverdyn.polynomial import Poly
@@ -243,5 +243,35 @@ def test_bad_param_dim_in_network_map_exits_2(tmp_path, net3):
 def test_bad_dsl_term_exits_2(tmp_path, f_text, message):
     r = run_cli(["casestudy-s10", "--f", f_text, "--g", "g(y,x) = -y + x",
                  "--case", "a=0"], tmp_path)
+    assert r.returncode == 2
+    assert "input error" in r.stderr and message in r.stderr, r.stderr
+
+
+def test_repeated_monomial_exits_2(tmp_path):
+    doc = tuple_to_json(hopf_tuple())
+    terms = doc["components"]["v"][0]["terms"]
+    terms.append(dict(terms[0], coefficient="2/1"))
+    p = tmp_path / "repeated.json"
+    dump_json(doc, p)
+    r = run_cli(["check-equivariance", str(p)], tmp_path)
+    assert r.returncode == 2
+    assert "input error" in r.stderr and "appears twice" in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("mode,row,message", [
+    ("exact", [], "equal length"),
+    ("float", None, "shape"),
+], ids=["ragged", "float-empty"])
+def test_malformed_matrix_exits_2(tmp_path, mode, row, message):
+    F = hopf_tuple() if mode == "exact" else float_copy(hopf_tuple())
+    doc = tuple_to_json(F)
+    matrix = doc["representation"]["arrows"][0]["matrix"]
+    if row is None:
+        matrix.clear()
+    else:
+        matrix[1] = row
+    p = tmp_path / "bad_matrix.json"
+    dump_json(doc, p)
+    r = run_cli(["check-equivariance", str(p), "--mode", "sampled"], tmp_path)
     assert r.returncode == 2
     assert "input error" in r.stderr and message in r.stderr, r.stderr

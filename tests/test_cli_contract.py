@@ -1,0 +1,137 @@
+"""The CLI exit-code contract under mutated inputs.
+
+Each example takes a valid network, representation, tuple or DSL input,
+drops one entry, gives one value a wrong type, or truncates the text, and
+runs the command in-process through ``cli.run``. The exit code must be 0,
+1 or 2, and no exception may escape ``cli.run``.
+"""
+
+import json
+import os
+import sys
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (cm_feedforward_tuple, feedforward_chain_network,
+                     float_copy, hopf_tuple)
+from quiverdyn import cli
+from quiverdyn.fileio import (endomorphism_to_json, network_to_json,
+                              representation_to_json, tuple_to_json)
+from quiverdyn.spectral import EndomorphismTuple
+
+WRONG_VALUES = [None, True, -1, 1.5, "x", "1/0", [], {}, [[1, 2]]]
+
+NETWORK = network_to_json(feedforward_chain_network())
+TUPLES = {"exact": hopf_tuple(), "float": float_copy(hopf_tuple())}
+TUPLE = {mode: tuple_to_json(F) for mode, F in TUPLES.items()}
+# a representation and its endomorphism file, per mode
+SPECTRAL = {mode: {"rep": representation_to_json(F.representation),
+                   "endo": endomorphism_to_json(
+                       EndomorphismTuple.from_linearization(F))}
+            for mode, F in (("exact", cm_feedforward_tuple()),
+                            ("float", float_copy(cm_feedforward_tuple())))}
+DSL = ("f(x,y) = -x + y", "g(y,x) = x + lambda*y - y^2")
+
+
+def _entries(node, path=()):
+    """(path to a container, key) for every entry of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path, key
+        yield from _entries(child, path + (key,))
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """The document's text with one entry dropped or retyped, or cut."""
+    text = json.dumps(doc)
+    how = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    path, key = draw(st.sampled_from(list(_entries(doc))))
+    node = doc
+    for k in path:
+        node = node[k]
+    if how == "drop":
+        del node[key]
+    else:
+        node[key] = draw(st.sampled_from(WRONG_VALUES))
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_dsl(draw, text):
+    """The expression with one character dropped or replaced, or cut."""
+    i = draw(st.integers(0, len(text) - 1))
+    how = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        return text[:i]
+    new = "" if how == "drop" else draw(st.sampled_from("xy^*+-/.0,()= "))
+    return text[:i] + new + text[i + 1:]
+
+
+def exit_code(args, files=()):
+    """Run the CLI on args in a fresh directory holding the named files
+    (name, text); names in args are resolved in that directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files:
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        names = dict(files)
+        argv = sys.argv
+        sys.argv = ["quiverdyn"] + [os.path.join(tmp, a) if a in names else a
+                                    for a in args] + [
+            "--out", os.path.join(tmp, "reports")]
+        try:
+            cli.run()
+        except SystemExit as exc:
+            return exc.code or 0
+        finally:
+            sys.argv = argv
+    return 0
+
+
+def assert_contract(args, files=()):
+    assert exit_code(args, files) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_json(NETWORK))
+def test_mutated_network(text):
+    assert_contract(["subq", "net.json"], [("net.json", text)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["exact", "float"]), st.sampled_from(["rep", "endo"]),
+       st.data())
+def test_mutated_representation(mode, which, data):
+    files = [(f"{name}.json", data.draw(mutated_json(doc)) if name == which
+              else json.dumps(doc)) for name, doc in SPECTRAL[mode].items()]
+    for command in ("spectrum", "sn"):
+        assert_contract([command, "rep.json", "endo.json"], files)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["exact", "float"]), st.data())
+def test_mutated_tuple(mode, data):
+    text = data.draw(mutated_json(TUPLE[mode]))
+    check = "exact" if mode == "exact" else "sampled"
+    assert_contract(["check-equivariance", "tuple.json", "--mode", check],
+                    [("tuple.json", text)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([0, 1]), st.data())
+def test_mutated_dsl(which, data):
+    texts = list(DSL)
+    texts[which] = data.draw(mutated_dsl(texts[which]))
+    assert_contract(["casestudy-s10", "--f", texts[0], "--g", texts[1],
+                     "--case", "b=0"])

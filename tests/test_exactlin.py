@@ -37,24 +37,6 @@ def test_nullspace_vectors_are_killed_and_span_full_kernel():
         assert len(ker) == n - exactlin.rank(A)
 
 
-def test_column_space_basis_spans_products():
-    rng = random.Random(2)
-    for _ in range(20):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = random_matrix(rng, m, n)
-        cols = exactlin.column_space_basis(A)
-        B = exactlin.transpose([list(c) for c in cols]) if cols else \
-            [[] for _ in range(m)]
-        # every column of A must be solvable in the basis
-        for j in range(n):
-            col = [A[i][j] for i in range(m)]
-            if cols:
-                x = exactlin.solve(B, col)
-                assert exactlin.matvec(B, x) == col
-            else:
-                assert all(c == 0 for c in col)
-
-
 def test_solve_recovers_planted_solution_and_detects_inconsistency():
     rng = random.Random(3)
     for _ in range(20):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quiverdyn import arith, exactlin, polyfield
-from quiverdyn.errors import SizeOverflow
+from quiverdyn.errors import RankAmbiguous, SizeOverflow
 from quiverdyn.polyfield import (ad_operator_matrix, grade_part, hom_basis,
                                  im_ker_split_adLS, lie_transform,
                                  solve_homological)
@@ -99,6 +99,16 @@ def test_im_ker_split_semisimple_diagonal():
             for e in p.terms:
                 seen.add((j, e))
     assert seen == {(0, (2, 1)), (1, (1, 2))}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_im_ker_split_rejects_nilpotent(mode):
+    # ad of a nilpotent L^S has image and kernel that meet
+    LS = frac_matrix([[0, 1], [0, 0]])
+    if mode == "float":
+        LS = np.array(LS, dtype=float)
+    with pytest.raises(RankAmbiguous):
+        im_ker_split_adLS(LS, 1)
 
 
 def test_solve_homological_reconstructs_field():

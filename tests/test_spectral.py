@@ -123,6 +123,21 @@ def test_center_hyperbolic_split_float():
     test_center_hyperbolic_split("float")
 
 
+def test_center_split_of_irrational_real_pair(mode="exact"):
+    # t^2 - 2 (eigenvalues +-sqrt 2) is hyperbolic; t^2 + 2 (+-i sqrt 2)
+    # lies on the axis; both modes classify both alike
+    rep = one_vertex_rep(2, mode)
+    for q, center_dim in ((2, 0), (-2, 2)):
+        L = EndomorphismTuple(rep, {"v": mode_matrix([[0, q], [1, 0]], mode)})
+        center, hyper, _ = center_hyperbolic_split(rep, L)
+        assert (center.subdim["v"], hyper.subdim["v"]) == \
+            (center_dim, 2 - center_dim)
+
+
+def test_center_split_of_irrational_real_pair_float():
+    test_center_split_of_irrational_real_pair("float")
+
+
 def test_kernel_image_split(mode="exact"):
     rep = one_vertex_rep(3, mode)
     L = EndomorphismTuple(rep, {"v": mode_matrix([[0, 0, 0],
