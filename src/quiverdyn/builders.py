@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAdmissible
-from .network import (AdmissibleTemplate, ColouredNetwork, _natural_key,
-                      check_admissible, validate_coloured_network)
+from .network import ColouredNetwork, _natural_key, check_admissible
 from .quiver import Quiver, QuiverRepresentation
 from .tuples import PolyMapTuple
 

@@ -28,10 +28,8 @@ from .fileio import parse_poly_dsl
 from .lsreduction import (check_reduced_equivariance, find_branches_1param,
                           ls_reduce, reduced_cross_derivative,
                           synchrony_groups)
-from .polynomial import Poly
 from .quiver import Quiver, QuiverRepresentation
-from .spectral import EndomorphismTuple, kernel_image_split
-from .tuples import PolyMap, PolyMapTuple, check_equivariance, linear_part
+from .tuples import PolyMap, PolyMapTuple, check_equivariance
 
 CASES = ("a=0", "b=0", "ab-cd=0")
 
@@ -178,12 +176,10 @@ def casestudy_s10(f_text, g_text, case):
     rep = F.representation
     eq = check_equivariance(F, mode="exact")
 
-    L = EndomorphismTuple(rep, linear_part(F))
-    ker_sub, _, _ = kernel_image_split(rep, L)
+    red = ls_reduce(F)
+    ker_sub = red.kernel
     kernel_dims = {v: ker_sub.subdim[v] for v in rep.quiver.vertices}
     restricted = {a: ker_sub.coords[a] for a, _, _ in rep.quiver.arrows}
-
-    red = ls_reduce(F)
     req = check_reduced_equivariance(red, samples=100)
     m1 = red.kernel_dim("N1")
     decoupled = None

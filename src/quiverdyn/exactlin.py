@@ -1,17 +1,23 @@
 """Dense linear algebra over the rationals.
 
-Matrices are lists (or tuples) of rows of Fraction entries. Everything here
-is exact: no pivoting heuristics or tolerances are needed. Sizes are desk
-scale (dimensions well below 100), so Gaussian elimination and
+Matrices are lists (or tuples) of rows of Fraction entries. Every result
+here is exact: no pivoting heuristics or tolerances are needed. Sizes are
+desk scale (dimensions well below 100), so Gaussian elimination and
 Faddeev-LeVerrier are entirely adequate.
 
 Univariate polynomials appear as coefficient lists in increasing degree,
-again with Fraction entries.
+again with Fraction entries. Their linear and quadratic factors over Q are
+found by one loop, rational_factors, which takes candidates from numeric
+roots and keeps only those that exact division proves.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import SolveFailed
 
@@ -266,68 +272,98 @@ def poly_squarefree_part(p):
     return q
 
 
-def poly_eval(p, x):
-    total = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-    for c in reversed(poly_trim(p)):
-        total = total * x + c
-    return total
+def poly_shift(p, c):
+    """p(t + c), exactly (Taylor shift by Horner's rule)."""
+    q = []
+    for a in reversed(p):
+        q = [x + c * y for x, y in zip([Fraction(0)] + q, q + [Fraction(0)])]
+        q[0] += a
+    return q
 
 
-def rational_roots(p):
-    """All rational roots of p with multiplicities.
+def _numeric_roots(p):
+    return np.roots([float(c) for c in reversed(p)])
 
-    Returns (roots, cofactor) where roots is a list of (root, multiplicity)
-    sorted by root value, and cofactor is the remaining monic factor with no
-    rational roots.
+
+def _nearest_rational(x):
+    # limit_denominator(N) returns a/b (b <= N) when x is within 1/(2bN)
+    # of it. Shifted roots are good to about 1e-13, so N = 10**6 recovers
+    # the square denominators of quadratic coefficients, which 10**12
+    # would mistake for nearby fractions of larger denominator.
+    return Fraction(float(x)).limit_denominator(10 ** 6)
+
+
+def _proven_factor(g):
+    """A monic linear or quadratic factor over Q of the squarefree g of
+    degree >= 2, or None when no candidate divides g exactly.
+
+    For each numeric root z of g, g is shifted exactly to the rounded root
+    and solved again, as long as the rounded shift keeps shrinking, so the
+    cluster of roots around z is solved at its own scale. Each shifted root
+    x then gives the linear candidate t - x, and each pair x, w the
+    quadratic (t - x)(t - w), with the coefficients rounded to nearby
+    rationals.
+    """
+    zs = _numeric_roots(g)
+    for z in zs:
+        h, c, roots, y, last = g, 0, zs, z, math.inf
+        while (step := round(y.real)) and abs(step) < last:
+            h, c, last = poly_shift(h, step), c + step, abs(step)
+            roots = _numeric_roots(h)
+            y = roots[np.argmin(abs(roots - (y - step)))]
+        linear = ([-_nearest_rational(x.real), Fraction(1)] for x in roots)
+        quadratic = ([_nearest_rational((x * w).real),
+                      -_nearest_rational((x + w).real), Fraction(1)]
+                     for x, w in itertools.combinations(roots, 2))
+        for f in itertools.chain(linear, quadratic):
+            if not poly_divmod(h, f)[1]:
+                return poly_shift(f, -c)
+    return None
+
+
+def rational_factors(p):
+    """The monic linear and quadratic factors of p over Q.
+
+    Candidates come from the numeric roots of the exact squarefree part
+    (see _proven_factor); one is accepted only when exact division leaves
+    no remainder, and its multiplicity in p is counted by repeated
+    division. Returns (factors, cofactor): factors lists (factor,
+    multiplicity) in the order found, and the monic cofactor holds every
+    factor of p not proven here.
     """
     p = poly_trim([Fraction(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
+    rest = [c / p[-1] for c in p]
+    g = poly_squarefree_part(rest)
+    factors = []
+    while poly_degree(g) >= 1:
+        f = g if poly_degree(g) == 1 else _proven_factor(g)
+        if f is None:
+            break
+        g = poly_divmod(g, f)[0]
+        m = 0
+        quo, rem = poly_divmod(rest, f)
+        while not rem:
+            rest, m = quo, m + 1
+            quo, rem = poly_divmod(rest, f)
+        factors.append((f, m))
+    return factors, rest
+
+
+def rational_roots(p):
+    """The rational roots of p with multiplicities.
+
+    Returns (roots, cofactor): roots lists (root, multiplicity) sorted by
+    root, and cofactor is the rest of p, monic, which holds every factor of
+    p that is not a proven linear factor (see rational_factors).
+    """
+    factors, cofactor = rational_factors(p)
     roots = []
-    # factor out t^k first
-    k = 0
-    while p[0] == 0:
-        p = p[1:]
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    if poly_degree(p) >= 1:
-        # clear denominators -> integer coefficients
-        from math import lcm
-        den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
-        ip = [int(c * den) for c in p]
-        from math import gcd
-        g = 0
-        for c in ip:
-            g = gcd(g, c)
-        if g > 1:
-            ip = [c // g for c in ip]
-
-        def divisors(n):
-            n = abs(n)
-            out = set()
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    out.add(d)
-                    out.add(n // d)
-                d += 1
-            return out
-
-        candidates = set()
-        for num in divisors(ip[0]):
-            for den2 in divisors(ip[-1]):
-                candidates.add(Fraction(num, den2))
-                candidates.add(Fraction(-num, den2))
-        for r in sorted(candidates):
-            mult = 0
-            while poly_degree(p) >= 1 and poly_eval(p, r) == 0:
-                p = poly_divmod(p, [-r, Fraction(1)])[0]
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-    roots.sort(key=lambda t: t[0])
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return roots, p
+    for f, m in factors:
+        if len(f) == 2:
+            roots.append((-f[0], m))
+        else:
+            for _ in range(m):
+                cofactor = poly_mul(cofactor, f)
+    return sorted(roots), cofactor

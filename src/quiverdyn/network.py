@@ -22,8 +22,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (AmbiguousSlots, DependencyViolation, DimClash,
-                     EdgeColourClash, GroupoidViolation, InputMismatch)
+from .errors import (DependencyViolation, DimClash, EdgeColourClash,
+                     GroupoidViolation, InputMismatch)
 from .polynomial import Poly
 from .tuples import PolyMap
 

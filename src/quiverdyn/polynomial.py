@@ -137,7 +137,13 @@ class Poly:
         return Poly(self.nvars, _nonzero(terms), _clean=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compat(other)
+        terms = dict(self.terms)
+        get = terms.get
+        for e, c in other.terms.items():
+            prev = get(e)
+            terms[e] = -c if prev is None else prev - c
+        return Poly(self.nvars, _nonzero(terms), _clean=True)
 
     def __neg__(self):
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()},

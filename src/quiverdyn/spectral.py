@@ -9,11 +9,13 @@ of that sit the two complementary splittings used by the reductions
 share one body and classify every cluster in one place, and the
 semisimple/nilpotent (Jordan-Chevalley) decomposition.
 
-Exact mode factors characteristic polynomials over the rationals (linear
-factors from rational roots, quadratic factors reconstructed from numeric
-roots and verified by exact division); anything left unfactored stays a
-single cluster, and operations that would need to separate its roots fall
-back to float with a warning.
+Exact mode factors characteristic polynomials over the rationals by one
+route, exactlin.rational_factors: linear and quadratic candidates come from
+the numeric roots of the exact squarefree part, each re-solved after an
+exact shift to its rounded root, and a candidate is kept only when exact
+division proves it a factor. Anything not proven stays in one cofactor,
+which becomes a single cluster; when that cluster has degree three or more,
+the split falls back to float with a warning.
 """
 
 from __future__ import annotations
@@ -98,82 +100,32 @@ class SpectralCluster:
     roots: tuple = ()           # numeric roots of the factor
 
 
-def _extract_quadratic_factors(g):
-    """Split a monic rational polynomial with no rational roots into
-    verified monic quadratic rational factors plus a leftover factor.
-
-    Quadratic candidates are reconstructed from numeric root pairs and
-    accepted only when exact division leaves remainder zero. The numeric
-    roots are taken from the exact squarefree part, where every root is
-    simple, so repeated quadratic factors do not degrade root accuracy.
-    """
-    factors = []
-    g = exactlin.poly_trim(list(g))
-    while exactlin.poly_degree(g) >= 2:
-        if exactlin.poly_degree(g) == 2:
-            factors.append([c / g[-1] for c in g])
-            return factors, []
-        sf = exactlin.poly_squarefree_part(g)
-        target = sf if exactlin.poly_degree(sf) >= 2 else g
-        roots = np.roots([float(c) for c in reversed(target)])
-        found = False
-        for mu in roots:
-            p = Fraction(float(-2 * mu.real)).limit_denominator(10 ** 12)
-            q = Fraction(float(abs(mu) ** 2)).limit_denominator(10 ** 12)
-            cand = [q, p, Fraction(1)]
-            quo, rem = exactlin.poly_divmod(g, cand)
-            if not rem:
-                factors.append(cand)
-                g = quo
-                found = True
-                break
-        if not found:
-            break
-    leftover = exactlin.poly_trim(g)
-    if exactlin.poly_degree(leftover) <= 0:
-        leftover = []
-    return factors, [leftover] if leftover else []
-
-
 def _exact_factors(L):
     """Per-vertex charpolys factored over Q into a shared factor list.
 
     Returns (factors, mults) where factors is a list of monic coefficient
     lists and mults[i][v] is the multiplicity of factors[i] in charpoly(L_v).
+    A vertex's unproven cofactor is one more factor of multiplicity 1.
     """
     rep = L.representation
     factor_key = {}
-    factors = []
-    charpolys = {}
+    factors, mults = [], []
     for v in rep.quiver.vertices:
         if rep.dim[v] == 0:
-            charpolys[v] = [Fraction(1)]
             continue
-        p = exactlin.charpoly(L.matrices[v])
-        charpolys[v] = p
-        roots, cofactor = exactlin.rational_roots(p)
-        pieces = [[-r, Fraction(1)] for r, _ in roots]
-        if exactlin.poly_degree(cofactor) >= 1:
-            quads, leftovers = _extract_quadratic_factors(cofactor)
-            pieces.extend(quads)
-            pieces.extend(leftovers)
-        for f in pieces:
+        roots, cofactor = exactlin.rational_roots(
+            exactlin.charpoly(L.matrices[v]))
+        more, rest = exactlin.rational_factors(cofactor)
+        pieces = [([-r, Fraction(1)], m) for r, m in roots] + more
+        if exactlin.poly_degree(rest) >= 1:
+            pieces.append((rest, 1))
+        for f, m in pieces:
             key = tuple(f)
             if key not in factor_key:
                 factor_key[key] = len(factors)
                 factors.append(f)
-    mults = [dict() for _ in factors]
-    for v in rep.quiver.vertices:
-        p = charpolys.get(v, [Fraction(1)])
-        for i, f in enumerate(factors):
-            m = 0
-            while exactlin.poly_degree(p) >= exactlin.poly_degree(f):
-                quo, rem = exactlin.poly_divmod(p, f)
-                if rem:
-                    break
-                p = quo
-                m += 1
-            mults[i][v] = m
+                mults.append({u: 0 for u in rep.quiver.vertices})
+            mults[factor_key[key]][v] = m
     return factors, mults
 
 

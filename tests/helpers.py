@@ -8,6 +8,8 @@ seeded random.Random instances so every test is reproducible.
 """
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -227,3 +229,18 @@ def float_copy(F):
     comps = {v: PolyMap([p.to_float() for p in pm.outputs], nvars=pm.nvars)
              for v, pm in F.components.items()}
     return PolyMapTuple(frep, comps, F.param_dim, F.max_degree)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, so a
+    test of a time bound fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

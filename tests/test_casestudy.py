@@ -11,9 +11,16 @@ from quiverdyn.errors import CaseMismatch
 from quiverdyn.fileio import parse_poly_dsl
 from quiverdyn.tuples import check_equivariance
 
+from helpers import time_limit
+
 CASE1 = ("f(x,y) = lambda*x - x^2 + y", "g(y,x) = -y + x", "a=0")
 CASE2 = ("f(x,y) = -x + y", "g(y,x) = x + lambda*y - y^2", "b=0")
 CASE3 = ("f(x,y) = -x + y + lambda - x^2", "g(y,x) = -y + x", "ab-cd=0")
+# coefficients that a float cannot hold: the reduction must split the exact
+# linearization (about 1 s each)
+THIRDS = ("f(x,y) = 1*x + 1/3*y + lambda*x - x^3",
+          "g(y,x) = 1*y + 3*x - y^3", "ab-cd=0")
+TWO_THIRDS = ("f(x,y) = lambda*x - x^2 + y", "g(y,x) = -2/3*y + 1*x", "a=0")
 
 
 def poly(text):
@@ -98,6 +105,28 @@ def test_case3_all_restrictions_identity():
         assert tuple(b.exponents) == (0.5,)
         assert s["equal_groups"] == (("x1", "y2", "x3", "y4", "x5"),)
         assert s["zero_coordinates"] == ()
+
+
+def test_fractional_ab_cd_case_splits_exact_linearization():
+    with time_limit(30):
+        rep = casestudy_s10(*THIRDS)
+    assert rep.kernel_dims == {"N1": 1, "N2": 1, "N3": 1}
+    assert all(len(m) == 1 and isinstance(m[0][0], Fraction) and m[0][0]
+               for m in rep.restricted_maps.values())
+    assert rep.reduced_equivariance_residual <= 1e-8
+    assert all(b.classified for b in rep.branches)
+    assert sorted(tuple(b.exponents) for b in rep.branches) == [
+        (0,), (0.5,), (0.5,)]
+
+
+def test_fractional_a0_case_splits_exact_linearization():
+    with time_limit(30):
+        rep = casestudy_s10(*TWO_THIRDS)
+    assert rep.kernel_dims == {"N1": 2, "N2": 1, "N3": 0}
+    assert rep.decoupled is True
+    assert all(b.classified for b in rep.branches)
+    assert sorted(tuple(b.exponents) for b in rep.branches) == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_bad_arity_rejected():

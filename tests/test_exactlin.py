@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import time_limit
+
 from quiverdyn import exactlin
 from quiverdyn.errors import SolveFailed
 
@@ -91,9 +93,7 @@ def test_univariate_helpers():
     # squarefree part of (t - 1)^2
     sq = exactlin.poly_squarefree_part([Fraction(1), Fraction(-2),
                                         Fraction(1)])
-    assert exactlin.poly_trim(sq)[-1] != 0
-    assert exactlin.poly_eval(sq, Fraction(1)) == 0
-    assert exactlin.poly_degree(sq) == 1
+    assert sq == [Fraction(-1), Fraction(1)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,3 +105,98 @@ def test_rref_is_projection_invariant(rows):
     # rref of an rref is itself
     R2, pivots2 = exactlin.rref(R)
     assert R == R2 and pivots == pivots2
+
+
+# --- factoring characteristic polynomials over Q -----------------------------
+
+def _diag(*values):
+    n = len(values)
+    return [[Fraction(values[i]) if i == j else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def _monic_fractions(factor):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(factor.all_coeffs())]
+    return tuple(c / coeffs[-1] for c in coeffs)
+
+
+@st.composite
+def planted_matrices(draw):
+    """A rational matrix U B U^-1 with B block diagonal: rational
+    eigenvalues, Jordan blocks, complex pairs, any quadratic (irreducible or
+    not) and dense 3x3 blocks, each block possibly repeated and possibly
+    shifted into a cluster near +-1e12; U is a unimodular integer matrix."""
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    far = draw(st.sampled_from([10 ** 12, -10 ** 12]))
+    blocks = []
+    while sum(len(b) for b in blocks) < draw(st.integers(1, 6)):
+        kind = draw(st.sampled_from(["root", "jordan", "pair", "quad",
+                                     "dense"]))
+        if kind == "root":
+            block = [[draw(q)]]
+        elif kind == "jordan":
+            r = draw(q)
+            block = [[r, Fraction(1)], [Fraction(0), r]]
+        elif kind == "pair":
+            a, b = draw(q), draw(q.filter(lambda x: x != 0))
+            block = [[a, -b], [b, a]]
+        elif kind == "quad":
+            block = [[Fraction(0), -draw(q)], [Fraction(1), -draw(q)]]
+        else:
+            block = [[Fraction(draw(st.integers(-3, 3))) for _ in range(3)]
+                     for _ in range(3)]
+        shift = draw(st.sampled_from([0, far]))
+        block = [[x + shift * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(block)]
+        blocks += [block] * draw(st.integers(1, 2))
+    n = sum(len(b) for b in blocks)
+    B = exactlin.zeros(n, n)
+    k = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            B[k + i][k:k + len(row)] = row
+        k += len(block)
+    lower, upper = exactlin.identity(n), exactlin.identity(n)
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = Fraction(draw(st.integers(-2, 2)))
+            upper[j][i] = Fraction(draw(st.integers(-2, 2)))
+    U = exactlin.matmul(lower, upper)
+    return exactlin.matmul(exactlin.matmul(U, B), exactlin.inverse(U))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_matrices())
+def test_rational_factors_match_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    p = exactlin.charpoly(A)
+    t = sympy.Symbol("t")
+    _, expected = sympy.factor_list(
+        sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(p)], t, domain="QQ"))
+    low = {_monic_fractions(f): m for f, m in expected if f.degree() <= 2}
+    rest = [Fraction(1)]
+    for f, m in expected:
+        if f.degree() > 2:
+            for _ in range(m):
+                rest = exactlin.poly_mul(rest, list(_monic_fractions(f)))
+    factors, cofactor = exactlin.rational_factors(p)
+    assert {tuple(f): m for f, m in factors} == low
+    assert cofactor == rest
+    roots, cofactor = exactlin.rational_roots(p)
+    assert roots == sorted((-f[0], m) for f, m in low.items() if len(f) == 2)
+    for f, m in low.items():
+        if len(f) == 3:
+            for _ in range(m):
+                rest = exactlin.poly_mul(rest, list(f))
+    assert cofactor == rest
+
+
+@pytest.mark.parametrize("values", [(10 ** 12, 10 ** 12 + 2),
+                                    (0, 10 ** 12, 10 ** 12 + 2)])
+def test_rational_roots_of_large_cluster_in_bounded_time(values):
+    with time_limit(1.0):
+        roots, cofactor = exactlin.rational_roots(
+            exactlin.charpoly(_diag(*values)))
+    assert roots == [(Fraction(v), 1) for v in values]
+    assert cofactor == [Fraction(1)]
