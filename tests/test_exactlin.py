@@ -116,7 +116,8 @@ def _diag(*values):
 
 
 def _monic_fractions(factor):
-    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(factor.all_coeffs())]
+    coeffs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(factor.all_coeffs())]
     return tuple(c / coeffs[-1] for c in coeffs)
 
 
@@ -128,8 +129,9 @@ def planted_matrices(draw):
     shifted into a cluster near +-1e12; U is a unimodular integer matrix."""
     q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     far = draw(st.sampled_from([10 ** 12, -10 ** 12]))
+    size = draw(st.integers(1, 6))
     blocks = []
-    while sum(len(b) for b in blocks) < draw(st.integers(1, 6)):
+    while sum(len(b) for b in blocks) < size:
         kind = draw(st.sampled_from(["root", "jordan", "pair", "quad",
                                      "dense"]))
         if kind == "root":
