@@ -66,15 +66,9 @@ def mscale(A, c):
 
 
 def mat_pow(A, k):
-    n = len(A)
-    result = identity(n)
-    base = [row[:] for row in A]
-    while k:
-        if k & 1:
-            result = matmul(result, base)
-        k >>= 1
-        if k:
-            base = matmul(base, base)
+    result = identity(len(A))
+    for _ in range(k):
+        result = matmul(result, A)
     return result
 
 
@@ -158,9 +152,7 @@ def solve(A, b):
 
 def solve_matrix(A, B):
     """Solve A X = B columnwise."""
-    Bt = transpose(B)
-    cols = [solve(A, col) for col in Bt]
-    return transpose(cols)
+    return transpose([solve(A, col) for col in transpose(B)])
 
 
 def inverse(A):
@@ -212,8 +204,7 @@ def poly_trim(p):
 
 
 def poly_degree(p):
-    p = poly_trim(p)
-    return len(p) - 1
+    return len(poly_trim(p)) - 1
 
 
 def poly_mul(p, q):
@@ -249,10 +240,7 @@ def poly_gcd(p, q):
     p, q = poly_trim(p), poly_trim(q)
     while q:
         p, q = q, poly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
+    return [c / p[-1] for c in p]
 
 
 def poly_deriv(p):
@@ -261,15 +249,8 @@ def poly_deriv(p):
 
 def poly_squarefree_part(p):
     """p / gcd(p, p'), normalized monic."""
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) <= 0:
-        q = poly_trim(p)
-    else:
-        q = poly_divmod(p, g)[0]
-    if q:
-        lead = q[-1]
-        q = [c / lead for c in q]
-    return q
+    q = poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
+    return [c / q[-1] for c in q]
 
 
 def poly_shift(p, c):
@@ -285,85 +266,111 @@ def _numeric_roots(p):
     return np.roots([float(c) for c in reversed(p)])
 
 
-def _nearest_rational(x):
+def _rational_near(x, scale, bound):
     # limit_denominator(N) returns a/b (b <= N) when x is within 1/(2bN)
-    # of it. Shifted roots are good to about 1e-13, so N = 10**6 recovers
-    # the square denominators of quadratic coefficients, which 10**12
-    # would mistake for nearby fractions of larger denominator.
-    return Fraction(float(x)).limit_denominator(10 ** 6)
+    # of it; x is good to 1e-14 * scale, so N = (2e-14 * scale)**-0.5.
+    if scale:
+        bound = min(bound, int((2e-14 * scale) ** -0.5) + 1)
+    return Fraction(x).limit_denominator(bound)
 
 
-def _proven_factor(g):
-    """A monic linear or quadratic factor over Q of the squarefree g of
-    degree >= 2, or None when no candidate divides g exactly.
+def _proven_factor(g, degree):
+    """A monic factor of degree 1 or 2 of the monic squarefree g that exact
+    division proves, or None. Its coefficients lie in Z/D and Z/D**2, D the
+    lcm of g's denominators (Gauss's lemma on D**n g(t/D)). g is shifted
+    exactly to the nearest rational (denominator <= 2D) of each root z and
+    solved again while the shift at least halves, so z's cluster is solved
+    at its own scale; roots within its largest correction are tracked from
+    there too. At each centre c, each root c + x, good to about 1e-14
+    max(|x|, off) with off the distance the centre was rounded by, gives a
+    linear candidate and each pair a quadratic (its product r (sum - r)
+    from the better known root r)."""
+    D = math.lcm(*(c.denominator for c in g))
 
-    For each numeric root z of g, g is shifted exactly to the rounded root
-    and solved again, as long as the rounded shift keeps shrinking, so the
-    cluster of roots around z is solved at its own scale. Each shifted root
-    x then gives the linear candidate t - x, and each pair x, w the
-    quadratic (t - x)(t - w), with the coefficients rounded to nearby
-    rationals.
-    """
+    def pair(c, x, w, sx, sw):
+        if sw < sx:
+            x, w, sx, sw = w, x, sw, sx
+        s = _rational_near(2 * c + Fraction((x + w).real), sx + sw, D)
+        a, b = Fraction(x.real), Fraction(x.imag)
+        p = (c + a) * (s - c - a) + b * b
+        return [_rational_near(p, sx * abs(w - x), D * D), -s, Fraction(1)]
+
     zs = _numeric_roots(g)
-    for z in zs:
-        h, c, roots, y, last = g, 0, zs, z, math.inf
-        while (step := round(y.real)) and abs(step) < last:
-            h, c, last = poly_shift(h, step), c + step, abs(step)
+    starts = [(Fraction(0), g, zs, i) for i in range(len(zs))]
+    centres, tried = set(), set()
+    for k, (c, h, roots, i) in enumerate(starts):
+        steps, off = [math.inf], 0
+        while True:
+            x = roots[i]
+            est = c + Fraction(x.real)
+            step = _rational_near(est, max(abs(x), off), 2 * D) - c
+            if not step or abs(step) > steps[-1] / 2:
+                break
+            h, c, off = poly_shift(h, step), c + step, abs(c + step - est)
+            steps.append(abs(step))
             roots = _numeric_roots(h)
-            y = roots[np.argmin(abs(roots - (y - step)))]
-        linear = ([-_nearest_rational(x.real), Fraction(1)] for x in roots)
-        quadratic = ([_nearest_rational((x * w).real),
-                      -_nearest_rational((x + w).real), Fraction(1)]
-                     for x, w in itertools.combinations(roots, 2))
-        for f in itertools.chain(linear, quadratic):
-            if not poly_divmod(h, f)[1]:
-                return poly_shift(f, -c)
+            i = np.argmin(abs(roots - (x - float(step))))
+        if c in centres:
+            continue
+        centres.add(c)
+        if k < len(zs):
+            window = max(steps[2:], default=0)
+            starts += [(c, h, roots, j) for j, w in enumerate(roots)
+                       if j != i and abs(w) < window]
+        scales = [max(abs(w), off) for w in roots]
+        if degree == 1:
+            candidates = ([-_rational_near(c + Fraction(w.real), s, D),
+                           Fraction(1)] for w, s in zip(roots, scales))
+        else:
+            candidates = (pair(c, roots[j], roots[l], scales[j], scales[l])
+                          for j, l in itertools.combinations(
+                              range(len(roots)), 2))
+        for f in candidates:
+            if tuple(f) not in tried:
+                tried.add(tuple(f))
+                if not poly_divmod(g, f)[1]:
+                    return f
     return None
 
 
-def rational_factors(p):
-    """The monic linear and quadratic factors of p over Q.
+def divide_out(p, f):
+    """(m, p / f**m) for the largest m such that f**m divides p."""
+    m, (quo, rem) = 0, poly_divmod(p, f)
+    while not rem:
+        p, m = quo, m + 1
+        quo, rem = poly_divmod(p, f)
+    return m, p
 
-    Candidates come from the numeric roots of the exact squarefree part
-    (see _proven_factor); one is accepted only when exact division leaves
-    no remainder, and its multiplicity in p is counted by repeated
-    division. Returns (factors, cofactor): factors lists (factor,
-    multiplicity) in the order found, and the monic cofactor holds every
-    factor of p not proven here.
-    """
+
+def _factors_of_degree(p, degree):
+    """(factors, monic cofactor): the monic factors of p of the given
+    degree that _proven_factor finds in its squarefree part, each with its
+    multiplicity."""
     p = poly_trim([Fraction(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
     rest = [c / p[-1] for c in p]
-    g = poly_squarefree_part(rest)
-    factors = []
-    while poly_degree(g) >= 1:
-        f = g if poly_degree(g) == 1 else _proven_factor(g)
+    g, factors = poly_squarefree_part(rest), []
+    while poly_degree(g) >= degree:
+        f = g if poly_degree(g) == degree else _proven_factor(g, degree)
         if f is None:
             break
         g = poly_divmod(g, f)[0]
-        m = 0
-        quo, rem = poly_divmod(rest, f)
-        while not rem:
-            rest, m = quo, m + 1
-            quo, rem = poly_divmod(rest, f)
+        m, rest = divide_out(rest, f)
         factors.append((f, m))
     return factors, rest
 
 
 def rational_roots(p):
-    """The rational roots of p with multiplicities.
+    """(roots, cofactor): the rational roots of p, sorted, with their
+    multiplicities, and the monic rest of p, holding any root missed."""
+    factors, cofactor = _factors_of_degree(p, 1)
+    return sorted((-f[0], m) for f, m in factors), cofactor
 
-    Returns (roots, cofactor): roots lists (root, multiplicity) sorted by
-    root, and cofactor is the rest of p, monic, which holds every factor of
-    p that is not a proven linear factor (see rational_factors).
-    """
-    factors, cofactor = rational_factors(p)
-    roots = []
-    for f, m in factors:
-        if len(f) == 2:
-            roots.append((-f[0], m))
-        else:
-            for _ in range(m):
-                cofactor = poly_mul(cofactor, f)
-    return sorted(roots), cofactor
+
+def rational_factors(p):
+    """(factors, cofactor): the monic linear, then quadratic factors of p
+    over Q with their multiplicities, and the monic rest of p."""
+    roots, cofactor = rational_roots(p)
+    quadratics, cofactor = _factors_of_degree(cofactor, 2)
+    return [([-r, Fraction(1)], m) for r, m in roots] + quadratics, cofactor

@@ -215,7 +215,7 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
 
     base is a per-vertex point (default 0), lam0 the parameter value
     (default 0). Requires F(base; lam0) = 0 within 1e-10 at every vertex.
-    At base 0 and lam0 0 an exact F is split at its exact linearization.
+    At base 0 and lam0 0, F is split at the linearization in its own mode.
     """
     rep = F.representation
     p = F.param_dim
@@ -242,13 +242,12 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
     shifted_exact = all(float(x) == 0.0 for v in rep.quiver.vertices
                         for x in np.atleast_1d(base[v])) and \
         all(float(x) == 0.0 for x in lam0)
-    if shifted_exact and F.is_exact():
+    if shifted_exact:
         # the exact coefficients, not their float images: 1/3 read back
         # from a float is a different matrix with a different spectrum
         L = EndomorphismTuple.from_linearization(F)
     else:
-        if not shifted_exact:
-            rep = rep.to_float()
+        rep = rep.to_float()
         L = EndomorphismTuple(rep, L_mats)
     ker_sub, im_sub, projectors = kernel_image_split(rep, L)
 

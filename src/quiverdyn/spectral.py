@@ -9,13 +9,12 @@ of that sit the two complementary splittings used by the reductions
 share one body and classify every cluster in one place, and the
 semisimple/nilpotent (Jordan-Chevalley) decomposition.
 
-Exact mode factors characteristic polynomials over the rationals by one
-route, exactlin.rational_factors: linear and quadratic candidates come from
-the numeric roots of the exact squarefree part, each re-solved after an
-exact shift to its rounded root, and a candidate is kept only when exact
-division proves it a factor. Anything not proven stays in one cofactor,
-which becomes a single cluster; when that cluster has degree three or more,
-the split falls back to float with a warning.
+Exact mode factors the lcm of the vertex charpolys over Q once, by
+exactlin.rational_factors: candidates from numeric roots re-solved after
+exact shifts, each kept only when exact division proves it a factor, so
+the clusters are coprime. Anything not proven stays in one cofactor, a
+single cluster; when it has degree three or more, the split falls back to
+float with a warning.
 """
 
 from __future__ import annotations
@@ -103,29 +102,26 @@ class SpectralCluster:
 def _exact_factors(L):
     """Per-vertex charpolys factored over Q into a shared factor list.
 
-    Returns (factors, mults) where factors is a list of monic coefficient
-    lists and mults[i][v] is the multiplicity of factors[i] in charpoly(L_v).
-    A vertex's unproven cofactor is one more factor of multiplicity 1.
+    Returns (factors, mults): monic coefficient lists, pairwise coprime
+    as factors of the lcm of the squarefree charpolys (its unproven
+    cofactor last), and mults[i][v], the multiplicity of factors[i] in
+    charpoly(L_v).
     """
     rep = L.representation
-    factor_key = {}
-    factors, mults = [], []
-    for v in rep.quiver.vertices:
-        if rep.dim[v] == 0:
-            continue
-        roots, cofactor = exactlin.rational_roots(
-            exactlin.charpoly(L.matrices[v]))
-        more, rest = exactlin.rational_factors(cofactor)
-        pieces = [([-r, Fraction(1)], m) for r, m in roots] + more
-        if exactlin.poly_degree(rest) >= 1:
-            pieces.append((rest, 1))
-        for f, m in pieces:
-            key = tuple(f)
-            if key not in factor_key:
-                factor_key[key] = len(factors)
-                factors.append(f)
-                mults.append({u: 0 for u in rep.quiver.vertices})
-            mults[factor_key[key]][v] = m
+    charpolys = {v: exactlin.charpoly(L.matrices[v])
+                 for v in rep.quiver.vertices if rep.dim[v]}
+    lcm = [Fraction(1)]
+    for p in charpolys.values():
+        s = exactlin.poly_squarefree_part(p)
+        lcm = exactlin.poly_mul(
+            lcm, exactlin.poly_divmod(s, exactlin.poly_gcd(lcm, s))[0])
+    found, rest = exactlin.rational_factors(lcm)
+    factors = [f for f, _ in found]
+    if exactlin.poly_degree(rest) >= 1:
+        factors.append(rest)
+    mults = [{v: exactlin.divide_out(charpolys[v], f)[0]
+              if v in charpolys else 0 for v in rep.quiver.vertices}
+             for f in factors]
     return factors, mults
 
 

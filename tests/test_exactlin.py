@@ -126,8 +126,11 @@ def planted_matrices(draw):
     """A rational matrix U B U^-1 with B block diagonal: rational
     eigenvalues, Jordan blocks, complex pairs, any quadratic (irreducible or
     not) and dense 3x3 blocks, each block possibly repeated and possibly
-    shifted into a cluster near +-1e12; U is a unimodular integer matrix."""
+    shifted into a cluster near +-1e12; rational eigenvalues may have
+    denominators above 10**6; U is a unimodular integer matrix."""
     q = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    eigenvalue = q | st.builds(Fraction, st.integers(-5, 5),
+                               st.sampled_from([1234567, 10 ** 7]))
     far = draw(st.sampled_from([10 ** 12, -10 ** 12]))
     size = draw(st.integers(1, 6))
     blocks = []
@@ -135,9 +138,9 @@ def planted_matrices(draw):
         kind = draw(st.sampled_from(["root", "jordan", "pair", "quad",
                                      "dense"]))
         if kind == "root":
-            block = [[draw(q)]]
+            block = [[draw(eigenvalue)]]
         elif kind == "jordan":
-            r = draw(q)
+            r = draw(eigenvalue)
             block = [[r, Fraction(1)], [Fraction(0), r]]
         elif kind == "pair":
             a, b = draw(q), draw(q.filter(lambda x: x != 0))
@@ -201,4 +204,23 @@ def test_rational_roots_of_large_cluster_in_bounded_time(values):
         roots, cofactor = exactlin.rational_roots(
             exactlin.charpoly(_diag(*values)))
     assert roots == [(Fraction(v), 1) for v in values]
+    assert cofactor == [Fraction(1)]
+
+
+def test_rational_roots_with_denominators_above_a_million():
+    # every rational root lies in Z/D for D the lcm of the denominators of
+    # the monic polynomial, however large D is
+    d = 1234567
+    roots, cofactor = exactlin.rational_roots(
+        exactlin.charpoly(_diag(Fraction(1, d), Fraction(2, d))))
+    assert roots == [(Fraction(1, d), 1), (Fraction(2, d), 1)]
+    assert cofactor == [Fraction(1)]
+
+
+def test_quadratic_factors_with_denominators_above_a_million():
+    first = [Fraction(1, 10 ** 7), Fraction(0), Fraction(1)]
+    second = [Fraction(4, 10 ** 7), Fraction(0), Fraction(1)]
+    factors, cofactor = exactlin.rational_factors(
+        exactlin.poly_mul(first, second))
+    assert sorted(factors) == sorted([(first, 1), (second, 1)])
     assert cofactor == [Fraction(1)]

@@ -82,6 +82,26 @@ def test_joint_spectrum_exact_clusters():
     assert len(pair) == 1 and pair[0].multiplicity["v"] == 1
 
 
+def test_joint_spectrum_shares_factors_across_vertices():
+    # the eigenvalue a is proven alone at "small" and inside {a, b} at
+    # "big"; the clusters must still be coprime, each counted at both
+    # vertices, and their eigenspaces invariant under the arrow
+    a, b = Fraction(1, 1234567), Fraction(2, 1234567)
+    q = Quiver(["big", "small"], [("p", "big", "small")])
+    rep = QuiverRepresentation(q, {"big": 2, "small": 1},
+                               {"p": frac_matrix([[1, 0]])})
+    L = EndomorphismTuple(rep, {"big": [[a, Fraction(0)], [Fraction(0), b]],
+                                "small": [[a]]})
+    clusters = joint_spectrum(L)
+    assert [(c.value, c.multiplicity) for c in clusters] == [
+        (a, {"big": 1, "small": 1}), (b, {"big": 1, "small": 0})]
+    for c in clusters:
+        sub = generalized_eigenspace_subrep(rep, L, c)
+        assert sub.subdim == c.multiplicity
+    kernel, image, _ = kernel_image_split(rep, L)
+    assert kernel.subdim == {"big": 0, "small": 0}
+
+
 def test_generalized_eigenspace_dimensions(mode="exact"):
     rep, L = block_fixture(mode)
     clusters = joint_spectrum(L)
