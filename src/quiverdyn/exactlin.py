@@ -152,7 +152,9 @@ def solve(A, b):
 
 def solve_matrix(A, B):
     """Solve A X = B columnwise."""
-    return transpose([solve(A, col) for col in transpose(B)])
+    Bt = transpose(B)
+    cols = [solve(A, col) for col in Bt]
+    return transpose(cols)
 
 
 def inverse(A):

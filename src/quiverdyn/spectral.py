@@ -103,25 +103,25 @@ def _exact_factors(L):
     """Per-vertex charpolys factored over Q into a shared factor list.
 
     Returns (factors, mults): monic coefficient lists, pairwise coprime
-    as factors of the lcm of the squarefree charpolys (its unproven
-    cofactor last), and mults[i][v], the multiplicity of factors[i] in
-    charpoly(L_v).
+    as factors of the lcm of the charpolys (the squarefree part of its
+    unproven cofactor last), and mults[i][v], the multiplicity of
+    factors[i] in charpoly(L_v).
     """
     rep = L.representation
     charpolys = {v: exactlin.charpoly(L.matrices[v])
                  for v in rep.quiver.vertices if rep.dim[v]}
     lcm = [Fraction(1)]
     for p in charpolys.values():
-        s = exactlin.poly_squarefree_part(p)
         lcm = exactlin.poly_mul(
-            lcm, exactlin.poly_divmod(s, exactlin.poly_gcd(lcm, s))[0])
+            lcm, exactlin.poly_divmod(p, exactlin.poly_gcd(lcm, p))[0])
     found, rest = exactlin.rational_factors(lcm)
     factors = [f for f, _ in found]
     if exactlin.poly_degree(rest) >= 1:
-        factors.append(rest)
-    mults = [{v: exactlin.divide_out(charpolys[v], f)[0]
-              if v in charpolys else 0 for v in rep.quiver.vertices}
-             for f in factors]
+        factors.append(exactlin.poly_squarefree_part(rest))
+    mults = [dict.fromkeys(rep.quiver.vertices, 0) for _ in factors]
+    for v, p in charpolys.items():
+        for m, f in zip(mults, factors):
+            m[v], p = exactlin.divide_out(p, f)
     return factors, mults
 
 
