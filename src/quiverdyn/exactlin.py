@@ -65,13 +65,6 @@ def mscale(A, c):
     return [[c * a for a in row] for row in A]
 
 
-def mat_pow(A, k):
-    result = identity(len(A))
-    for _ in range(k):
-        result = matmul(result, A)
-    return result
-
-
 def trace(A):
     return sum(A[i][i] for i in range(len(A)))
 
@@ -104,10 +97,6 @@ def rref(A):
         if r == m:
             break
     return R, pivots
-
-
-def rank(A):
-    return len(rref(A)[1])
 
 
 def nullspace(A):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .arith import FLOAT, as_float_matrix
 from .errors import (DomainTooSmall, NewtonDiverged, NotEquilibrium,
@@ -63,10 +62,16 @@ class CompiledField:
                 self.coeffs[i, column[e]] = float(c)
 
     def __call__(self, z):
-        """(field, Jacobian) at the point z."""
-        vals = self.coeffs @ (z ** self.exponents).prod(axis=1)
+        """(field, Jacobian) at every point z[..., :].
+
+        einsum, unlike a BLAS product, sums each lane's terms in the same
+        order whatever the number of lanes, so a lane's values do not depend
+        on the batch it is evaluated in.
+        """
+        monos = (z[..., None, :] ** self.exponents).prod(axis=-1)
+        vals = np.einsum("...k,ik->...i", monos, self.coeffs)
         d = self.dim
-        return vals[:d], vals[d:].reshape(d, d)
+        return vals[..., :d], vals[..., d:].reshape(z.shape[:-1] + (d, d))
 
 
 @dataclass
@@ -83,35 +88,36 @@ class VertexReduction:
 
 
 def _max_abs(x):
-    """max |x_i|, 0 for an empty x (the ndarray method skips np.max's
-    per-call dispatch, which dominates at these sizes)."""
-    return np.abs(x).max(initial=0.0)
+    """max |x_i| over the last axis, 0 where it is empty."""
+    return np.abs(x).max(axis=-1, initial=0.0)
 
 
-def _solve(A, b):
-    """A^{-1} b for the small dense systems of the Newton loops.
+def _lane_solve(A, b):
+    """A[i]^{-1} b[i] for a stack of small systems, and a mask of the lanes
+    whose matrix is not exactly singular.
 
-    The same LU solve as np.linalg.solve (LAPACK gesv) without its
-    per-call checks, which cost more than the solve at these sizes.
-    Raises np.linalg.LinAlgError when A is exactly singular.
+    When a matrix of the stack is singular, every lane is solved alone, so
+    that only the singular lanes fail.
     """
-    if not A.size:
-        return np.zeros(b.shape)
-    x, info = lapack.dgesv(A, b)[2:]
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return x
-
-
-def _solve_image_block(v, jac, rhs, u, lam):
-    """g_w^{-1} rhs, with g_w the image block of the field Jacobian."""
-    m = len(u)
+    ok = np.ones(len(A), dtype=bool)
+    if not A.shape[-1]:
+        return np.zeros(b.shape), ok
     try:
-        return _solve(jac[m:, m:], rhs)
+        return np.linalg.solve(A, b), ok
     except np.linalg.LinAlgError:
-        raise NewtonDiverged(
-            f"vertex {v!r}: singular image-block Jacobian at "
-            f"u={u.tolist()}, lam={lam.tolist()}")
+        x = np.zeros(b.shape)
+        for i in range(len(A)):
+            try:
+                x[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return x, ok
+
+
+# Newton lane outcomes; every failure is one NewtonDiverged message of phi
+CONVERGED, SINGULAR, DAMPING_FAILED, NO_CONVERGENCE = range(4)
+# step lengths of the damped Newton: halved from 1 while above 1e-4
+DAMPING_STEPS = tuple(0.5 ** k for k in range(64) if 0.5 ** k > 1e-4)
 
 
 @dataclass
@@ -125,76 +131,112 @@ class LSReduction:
     vertex_data: dict          # vertex -> VertexReduction
     newton_tol: float = NEWTON_TOL
     newton_max_iter: int = NEWTON_MAX_ITER
-    # (u, lam, field Jacobian) of the latest reduced_eval
-    _last_point: tuple = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def kernel_dim(self, v):
         return self.vertex_data[v].ker_dim
 
-    def phi(self, v, u, lam):
-        """Image-block coordinates w solving the eliminated equations."""
+    def phi_lanes(self, v, u, lam):
+        """Damped Newton for the image-block equations at every lane
+        (u[i], lam[i]) of vertex v, in lockstep.
+
+        Returns (w, vals, jac, status): the image coordinates, the field and
+        its Jacobian at (u, w, lam), and each lane's outcome (CONVERGED or
+        the failure that ended it). Each lane takes the steps it would take
+        alone: a lane leaves the batch when it converges or fails, and a
+        damping trial whose candidate leaves the neighbourhood radius is not
+        evaluated.
+        """
         vd = self.vertex_data[v]
         m = vd.ker_dim
-        u = np.asarray(u, dtype=float)
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        w = np.zeros(vd.dim - m)
-        gvals, jac = vd.evaluator(np.concatenate([u, w, lam]))
+        w = np.zeros((len(u), vd.dim - m))
+        vals, jac = vd.evaluator(np.hstack([u, w, lam]))
+        status = np.full(len(u), NO_CONVERGENCE)
+        live = np.arange(len(u))
         for _ in range(self.newton_max_iter):
-            res = gvals[m:]
-            if _max_abs(res) <= self.newton_tol:
-                return w
-            step = _solve_image_block(v, jac, res, u, lam)
+            norm0 = _max_abs(vals[live, m:])
+            done = norm0 <= self.newton_tol
+            status[live[done]] = CONVERGED
+            live, norm0 = live[~done], norm0[~done]
+            if not live.size:
+                break
+            step, ok = _lane_solve(jac[live, m:, m:], vals[live, m:, None])
+            status[live[~ok]] = SINGULAR
+            live, norm0, step = live[ok], norm0[ok], step[ok, :, 0]
             # damped step, clamped to the neighbourhood radius; an accepted
             # candidate's field and Jacobian serve the next iteration
-            alpha = 1.0
-            norm0 = _max_abs(res)
-            while alpha > 1e-4:
-                cand = w - alpha * step
-                if _max_abs(cand) > vd.radius:
-                    alpha *= 0.5
-                    continue
-                cvals, cjac = vd.evaluator(np.concatenate([u, cand, lam]))
-                norm = _max_abs(cvals[m:])
-                if norm < norm0 or norm <= self.newton_tol:
-                    w, gvals, jac = cand, cvals, cjac
+            trying = np.arange(len(live))
+            for alpha in DAMPING_STEPS:
+                lanes = live[trying]
+                cand = w[lanes] - alpha * step[trying]
+                inside = ~(_max_abs(cand) > vd.radius)
+                lanes, cand = lanes[inside], cand[inside]
+                cvals, cjac = vd.evaluator(
+                    np.hstack([u[lanes], cand, lam[lanes]]))
+                norm = _max_abs(cvals[:, m:])
+                acc = (norm < norm0[trying[inside]]) | \
+                    (norm <= self.newton_tol)
+                lanes = lanes[acc]
+                w[lanes], vals[lanes], jac[lanes] = \
+                    cand[acc], cvals[acc], cjac[acc]
+                trying = np.delete(trying, np.flatnonzero(inside)[acc])
+                if not trying.size:
                     break
-                alpha *= 0.5
-            else:
-                raise NewtonDiverged(
-                    f"vertex {v!r}: damping failed at u={u.tolist()}")
-        raise NewtonDiverged(
-            f"vertex {v!r}: no convergence in {self.newton_max_iter} steps")
+            status[live[trying]] = DAMPING_FAILED
+            live = np.delete(live, trying)
+        return w, vals, jac, status
 
-    def reduced_eval(self, v, u, lam):
-        """The reduced bifurcation map f_v(u; lam) on kernel coordinates.
+    def reduced_lanes(self, v, u, lam, jacobian=False):
+        """phi and the reduced map f_v at every lane (u[i], lam[i]), with
+        the Jacobian of f_v in u if asked.
 
-        The field Jacobian at z = (u, phi(u; lam), lam) comes with the field
-        from the compiled evaluator; it is kept, with u and lam, in
-        _last_point for reduced_jacobian.
+        Returns (w, f, J or None, status). With f the kernel rows and g the
+        image rows of the field at z = (u, phi(u; lam), lam), differentiating
+        g(u, phi(u; lam), lam) = 0 gives D_u phi = -g_w^{-1} g_u, so
+        D_u f_v = f_u - f_w g_w^{-1} g_u; a lane whose g_w is singular there
+        fails as phi's solve would.
         """
-        vd = self.vertex_data[v]
+        m = self.kernel_dim(v)
+        w, vals, jac, status = self.phi_lanes(v, u, lam)
+        J = None
+        if jacobian:
+            lanes = np.flatnonzero(status == CONVERGED)
+            g = jac[lanes, m:]
+            dphi, ok = _lane_solve(g[:, :, m:], g[:, :, :m])
+            status[lanes[~ok]] = SINGULAR
+            J = np.zeros((len(u), m, m))
+            J[lanes] = jac[lanes, :m, :m] - jac[lanes, :m, m:] @ dphi
+        return w, vals[:, :m], J, status
+
+    def _one_lane(self, v, u, lam, jacobian=False):
+        """reduced_lanes at the one point (u, lam) as (w, f, J); raises
+        NewtonDiverged naming the failure that ended the lane."""
         u = np.asarray(u, dtype=float)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        w = self.phi(v, u, lam)
-        vals, jac = vd.evaluator(np.concatenate([u, w, lam]))
-        self._last_point = (u, lam, jac)
-        return vals[:vd.ker_dim]
+        w, f, J, status = self.reduced_lanes(v, u[None], lam[None], jacobian)
+        if status[0] == SINGULAR:
+            raise NewtonDiverged(
+                f"vertex {v!r}: singular image-block Jacobian at "
+                f"u={u.tolist()}, lam={lam.tolist()}")
+        if status[0] == DAMPING_FAILED:
+            raise NewtonDiverged(
+                f"vertex {v!r}: damping failed at u={u.tolist()}")
+        if status[0] == NO_CONVERGENCE:
+            raise NewtonDiverged(
+                f"vertex {v!r}: no convergence in {self.newton_max_iter} "
+                "steps")
+        return w[0], f[0], None if J is None else J[0]
+
+    def phi(self, v, u, lam):
+        """Image-block coordinates w solving the eliminated equations."""
+        return self._one_lane(v, u, lam)[0]
+
+    def reduced_eval(self, v, u, lam):
+        """The reduced bifurcation map f_v(u; lam) on kernel coordinates."""
+        return self._one_lane(v, u, lam)[1]
 
     def reduced_jacobian(self, v, u, lam):
-        """f_v(u; lam) and its Jacobian in u, by the implicit-function formula.
-
-        With f the kernel rows and g the image rows of the field at
-        z = (u, phi(u; lam), lam), differentiating g(u, phi(u; lam), lam) = 0
-        gives D_u phi = -g_w^{-1} g_u, so D_u f_v = f_u - f_w g_w^{-1} g_u.
-        f_v comes from reduced_eval, so every evaluation of the reduced map,
-        and every NewtonDiverged of its phi solve, is a reduced_eval call.
-        """
-        f = self.reduced_eval(v, u, lam)
-        u, lam, jac = self._last_point
-        m = len(f)
-        dphi = _solve_image_block(v, jac, jac[m:, :m], u, lam)
-        return f, jac[:m, :m] - jac[:m, m:] @ dphi
+        """f_v(u; lam) and its Jacobian in u (see reduced_lanes)."""
+        return self._one_lane(v, u, lam, jacobian=True)[1:]
 
     def lift(self, v, u, lam):
         """The full-space point x = base-shifted M (u, phi(u; lam))."""
@@ -290,8 +332,11 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
                                seed=0):
     """Sample R_a f_s(u; lam) - f_t(R_a u; lam) over a common ball.
 
-    Halves the sampling radius on Newton failures; raises DomainTooSmall
-    below 1e-6.
+    The samples still owed are drawn at once, row by row (u, then lam), and
+    solved as one batch of lanes on each side. Samples before the first
+    failed one count; the generator is set past the failed sample and the
+    sampling radius halved, so the draws are those of a sample-by-sample
+    loop. Raises DomainTooSmall when the radius falls below 1e-6.
     """
     rep = red.representation
     rng = np.random.default_rng(seed)
@@ -305,20 +350,28 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
         r = radius
         done = 0
         while done < samples:
-            u = rng.uniform(-r, r, size=m_s)
-            lam = rng.uniform(-r, r, size=red.param_dim)
-            try:
-                lhs = C @ red.reduced_eval(s, u, lam) if m_s else \
-                    np.zeros(red.kernel_dim(t))
-                rhs = red.reduced_eval(t, C @ u, lam)
-            except NewtonDiverged:
+            state = rng.bit_generator.state
+            draws = rng.uniform(-r, r, (samples - done, m_s + red.param_dim))
+            u, lam = draws[:, :m_s], draws[:, m_s:]
+            if m_s:
+                _, f_s, _, status_s = red.reduced_lanes(s, u, lam)
+                lhs, failed = f_s @ C.T, status_s != CONVERGED
+            else:
+                lhs = np.zeros((len(u), red.kernel_dim(t)))
+                failed = np.zeros(len(u), dtype=bool)
+            _, rhs, _, status_t = red.reduced_lanes(t, u @ C.T, lam)
+            failed |= status_t != CONVERGED
+            kept = int(np.argmax(failed)) if failed.any() else len(u)
+            worst = max(worst, float(
+                np.abs(lhs[:kept] - rhs[:kept]).max(initial=0.0)))
+            done += kept
+            if kept < len(u):
+                rng.bit_generator.state = state
+                rng.uniform(-r, r, (kept + 1, m_s + red.param_dim))
                 r *= 0.5
                 if r < 1e-6:
                     raise DomainTooSmall(
                         f"arrow {a!r}: no common neighbourhood above 1e-6")
-                continue
-            worst = max(worst, float(_max_abs(lhs - rhs)))
-            done += 1
         per_arrow[a] = worst
     passed = all(w <= tol for w in per_arrow.values())
     return EquivarianceReport(per_arrow, passed, "sampled", tol)
@@ -364,36 +417,49 @@ class Branch:
     classified: bool = True
 
 
-def _roots_at(red, v, lam, seeds_per_axis=9, scale=None, tol=1e-9):
-    """Distinct zeros of f_v(.; lam) found by Newton from a seed grid."""
-    m = red.kernel_dim(v)
-    if scale is None:
-        scale = 5.0 * math.sqrt(abs(lam))
+def reduced_newton(red, v, u, lam, scale):
+    """Newton on f_v(.; lam) = 0 from every lane (u[i], lam[i]), in lockstep.
+
+    A lane stops when max |f_v| <= 1e-12 (converged), when its phi or
+    Jacobian solve fails, when a step is longer than 10 * scale[i], or after
+    NEWTON_MAX_ITER steps. Returns the last points and the converged mask.
+    """
+    u = np.array(u, dtype=float)
+    converged = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))
+    for _ in range(NEWTON_MAX_ITER):
+        if not live.size:
+            break
+        _, f, J, status = red.reduced_lanes(v, u[live], lam[live], True)
+        ok = status == CONVERGED
+        live, f, J = live[ok], f[ok], J[ok]
+        done = _max_abs(f) <= 1e-12
+        converged[live[done]] = True
+        live, f, J = live[~done], f[~done], J[~done]
+        step, ok = _lane_solve(J, f[:, :, None])
+        step = step[:, :, 0]
+        ok &= ~(_max_abs(step) > 10 * scale[live])
+        live = live[ok]
+        u[live] = u[live] - step[ok]
+    return u, converged
+
+
+def _seed_grid(m, scale, seeds_per_axis=9):
+    """The seeds_per_axis^m grid on [-scale, scale]^m, one seed per row."""
+    if not m:
+        return np.zeros((0, 0))
     axes = [np.linspace(-scale, scale, seeds_per_axis)] * m
+    return np.array(np.meshgrid(*axes)).reshape(m, -1).T
+
+
+def _distinct_roots(u, converged, scale, tol=1e-9):
+    """The converged points within 2 * scale, each kept unless it repeats
+    one kept before it in seed order, then sorted."""
+    cand = u[converged & ~(_max_abs(u) > 2 * scale)]
     roots = []
-    for seed in np.array(np.meshgrid(*axes)).reshape(m, -1).T if m else []:
-        u = np.array(seed, dtype=float)
-        ok = False
-        for _ in range(NEWTON_MAX_ITER):
-            try:
-                fval, J = red.reduced_jacobian(v, u, [lam])
-            except NewtonDiverged:
-                break
-            if _max_abs(fval) <= 1e-12:
-                ok = True
-                break
-            try:
-                step = _solve(J, fval)
-            except np.linalg.LinAlgError:
-                break
-            if _max_abs(step) > 10 * scale:
-                break
-            u = u - step
-        if not ok or _max_abs(u) > 2 * scale:
-            continue
-        if all(_max_abs(u - r) > tol + 1e-6 * scale
-               for r in roots):
-            roots.append(u)
+    while len(cand):
+        roots.append(cand[0])
+        cand = cand[_max_abs(cand - cand[0]) > tol + 1e-6 * scale]
     roots.sort(key=lambda r: tuple(np.round(r / max(scale, 1e-12), 6)))
     return roots
 
@@ -402,10 +468,11 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
                          grid=BRANCH_POINTS):
     """Trace and classify branches of the reduced equation at one vertex.
 
-    Zeros are found on `grid` log-spaced parameter values in lam_range,
-    linked by continuation from large to small lam, and classified per
-    coordinate by a log-log fit with exponents restricted to {1, 1/2};
-    coordinates below noise level are reported as identically zero.
+    Zeros are found by Newton from a seed grid at each of `grid` log-spaced
+    parameter values in lam_range, linked by continuation from large to
+    small lam, and classified per coordinate by a log-log fit with exponents
+    restricted to {1, 1/2}; coordinates below noise level are reported as
+    identically zero.
     """
     if red.param_dim != 1:
         raise ValueError("branch tracing requires exactly one parameter")
@@ -413,9 +480,17 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
     if m > 3:
         raise ValueError("branch tracing supports kernel dimension <= 3")
     lams = np.geomspace(lam_range[0], lam_range[1], grid)[::-1]
+    # zeros at every lam from one seed grid each, all solved in one batch
+    scales = [5.0 * math.sqrt(abs(lam)) for lam in lams]
+    seeds = [_seed_grid(m, sc) for sc in scales]
+    n = len(seeds[0])
+    u, converged = reduced_newton(red, vertex, np.vstack(seeds),
+                                  np.repeat(lams, n)[:, None],
+                                  np.repeat(scales, n))
     branches = []
     for li, lam in enumerate(lams):
-        roots = _roots_at(red, vertex, float(lam))
+        block = slice(li * n, (li + 1) * n)
+        roots = _distinct_roots(u[block], converged[block], scales[li])
         used = [False] * len(roots)
         if li == 0:
             for r in roots:

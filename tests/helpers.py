@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from quiverdyn import exactlin
 from quiverdyn.network import ColouredNetwork, ResponseFamily
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation
@@ -229,6 +230,14 @@ def float_copy(F):
     comps = {v: PolyMap([p.to_float() for p in pm.outputs], nvars=pm.nvars)
              for v, pm in F.components.items()}
     return PolyMapTuple(frep, comps, F.param_dim, F.max_degree)
+
+
+def mat_pow(A, k):
+    """A^k of a Fraction matrix, by k exact products."""
+    result = exactlin.identity(len(A))
+    for _ in range(k):
+        result = exactlin.matmul(result, A)
+    return result
 
 
 @contextmanager

@@ -14,7 +14,8 @@ import pytest
 
 import conftest
 from helpers import (cm_feedforward_tuple, feedforward_chain_network,
-                     feedforward_pair_network, hopf_tuple, monoid_maps,
+                     feedforward_pair_network, hopf_tuple, mat_pow,
+                     monoid_maps,
                      random_poly, random_response_family,
                      single_vertex_tuple, two_type_network)
 from quiverdyn import arith, exactlin
@@ -234,7 +235,7 @@ def test_criterion_4_spectral_subreps_and_sn():
             assert exactlin.madd(Sv, Nv) == Lv
             assert exactlin.matmul(Sv, Nv) == exactlin.matmul(Nv, Sv)
             assert exactlin.is_zero_matrix(
-                exactlin.mat_pow(Nv, len(Nv)))
+                mat_pow(Nv, len(Nv)))
             sq = exactlin.poly_squarefree_part(exactlin.charpoly(Lv))
             assert exactlin.is_zero_matrix(
                 exactlin.eval_matrix_poly(sq, Sv))

@@ -1,5 +1,7 @@
 """Lyapunov-Schmidt reduction on hand-solvable bifurcation problems."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +10,14 @@ import pytest
 from helpers import single_vertex_tuple
 from test_casestudy import CASE1, CASE2, CASE3
 from quiverdyn.casestudy import assemble_case_tuple
-from quiverdyn.errors import NewtonDiverged, NotEquilibrium
+from quiverdyn.errors import DomainTooSmall, NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
-from quiverdyn.lsreduction import (FD_STEP, LSReduction, _roots_at, _solve,
+from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW, CONVERGED,
+                                   DAMPING_FAILED, FD_STEP, _distinct_roots,
+                                   _lane_solve, _seed_grid,
                                    check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
-                                   reduced_cross_derivative)
+                                   reduced_cross_derivative, reduced_newton)
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation
 from quiverdyn.tuples import PolyMap, PolyMapTuple
@@ -174,43 +178,127 @@ def test_reduced_jacobian_matches_central_differences():
                 assert np.max(np.abs(J[:, j] - fd)) <= 1e-6
 
 
-def test_branch_tracer_evaluates_the_reduced_map_through_reduced_eval(
-        monkeypatch):
-    # The outer Newton takes f and its Jacobian from reduced_jacobian; each
-    # of its phi solves, and each NewtonDiverged, must pass through
-    # reduced_eval, the method perfbench/tracing.py wraps.
-    calls = {"phi": 0, "reduced_eval": 0, "diverged": 0}
-    phi, reduced_eval = LSReduction.phi, LSReduction.reduced_eval
+def seed_lanes(red, v, lams):
+    """The branch tracer's lanes: every seed of the grid at every lam."""
+    scales = np.array([5.0 * math.sqrt(lam) for lam in lams])
+    seeds = [_seed_grid(red.kernel_dim(v), sc) for sc in scales]
+    n = len(seeds[0])
+    return (np.vstack(seeds), np.repeat(lams, n)[:, None],
+            np.repeat(scales, n))
 
-    def counted_phi(self, *args):
-        calls["phi"] += 1
-        return phi(self, *args)
 
-    def counted_reduced_eval(self, *args):
-        calls["reduced_eval"] += 1
-        try:
-            return reduced_eval(self, *args)
-        except NewtonDiverged:
-            calls["diverged"] += 1
-            raise
-
-    monkeypatch.setattr(LSReduction, "phi", counted_phi)
-    monkeypatch.setattr(LSReduction, "reduced_eval", counted_reduced_eval)
+def test_transcritical_roots_from_seed_lanes():
     red = ls_reduce(transcritical_with_slave())
-    roots = _roots_at(red, "v", 1e-2)
+    u0, lam, scale = seed_lanes(red, "v", np.array([1e-2]))
+    u, converged = reduced_newton(red, "v", u0, lam, scale)
+    roots = _distinct_roots(u, converged, scale[0])
     assert [float(r[0]) for r in roots] == pytest.approx([0.0, 0.010001],
                                                          abs=1e-6)
-    assert calls["reduced_eval"] == calls["phi"] > 0
-    # seeds beyond the neighbourhood radius fail inside phi
-    assert calls["diverged"] > 0
+    # seeds beyond the neighbourhood radius (phi = u^2 > 0.1) fail in phi
+    far = np.abs(u0[:, 0]) > 0.33
+    assert far.any() and not converged[far].any()
+    status = red.reduced_lanes("v", u0, lam)[3]
+    assert (status[far] == DAMPING_FAILED).all()
+    assert (status[~far] == CONVERGED).all()
 
-def test_small_solve_matches_numpy():
+
+@pytest.mark.parametrize("name", ["transcritical", "a=0", "b=0", "ab-cd=0"])
+def test_each_seed_lane_solves_as_it_would_alone(name):
+    red = reduction(name)
+    v = "v" if name == "transcritical" else "N1"
+    lams = np.geomspace(*BRANCH_WINDOW, BRANCH_POINTS)[::-1]
+    u0, lam, scale = seed_lanes(red, v, lams)
+    u, converged = reduced_newton(red, v, u0, lam, scale)
+    assert converged.any()
+    for i in range(len(u0)):
+        ui, ci = reduced_newton(red, v, u0[i:i + 1], lam[i:i + 1],
+                                scale[i:i + 1])
+        assert np.array_equal(ui[0], u[i]) and ci[0] == converged[i]
+
+
+def test_vertex_without_kernel_has_no_roots():
+    red = reduction("a=0")
+    assert red.kernel_dim("N3") == 0
+    assert find_branches_1param(red, "N3") == []
+
+
+def test_singular_lane_fails_alone():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3, 5):
-        A = rng.normal(size=(n, n))
-        for b in (rng.normal(size=n), rng.normal(size=(n, 2))):
-            assert np.allclose(_solve(A, b), np.linalg.solve(A, b),
-                               rtol=1e-12, atol=1e-12)
-    assert _solve(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
-    with pytest.raises(np.linalg.LinAlgError):
-        _solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        A = rng.normal(size=(4, n, n))
+        A[2] = 0.0
+        A[2, 0, 0] = 1.0   # exactly singular for n > 1, regular for n = 1
+        b = rng.normal(size=(4, n, 2))
+        x, ok = _lane_solve(A, b)
+        assert ok.tolist() == [True, True, n == 1, True]
+        for i in np.flatnonzero(ok):
+            assert np.array_equal(x[i], np.linalg.solve(A[i], b[i]))
+    x, ok = _lane_solve(np.zeros((3, 0, 0)), np.zeros((3, 0, 2)))
+    assert x.shape == (3, 0, 2) and ok.all()
+
+
+@pytest.mark.parametrize("case", [CASE1, CASE2, CASE3])
+def test_branch_tracer_raises_no_runtime_warning(case):
+    red = case_study_reduction(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_branches_1param(red, "N1")
+
+
+def sampled_defects_one_by_one(red, samples=100, radius=None, seed=0):
+    """check_reduced_equivariance's worst residual per arrow, drawn and
+    solved one sample at a time through the public reduced_eval."""
+    rng = np.random.default_rng(seed)
+    if radius is None:
+        radius = 0.1 * min(vd.radius for vd in red.vertex_data.values())
+    per_arrow = {}
+    for a, s, t in red.representation.quiver.arrows:
+        C = red.kernel_matrix(a)
+        m_s = red.kernel_dim(s)
+        worst, r, done = 0.0, radius, 0
+        while done < samples:
+            u = rng.uniform(-r, r, size=m_s)
+            lam = rng.uniform(-r, r, size=red.param_dim)
+            try:
+                lhs = C @ red.reduced_eval(s, u, lam) if m_s else \
+                    np.zeros(red.kernel_dim(t))
+                rhs = red.reduced_eval(t, C @ u, lam)
+            except NewtonDiverged:
+                r *= 0.5
+                if r < 1e-6:
+                    raise DomainTooSmall(
+                        f"arrow {a!r}: no common neighbourhood above 1e-6")
+                continue
+            worst = max(worst, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+            done += 1
+        per_arrow[a] = worst
+    return per_arrow
+
+
+def assert_same_defects(red, **kw):
+    want = sampled_defects_one_by_one(red, **kw)
+    got = check_reduced_equivariance(red, **kw).per_arrow
+    assert got.keys() == want.keys()
+    for a in want:
+        assert abs(got[a] - want[a]) <= 1e-15
+
+
+@pytest.mark.parametrize("case", [CASE1, CASE2, CASE3])
+def test_batched_sampler_matches_one_by_one_on_cases(case):
+    assert_same_defects(case_study_reduction(case))
+
+
+def test_batched_sampler_retries_as_one_by_one(monkeypatch):
+    # A slightly wrong arrow matrix makes every sample's residual differ,
+    # so the worst one shows which samples were kept. Radius 1 puts most
+    # of the first draws outside phi's neighbourhood (phi = u^2 <= 0.1),
+    # so the sampler halves it several times.
+    red = ls_reduce(transcritical_with_slave())
+    monkeypatch.setattr(red, "kernel_matrix", lambda a: np.array([[1.001]]))
+    assert_same_defects(red, radius=1.0, seed=3)
+    assert sampled_defects_one_by_one(red, radius=1.0, seed=3)["id"] > 1e-9
+    # no neighbourhood at all: phi's radius is far below any sample's u^2
+    red = ls_reduce(transcritical_with_slave(), radius=1e-14)
+    for check in (sampled_defects_one_by_one, check_reduced_equivariance):
+        with pytest.raises(DomainTooSmall, match="arrow 'id'"):
+            check(red, radius=1.0)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import mat_pow
 from quiverdyn import exactlin
 from quiverdyn.errors import AxisAmbiguous
 from quiverdyn.quiver import Quiver, QuiverRepresentation
@@ -185,7 +186,7 @@ def test_sn_decomposition_exact_axioms():
     assert exactlin.madd(Ss, Ns) == Ls
     assert exactlin.matmul(Ss, Ns) == exactlin.matmul(Ns, Ss)
     # nilpotency
-    assert exactlin.is_zero_matrix(exactlin.mat_pow(Ns, 5))
+    assert exactlin.is_zero_matrix(mat_pow(Ns, 5))
     # semisimplicity: squarefree part of the charpoly annihilates S
     sq = exactlin.poly_squarefree_part(exactlin.charpoly(Ls))
     assert exactlin.is_zero_matrix(exactlin.eval_matrix_poly(sq, Ss))
