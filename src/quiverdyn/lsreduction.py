@@ -100,8 +100,6 @@ def _lane_solve(A, b):
     that only the singular lanes fail.
     """
     ok = np.ones(len(A), dtype=bool)
-    if not A.shape[-1]:
-        return np.zeros(b.shape), ok
     try:
         return np.linalg.solve(A, b), ok
     except np.linalg.LinAlgError:

@@ -13,7 +13,8 @@ from quiverdyn.casestudy import assemble_case_tuple
 from quiverdyn.errors import DomainTooSmall, NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
 from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW, CONVERGED,
-                                   DAMPING_FAILED, FD_STEP, _distinct_roots,
+                                   DAMPING_FAILED, FD_STEP, NEWTON_MAX_ITER,
+                                   _distinct_roots,
                                    _lane_solve, _seed_grid,
                                    check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
@@ -214,6 +215,44 @@ def test_each_seed_lane_solves_as_it_would_alone(name):
         ui, ci = reduced_newton(red, v, u0[i:i + 1], lam[i:i + 1],
                                 scale[i:i + 1])
         assert np.array_equal(ui[0], u[i]) and ci[0] == converged[i]
+
+
+def newton_one_seed_at_a_time(red, v, u0, lam, scale):
+    """The branch tracer's Newton from each seed by a plain loop of public
+    reduced_jacobian calls: the last point and whether it converged."""
+    out = []
+    for seed in u0:
+        u, ok = seed.copy(), False
+        for _ in range(NEWTON_MAX_ITER):
+            try:
+                f, J = red.reduced_jacobian(v, u, [lam])
+            except NewtonDiverged:
+                break
+            if np.max(np.abs(f), initial=0.0) <= 1e-12:
+                ok = True
+                break
+            try:
+                step = np.linalg.solve(J, f)
+            except np.linalg.LinAlgError:
+                break
+            if np.max(np.abs(step), initial=0.0) > 10 * scale:
+                break
+            u = u - step
+        out.append((u, ok))
+    return out
+
+
+@pytest.mark.parametrize("name", ["transcritical", "a=0", "b=0", "ab-cd=0"])
+def test_seed_lanes_match_the_one_seed_loop(name):
+    red = reduction(name)
+    v = "v" if name == "transcritical" else "N1"
+    for lam in (1e-2, 1e-4):
+        u0, lams, scale = seed_lanes(red, v, np.array([lam]))
+        u, converged = reduced_newton(red, v, u0, lams, scale)
+        want = newton_one_seed_at_a_time(red, v, u0, lam, scale[0])
+        assert [ok for _, ok in want] == converged.tolist()
+        for (ui, _), got in zip(want, u):
+            assert np.array_equal(ui, got)
 
 
 def test_vertex_without_kernel_has_no_roots():
