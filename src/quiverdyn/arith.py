@@ -6,8 +6,9 @@ implementations below from its mode string, and the algorithms that are
 the same in both arithmetics are written once against that interface:
 build, combine and invert matrices, solve a linear system and verify the
 solution, split off the image and kernel of a matrix, and decide whether a
-residual passes. The projector onto one subspace along a complementary one
-is written once, on top of that interface.
+residual passes. The coordinates adapted to a pair of complementary
+subspaces, and the projector onto one along the other, are written once,
+on top of that interface.
 
 The exact implementation verifies solutions by exact equality. The float
 one solves by least squares and accepts a solution that is unique (the
@@ -232,8 +233,9 @@ EXACT = ExactArith()
 FLOAT = FloatArith()
 
 
-def projector(B_on, B_along):
-    """The projector onto the column span of B_on along that of B_along.
+def adapted_coordinates(B_on, B_along):
+    """(M, M^{-1}, P) for M = [B_on | B_along], with P = M[:, :k] M^{-1}[:k]
+    the projector onto the column span of B_on along that of B_along.
 
     Raises SolveFailed unless the columns of both together form a basis.
     """
@@ -242,9 +244,9 @@ def projector(B_on, B_along):
     k_along = matrix_shape(B_along)[1]
     if k + k_along != d:
         raise SolveFailed(f"{k} + {k_along} basis vectors in dimension {d}")
-    if not k:
-        return ar.zeros(d, d)
-    return ar.matmul(B_on, ar.inverse(ar.hstack([B_on, B_along], d))[:k])
+    M = ar.hstack([B_on, B_along], d)
+    Minv = ar.inverse(M)
+    return M, Minv, ar.matmul(B_on, Minv[:k]) if k else ar.zeros(d, d)
 
 
 def of(mode):

@@ -26,12 +26,11 @@ import numpy as np
 
 from . import arith
 from .arith import as_float_matrix
-from .errors import (DegreeOverflow, IllConditioned, NotEquilibrium,
-                     ResonantBlock, SolveFailed)
-from .polynomial import (Poly, combine_rows, linear_forms, monomial_exponents,
-                         substitute_linear)
+from .errors import DegreeOverflow, IllConditioned, ResonantBlock, SolveFailed
+from .polynomial import (Poly, change_coordinates, combine_rows, float_flow,
+                         linear_forms, monomial_exponents, substitute_linear)
 from .spectral import EndomorphismTuple, center_hyperbolic_split
-from .tuples import DEGREE_CAP, EquivarianceReport
+from .tuples import DEGREE_CAP, EquivarianceReport, require_equilibrium
 
 SPECTRAL_GAP_MIN = 1e-6
 
@@ -44,6 +43,7 @@ class VertexExpansion:
     phi: list        # hyperbolic_dim Polys in center_dim variables, deg 2..k
     reduced: list    # center_dim Polys in center_dim variables, deg <= k
     basis: object    # [B_c | B_h] change of coordinates (columns)
+    basis_inv: object  # M^{-1}
 
 
 @dataclass
@@ -53,14 +53,7 @@ class CMExpansion:
     degree: int
     center: object          # Subrepresentation
     hyperbolic: object      # Subrepresentation
-    projectors: dict
     vertices: dict          # vertex -> VertexExpansion
-
-
-def _change_coords(polys, M, Minv):
-    """Express a vector field in the coordinates z with x = M z."""
-    n = len(polys)
-    return combine_rows(Minv, substitute_linear(polys, M, n), n)
 
 
 def cm_taylor(F, degree):
@@ -73,19 +66,14 @@ def cm_taylor(F, degree):
         raise DegreeOverflow(f"requested degree {degree} > cap {DEGREE_CAP}")
     if F.param_dim != 0:
         raise ValueError("center-manifold jets are parameter-free here")
-    rep = F.representation
+    require_equilibrium(F)
     L = EndomorphismTuple.from_linearization(F)
-    for v in rep.quiver.vertices:
-        zero = (0,) * rep.dim[v]
-        for p in F.components[v].outputs:
-            if p.terms.get(zero, 0) != 0:
-                raise NotEquilibrium(f"vertex {v!r}: F(0) != 0")
-    split = center_hyperbolic_split(rep, L)
+    split = center_hyperbolic_split(F.representation, L)
     if split.gap < SPECTRAL_GAP_MIN:
         raise IllConditioned(
             f"center/hyperbolic spectral gap {split.gap:.2e} below "
             f"{SPECTRAL_GAP_MIN:.0e}")
-    center_sub, hyper_sub, projectors = split
+    center_sub, hyper_sub, _ = split
     rep = center_sub.rep  # may have been demoted to float by the split
     ar = arith.joint(rep.mode, F.arith.mode)
 
@@ -94,9 +82,8 @@ def cm_taylor(F, degree):
         d = rep.dim[v]
         nc = center_sub.subdim[v]
         nh = hyper_sub.subdim[v]
-        M = ar.hstack([center_sub.basis[v], hyper_sub.basis[v]], d)
-        field = _change_coords(list(F.components[v].outputs), M,
-                               ar.inverse(M))
+        M, Minv = ar.freeze(split.basis[v]), ar.freeze(split.basis_inv[v])
+        field = change_coordinates(F.components[v].outputs, M, Minv)
         fc = field[:nc]       # center components f(u, w)
         fh = field[nc:]       # hyperbolic components g(u, w)
         # linear blocks
@@ -112,9 +99,8 @@ def cm_taylor(F, degree):
         # reduced field: f(u, phi(u)) truncated at `degree`
         subs = [Poly.variable(nc, j) for j in range(nc)] + list(phi)
         reduced = [p.compose(subs).truncate(degree) for p in fc]
-        vertices[v] = VertexExpansion(nc, nh, phi, reduced, M)
-    return CMExpansion(rep, degree, center_sub, hyper_sub, projectors,
-                       vertices)
+        vertices[v] = VertexExpansion(nc, nh, phi, reduced, M, Minv)
+    return CMExpansion(rep, degree, center_sub, hyper_sub, vertices)
 
 
 def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, ar):
@@ -194,35 +180,19 @@ def flow_consistency(F, exp, vertex, radius=1e-2, time=1.0):
     radius and radius/2, and returns (err1, err2, ratio). For a degree-k
     jet the ratio should be about 2^(k+1).
     """
-    import scipy.integrate
-
     vd = exp.vertices[vertex]
-    nc, nh = vd.center_dim, vd.hyperbolic_dim
-    d = nc + nh
+    nc = vd.center_dim
     M = as_float_matrix(vd.basis)
-    Minv = np.linalg.inv(M)
-    full = [p.to_float() for p in F.components[vertex].outputs]
-    red = [p.to_float() for p in vd.reduced]
-    phi = [p.to_float() for p in vd.phi]
+    Minv = as_float_matrix(vd.basis_inv)
 
     def run(r):
         u0 = np.full(nc, r / np.sqrt(max(nc, 1)))
-        w0 = np.array([p.eval(list(u0)) for p in phi])
-        x0 = M @ np.concatenate([u0, w0])
-
-        def f_full(_, x):
-            return [p.eval(list(x)) for p in full]
-
-        def f_red(_, u):
-            return [p.eval(list(u)) for p in red]
-
-        solf = scipy.integrate.solve_ivp(f_full, (0, time), x0,
-                                         rtol=1e-12, atol=1e-14,
-                                         dense_output=False)
-        solr = scipy.integrate.solve_ivp(f_red, (0, time), u0,
-                                         rtol=1e-12, atol=1e-14)
-        uc_full = (Minv @ solf.y[:, -1])[:nc]
-        return float(np.max(np.abs(uc_full - solr.y[:, -1]), initial=0.0))
+        w0 = np.array([p.to_float().eval(list(u0)) for p in vd.phi])
+        x_end = float_flow(F.components[vertex].outputs,
+                           M @ np.concatenate([u0, w0]), time)
+        u_end = float_flow(vd.reduced, u0, time)
+        return float(np.max(np.abs((Minv @ x_end)[:nc] - u_end),
+                            initial=0.0))
 
     e1 = run(radius)
     e2 = run(radius / 2)

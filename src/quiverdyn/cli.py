@@ -386,7 +386,7 @@ def normal_form_cmd(pvf, grade, out, seed):
                 for k in range(1, grade + 1)) \
         and rpt["equivariance"]["full"].passed
     comm_ok = all(
-        (r == 0 if isinstance(r, Fraction) else float(r) <= 1e-10)
+        res.transformed.arith.passes(r, 1e-10)
         for r in rpt["commutator"].values())
     payload = {
         "grade": grade,

@@ -57,16 +57,8 @@ class GroupoidViolation(QuiverdynError):
     """A component is not invariant under an input-set bijection."""
 
 
-class AmbiguousSlots(QuiverdynError):
-    """A collapsed component cannot be matched to input slots unambiguously."""
-
-
 class NotAdmissible(QuiverdynError):
     """A map failed the admissibility check required by this operation."""
-
-
-class IllDefined(QuiverdynError):
-    """Components disagree on a fiber; indicates an internal inconsistency."""
 
 
 # --- linear algebra / spectral ----------------------------------------------
@@ -98,7 +90,7 @@ class SolveFailed(QuiverdynError):
 # --- reductions ---------------------------------------------------------------
 
 class NotEquilibrium(QuiverdynError):
-    """The supplied base point is not a zero of the map."""
+    """The origin is not a zero of the map at parameter 0."""
 
 
 class SingularImageBlock(QuiverdynError):
@@ -111,10 +103,6 @@ class NewtonDiverged(QuiverdynError):
 
 class DomainTooSmall(QuiverdynError):
     """No common neighbourhood found at the requested radius."""
-
-
-class FoldDetectionFailed(QuiverdynError):
-    """Branch asymptotics could not be classified."""
 
 
 class ResonantBlock(QuiverdynError):

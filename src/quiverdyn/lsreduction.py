@@ -1,12 +1,13 @@
 """Lyapunov-Schmidt reduction of equivariant steady-state problems.
 
-Given a parameterized polynomial tuple F with F(base; lam0) = 0, the
-linearization splits every vertex space into the generalized kernel and the
-reduced image of L = D_x F(base; lam0), and the image-block equation is
-solved by damped Newton iteration to produce the implicit graph map
-phi_v(u; lam). Substituting back yields the reduced bifurcation map f_v on
-the kernel coordinates; when F is quiver-equivariant, the reduced tuple is
-again equivariant, which check_reduced_equivariance verifies by sampling.
+Given a parameterized polynomial tuple F with F(0; 0) = 0, the spectral
+split of the linearization L = D_x F(0; 0) in F's own arithmetic divides
+every vertex space into the generalized kernel and the reduced image, and
+F is written in the split's coordinates z = M^{-1} x. The image-block
+equation is solved by damped Newton iteration to produce the implicit graph
+map phi_v(u; lam). Substituting back yields the reduced bifurcation map f_v
+on the kernel coordinates; when F is quiver-equivariant, the reduced tuple
+is again equivariant, which check_reduced_equivariance verifies by sampling.
 
 Branches of a one-parameter reduced equation are traced on a logarithmic
 parameter window and classified by leading exponent (lam or sqrt(lam)).
@@ -19,24 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import FLOAT, as_float_matrix
-from .errors import (DomainTooSmall, NewtonDiverged, NotEquilibrium,
-                     SingularImageBlock)
-from .polynomial import Poly, combine_rows, linear_forms
+from .arith import as_float_matrix
+from .errors import DomainTooSmall, NewtonDiverged, SingularImageBlock
+from .polynomial import change_coordinates
 from .spectral import EndomorphismTuple, kernel_image_split
-from .tuples import EquivarianceReport
+from .tuples import EquivarianceReport, require_equilibrium
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-EQUILIBRIUM_TOL = 1e-10
-FD_STEP = 1e-5
 BRANCH_WINDOW = (1e-4, 1e-2)
 BRANCH_POINTS = 20
 FIT_R2_MIN = 0.999
-
-
-def _float_polys(polys):
-    return [p.to_float() for p in polys]
 
 
 class CompiledField:
@@ -80,11 +74,8 @@ class VertexReduction:
     dim: int
     ker_dim: int
     basis: np.ndarray          # [B_ker | B_im], dim x dim
-    basis_inv: np.ndarray
-    coord_field: list          # Polys of z |-> M^{-1} F(M z + base; lam0 + lam)
-    jacobian: list             # list of lists of Polys, d(coord_field)/dz
     radius: float
-    evaluator: CompiledField   # coord_field and jacobian, compiled
+    evaluator: CompiledField   # z |-> M^{-1} F(M z; lam) and its Jacobian
 
 
 def _max_abs(x):
@@ -125,10 +116,7 @@ class LSReduction:
     param_dim: int
     kernel: object             # Subrepresentation
     image: object              # Subrepresentation
-    projectors: dict
     vertex_data: dict          # vertex -> VertexReduction
-    newton_tol: float = NEWTON_TOL
-    newton_max_iter: int = NEWTON_MAX_ITER
 
     def kernel_dim(self, v):
         return self.vertex_data[v].ker_dim
@@ -150,9 +138,9 @@ class LSReduction:
         vals, jac = vd.evaluator(np.hstack([u, w, lam]))
         status = np.full(len(u), NO_CONVERGENCE)
         live = np.arange(len(u))
-        for _ in range(self.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             norm0 = _max_abs(vals[live, m:])
-            done = norm0 <= self.newton_tol
+            done = norm0 <= NEWTON_TOL
             status[live[done]] = CONVERGED
             live, norm0 = live[~done], norm0[~done]
             if not live.size:
@@ -172,7 +160,7 @@ class LSReduction:
                     np.hstack([u[lanes], cand, lam[lanes]]))
                 norm = _max_abs(cvals[:, m:])
                 acc = (norm < norm0[trying[inside]]) | \
-                    (norm <= self.newton_tol)
+                    (norm <= NEWTON_TOL)
                 lanes = lanes[acc]
                 w[lanes], vals[lanes], jac[lanes] = \
                     cand[acc], cvals[acc], cjac[acc]
@@ -220,8 +208,7 @@ class LSReduction:
                 f"vertex {v!r}: damping failed at u={u.tolist()}")
         if status[0] == NO_CONVERGENCE:
             raise NewtonDiverged(
-                f"vertex {v!r}: no convergence in {self.newton_max_iter} "
-                "steps")
+                f"vertex {v!r}: no convergence in {NEWTON_MAX_ITER} steps")
         return w[0], f[0], None if J is None else J[0]
 
     def phi(self, v, u, lam):
@@ -237,7 +224,7 @@ class LSReduction:
         return self._one_lane(v, u, lam, jacobian=True)[1:]
 
     def lift(self, v, u, lam):
-        """The full-space point x = base-shifted M (u, phi(u; lam))."""
+        """The full-space point x = M (u, phi(u; lam))."""
         vd = self.vertex_data[v]
         w = self.phi(v, u, lam)
         return vd.basis @ np.concatenate([np.asarray(u, dtype=float), w])
@@ -250,69 +237,32 @@ class LSReduction:
         return as_float_matrix(self.kernel.coords[a]).reshape(mt, ms)
 
 
-def ls_reduce(F, base=None, lam0=None, radius=None):
-    """Build the Lyapunov-Schmidt reduction of F at an equilibrium.
+def ls_reduce(F, radius=None):
+    """Build the Lyapunov-Schmidt reduction of F at the origin, lam = 0.
 
-    base is a per-vertex point (default 0), lam0 the parameter value
-    (default 0). Requires F(base; lam0) = 0 within 1e-10 at every vertex.
-    At base 0 and lam0 0, F is split at the linearization in its own mode.
+    Requires F(0; 0) = 0 exactly. The linearization is split in F's own
+    arithmetic, and the Newton solves run in the float image of the split's
+    coordinates. radius bounds the image coordinates w of phi; by default
+    it is 0.1 / max(1, |g_w(0)^{-1}|) per vertex.
     """
+    require_equilibrium(F)
     rep = F.representation
     p = F.param_dim
-    if base is None:
-        base = {v: np.zeros(rep.dim[v]) for v in rep.quiver.vertices}
-    if lam0 is None:
-        lam0 = np.zeros(p)
-    lam0 = np.atleast_1d(np.asarray(lam0, dtype=float))
-
-    # equilibrium check and linearization at (base; lam0)
-    L_mats = {}
-    for v in rep.quiver.vertices:
-        d = rep.dim[v]
-        bx = np.asarray(base[v], dtype=float)
-        pt = list(np.concatenate([bx, lam0]))
-        polys = _float_polys(F.components[v].outputs)
-        vals = np.array([q.eval(pt) for q in polys])
-        if _max_abs(vals) > EQUILIBRIUM_TOL:
-            raise NotEquilibrium(
-                f"vertex {v!r}: |F(base; lam0)| = {_max_abs(vals):.2e}")
-        L_mats[v] = np.array([[polys[i].diff(j).eval(pt) for j in range(d)]
-                              for i in range(d)])
-
-    shifted_exact = all(float(x) == 0.0 for v in rep.quiver.vertices
-                        for x in np.atleast_1d(base[v])) and \
-        all(float(x) == 0.0 for x in lam0)
-    if shifted_exact:
-        # the exact coefficients, not their float images: 1/3 read back
-        # from a float is a different matrix with a different spectrum
-        L = EndomorphismTuple.from_linearization(F)
-    else:
-        rep = rep.to_float()
-        L = EndomorphismTuple(rep, L_mats)
-    ker_sub, im_sub, projectors = kernel_image_split(rep, L)
-
+    split = kernel_image_split(rep, EndomorphismTuple.from_linearization(F))
+    ker_sub, im_sub, _ = split
     vertex_data = {}
     for v in rep.quiver.vertices:
         d = rep.dim[v]
         m = ker_sub.subdim[v]
-        M = FLOAT.hstack([ker_sub.basis[v], im_sub.basis[v]], d)
-        Minv = FLOAT.inverse(M)
-        # field in split coordinates, shifted to the equilibrium:
-        # z |-> M^{-1} F(M z + base; lam + lam0)
-        polys = _float_polys(F.components[v].outputs)
-        nvars = d + p
-        A = np.eye(nvars)
-        A[:d, :d] = M
-        offset = np.concatenate([np.asarray(base[v], dtype=float), lam0])
-        shift = [s + Poly.constant(nvars, c) if c != 0.0 else s
-                 for s, c in zip(linear_forms(A, nvars), offset.tolist())]
-        coord_field = combine_rows(Minv, [q.compose(shift) for q in polys],
-                                   nvars)
-        jac = [[coord_field[i].diff(j) for j in range(d)] for i in range(d)]
-        evaluator = CompiledField(coord_field, jac, nvars)
+        M = as_float_matrix(split.basis[v])
+        field = change_coordinates(
+            [q.to_float() for q in F.components[v].outputs], M,
+            as_float_matrix(split.basis_inv[v]), p)
+        jac = [[field[i].diff(j) for j in range(d)] for i in range(d)]
+        evaluator = CompiledField(field, jac, d + p)
         # image block of the linearization must be invertible
         if d - m:
-            Jw = evaluator(np.zeros(nvars))[1][m:, m:]
+            Jw = evaluator(np.zeros(d + p))[1][m:, m:]
             sv = np.linalg.svd(Jw, compute_uv=False)
             if sv[-1] <= 1e-12 * max(1.0, sv[0]):
                 raise SingularImageBlock(
@@ -321,9 +271,8 @@ def ls_reduce(F, base=None, lam0=None, radius=None):
                 0.1 / max(1.0, np.linalg.norm(np.linalg.inv(Jw)))
         else:
             r_v = radius if radius is not None else 0.1
-        vertex_data[v] = VertexReduction(d, m, M, Minv, coord_field, jac, r_v,
-                                         evaluator)
-    return LSReduction(rep, p, ker_sub, im_sub, projectors, vertex_data)
+        vertex_data[v] = VertexReduction(d, m, M, r_v, evaluator)
+    return LSReduction(rep, p, ker_sub, im_sub, vertex_data)
 
 
 def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
@@ -392,17 +341,6 @@ def synchrony_groups(x, tol=1e-6):
         else:
             groups.append([i])
     return groups
-
-
-def reduced_cross_derivative(red, v, i, j, h=FD_STEP):
-    """Central finite-difference d f_i / d u_j of the reduced map at 0."""
-    m = red.kernel_dim(v)
-    lam = np.zeros(red.param_dim)
-    e = np.zeros(m)
-    e[j] = h
-    fp = red.reduced_eval(v, e, lam)
-    fm = red.reduced_eval(v, -e, lam)
-    return float((fp[i] - fm[i]) / (2 * h))
 
 
 @dataclass

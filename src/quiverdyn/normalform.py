@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyfield
-from .errors import DegreeOverflow, NotEquilibrium
-from .polynomial import linear_forms
+from .errors import DegreeOverflow
+from .polynomial import float_flow, linear_forms
 from .spectral import EndomorphismTuple, sn_decomposition
 from .tuples import (DEGREE_CAP, PolyMap, PolyMapTuple, bracket_polys,
-                     check_equivariance)
+                     check_equivariance, require_equilibrium)
 
 # equivariance of exact results is checked on coefficients, of float
 # results at sampled points
@@ -64,11 +64,7 @@ def normal_form(F, r):
     if r + 1 > DEGREE_CAP:
         raise DegreeOverflow(f"grade {r} needs degree {r + 1} > cap")
     rep = F.representation
-    for v in rep.quiver.vertices:
-        zero = (0,) * rep.dim[v]
-        for p in F.components[v].outputs:
-            if p.terms.get(zero, 0) != 0:
-                raise NotEquilibrium(f"vertex {v!r}: F(0) != 0")
+    require_equilibrium(F)
     L = EndomorphismTuple.from_linearization(F)
     LS, LN = sn_decomposition(L)
     ar = F.arith
@@ -145,8 +141,6 @@ def verify_normal_form(res, samples=1, radius=1e-2, time=1.0,
 def _conjugacy_error(res, F, radius, time):
     """Numeric spot-check that the composed generator flows conjugate the
     original field to the normal form, per vertex."""
-    import scipy.integrate
-
     rep = res.representation
     errors = {}
     for v in rep.quiver.vertices:
@@ -154,27 +148,17 @@ def _conjugacy_error(res, F, radius, time):
         if d == 0:
             errors[v] = 0.0
             continue
-        orig = [p.to_float() for p in F.components[v].outputs]
-        norm = [p.to_float() for p in res.transformed.components[v].outputs]
-        gens = [[p.to_float() for p in res.generators[k].components[v].outputs]
+        gens = [res.generators[k].components[v].outputs
                 for k in range(1, res.grade + 1)]
-
-        def flow(field, x0, t=1.0):
-            def rhs(_, x):
-                return [p.eval(list(x)) for p in field]
-            sol = scipy.integrate.solve_ivp(rhs, (0, t), x0,
-                                            rtol=1e-12, atol=1e-14)
-            return sol.y[:, -1]
 
         def psi(x):
             y = np.asarray(x, dtype=float)
             for g in gens:
-                y = flow(g, y, 1.0)
+                y = float_flow(g, y, 1.0)
             return y
 
         x0 = np.full(d, radius / np.sqrt(d))
-        x1 = flow(orig, x0, time)
-        y0 = psi(x0)
-        y1 = flow(norm, y0, time)
+        x1 = float_flow(F.components[v].outputs, x0, time)
+        y1 = float_flow(res.transformed.components[v].outputs, psi(x0), time)
         errors[v] = float(np.max(np.abs(psi(x1) - y1), initial=0.0))
     return errors

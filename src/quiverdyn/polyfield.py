@@ -155,7 +155,8 @@ def im_ker_split_adLS(LS, k, tol=RANK_THRESHOLD):
     N = ad.basis.size
     im, ker = ar.image_kernel(ad.matrix, tol)
     try:
-        P = arith.projector(ar.columns(im, N), ar.columns(ker, N))
+        _, _, P = arith.adapted_coordinates(ar.columns(im, N),
+                                            ar.columns(ker, N))
     except SolveFailed:
         raise RankAmbiguous(
             "image and kernel of ad_{L^S} are not complementary; "

@@ -408,6 +408,26 @@ def combine_rows(M, polys, nvars):
     return out
 
 
+def change_coordinates(polys, M, Minv, param_dim=0):
+    """The field z |-> M^{-1} F(M z, lambda) of the Polys F in (x, lambda):
+    F written in the coordinates z with x = M z."""
+    n = len(polys)
+    return combine_rows(Minv, substitute_linear(polys, M, n, param_dim),
+                        n + param_dim)
+
+
+def float_flow(field, x0, time):
+    """The point that x' = field(x) reaches from x0 after `time`, integrated
+    in floats by solve_ivp with rtol 1e-12 and atol 1e-14."""
+    import scipy.integrate
+
+    field = [p.to_float() for p in field]
+    sol = scipy.integrate.solve_ivp(
+        lambda _, x: [p.eval(list(x)) for p in field], (0, time), x0,
+        rtol=1e-12, atol=1e-14)
+    return sol.y[:, -1]
+
+
 def monomial_exponents(nvars, degree):
     """All exponent multi-indices of the given total degree, graded-lex order."""
     if nvars == 0:

@@ -54,9 +54,6 @@ class QuiverRepresentation:
         self.arrow_matrix = {str(a): self.arith.freeze(m)
                              for a, m in arrow_matrix.items()}
 
-    def matrix(self, arrow_id):
-        return self.arrow_matrix[arrow_id]
-
     def to_float(self):
         """The same quiver, dimensions and arrow matrices in float mode."""
         return QuiverRepresentation(self.quiver, self.dim, self.arrow_matrix,

@@ -54,9 +54,6 @@ class EndomorphismTuple:
             mats[v] = self.arith.freeze(M)
         self.matrices = mats
 
-    def matrix(self, v):
-        return self.matrices[v]
-
     @staticmethod
     def identity(rep):
         return EndomorphismTuple(rep, {v: rep.arith.identity(rep.dim[v])
@@ -184,6 +181,11 @@ def joint_spectrum(L, tol=EPS_EIG):
 def generalized_eigenspace_subrep(rep, L, cluster, tol=EPS_EIG):
     """The generalized eigenspace of a joint cluster at every vertex,
     packaged as a subrepresentation."""
+    return _union_subrep(rep, L, [cluster], tol)
+
+
+def _eigenspace_basis(rep, L, cluster, tol):
+    """Per-vertex basis of the generalized eigenspace of a joint cluster."""
     if L.mode == "exact" and cluster.factor is not None:
         basis = {}
         for v in rep.quiver.vertices:
@@ -203,7 +205,7 @@ def generalized_eigenspace_subrep(rep, L, cluster, tol=EPS_EIG):
                     f"vertex {v!r}: generalized eigenspace dimension "
                     f"{len(kern)} != expected {want}")
             basis[v] = tuple(tuple(vec[i] for vec in kern) for i in range(d))
-        return Subrepresentation.from_bases(rep, basis, tol)
+        return basis
     # float path: ordered real Schur per vertex
     rv = complex(cluster.value)
 
@@ -228,14 +230,14 @@ def generalized_eigenspace_subrep(rep, L, cluster, tol=EPS_EIG):
                     f"{rv} to separate reliably")
         T, Z, sdim = scipy.linalg.schur(A, output="real", sort=in_cluster)
         basis[v] = Z[:, :sdim]
-    return Subrepresentation.from_bases(rep, basis, tol)
+    return basis
 
 
 def _union_subrep(rep, L, clusters, tol):
-    """Direct sum of the generalized eigenspaces of several clusters."""
-    ar = rep.arith
-    parts = [generalized_eigenspace_subrep(rep, L, c, tol) for c in clusters]
-    basis = {v: ar.hstack([S.basis[v] for S in parts], rep.dim[v])
+    """Direct sum of the generalized eigenspaces of several clusters: their
+    bases side by side, packaged as one subrepresentation."""
+    parts = [_eigenspace_basis(rep, L, c, tol) for c in clusters]
+    basis = {v: rep.arith.hstack([B[v] for B in parts], rep.dim[v])
              for v in rep.quiver.vertices}
     return Subrepresentation.from_bases(rep, basis, tol)
 
@@ -256,11 +258,14 @@ class SpectralSplit(tuple):
     """(selected, rest, projectors) of a spectral split, plus `gap`: the
     least distance of a rest eigenvalue from the selected set (|z| for the
     kernel split, |Re z| for the center split) minus the largest distance
-    of a selected one."""
+    of a selected one. `basis[v]` is M = [B_sel | B_rest], the coordinates
+    adapted to the split at v, and `basis_inv[v]` is M^{-1}."""
 
-    def __new__(cls, selected, rest, projectors, gap):
+    def __new__(cls, selected, rest, projectors, gap, basis, basis_inv):
         split = super().__new__(cls, (selected, rest, projectors))
         split.gap = gap
+        split.basis = basis
+        split.basis_inv = basis_inv
         return split
 
 
@@ -268,63 +273,64 @@ def _distance(what, z):
     return abs(z) if what == "kernel" else abs(z.real)
 
 
-def _is_selected(c, what, eps_axis):
+def _is_selected(c, what):
     """Whether a cluster lies in the kernel (eigenvalue 0) or the center
     (imaginary axis) part of its split.
 
     An exact cluster is decided from its factor: it has the root 0 when its
     constant coefficient is 0, and a complex pair t^2 + q lies on the axis.
     A float cluster is decided from its root, and one within the band
-    [eps_axis, 100 eps_axis) raises AxisAmbiguous.
+    [EPS_AXIS, 100 EPS_AXIS) raises AxisAmbiguous.
     """
     if c.factor is not None:
         return c.factor[0] == 0 or (
             what == "center" and c.is_pair and c.factor[1] == 0)
     dist = _distance(what, complex(c.value))
-    if eps_axis <= dist < 100 * eps_axis:
+    if EPS_AXIS <= dist < 100 * EPS_AXIS:
         raise AxisAmbiguous(f"eigenvalue {c.value} within the ambiguity "
                             f"band of the {what} split")
-    return dist < eps_axis
+    return dist < EPS_AXIS
 
 
-def _split(rep, L, what, eps_axis, tol):
+def _split(rep, L, what):
     """The clusters `what` selects against the rest, as a SpectralSplit of
     complementary subrepresentations with intertwining projectors."""
-    rep, L, clusters = _spectrum_with_fallback(rep, L, tol)
+    rep, L, clusters = _spectrum_with_fallback(rep, L, EPS_EIG)
     sel, rest = [], []
     for c in clusters:
-        (sel if _is_selected(c, what, eps_axis) else rest).append(c)
+        (sel if _is_selected(c, what) else rest).append(c)
 
     def distances(cs):
         return [_distance(what, complex(z)) for c in cs for z in c.roots]
 
     gap = (min(distances(rest), default=np.inf)
            - max(distances(sel), default=0.0))
-    sub_sel = _union_subrep(rep, L, sel, tol)
-    sub_rest = _union_subrep(rep, L, rest, tol)
+    sub_sel = _union_subrep(rep, L, sel, EPS_EIG)
+    sub_rest = _union_subrep(rep, L, rest, EPS_EIG)
     ar = rep.arith
-    projectors = {}
+    basis, basis_inv, projectors = {}, {}, {}
     for v in rep.quiver.vertices:
         try:
-            P = arith.projector(sub_sel.basis[v], sub_rest.basis[v])
+            basis[v], basis_inv[v], P = arith.adapted_coordinates(
+                sub_sel.basis[v], sub_rest.basis[v])
         except SolveFailed as exc:
             raise AxisAmbiguous(f"vertex {v!r}: {what} split is not a "
                                 f"direct sum ({exc})")
         projectors[v] = (P, ar.sub(ar.identity(rep.dim[v]), P))
-    return SpectralSplit(sub_sel, sub_rest, projectors, gap)
+    return SpectralSplit(sub_sel, sub_rest, projectors, gap, basis, basis_inv)
 
 
-def center_hyperbolic_split(rep, L, eps_axis=EPS_AXIS, tol=EPS_EIG):
+def center_hyperbolic_split(rep, L):
     """Split into the center (eigenvalues on the imaginary axis) and
     hyperbolic subrepresentations, with intertwining projectors, as a
     SpectralSplit."""
-    return _split(rep, L, "center", eps_axis, tol)
+    return _split(rep, L, "center")
 
 
-def kernel_image_split(rep, L, eps_axis=EPS_AXIS, tol=EPS_EIG):
+def kernel_image_split(rep, L):
     """Split into the generalized kernel (eigenvalue 0) and the reduced
     image, with intertwining projectors, as a SpectralSplit."""
-    return _split(rep, L, "kernel", eps_axis, tol)
+    return _split(rep, L, "kernel")
 
 
 def sn_decomposition(L, tol=EPS_EIG, max_iter=50):

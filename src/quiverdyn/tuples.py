@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .errors import DegreeOverflow, ModeUnavailable, NotInvariant, SolveFailed
+from .errors import (DegreeOverflow, ModeUnavailable, NotEquilibrium,
+                     NotInvariant, SolveFailed)
 from .polynomial import Poly, combine_rows, linear_forms, substitute_linear
 
 DEGREE_CAP = 8
@@ -274,3 +275,12 @@ def linear_part(F):
         out[v] = rep.arith.freeze([[poly.terms.get(e, 0) for e in units]
                                    for poly in pm.outputs])
     return out
+
+
+def require_equilibrium(F):
+    """Raise NotEquilibrium unless F_v(0; 0) = 0 at every vertex, i.e.
+    unless every constant term is exactly zero."""
+    for v, pm in F.components.items():
+        zero = (0,) * pm.nvars
+        if any(p.terms.get(zero, 0) != 0 for p in pm.outputs):
+            raise NotEquilibrium(f"vertex {v!r}: F(0; 0) != 0")

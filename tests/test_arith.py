@@ -50,11 +50,14 @@ def test_projector_is_oblique_projection(mode):
     ar = arith.of(mode)
     B_on = ar.freeze([[1], [1], [0]])
     B_along = ar.freeze([[1, 0], [0, 0], [0, 1]])
-    P = arith.projector(B_on, B_along)
+    M, Minv, P = arith.adapted_coordinates(B_on, B_along)
+    assert ar.max_abs(ar.sub(M, ar.freeze([[1, 1, 0], [1, 0, 0],
+                                           [0, 0, 1]]))) == 0
+    assert ar.max_abs(ar.sub(ar.matmul(M, Minv), ar.identity(3))) == 0
     assert ar.max_abs(ar.sub(ar.matmul(P, P), P)) == 0
     assert ar.max_abs(ar.sub(ar.matmul(P, B_on), B_on)) == 0
     assert ar.max_abs(ar.matmul(P, B_along)) == 0
     with pytest.raises(SolveFailed):
-        arith.projector(B_on, ar.freeze([[1], [1], [0]]))
+        arith.adapted_coordinates(B_on, ar.freeze([[1], [1], [0]]))
     with pytest.raises(SolveFailed):
-        arith.projector(B_on, ar.freeze([[1], [0], [0]]))
+        arith.adapted_coordinates(B_on, ar.freeze([[1], [0], [0]]))

@@ -13,14 +13,14 @@ from quiverdyn.casestudy import assemble_case_tuple
 from quiverdyn.errors import DomainTooSmall, NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
 from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW, CONVERGED,
-                                   DAMPING_FAILED, FD_STEP, NEWTON_MAX_ITER,
-                                   _distinct_roots,
-                                   _lane_solve, _seed_grid,
+                                   DAMPING_FAILED, NEWTON_MAX_ITER,
+                                   _distinct_roots, _lane_solve, _seed_grid,
                                    check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
-                                   reduced_cross_derivative, reduced_newton)
-from quiverdyn.polynomial import Poly
+                                   reduced_newton)
+from quiverdyn.polynomial import Poly, combine_rows, substitute_linear
 from quiverdyn.quiver import Quiver, QuiverRepresentation
+from quiverdyn.spectral import EndomorphismTuple, kernel_image_split
 from quiverdyn.tuples import PolyMap, PolyMapTuple
 
 
@@ -85,8 +85,8 @@ def test_cross_derivative_of_decoupled_system():
     p2 = Poly(3, {(0, 1, 1): 1, (0, 2, 0): -1})
     red = ls_reduce(one_param_tuple([p1, p2], 2))
     assert red.kernel_dim("v") == 2
-    assert abs(reduced_cross_derivative(red, "v", 0, 1)) <= 1e-8
-    assert abs(reduced_cross_derivative(red, "v", 1, 0)) <= 1e-8
+    _, J = red.reduced_jacobian("v", np.zeros(2), [0.0])
+    assert abs(J[0, 1]) <= 1e-8 and abs(J[1, 0]) <= 1e-8
 
 
 def test_transcritical_branches():
@@ -122,29 +122,51 @@ def test_lift_reconstructs_full_state():
     assert x[1] == pytest.approx(0.0004, abs=1e-10)
 
 
+def case_study_tuple(case):
+    """The tuple casestudy_s10 reduces for one of the three paper cases."""
+    f, g = (parse_poly_dsl(text, param_dim=1)[2] for text in case[:2])
+    return assemble_case_tuple(f, g)
+
+
 def case_study_reduction(case):
     """The reduction casestudy_s10 builds for one of the three paper cases."""
-    f, g = (parse_poly_dsl(text, param_dim=1)[2] for text in case[:2])
-    return ls_reduce(assemble_case_tuple(f, g))
+    return ls_reduce(case_study_tuple(case))
+
+
+def reduced_tuple(name):
+    if name == "transcritical":
+        return transcritical_with_slave()
+    return case_study_tuple({"a=0": CASE1, "b=0": CASE2,
+                             "ab-cd=0": CASE3}[name])
 
 
 def reduction(name):
-    if name == "transcritical":
-        return ls_reduce(transcritical_with_slave())
-    return case_study_reduction({"a=0": CASE1, "b=0": CASE2,
-                                 "ab-cd=0": CASE3}[name])
+    return ls_reduce(reduced_tuple(name))
 
 
 @pytest.mark.parametrize("name", ["transcritical", "a=0", "b=0", "ab-cd=0"])
 def test_compiled_field_matches_poly_eval(name):
-    red = reduction(name)
+    # the field z |-> M^{-1} F(M z, lam) in the float image of the split's
+    # coordinates, and its Jacobian, against Poly.eval
+    F = reduced_tuple(name)
+    red = ls_reduce(F)
+    split = kernel_image_split(F.representation,
+                               EndomorphismTuple.from_linearization(F))
     rng = np.random.default_rng(0)
-    for vd in red.vertex_data.values():
+    for v, vd in red.vertex_data.items():
+        d, n = vd.dim, vd.dim + red.param_dim
+        M = np.array(split.basis[v], dtype=float).reshape(d, d)
+        Minv = np.array(split.basis_inv[v], dtype=float).reshape(d, d)
+        assert np.array_equal(vd.basis, M)
+        polys = [p.to_float() for p in F.components[v].outputs]
+        field_polys = combine_rows(
+            Minv, substitute_linear(polys, M, d, red.param_dim), n)
+        jac_polys = [[p.diff(j) for j in range(d)] for p in field_polys]
         for _ in range(20):
-            z = rng.uniform(-1.0, 1.0, size=vd.dim + red.param_dim)
+            z = rng.uniform(-1.0, 1.0, size=n)
             field, jac = vd.evaluator(z)
-            want = [(field[i], p) for i, p in enumerate(vd.coord_field)] + [
-                (jac[i, j], p) for i, row in enumerate(vd.jacobian)
+            want = [(field[i], p) for i, p in enumerate(field_polys)] + [
+                (jac[i, j], p) for i, row in enumerate(jac_polys)
                 for j, p in enumerate(row)]
             for got, p in want:
                 ref = p.eval(list(z))
@@ -162,6 +184,7 @@ def test_reduced_jacobian_matches_closed_form():
 
 
 def test_reduced_jacobian_matches_central_differences():
+    h = 1e-5
     red = case_study_reduction(CASE1)
     rng = np.random.default_rng(1)
     for v in ("N1", "N2"):
@@ -173,9 +196,9 @@ def test_reduced_jacobian_matches_central_differences():
             assert np.array_equal(f, red.reduced_eval(v, u, lam))
             for j in range(m):
                 e = np.zeros(m)
-                e[j] = FD_STEP
+                e[j] = h
                 fd = (red.reduced_eval(v, u + e, lam)
-                      - red.reduced_eval(v, u - e, lam)) / (2 * FD_STEP)
+                      - red.reduced_eval(v, u - e, lam)) / (2 * h)
                 assert np.max(np.abs(J[:, j] - fd)) <= 1e-6
 
 

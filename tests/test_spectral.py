@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import mat_pow
-from quiverdyn import exactlin
+from test_casestudy import CASE1
+from test_lsreduction import case_study_tuple
+from quiverdyn import arith, exactlin
 from quiverdyn.errors import AxisAmbiguous
-from quiverdyn.quiver import Quiver, QuiverRepresentation
+from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
 from quiverdyn.spectral import (EndomorphismTuple, center_hyperbolic_split,
                                 check_endomorphism,
                                 generalized_eigenspace_subrep, joint_spectrum,
@@ -173,6 +175,51 @@ def test_kernel_image_split(mode="exact"):
 
 def test_kernel_image_split_float():
     test_kernel_image_split("float")
+
+
+def first_columns(M, k):
+    return M[:, :k] if isinstance(M, np.ndarray) else \
+        tuple(row[:k] for row in M)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("split_fn, k", [(kernel_image_split, 2),
+                                         (center_hyperbolic_split, 4)])
+def test_split_keeps_its_adapted_coordinates(mode, split_fn, k):
+    # a nilpotent Jordan block at 0, a rotation (+-i) and the scalar -2
+    rep = one_vertex_rep(5, mode)
+    L = EndomorphismTuple(rep, {"v": mode_matrix([[0, 1, 0, 0, 0],
+                                                  [0, 0, 0, 0, 0],
+                                                  [0, 0, 0, -1, 0],
+                                                  [0, 0, 1, 0, 0],
+                                                  [0, 0, 0, 0, -2]], mode)})
+    split = split_fn(rep, L)
+    sel, rest, projectors = split
+    M, Minv = split.basis["v"], split.basis_inv["v"]
+    ar = arith.of(mode)
+    assert arith.of_matrix(M) is ar and sel.subdim["v"] == k
+    assert ar.max_abs(ar.sub(
+        M, ar.hstack([sel.basis["v"], rest.basis["v"]], 5))) == 0
+    assert ar.passes(ar.max_abs(ar.sub(ar.matmul(M, Minv),
+                                       ar.identity(5))), 1e-12)
+    P = ar.matmul(first_columns(M, k), Minv[:k])
+    assert ar.max_abs(ar.sub(projectors["v"][0], P)) == 0
+
+
+def test_kernel_split_builds_each_side_once(monkeypatch):
+    F = case_study_tuple(CASE1)
+    calls = []
+    from_bases = Subrepresentation.from_bases
+
+    def counted(*args):
+        calls.append(args)
+        return from_bases(*args)
+
+    monkeypatch.setattr(Subrepresentation, "from_bases",
+                        staticmethod(counted))
+    kernel_image_split(F.representation,
+                       EndomorphismTuple.from_linearization(F))
+    assert len(calls) == 2
 
 
 def test_sn_decomposition_exact_axioms():

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from helpers import float_copy, random_poly
-from quiverdyn.errors import DegreeOverflow, ModeUnavailable, NotInvariant
+from quiverdyn.errors import (DegreeOverflow, ModeUnavailable, NotEquilibrium,
+                              NotInvariant)
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
 from quiverdyn.tuples import (PolyMap, PolyMapTuple, bracket_tuple,
                               check_equivariance, compose_tuple,
                               equivariance_defect, identity_tuple,
-                              linear_part, linear_tuple, restrict_to_subrep)
+                              linear_part, linear_tuple, require_equilibrium,
+                              restrict_to_subrep)
 
 
 def feedforward_rep():
@@ -162,3 +164,16 @@ def test_equivariance_defect_is_zero_map_for_equivariant_input():
     F = feedforward_tuple({(1,): -1, (2,): 1}, {(0, 1): -2, (1, 0): 1})
     defect = equivariance_defect(F, "p")
     assert all(p.terms == {} for p in defect.outputs)
+
+
+def test_require_equilibrium_rejects_any_constant_term():
+    # x' = lam + x^2 vanishes at (0; 0): a parameter term is not constant
+    q = Quiver(["v"], [("id", "v", "v")])
+    rep = QuiverRepresentation(q, {"v": 1}, {"id": [[Fraction(1)]]})
+    ok = Poly(2, {(0, 1): 1, (2, 0): 1})
+    for p in (ok, ok.to_float()):
+        require_equilibrium(PolyMapTuple(rep, {"v": PolyMap([p])}, 1))
+    for c in (Fraction(1, 10 ** 20), 1e-12):
+        bad = ok + Poly.constant(2, c)
+        with pytest.raises(NotEquilibrium, match="vertex 'v'"):
+            require_equilibrium(PolyMapTuple(rep, {"v": PolyMap([bad])}, 1))
