@@ -1,9 +1,9 @@
 """Dense linear algebra over the rationals.
 
-Matrices are lists (or tuples) of rows of Fraction entries. Every result
-here is exact: no pivoting heuristics or tolerances are needed. Sizes are
-desk scale (dimensions well below 100), so Gaussian elimination and
-Faddeev-LeVerrier are entirely adequate.
+Matrices are lists (or tuples) of rows of Fraction (or int) entries; all
+results are exact and unique, and hold Fractions. Products clear one
+denominator per matrix and multiply ints, rref keeps its rows primitive
+integers, and charpoly is Berkowitz's division-free recursion.
 
 Univariate polynomials appear as coefficient lists in increasing degree,
 again with Fraction entries. Their linear and quadratic factors over Q are
@@ -16,10 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .errors import SolveFailed
+
+_ZERO = Fraction(0)
 
 
 # --- matrix basics -----------------------------------------------------------
@@ -33,40 +36,44 @@ def identity(n):
 
 
 def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
+    return [[_ZERO] * n for _ in range(m)]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
+def _cleared(A):
+    """(N, d): A = N / d, N integer, d the lcm of A's denominators."""
+    d = math.lcm(*{x.denominator for row in A for x in row})
+    if d == 1:
+        return [[x.numerator for x in row] for row in A], 1
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in A], d
+
+
+def _over(N, d):
+    """The integer matrix N divided by d, as Fractions."""
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in N]
+
+
+def _square(A, what):
+    if any(len(row) != len(A) for row in A):
+        raise ValueError(f"{what}: matrix is not square")
+    return len(A)
+
 
 def matmul(A, B):
-    m, k = shape(A)
-    k2, n = shape(B)
-    if k != k2:
+    if shape(A)[1] != len(B):
         raise ValueError("matmul shape mismatch")
-    Bt = transpose(B)
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    (N, dA), (M, dB) = _cleared(A), _cleared(B)
+    Mt = list(zip(*M))
+    return _over([[sum(map(mul, r, c)) for c in Mt] for r in N], dA * dB)
 
 
 def matvec(A, x):
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
-
-
-def madd(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    (N, dA), ((v,), dx) = _cleared(A), _cleared([x])
+    return _over([[sum(map(mul, row, v)) for row in N]], dA * dx)[0]
 
 
 def msub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mscale(A, c):
-    c = Fraction(c)
-    return [[c * a for a in row] for row in A]
-
-
-def trace(A):
-    return sum(A[i][i] for i in range(len(A)))
 
 
 def is_zero_matrix(A):
@@ -75,36 +82,39 @@ def is_zero_matrix(A):
 
 # --- elimination ------------------------------------------------------------
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(A):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    R = [list(map(Fraction, row)) for row in A]
+    """Reduced row echelon form (R, pivot_columns), by Gauss-Jordan on
+    primitive integer rows; each pivot row is divided once, at the end."""
+    R = [_primitive(_cleared([row])[0][0]) for row in A]
     m, n = shape(R)
     pivots = []
-    r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, m) if R[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if R[i][c]), None)
         if pivot is None:
             continue
         R[r], R[pivot] = R[pivot], R[r]
-        pv = R[r][c]
-        R[r] = [x / pv for x in R[r]]
+        prow, p = R[r], R[r][c]
         for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            f = R[i][c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                R[i] = _primitive([a * x - b * y for x, y in zip(R[i], prow)])
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return R, pivots
+    return ([_over([row], row[c])[0] for row, c in zip(R, pivots)]
+            + zeros(m - len(pivots), n)), pivots
 
 
 def nullspace(A):
-    """Basis of the kernel as a list of Fraction vectors.
-
-    Uses the free-variable convention: each basis vector has a 1 in one free
-    column and 0 in the others, ordered by ascending free column index.
-    """
+    """Basis of the kernel: one vector per free column, in ascending order,
+    with a 1 there and 0 in the other free columns."""
     n = shape(A)[1]
     return rref_nullspace(*rref(A), n) if n else []
 
@@ -113,8 +123,7 @@ def rref_nullspace(R, pivots, n):
     """The nullspace basis of a matrix with n columns from its rref."""
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [Fraction(int(c == fc)) for c in range(n)]
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][fc]
         basis.append(v)
@@ -122,67 +131,62 @@ def rref_nullspace(R, pivots, n):
 
 
 def solve(A, b):
-    """Solve A x = b exactly; raises SolveFailed if inconsistent.
-
-    If the system is underdetermined, free variables are set to zero.
-    """
-    m, n = shape(A)
-    aug = [list(row) + [Fraction(bb)] for row, bb in zip(A, b)]
-    R, pivots = rref(aug)
-    for row in R:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            raise SolveFailed("inconsistent linear system")
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        if pc < n:
-            x[pc] = R[r][n]
-    return x
+    """The x with A x = b and free variables zero, or SolveFailed."""
+    return [row[0] for row in solve_matrix(A, [[c] for c in b])]
 
 
 def solve_matrix(A, B):
-    """Solve A X = B columnwise."""
-    Bt = transpose(B)
-    cols = [solve(A, col) for col in Bt]
-    return transpose(cols)
+    """The X with A X = B and free variables zero, from one rref of [A | B];
+    SolveFailed if any column is inconsistent."""
+    n = shape(A)[1]
+    R, pivots = rref([list(row) + list(rb) for row, rb in zip(A, B)])
+    if pivots and pivots[-1] >= n:
+        raise SolveFailed("inconsistent linear system")
+    X = zeros(n, shape(B)[1])
+    for r, pc in enumerate(pivots):
+        X[pc] = R[r][n:]
+    return X
 
 
 def inverse(A):
-    n = len(A)
-    aug = [list(row) + list(erow) for row, erow in zip(A, identity(n))]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise SolveFailed("matrix is singular")
-    return [row[n:] for row in R]
+    try:
+        return solve_matrix(A, identity(_square(A, "inverse")))
+    except SolveFailed:     # [A | I] is inconsistent exactly when A is singular
+        raise SolveFailed("matrix is singular") from None
 
 
 # --- characteristic polynomial and friends -----------------------------------
 
 def charpoly(A):
-    """Monic characteristic polynomial det(tI - A).
+    """det(tI - A) as coefficients [c0, c1, ..., 1], increasing degree.
 
-    Returned as a coefficient list [c0, c1, ..., 1] in increasing degree,
-    computed by the Faddeev-LeVerrier recursion.
-    """
-    n = len(A)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    M = identity(n)
-    for k in range(1, n + 1):
-        AM = matmul(A, M)
-        ck = -trace(AM) / k
-        coeffs[n - k] = ck
-        M = madd(AM, mscale(identity(n), ck))
-    return coeffs
+    Berkowitz's recursion on N = dA builds q, det(tI - N_r) for the leading
+    r x r blocks N_r highest degree first; at r = n, q_j = d^j c_(n-j)."""
+    n = _square(A, "charpoly")
+    (N, d), q = _cleared(A), [1]
+    for r in range(n):
+        row, v = N[r][:r], [N[i][r] for i in range(r)]
+        col = [1, -N[r][r]]      # first column of the Toeplitz step
+        for _ in range(r):
+            col.append(-sum(map(mul, row, v)))
+            v = [sum(map(mul, N[i][:r], v)) for i in range(r)]
+        q = [sum(col[j - i] * q[i] for i in range(min(j, r) + 1))
+             for j in range(r + 2)]
+    return [Fraction(c, d ** j) for j, c in enumerate(q)][::-1]
 
 
 def eval_matrix_poly(p, A):
-    """Evaluate a coefficient-list polynomial at a square matrix (Horner)."""
-    n = len(A)
-    result = zeros(n, n)
-    for c in reversed(p):
-        result = matmul(result, A)
+    """p(A) by Horner on ints: with A = N/d and p = c/e, H = c_m I and
+    H -> H N + c_k d^(m-k) I end at e d^m p(A)."""
+    n = _square(A, "eval_matrix_poly")
+    (N, d), ((c,), e) = _cleared(A), _cleared([list(p) or [0]])
+    Nt = list(zip(*N))
+    H = [[c[-1] * (i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, len(c)):
+        H = [[sum(map(mul, row, col)) for col in Nt] for row in H]
         for i in range(n):
-            result[i][i] += c
-    return result
+            H[i][i] += c[-1 - k] * d ** k
+    return _over(H, e * d ** (len(c) - 1))
 
 
 # --- univariate polynomials over Q -------------------------------------------
@@ -203,20 +207,16 @@ def poly_mul(p, q):
         return []
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
-            continue
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(out)
 
 
 def poly_divmod(p, q):
-    p = poly_trim([Fraction(c) for c in p])
-    q = poly_trim([Fraction(c) for c in q])
+    p, q = (poly_trim([Fraction(c) for c in x]) for x in (p, q))
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    rem = list(p)
+    quot, rem = [Fraction(0)] * max(0, len(p) - len(q) + 1), list(p)
     while len(rem) >= len(q) and rem:
         f = rem[-1] / q[-1]
         k = len(rem) - len(q)

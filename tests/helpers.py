@@ -232,6 +232,11 @@ def float_copy(F):
     return PolyMapTuple(frep, comps, F.param_dim, F.max_degree)
 
 
+def madd(A, B):
+    """A + B for matrices given as lists of rows."""
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def mat_pow(A, k):
     """A^k of a Fraction matrix, by k exact products."""
     result = exactlin.identity(len(A))

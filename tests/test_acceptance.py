@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 from helpers import (cm_feedforward_tuple, feedforward_chain_network,
-                     feedforward_pair_network, hopf_tuple, mat_pow,
+                     feedforward_pair_network, hopf_tuple, madd, mat_pow,
                      monoid_maps,
                      random_poly, random_response_family,
                      single_vertex_tuple, two_type_network)
@@ -232,7 +232,7 @@ def test_criterion_4_spectral_subreps_and_sn():
             Lv = [[Fraction(x) for x in row] for row in L.matrices[v]]
             Sv = [[Fraction(x) for x in row] for row in S.matrices[v]]
             Nv = [[Fraction(x) for x in row] for row in N.matrices[v]]
-            assert exactlin.madd(Sv, Nv) == Lv
+            assert madd(Sv, Nv) == Lv
             assert exactlin.matmul(Sv, Nv) == exactlin.matmul(Nv, Sv)
             assert exactlin.is_zero_matrix(
                 mat_pow(Nv, len(Nv)))

@@ -107,6 +107,156 @@ def test_rref_is_projection_invariant(rows):
     assert R == R2 and pivots == pivots2
 
 
+# --- oracle checks against sympy ----------------------------------------------
+
+# small numerators over denominators from 1 to primes above 10**6
+rationals = st.builds(Fraction, st.integers(-9, 9),
+                      st.sampled_from([1, 1, 1, 2, 3, 7, 1000003, 10 ** 7 + 19]))
+
+
+@st.composite
+def rational_matrices(draw, m, n):
+    """An m x n rational matrix: dense random, or a product through an
+    inner dimension r <= min(m, n), so rank 0 and rank-deficient matrices
+    are frequent."""
+    if draw(st.booleans()):
+        return [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    r = draw(st.integers(0, min(m, n)))
+    L = [[draw(rationals) for _ in range(r)] for _ in range(m)]
+    R = [[draw(rationals) for _ in range(n)] for _ in range(r)]
+    return [[sum((L[i][k] * R[k][j] for k in range(r)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(A, m, n) with 0 <= m, n <= 5; a matrix with no rows has no columns
+    either, since a list of rows cannot carry a column count."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5)) if m else 0
+    return draw(rational_matrices(m, n)), m, n
+
+
+def to_sympy(A, m, n):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator)
+                               for row in A for x in row])
+
+
+def from_sympy(M):
+    return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)]
+            for i in range(M.rows)]
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_matrices(), st.data())
+def test_matmul_matches_sympy(shaped, data):
+    A, m, k = shaped
+    n = data.draw(st.integers(0, 5)) if k else 0
+    B = data.draw(rational_matrices(k, n))
+    got = exactlin.matmul(A, B)
+    assert got == from_sympy(to_sympy(A, m, k) * to_sympy(B, k, n))
+    assert all_fractions(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_matrices())
+def test_rref_and_nullspace_match_sympy(shaped):
+    A, m, n = shaped
+    R, pivots = exactlin.rref(A)
+    R_ref, pivots_ref = to_sympy(A, m, n).rref()
+    assert (R, pivots) == (from_sympy(R_ref), list(pivots_ref))
+    assert all_fractions(R)
+    ker = exactlin.nullspace(A)
+    assert ker == [[row[0] for row in from_sympy(v)]
+                   for v in to_sympy(A, m, n).nullspace()]
+    assert all_fractions(ker)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(rational_matrices(n, n), st.just(n))))
+def test_inverse_matches_sympy(square):
+    A, n = square
+    M = to_sympy(A, n, n)
+    if M.det() == 0:
+        with pytest.raises(SolveFailed):
+            exactlin.inverse(A)
+    else:
+        got = exactlin.inverse(A)
+        assert got == from_sympy(M.inv())
+        assert all_fractions(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.data())
+def test_solve_matrix_matches_sympy(m, n, k, data):
+    A = data.draw(rational_matrices(m, n))
+    if data.draw(st.booleans()):        # consistent by construction
+        X = data.draw(rational_matrices(n, k))
+        B = exactlin.matmul(A, X)
+    else:
+        B = data.draw(rational_matrices(m, k))
+    try:
+        sol, params = to_sympy(A, m, n).gauss_jordan_solve(to_sympy(B, m, k))
+    except ValueError:                  # sympy: no solution
+        with pytest.raises(SolveFailed):
+            exactlin.solve_matrix(A, B)
+        return
+    got = exactlin.solve_matrix(A, B)
+    assert got == from_sympy(sol.subs({p: 0 for p in params}))
+    assert all_fractions(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(rational_matrices(n, n), st.just(n))),
+       st.lists(rationals, max_size=4))
+def test_charpoly_and_matrix_poly_match_sympy(square, p):
+    sympy = pytest.importorskip("sympy")
+    A, n = square
+    M = to_sympy(A, n, n)
+    coeffs = M.charpoly().all_coeffs()[::-1]
+    assert exactlin.charpoly(A) == [Fraction(int(c.p), int(c.q))
+                                    for c in coeffs]
+    ref = sympy.zeros(n, n)
+    for k, c in enumerate(p):
+        ref += sympy.Rational(c.numerator, c.denominator) * M ** k
+    got = exactlin.eval_matrix_poly(p, A)
+    assert got == from_sympy(ref)
+    assert all_fractions(got)
+
+
+def test_empty_inner_dimension_gives_fraction_zeros():
+    assert exactlin.matvec([[], []], []) == [0, 0]
+    assert all_fractions([exactlin.matvec([[]], [])])
+    assert exactlin.matmul([[], []], []) == [[], []]
+    assert exactlin.eval_matrix_poly([], [[Fraction(1)]]) == [[0]]
+    assert all_fractions(exactlin.eval_matrix_poly([], [[Fraction(1)]]))
+
+
+def test_solve_matrix_raises_when_any_column_is_inconsistent():
+    A = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
+    good, bad = [Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]
+    assert exactlin.solve_matrix(A, [[g] for g in good]) == [[1], [0]]
+    with pytest.raises(SolveFailed, match="inconsistent linear system"):
+        exactlin.solve_matrix(A, [[g, b] for g, b in zip(good, bad)])
+
+
+@pytest.mark.parametrize("func", [
+    exactlin.inverse, exactlin.charpoly,
+    lambda A: exactlin.eval_matrix_poly([Fraction(1), Fraction(1)], A)])
+def test_non_square_matrix_rejected(func):
+    A = [[Fraction(1), Fraction(0), Fraction(2)],
+         [Fraction(0), Fraction(1), Fraction(3)]]
+    with pytest.raises(ValueError, match="not square"):
+        func(A)
+
+
 # --- factoring characteristic polynomials over Q -----------------------------
 
 def _diag(*values):

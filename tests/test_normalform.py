@@ -1,17 +1,21 @@
 """Lie-transform normal forms: resonant survivors and verification report."""
 
+import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import float_copy, hopf_tuple, single_vertex_tuple
-from quiverdyn import arith
+from helpers import (feedforward_chain_network, float_copy, hopf_tuple,
+                     single_vertex_tuple, time_limit)
+from quiverdyn import arith, polyfield
+from quiverdyn.builders import build_subq
 from quiverdyn.errors import DegreeOverflow, NotEquilibrium
 from quiverdyn.normalform import normal_form, verify_normal_form
 from quiverdyn.polyfield import ad_operator_matrix
-from quiverdyn.polynomial import Poly
-from quiverdyn.tuples import PolyMap, PolyMapTuple, linear_part
+from quiverdyn.polynomial import Poly, linear_forms
+from quiverdyn.tuples import PolyMap, PolyMapTuple, bracket_polys, linear_part
 
 
 def resonant_span_residual(LS, polys, k):
@@ -145,3 +149,58 @@ def test_parameters_rejected():
     G = PolyMapTuple(rep, {"v": PolyMap([p1, p2])}, param_dim=1)
     with pytest.raises(ValueError):
         normal_form(G, 2)
+
+
+def chain_tuple(seed=0):
+    """A tuple on the subnetwork quiver of the five-node feedforward chain.
+
+    Component i depends only on the nodes feeding node i, so the tuple is
+    exactly equivariant. The linear part is lower triangular with
+    eigenvalues 0, -1, 2, -3, 1 and small off-diagonal couplings; each
+    component adds three quadratic or cubic terms. Every vertex is a prefix
+    of the nodes, so a vertex of dimension d keeps the first d components.
+    """
+    deps = {0: (0,), 1: (0, 1), 2: (0, 1, 2), 3: (0, 2, 3), 4: (2, 3, 4)}
+    eigs = (0, -1, 2, -3, 1)
+    rng = random.Random(seed)
+    polys = []
+    for i, dep in deps.items():
+        terms = {}
+        for j in dep:
+            e = [0] * 5
+            e[j] = 1
+            terms[tuple(e)] = eigs[i] if i == j else rng.randint(-2, 2)
+        for _ in range(3):
+            e = [0] * 5
+            for _ in range(rng.randint(2, 3)):
+                e[rng.choice(dep)] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + rng.choice((-2, -1, 1, 3))
+        polys.append(Poly(5, terms))
+    _, rep, subsets = build_subq(feedforward_chain_network())
+    assert all(nodes == tuple("12345"[:len(nodes)])
+               for nodes in subsets.values())
+    comps = {v: PolyMap([Poly(d, {e[:d]: c for e, c in p.terms.items()})
+                         for p in polys[:d]], nvars=d)
+             for v, d in rep.dim.items()}
+    return PolyMapTuple(rep, comps)
+
+
+def test_five_node_chain_grade_one_in_bounded_time(monkeypatch):
+    F = chain_tuple()
+    monkeypatch.setattr(polyfield, "_AD_CACHE", OrderedDict())
+    with time_limit(3):
+        res = normal_form(F, 1)
+    assert res.kernel_residuals == {1: 0}
+    # the surviving quadratic terms commute with L^S at every vertex
+    for v, pm in res.transformed_grade(1).components.items():
+        LS = linear_forms(res.LS.matrices[v], pm.nvars)
+        br = bracket_polys(LS, pm.outputs, pm.nvars, pm.nvars)
+        assert all(p.terms == {} for p in br)
+    # a run that finds every ad matrix in the cache gives the same result
+    again = normal_form(F, 1)
+    for got, want in ((again.transformed, res.transformed),
+                      (again.generators[1], res.generators[1])):
+        assert {v: [p.terms for p in pm.outputs]
+                for v, pm in got.components.items()} == \
+               {v: [p.terms for p in pm.outputs]
+                for v, pm in want.components.items()}

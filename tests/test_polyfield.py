@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import madd
 from quiverdyn import arith, exactlin, polyfield
 from quiverdyn.errors import RankAmbiguous, SizeOverflow
 from quiverdyn.polyfield import (ad_operator_matrix, grade_part, hom_basis,
@@ -158,7 +159,7 @@ def test_lie_transform_of_linear_generator_is_conjugation():
     for i in range(1, 5):
         M = exactlin.msub(exactlin.matmul(A, M), exactlin.matmul(M, A))
         fact *= i
-        total = exactlin.madd(total, exactlin.mscale(M, Fraction(1, fact)))
+        total = madd(total, [[x / fact for x in row] for row in M])
         if exactlin.is_zero_matrix(M):
             break
     expected = total

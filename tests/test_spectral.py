@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import mat_pow
+from helpers import madd, mat_pow
 from test_casestudy import CASE1
 from test_lsreduction import case_study_tuple
 from quiverdyn import arith, exactlin
@@ -230,7 +230,7 @@ def test_sn_decomposition_exact_axioms():
     Ss = frac_matrix(Ss)
     Ns = frac_matrix(Ns)
     # decomposition and commutation
-    assert exactlin.madd(Ss, Ns) == Ls
+    assert madd(Ss, Ns) == Ls
     assert exactlin.matmul(Ss, Ns) == exactlin.matmul(Ns, Ss)
     # nilpotency
     assert exactlin.is_zero_matrix(mat_pow(Ns, 5))
