@@ -16,7 +16,7 @@ from .tuples import (PolyMap, PolyMapTuple, bracket_tuple,  # noqa: F401
                      linear_tuple, restrict_to_subrep)
 from .network import (AdmissibleTemplate, ColouredNetwork,  # noqa: F401
                       InputBijection, ResponseFamily, check_admissible,
-                      input_bijections, plain_network, symmetry_groupoid,
+                      input_bijections, symmetry_groupoid,
                       validate_coloured_network)
 from .builders import (GraphFibration, build_quoq, build_subq,  # noqa: F401
                        enumerate_fibrations, enumerate_quotients,
@@ -28,7 +28,8 @@ from .spectral import (EndomorphismTuple, SpectralCluster,  # noqa: F401
                        generalized_eigenspace_subrep, joint_spectrum,
                        kernel_image_split, sn_decomposition)
 from .polyfield import (HomBasis, ad_operator_matrix, hom_basis,  # noqa: F401
-                        im_ker_split_adLS, lie_transform, solve_homological)
+                        homological_operator, lie_transform,
+                        solve_homological)
 from .lsreduction import (LSReduction, check_reduced_equivariance,  # noqa: F401
                           find_branches_1param, ls_reduce)
 from .centermanifold import (CMExpansion, check_cm_equivariance,  # noqa: F401

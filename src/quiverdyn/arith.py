@@ -4,11 +4,8 @@ A matrix is stored either exactly, as a tuple of rows of Fraction entries,
 or in floats, as a numpy array. Each representation picks one of the two
 implementations below from its mode string, and the algorithms that are
 the same in both arithmetics are written once against that interface:
-build, combine and invert matrices, solve a linear system and verify the
-solution, split off the image and kernel of a matrix, and decide whether a
-residual passes. The coordinates adapted to a pair of complementary
-subspaces, and the projector onto one along the other, are written once,
-on top of that interface.
+build, combine and invert matrices, solve a linear system, split off the
+image and kernel of a matrix, and decide whether a residual passes.
 
 The exact implementation verifies solutions by exact equality. The float
 one solves by least squares and accepts a solution that is unique (the
@@ -52,6 +49,11 @@ def tolist(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
+def _fraction(x):
+    """x as a Fraction; one that already is passes through unchanged."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _entries(values):
     for x in values:
         if isinstance(x, (list, tuple)):
@@ -67,10 +69,10 @@ class ExactArith:
     zero = Fraction(0)
 
     def freeze(self, matrix):
-        return tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        return tuple(tuple(map(_fraction, row)) for row in matrix)
 
     def vector(self, values):
-        return [Fraction(c) for c in values]
+        return list(map(_fraction, values))
 
     def zeros(self, m, n):
         return tuple((Fraction(0),) * n for _ in range(m))
@@ -85,7 +87,7 @@ class ExactArith:
 
     def columns(self, vectors, nrows):
         """The matrix whose columns are the given vectors."""
-        return tuple(tuple(Fraction(v[i]) for v in vectors)
+        return tuple(tuple(_fraction(v[i]) for v in vectors)
                      for i in range(nrows))
 
     def matmul(self, A, B):
@@ -231,22 +233,6 @@ class FloatArith:
 
 EXACT = ExactArith()
 FLOAT = FloatArith()
-
-
-def adapted_coordinates(B_on, B_along):
-    """(M, M^{-1}, P) for M = [B_on | B_along], with P = M[:, :k] M^{-1}[:k]
-    the projector onto the column span of B_on along that of B_along.
-
-    Raises SolveFailed unless the columns of both together form a basis.
-    """
-    ar = of_matrix(B_on)
-    d, k = matrix_shape(B_on)
-    k_along = matrix_shape(B_along)[1]
-    if k + k_along != d:
-        raise SolveFailed(f"{k} + {k_along} basis vectors in dimension {d}")
-    M = ar.hstack([B_on, B_along], d)
-    Minv = ar.inverse(M)
-    return M, Minv, ar.matmul(B_on, Minv[:k]) if k else ar.zeros(d, d)
 
 
 def of(mode):

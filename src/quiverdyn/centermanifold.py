@@ -27,8 +27,9 @@ import numpy as np
 from . import arith
 from .arith import as_float_matrix
 from .errors import DegreeOverflow, IllConditioned, ResonantBlock, SolveFailed
+from .polyfield import homological_operator
 from .polynomial import (Poly, change_coordinates, combine_rows, float_flow,
-                         linear_forms, monomial_exponents, substitute_linear)
+                         substitute_linear)
 from .spectral import EndomorphismTuple, center_hyperbolic_split
 from .tuples import DEGREE_CAP, EquivarianceReport, require_equilibrium
 
@@ -73,7 +74,7 @@ def cm_taylor(F, degree):
         raise IllConditioned(
             f"center/hyperbolic spectral gap {split.gap:.2e} below "
             f"{SPECTRAL_GAP_MIN:.0e}")
-    center_sub, hyper_sub, _ = split
+    center_sub, hyper_sub = split.selected, split.rest
     rep = center_sub.rep  # may have been demoted to float by the split
     ar = arith.joint(rep.mode, F.arith.mode)
 
@@ -104,45 +105,32 @@ def cm_taylor(F, degree):
 
 
 def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, ar):
-    """Solve the degree-dd coefficient equations for phi and append them."""
+    """Solve the degree-dd coefficient equations for phi and append them.
+
+    The degree-dd correction psi solves T(psi) = Ah psi - D psi . (Ac u)
+    = minus the residual of the invariance equation, with T the
+    homological operator at (Ac, Ah).
+    """
     if nh == 0 or nc == 0:
         return phi
     subs = [Poly.variable(nc, j) for j in range(nc)] + list(phi)
-    # current residual of the invariance equation
     f_at = [p.compose(subs) for p in fc]
     g_at = [p.compose(subs) for p in fh]
-    resid = []
+    # D phi . f - g: minus the current residual of the invariance equation
+    rhs = []
     for i in range(nh):
-        acc = g_at[i]
+        acc = -g_at[i]
         for j in range(nc):
-            acc = acc - phi[i].diff(j) * f_at[j]
-        resid.append(acc.homogeneous_part(dd))
-    if all(p.is_zero() for p in resid):
+            acc = acc + phi[i].diff(j) * f_at[j]
+        rhs.append(acc.homogeneous_part(dd))
+    if all(p.is_zero() for p in rhs):
         return phi
-    monos = monomial_exponents(nc, dd)
-    unknowns = [(i, m) for i in range(nh) for m in monos]
-    # linear operator on a degree-dd correction psi:
-    #   T(psi) = Ah psi - D psi . (Ac u)
-    lin = linear_forms(Ac, nc)
-    cols = []
-    for (i, m) in unknowns:
-        psi = [Poly.zero(nc) for _ in range(nh)]
-        psi[i] = Poly.monomial(nc, m)
-        img = combine_rows(Ah, psi, nc)
-        for r in range(nh):
-            for j in range(nc):
-                img[r] = img[r] - psi[r].diff(j) * lin[j]
-        cols.append([img[r].terms.get(mm, ar.zero) for (r, mm) in unknowns])
-    rhs = [-resid[r].terms.get(mm, ar.zero) for (r, mm) in unknowns]
+    T = homological_operator(ar.freeze(Ac), ar.freeze(Ah), dd - 1)
     try:
-        sol = ar.solve_vector(ar.columns(cols, len(unknowns)), rhs)
+        sol = ar.solve_vector(T.matrix, T.basis.coords(rhs, ar))
     except SolveFailed:
         raise ResonantBlock(f"degree-{dd} invariance operator is singular")
-    extra = [dict() for _ in range(nh)]
-    for (r, m), c in zip(unknowns, arith.tolist(sol)):
-        if c != 0:
-            extra[r][m] = c
-    return [phi[i] + Poly(nc, extra[i]) for i in range(nh)]
+    return [p + q for p, q in zip(phi, T.basis.from_coords(sol))]
 
 
 def check_cm_equivariance(exp, tol=1e-10):

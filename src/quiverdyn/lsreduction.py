@@ -249,7 +249,7 @@ def ls_reduce(F, radius=None):
     rep = F.representation
     p = F.param_dim
     split = kernel_image_split(rep, EndomorphismTuple.from_linearization(F))
-    ker_sub, im_sub, _ = split
+    ker_sub, im_sub = split.selected, split.rest
     vertex_data = {}
     for v in rep.quiver.vertices:
         d = rep.dim[v]

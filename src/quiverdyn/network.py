@@ -98,16 +98,6 @@ class ColouredNetwork:
         return f"ColouredNetwork({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
 
-def plain_network(node_ids, edge_list):
-    """A network where every node and edge has its own colour (no symmetry).
-
-    edge_list contains (src, dst) pairs; edges get ids e1, e2, ... in order.
-    """
-    nodes = [(n, f"node-{n}") for n in node_ids]
-    edges = [(f"e{i+1}", s, t, f"edge-{i+1}") for i, (s, t) in enumerate(edge_list)]
-    return ColouredNetwork(nodes, edges)
-
-
 def validate_coloured_network(N):
     """Both colour conditions plus internal_dim consistency; returns errors."""
     errors = []

@@ -1,13 +1,14 @@
 """Normal forms of equivariant polynomial tuples via Lie transforms.
 
 Grade by grade (grade k = polynomial degree k+1), the homological equation
-ad_L(G) = proj(F^k) is solved per vertex with the unique generator inside
-im ad_{L^S}, and the time-1 Lie transform exp(ad_G) is applied. The
-surviving grade-k terms lie in ker ad_{L^S}, i.e. they commute with the
-semisimple part of the linearization. Because the generator choice is the
-canonical one, equivariant input yields equivariant generators and an
-equivariant normal form; verify_normal_form checks this together with the
-commutation property and a numeric conjugacy spot-check.
+F^k = ad_L(G) + R is solved per vertex for the unique generator G in
+im ad_{L^S} and remainder R in ker ad_{L^S}, and the time-1 Lie transform
+exp(ad_G) is applied. The surviving grade-k terms lie in ker ad_{L^S},
+i.e. they commute with the semisimple part of the linearization. Because
+the generator choice is the canonical one, equivariant input yields
+equivariant generators and an equivariant normal form; verify_normal_form
+checks this together with the commutation property and a numeric
+conjugacy spot-check.
 
 Parameter-dependent fields are out of scope: param_dim must be zero.
 """

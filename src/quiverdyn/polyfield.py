@@ -1,14 +1,17 @@
-"""Graded spaces of homogeneous polynomial vector fields on R^n.
+"""Graded spaces of homogeneous polynomial maps and the homological operator.
 
-Grade k holds the vector fields whose components are homogeneous of
-polynomial degree k+1 (so grade 0 is linear). The module provides the
-canonical monomial basis of each grade, the matrix of the adjoint operator
-G |-> [L x, G] in that basis, the image/kernel splitting of ad_{L^S} used by
-the normal-form homological equation, its solver, and the truncated
-Lie-transform pushforward exp(ad_G).
+Grade k holds the polynomial maps R^n -> R^m whose components are
+homogeneous of degree k+1 (so grade 0 is linear); vector fields are the
+case m = n. The module provides the canonical monomial basis of each
+grade, the one builder of the homological operator psi |-> B psi - D psi . A x
+that both reductions solve with (A = B = L gives ad_L, G |-> [L x, G], for
+normal forms; (A_c, A_h) gives the center-manifold invariance operator),
+the normal-form homological equation solved by one square system against
+the image and kernel of ad_{L^S}, and the truncated Lie-transform
+pushforward exp(ad_G).
 
 Everything operates on a single vector space; the per-vertex assembly into
-quiver tuples happens in the normal-form module.
+quiver tuples happens in the reduction modules.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import arith
-from .errors import RankAmbiguous, SizeOverflow, SolveFailed
-from .polynomial import Poly, linear_forms, monomial_exponents
+from .errors import RankAmbiguous, SizeOverflow
+from .polynomial import Poly, monomial_exponents
 from .tuples import bracket_polys
 
 SIZE_CAP = 20000
@@ -31,12 +35,13 @@ RANK_THRESHOLD = 1e-10
 
 @dataclass(frozen=True)
 class HomBasis:
-    """Canonical basis of the grade-k homogeneous vector fields on R^n.
+    """Canonical basis of the grade-k homogeneous maps R^n -> R^m.
 
-    Elements are monomial-times-unit-vector fields x^m e_j, ordered first by
+    Elements are monomial-times-unit-vector maps x^e e_j, ordered first by
     output index j, then by exponent tuple in graded lexicographic order.
     """
     n: int
+    m: int
     k: int
     elements: tuple  # of (output index, exponent tuple)
 
@@ -44,68 +49,92 @@ class HomBasis:
     def size(self):
         return len(self.elements)
 
-    def field(self, index):
-        """The basis vector field at `index` as a list of Polys."""
-        j, m = self.elements[index]
-        polys = [Poly.zero(self.n) for _ in range(self.n)]
-        polys[j] = Poly.monomial(self.n, m)
-        return polys
+    @cached_property
+    def index(self):
+        """The position of each element."""
+        return {elem: i for i, elem in enumerate(self.elements)}
 
-    def coords(self, polys, ar, strict=True):
-        """Coefficient vector of a vector field in this basis, in the
-        arithmetic ar (see quiverdyn.arith).
-
-        With strict=True, raises ValueError if the field has terms outside
-        the grade (wrong degree or extra variables).
-        """
-        index = {elem: i for i, elem in enumerate(self.elements)}
+    def coords(self, polys, ar):
+        """Coefficient vector of a map in this basis, in the arithmetic ar
+        (see quiverdyn.arith); ValueError for a term outside the grade
+        (wrong degree or extra variables)."""
         vec = [ar.zero] * self.size
         for j, p in enumerate(polys):
             for e, c in p.terms.items():
-                key = (j, tuple(e))
-                if key not in index:
-                    if strict:
-                        raise ValueError(
-                            f"term {e} in output {j} is not grade {self.k}")
-                    continue
-                vec[index[key]] = c
+                i = self.index.get((j, e))
+                if i is None:
+                    raise ValueError(
+                        f"term {e} in output {j} is not grade {self.k}")
+                vec[i] = c
         return ar.vector(vec)
 
     def from_coords(self, vec):
-        """The vector field with the given coefficient vector."""
-        polys = [dict() for _ in range(self.n)]
-        for (j, m), c in zip(self.elements, vec):
+        """The map with the given coefficient vector."""
+        polys = [dict() for _ in range(self.m)]
+        for (j, e), c in zip(self.elements, vec):
             c = c if isinstance(c, Fraction) else float(c)
             if c != 0:
-                polys[j][m] = c
+                polys[j][e] = c
         return [Poly(self.n, terms) for terms in polys]
 
 
-def hom_basis(n, k):
-    """The canonical grade-k basis; size n * C(n+k, k+1)."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+def hom_basis(n, k, m=None):
+    """The canonical grade-k basis of maps R^n -> R^m (m = n, vector
+    fields, when not given); size m * C(n+k, k+1)."""
+    m = n if m is None else m
+    if min(n, m) < 1 or k < 0:
+        raise ValueError("need n, m >= 1 and k >= 0")
     monos = monomial_exponents(n, k + 1)
-    if n * len(monos) > SIZE_CAP:
+    if m * len(monos) > SIZE_CAP:
         raise SizeOverflow(
-            f"grade-{k} basis on R^{n} has {n * len(monos)} elements "
-            f"(> cap {SIZE_CAP})")
-    elements = tuple((j, m) for j in range(n) for m in monos)
-    return HomBasis(n, k, elements)
+            f"grade-{k} basis of maps R^{n} -> R^{m} has {m * len(monos)} "
+            f"elements (> cap {SIZE_CAP})")
+    elements = tuple((j, e) for j in range(m) for e in monos)
+    return HomBasis(n, m, k, elements)
 
 
 @dataclass
 class AdMatrix:
-    """Matrix of G |-> [L x, G] on a grade, in HomBasis coordinates."""
+    """Matrix of a homological operator on a grade, in HomBasis
+    coordinates."""
     basis: HomBasis
-    matrix: object  # exact list-of-rows or numpy array
-    L: object
+    matrix: object  # exact tuple of rows or numpy array
+
+
+def homological_operator(A, B, k):
+    """The matrix of psi |-> B psi - D psi . A x on the grade-k maps
+    R^n -> R^m, for A (n x n) and B (m x m) stored in one arithmetic.
+
+    The column of x^e e_i is B[:, i] x^e minus the terms
+    e_j A[j][l] x^(e - e_j + e_l) e_i over j and l, filled in directly
+    from the entries of A and B.
+    """
+    ar = arith.of_matrix(A)
+    n, m = arith.matrix_shape(A)[0], arith.matrix_shape(B)[0]
+    basis = hom_basis(n, k, m)
+    index = basis.index
+    A, B = arith.tolist(A), arith.tolist(B)
+    T = [[0] * basis.size for _ in range(basis.size)]
+    for col, (i, e) in enumerate(basis.elements):
+        for r in range(m):
+            if B[r][i]:
+                T[index[r, e]][col] += B[r][i]
+        for j in range(n):
+            if not e[j]:
+                continue
+            for l in range(n):
+                if A[j][l]:
+                    f = list(e)
+                    f[j] -= 1
+                    f[l] += 1
+                    T[index[i, tuple(f)]][col] -= e[j] * A[j][l]
+    return AdMatrix(basis, ar.freeze(T))
 
 
 def _matrix_key(L):
     if isinstance(L, np.ndarray):
         return ("float", L.shape, L.tobytes())
-    return ("exact", tuple(tuple(Fraction(x) for x in row) for row in L))
+    return ("exact", arith.EXACT.freeze(L))
 
 
 # the ad matrices of the most recently used (L, grade) pairs, oldest first
@@ -114,77 +143,43 @@ _AD_CACHE = OrderedDict()
 
 
 def ad_operator_matrix(L, k):
-    """The matrix of ad_{L x} restricted to grade k (columns = images of
-    basis fields). Cached by matrix content, least recently used first
-    out once AD_CACHE_SIZE matrices are held."""
-    n = arith.matrix_shape(L)[0]
+    """The matrix of ad_{L x}: G |-> [L x, G] = L G - DG . L x on grade k,
+    the homological operator at A = B = L. Cached by matrix content, least
+    recently used first out once AD_CACHE_SIZE matrices are held."""
     key = (_matrix_key(L), k)
     if key in _AD_CACHE:
         _AD_CACHE.move_to_end(key)
         return _AD_CACHE[key]
-    basis = hom_basis(n, k)
-    ar = arith.of_matrix(L)
-    Lx = linear_forms(L, n)
-    cols = [basis.coords(bracket_polys(Lx, basis.field(idx), n, n), ar)
-            for idx in range(basis.size)]
-    out = AdMatrix(basis, ar.columns(cols, basis.size), L)
+    out = homological_operator(L, L, k)
     _AD_CACHE[key] = out
     if len(_AD_CACHE) > AD_CACHE_SIZE:
         _AD_CACHE.popitem(last=False)
     return out
 
 
-@dataclass
-class ImKerSplit:
-    """Complementary image/kernel pair of ad_{L^S} on one grade."""
-    basis: HomBasis
-    im_vectors: list    # coefficient vectors spanning im ad_{L^S}
-    ker_vectors: list   # coefficient vectors spanning ker ad_{L^S}
-    proj_im: object     # projector onto im along ker, in basis coords
-
-
-def im_ker_split_adLS(LS, k, tol=RANK_THRESHOLD):
-    """im/ker of ad_{L^S} on grade k, with the oblique projector onto im.
-
-    Requires L^S semisimple, so that the two subspaces are complementary;
-    a failure raises RankAmbiguous, as does a float singular value near
-    the rank threshold.
-    """
-    ad = ad_operator_matrix(LS, k)
-    ar = arith.of_matrix(ad.matrix)
-    N = ad.basis.size
-    im, ker = ar.image_kernel(ad.matrix, tol)
-    try:
-        _, _, P = arith.adapted_coordinates(ar.columns(im, N),
-                                            ar.columns(ker, N))
-    except SolveFailed:
-        raise RankAmbiguous(
-            "image and kernel of ad_{L^S} are not complementary; "
-            "is L^S semisimple?")
-    return ImKerSplit(ad.basis, im, ker, P)
-
-
 def solve_homological(L, LS, Fk, k, tol=RANK_THRESHOLD):
-    """Solve ad_L(G) = proj_im(F) for the unique G in im ad_{L^S}.
+    """Split F^k = ad_L(G) + R with G in im ad_{L^S} and R in ker ad_{L^S}.
 
-    Fk is a vector field (list of Polys) homogeneous of grade k. Returns
-    (G, remainder) with remainder = Fk - ad_L(G) lying in ker ad_{L^S}.
+    Fk is a vector field (list of Polys) homogeneous of grade k. With
+    bases B_im and B_ker of the image and kernel of ad_{L^S}, one square
+    solve [ad_L B_im | B_ker] (y, z) = f gives G = B_im y and
+    R = f - ad_L G. For L^S semisimple and commuting with L, L - L^S
+    nilpotent, the system is nonsingular; a singular one raises
+    RankAmbiguous, as does a float singular value of ad_{L^S} near the
+    rank threshold. Returns (G, R) as lists of Polys.
     """
-    split = im_ker_split_adLS(LS, k, tol)
-    basis = split.basis
     adL = ad_operator_matrix(L, k)
+    basis, N = adL.basis, adL.basis.size
     ar = arith.of_matrix(adL.matrix)
+    im, ker = ar.image_kernel(ad_operator_matrix(LS, k).matrix, tol)
+    Bim = ar.columns(im, N)
     f = basis.coords(Fk, ar)
-    fi = ar.matvec(split.proj_im, f)
-    if split.im_vectors:
-        Bim = ar.columns(split.im_vectors, basis.size)
-        try:
-            y = ar.solve_vector(ar.matmul(adL.matrix, Bim), fi)
-        except SolveFailed as exc:
-            raise SolveFailed(f"restricted homological system: {exc}")
-        g = ar.matvec(Bim, y)
-    else:
-        g = ar.vector([0] * basis.size)
+    K = ar.hstack([ar.matmul(adL.matrix, Bim), ar.columns(ker, N)], N)
+    if ar.image_kernel(K, tol)[1]:
+        raise RankAmbiguous("[ad_L B_im | B_ker] is singular; is L^S "
+                            "the semisimple part of L?")
+    y = ar.solve_vector(K, f)[:len(im)]
+    g = ar.matvec(Bim, y)
     rem = ar.sub(f, ar.matvec(adL.matrix, g))
     return basis.from_coords(list(g)), basis.from_coords(list(rem))
 

@@ -6,8 +6,9 @@ cluster carries a generalized eigenspace at every vertex, and these families
 of subspaces are invariant under all arrows, i.e. subrepresentations. On top
 of that sit the two complementary splittings used by the reductions
 (generalized kernel vs. reduced image, and center vs. hyperbolic), which
-share one body and classify every cluster in one place, and the
-semisimple/nilpotent (Jordan-Chevalley) decomposition.
+share one body, classify every cluster in one place and return the
+coordinates adapted to the split, and the semisimple/nilpotent
+(Jordan-Chevalley) decomposition.
 
 Exact mode factors the lcm of the vertex charpolys over Q once, by
 exactlin.rational_factors: candidates from numeric roots re-solved after
@@ -254,19 +255,20 @@ def _spectrum_with_fallback(rep, L, tol):
     return rep, L, clusters
 
 
-class SpectralSplit(tuple):
-    """(selected, rest, projectors) of a spectral split, plus `gap`: the
-    least distance of a rest eigenvalue from the selected set (|z| for the
-    kernel split, |Re z| for the center split) minus the largest distance
-    of a selected one. `basis[v]` is M = [B_sel | B_rest], the coordinates
-    adapted to the split at v, and `basis_inv[v]` is M^{-1}."""
+@dataclass(frozen=True)
+class SpectralSplit:
+    """The selected and rest subrepresentations of a spectral split.
 
-    def __new__(cls, selected, rest, projectors, gap, basis, basis_inv):
-        split = super().__new__(cls, (selected, rest, projectors))
-        split.gap = gap
-        split.basis = basis
-        split.basis_inv = basis_inv
-        return split
+    `gap` is the least distance of a rest eigenvalue from the selected set
+    (|z| for the kernel split, |Re z| for the center split) minus the
+    largest distance of a selected one. `basis[v]` is M = [B_sel | B_rest],
+    the coordinates adapted to the split at v, and `basis_inv[v]` is M^{-1}.
+    """
+    selected: Subrepresentation
+    rest: Subrepresentation
+    gap: float
+    basis: dict
+    basis_inv: dict
 
 
 def _distance(what, z):
@@ -294,7 +296,7 @@ def _is_selected(c, what):
 
 def _split(rep, L, what):
     """The clusters `what` selects against the rest, as a SpectralSplit of
-    complementary subrepresentations with intertwining projectors."""
+    complementary subrepresentations."""
     rep, L, clusters = _spectrum_with_fallback(rep, L, EPS_EIG)
     sel, rest = [], []
     for c in clusters:
@@ -307,29 +309,27 @@ def _split(rep, L, what):
            - max(distances(sel), default=0.0))
     sub_sel = _union_subrep(rep, L, sel, EPS_EIG)
     sub_rest = _union_subrep(rep, L, rest, EPS_EIG)
-    ar = rep.arith
-    basis, basis_inv, projectors = {}, {}, {}
+    basis, basis_inv = {}, {}
     for v in rep.quiver.vertices:
+        basis[v] = rep.arith.hstack([sub_sel.basis[v], sub_rest.basis[v]],
+                                    rep.dim[v])
         try:
-            basis[v], basis_inv[v], P = arith.adapted_coordinates(
-                sub_sel.basis[v], sub_rest.basis[v])
+            basis_inv[v] = rep.arith.inverse(basis[v])
         except SolveFailed as exc:
             raise AxisAmbiguous(f"vertex {v!r}: {what} split is not a "
                                 f"direct sum ({exc})")
-        projectors[v] = (P, ar.sub(ar.identity(rep.dim[v]), P))
-    return SpectralSplit(sub_sel, sub_rest, projectors, gap, basis, basis_inv)
+    return SpectralSplit(sub_sel, sub_rest, gap, basis, basis_inv)
 
 
 def center_hyperbolic_split(rep, L):
     """Split into the center (eigenvalues on the imaginary axis) and
-    hyperbolic subrepresentations, with intertwining projectors, as a
-    SpectralSplit."""
+    hyperbolic subrepresentations, as a SpectralSplit."""
     return _split(rep, L, "center")
 
 
 def kernel_image_split(rep, L):
     """Split into the generalized kernel (eigenvalue 0) and the reduced
-    image, with intertwining projectors, as a SpectralSplit."""
+    image, as a SpectralSplit."""
     return _split(rep, L, "kernel")
 
 

@@ -1,4 +1,4 @@
-"""Image/kernel bases and projectors, exact and float."""
+"""Image/kernel bases, solves and adapted coordinates, exact and float."""
 
 import random
 from fractions import Fraction
@@ -47,17 +47,20 @@ def test_float_image_kernel_rejects_rank_near_threshold():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_projector_is_oblique_projection(mode):
+    # the coordinates M = [B_on | B_along] adapted to two complementary
+    # subspaces and M^{-1} give the projector onto one along the other
     ar = arith.of(mode)
     B_on = ar.freeze([[1], [1], [0]])
     B_along = ar.freeze([[1, 0], [0, 0], [0, 1]])
-    M, Minv, P = arith.adapted_coordinates(B_on, B_along)
+    M = ar.hstack([B_on, B_along], 3)
+    Minv = ar.inverse(M)
     assert ar.max_abs(ar.sub(M, ar.freeze([[1, 1, 0], [1, 0, 0],
                                            [0, 0, 1]]))) == 0
     assert ar.max_abs(ar.sub(ar.matmul(M, Minv), ar.identity(3))) == 0
+    P = ar.matmul(B_on, Minv[:1])
     assert ar.max_abs(ar.sub(ar.matmul(P, P), P)) == 0
     assert ar.max_abs(ar.sub(ar.matmul(P, B_on), B_on)) == 0
     assert ar.max_abs(ar.matmul(P, B_along)) == 0
+    # subspaces that meet give no coordinates
     with pytest.raises(SolveFailed):
-        arith.adapted_coordinates(B_on, ar.freeze([[1], [1], [0]]))
-    with pytest.raises(SolveFailed):
-        arith.adapted_coordinates(B_on, ar.freeze([[1], [0], [0]]))
+        ar.inverse(ar.hstack([B_on, ar.freeze([[1, 0], [1, 0], [0, 1]])], 3))

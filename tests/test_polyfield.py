@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import madd
 from quiverdyn import arith, exactlin, polyfield
 from quiverdyn.errors import RankAmbiguous, SizeOverflow
 from quiverdyn.polyfield import (ad_operator_matrix, grade_part, hom_basis,
-                                 im_ker_split_adLS, lie_transform,
+                                 homological_operator, lie_transform,
                                  solve_homological)
-from quiverdyn.polynomial import Poly
+from quiverdyn.polynomial import Poly, combine_rows, linear_forms
+from quiverdyn.quiver import Quiver, QuiverRepresentation
+from quiverdyn.spectral import EndomorphismTuple, sn_decomposition
 from quiverdyn.tuples import bracket_polys
 
 
@@ -42,13 +46,19 @@ def test_size_cap():
         hom_basis(10, 8)
 
 
+def unit_field(basis, idx):
+    """The basis element at idx as a list of Polys."""
+    return basis.from_coords([Fraction(int(i == idx))
+                              for i in range(basis.size)])
+
+
 def test_ad_matrix_columns_are_bracket_images():
     L = frac_matrix([[1, 0], [0, -1]])
     ad = ad_operator_matrix(L, 2)
     b = ad.basis
     Lx = [Poly(2, {(1, 0): 1}), Poly(2, {(0, 1): -1})]
     for idx in range(b.size):
-        G = b.field(idx)
+        G = unit_field(b, idx)
         expected = b.coords(bracket_polys(Lx, G, 2, 2), arith.EXACT)
         got = [ad.matrix[i][idx] for i in range(b.size)]
         assert got == expected
@@ -85,31 +95,115 @@ def test_coords_take_the_callers_arithmetic():
     assert b.coords(zero, arith.EXACT) == [Fraction(0)] * b.size
 
 
-def test_im_ker_split_semisimple_diagonal():
-    # L = diag(1, -1); eigenvalue combinations determine the resonances
-    L = frac_matrix([[1, 0], [0, -1]])
-    split = im_ker_split_adLS(L, 2)
-    N = split.basis.size
-    assert len(split.im_vectors) + len(split.ker_vectors) == N
-    # known cubic resonances: x^2 y d/dx and x y^2 d/dy
-    ker_fields = [split.basis.from_coords(list(v))
-                  for v in split.ker_vectors]
-    seen = set()
-    for f in ker_fields:
-        for j, p in enumerate(f):
-            for e in p.terms:
-                seen.add((j, e))
-    assert seen == {(0, (2, 1)), (1, (1, 2))}
+def poly_operator_columns(A, B, k, ar):
+    """Columns of psi |-> B psi - D psi . A x, each the image of one basis
+    map built and differentiated as Polys."""
+    n = len(A)
+    basis = hom_basis(n, k, len(B))
+    lin = linear_forms(A, n)
+    cols = []
+    for idx in range(basis.size):
+        psi = unit_field(basis, idx)
+        img = combine_rows(B, psi, n)
+        for r in range(len(B)):
+            for j in range(n):
+                img[r] = img[r] - psi[r].diff(j) * lin[j]
+        cols.append(basis.coords(img, ar))
+    return cols
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_im_ker_split_rejects_nilpotent(mode):
-    # ad of a nilpotent L^S has image and kernel that meet
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 1), (2, 3), (3, 2)])
+def test_homological_operator_matches_poly_images(mode, n, m):
+    ar = arith.of(mode)
+    rng = random.Random(10 * n + m)
+    for k in (0, 1, 2):
+        A = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+              for _ in range(n)] for _ in range(n)]
+        B = [[Fraction(rng.randint(-3, 3)) for _ in range(m)]
+             for _ in range(m)]
+        if mode == "float":
+            A = [[float(x) for x in row] for row in A]
+            B = [[float(x) for x in row] for row in B]
+        op = homological_operator(ar.freeze(A), ar.freeze(B), k)
+        assert op.basis == hom_basis(n, k, m)
+        expected = ar.columns(poly_operator_columns(A, B, k, ar),
+                              op.basis.size)
+        if mode == "exact":
+            assert op.matrix == expected
+        else:
+            assert np.allclose(op.matrix, expected, rtol=0, atol=1e-12)
+
+
+def test_solve_homological_leaves_the_cubic_resonances():
+    # L = diag(1, -1): at grade 2 the eigenvalue combinations vanish only
+    # for x^2 y d/dx and x y^2 d/dy, so the remainder holds exactly those
+    L = frac_matrix([[1, 0], [0, -1]])
+    b = hom_basis(2, 2)
+    rng = random.Random(4)
+    F = b.from_coords([Fraction(rng.randint(1, 3)) for _ in range(b.size)])
+    G, R = solve_homological(L, L, F, 2)
+    assert [p.terms for p in R] == [{(2, 1): F[0].terms[(2, 1)]},
+                                    {(1, 2): F[1].terms[(1, 2)]}]
+    # the generator lies in the image, which holds no resonant term
+    assert (2, 1) not in G[0].terms and (1, 2) not in G[1].terms
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_homological_rejects_nilpotent_LS(mode):
+    # ad of a nilpotent L^S has image and kernel that meet, so the system
+    # is singular whatever the right-hand side, the zero field included
     LS = frac_matrix([[0, 1], [0, 0]])
     if mode == "float":
         LS = np.array(LS, dtype=float)
+    zero = [Poly.zero(2), Poly.zero(2)]
+    if mode == "float":
+        zero = [p.to_float() for p in zero]
     with pytest.raises(RankAmbiguous):
-        im_ker_split_adLS(LS, 1)
+        solve_homological(LS, LS, zero, 1)
+
+
+@st.composite
+def jordan_matrices(draw):
+    """A 2x2 or 3x3 rational matrix U J U^-1 with J holding a Jordan block
+    (so its nilpotent part is nonzero) and U unimodular."""
+    d = draw(st.integers(2, 3))
+    size = draw(st.integers(2, d))
+    eig = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+           for _ in range(2)]
+    J = exactlin.zeros(d, d)
+    for i in range(d):
+        J[i][i] = eig[0] if i < size else eig[1]
+        if i + 1 < size:
+            J[i][i + 1] = Fraction(1)
+    lower, upper = exactlin.identity(d), exactlin.identity(d)
+    for i in range(d):
+        for j in range(i):
+            lower[i][j] = Fraction(draw(st.integers(-2, 2)))
+            upper[j][i] = Fraction(draw(st.integers(-2, 2)))
+    U = exactlin.matmul(lower, upper)
+    return exactlin.matmul(exactlin.matmul(U, J), exactlin.inverse(U))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jordan_matrices(), st.integers(1, 2), st.data())
+def test_solve_homological_splits_with_a_nilpotent_part(L, k, data):
+    ar = arith.EXACT
+    L = ar.freeze(L)
+    rep = QuiverRepresentation(Quiver(["v"], []), {"v": len(L)}, {})
+    LS, LN = sn_decomposition(EndomorphismTuple(rep, {"v": L}))
+    LS = LS.matrices["v"]
+    assert not exactlin.is_zero_matrix(LN.matrices["v"])
+    b = hom_basis(len(L), k)
+    F = b.from_coords([Fraction(data.draw(st.integers(-3, 3)))
+                       for _ in range(b.size)])
+    G, R = solve_homological(L, LS, F, k)
+    adL = ad_operator_matrix(L, k).matrix
+    adS = ad_operator_matrix(LS, k).matrix
+    f, g, r = (b.coords(x, ar) for x in (F, G, R))
+    assert f == [x + y for x, y in zip(exactlin.matvec(adL, g), r)]
+    assert all(x == 0 for x in exactlin.matvec(adS, r))
+    ar.solve_vector(adS, g)     # raises SolveFailed unless g is in im ad_S
 
 
 def test_solve_homological_reconstructs_field():

@@ -101,8 +101,8 @@ def test_joint_spectrum_shares_factors_across_vertices():
     for c in clusters:
         sub = generalized_eigenspace_subrep(rep, L, c)
         assert sub.subdim == c.multiplicity
-    kernel, image, _ = kernel_image_split(rep, L)
-    assert kernel.subdim == {"big": 0, "small": 0}
+    assert kernel_image_split(rep, L).selected.subdim == {"big": 0,
+                                                          "small": 0}
 
 
 def test_generalized_eigenspace_dimensions(mode="exact"):
@@ -128,18 +128,27 @@ def test_generalized_kernel_of_nilpotent_block():
     assert sub.subdim["v"] == 2
 
 
+def split_projectors(split, v):
+    """(P_sel, P_rest) = (M[:, :k] M^{-1}[:k], M[:, k:] M^{-1}[k:]) from
+    the adapted coordinates M of a split, k the selected dimension, as
+    float arrays."""
+    k = split.selected.subdim[v]
+    M, Minv = as_array(split.basis[v]), as_array(split.basis_inv[v])
+    return M[:, :k] @ Minv[:k], M[:, k:] @ Minv[k:]
+
+
 def test_center_hyperbolic_split(mode="exact"):
     rep, L = block_fixture(mode)
-    center, hyper, projectors = center_hyperbolic_split(rep, L)
-    assert center.subdim["v"] == 2          # the +-i pair
-    assert hyper.subdim["v"] == 3
-    Pc, Ph = projectors["v"]
-    Pc, Ph = as_array(Pc), as_array(Ph)
+    split = center_hyperbolic_split(rep, L)
+    assert split.selected.subdim["v"] == 2          # the +-i pair
+    assert split.rest.subdim["v"] == 3
+    Pc, Ph = split_projectors(split, "v")
     assert np.allclose(Pc + Ph, np.eye(5))
     assert np.allclose(Pc @ Pc, Pc)
-    # the projectors do not depend on the bases, so both modes agree
-    _, _, exact = center_hyperbolic_split(*block_fixture("exact"))
-    assert np.allclose(Pc, as_array(exact["v"][0]), rtol=0, atol=1e-9)
+    # the projector does not depend on the bases, so both modes agree
+    exact = center_hyperbolic_split(*block_fixture("exact"))
+    assert np.allclose(Pc, split_projectors(exact, "v")[0], rtol=0,
+                       atol=1e-9)
 
 
 def test_center_hyperbolic_split_float():
@@ -152,8 +161,8 @@ def test_center_split_of_irrational_real_pair(mode="exact"):
     rep = one_vertex_rep(2, mode)
     for q, center_dim in ((2, 0), (-2, 2)):
         L = EndomorphismTuple(rep, {"v": mode_matrix([[0, q], [1, 0]], mode)})
-        center, hyper, _ = center_hyperbolic_split(rep, L)
-        assert (center.subdim["v"], hyper.subdim["v"]) == \
+        split = center_hyperbolic_split(rep, L)
+        assert (split.selected.subdim["v"], split.rest.subdim["v"]) == \
             (center_dim, 2 - center_dim)
 
 
@@ -166,10 +175,10 @@ def test_kernel_image_split(mode="exact"):
     L = EndomorphismTuple(rep, {"v": mode_matrix([[0, 0, 0],
                                                   [0, 1, 0],
                                                   [0, 0, -1]], mode)})
-    ker, im, projectors = kernel_image_split(rep, L)
-    assert ker.subdim["v"] == 1
-    assert im.subdim["v"] == 2
-    Pk = as_array(projectors["v"][0])
+    split = kernel_image_split(rep, L)
+    assert split.selected.subdim["v"] == 1
+    assert split.rest.subdim["v"] == 2
+    Pk = split_projectors(split, "v")[0]
     assert np.allclose(Pk, np.diag([1, 0, 0]), rtol=0, atol=1e-9)
 
 
@@ -186,15 +195,18 @@ def first_columns(M, k):
 @pytest.mark.parametrize("split_fn, k", [(kernel_image_split, 2),
                                          (center_hyperbolic_split, 4)])
 def test_split_keeps_its_adapted_coordinates(mode, split_fn, k):
-    # a nilpotent Jordan block at 0, a rotation (+-i) and the scalar -2
-    rep = one_vertex_rep(5, mode)
-    L = EndomorphismTuple(rep, {"v": mode_matrix([[0, 1, 0, 0, 0],
-                                                  [0, 0, 0, 0, 0],
-                                                  [0, 0, 0, -1, 0],
-                                                  [0, 0, 1, 0, 0],
-                                                  [0, 0, 0, 0, -2]], mode)})
-    split = split_fn(rep, L)
-    sel, rest, projectors = split
+    def split_in(mode):
+        # a nilpotent Jordan block at 0, a rotation (+-i) and the scalar -2
+        rep = one_vertex_rep(5, mode)
+        return split_fn(rep, EndomorphismTuple(rep, {"v": mode_matrix(
+            [[0, 1, 0, 0, 0],
+             [0, 0, 0, 0, 0],
+             [0, 0, 0, -1, 0],
+             [0, 0, 1, 0, 0],
+             [0, 0, 0, 0, -2]], mode)}))
+
+    split = split_in(mode)
+    sel, rest = split.selected, split.rest
     M, Minv = split.basis["v"], split.basis_inv["v"]
     ar = arith.of(mode)
     assert arith.of_matrix(M) is ar and sel.subdim["v"] == k
@@ -202,8 +214,14 @@ def test_split_keeps_its_adapted_coordinates(mode, split_fn, k):
         M, ar.hstack([sel.basis["v"], rest.basis["v"]], 5))) == 0
     assert ar.passes(ar.max_abs(ar.sub(ar.matmul(M, Minv),
                                        ar.identity(5))), 1e-12)
+    # the projector onto the selected part along the rest does not depend
+    # on the bases, so both modes give the exact one
     P = ar.matmul(first_columns(M, k), Minv[:k])
-    assert ar.max_abs(ar.sub(projectors["v"][0], P)) == 0
+    assert ar.passes(ar.max_abs(ar.sub(ar.matmul(P, sel.basis["v"]),
+                                       sel.basis["v"])), 1e-12)
+    assert ar.passes(ar.max_abs(ar.matmul(P, rest.basis["v"])), 1e-12)
+    exact = split_projectors(split_in("exact"), "v")[0]
+    assert np.allclose(as_array(P), exact, rtol=0, atol=1e-9)
 
 
 def test_kernel_split_builds_each_side_once(monkeypatch):
