@@ -2,8 +2,9 @@
 
 All networks here are small hand-checkable examples: two feedforward
 networks (two and five nodes), a five-node network whose admissible maps
-commute with a five-element monoid of non-invertible symmetries, and a
-five-node two-colour network with six quotients. Random data is drawn from
+commute with a five-element monoid of non-invertible symmetries, a
+five-node two-colour network with six quotients, and an eight-node
+two-colour network with twelve. Random data is drawn from
 seeded random.Random instances so every test is reproducible.
 """
 
@@ -63,6 +64,22 @@ def two_type_network():
         ("o1", "1", "4", "o"), ("o2", "3", "5", "o"),
         ("r1", "4", "4", "r"), ("r2", "4", "5", "r"),
     ]
+    return ColouredNetwork(nodes, edges)
+
+
+def two_colour_8_network():
+    """Eight nodes of colours 'y'/'g' with twelve quotients.
+
+    Every node has a self edge coloured by its node colour and one 'a'
+    input; node 2 feeds 2, 3, 4 and 8, so 3, 4 and 8 are interchangeable.
+    """
+    colours = "ggyyygyy"
+    a_source = "82221412"
+    nodes = [(str(i), c) for i, c in enumerate(colours, start=1)]
+    edges = [(f"s{i}", str(i), str(i), "s" + c)
+             for i, c in enumerate(colours, start=1)]
+    edges += [(f"a{i}", s, str(i), "a")
+              for i, s in enumerate(a_source, start=1)]
     return ColouredNetwork(nodes, edges)
 
 

@@ -14,6 +14,8 @@ code and every file the command writes with the frozen copies under
   from float Newton iterations even on exact input, so they use the masked
   rule in both modes. `casestudy-s10` reads its three paper cases as text
   and has no float variant.
+- Network cases (`quoq`, `fibrations`) read network files, have no float
+  variant and must match byte for byte.
 
 The frozen files are data, not output of this test: a change that moves a
 report must explain itself by editing them in its own commit.
@@ -26,9 +28,11 @@ from pathlib import Path
 import pytest
 
 from helpers import (cm_coupled_tuple, cm_feedforward_tuple, float_copy,
-                     hopf_tuple)
+                     hopf_tuple, two_colour_8_network, two_type_network)
+from quiverdyn.builders import quotient_network
 from quiverdyn.fileio import (dump_json, endomorphism_to_json,
-                              representation_to_json, tuple_to_json)
+                              network_to_json, representation_to_json,
+                              tuple_to_json)
 from quiverdyn.spectral import EndomorphismTuple
 from test_casestudy import CASE1, CASE2, CASE3
 from test_cli import run_cli
@@ -59,6 +63,21 @@ COMMANDS = [
     (["branches", "pvf.json", "--vertex", "v"], ["transcritical"]),
 ]
 
+# network files written for every network case, as <name>.json
+NETWORKS = {
+    "twotype": two_type_network,
+    "twocolour8": two_colour_8_network,
+    "twotype-q2": lambda: quotient_network(
+        two_type_network(), [("1", "2", "3"), ("4", "5")])[0],
+}
+
+NETWORK_COMMANDS = [
+    ("quoq-twotype", ["quoq", "twotype.json"]),
+    ("quoq-twocolour8", ["quoq", "twocolour8.json"]),
+    ("fibrations-surjective-twotype",
+     ["fibrations", "twotype.json", "twotype-q2.json", "--surjective"]),
+]
+
 # commands whose reports hold float Newton results in either mode
 NEWTON_COMMANDS = {"branches", "casestudy-s10"}
 
@@ -72,11 +91,16 @@ CASES = [(case_name(args, fx, mode), args, fx, mode)
          for mode in ("exact", "float")] + [
     (f"casestudy-s10-case{i}",
      ["casestudy-s10", "--f", f, "--g", g, "--case", case], None, "exact")
-    for i, (f, g, case) in enumerate((CASE1, CASE2, CASE3), start=1)]
+    for i, (f, g, case) in enumerate((CASE1, CASE2, CASE3), start=1)] + [
+    (name, args, "networks", "exact") for name, args in NETWORK_COMMANDS]
 
 
 def write_inputs(fixture, mode, directory):
     if fixture is None:
+        return
+    if fixture == "networks":
+        for name, make in NETWORKS.items():
+            dump_json(network_to_json(make()), directory / f"{name}.json")
         return
     F = FIXTURES[fixture]()
     if mode == "float":
