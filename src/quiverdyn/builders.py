@@ -17,12 +17,12 @@ the same response family on every subnetwork / quotient.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotAdmissible
 from .network import ColouredNetwork, _natural_key, check_admissible
-from .quiver import Quiver, QuiverRepresentation
+from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMapTuple
 
 
@@ -83,19 +83,11 @@ def build_subq(N):
     matrices = {}
     for a, svid, tvid in arrows:
         big, small = vertex_subsets[svid], vertex_subsets[tvid]
-        col_offsets = {}
-        pos = 0
-        for n in big:
-            col_offsets[n] = pos
-            pos += N.node_dim(n)
-        rows = []
-        for n in small:
-            d = N.node_dim(n)
-            for k in range(d):
-                row = [Fraction(0)] * dim[svid]
-                row[col_offsets[n] + k] = Fraction(1)
-                rows.append(row)
-        matrices[a] = rows
+        col_offsets = dict(zip(big, itertools.accumulate(
+            (N.node_dim(n) for n in big[:-1]), initial=0)))
+        matrices[a] = selection_matrix(
+            [col_offsets[n] + k for n in small for k in range(N.node_dim(n))],
+            dim[svid])
     rep = QuiverRepresentation(quiver, dim, matrices, mode="exact")
     return quiver, rep, vertex_subsets
 
@@ -166,83 +158,82 @@ def enumerate_fibrations(N_src, N_dst, surjective_only=False):
 
     Backtracking over node images (nodes ordered by descending in-degree),
     pruning on colour and per-node input feasibility; every consistent node
-    map is then expanded into all compatible edge bijections.
+    map is then expanded into all compatible edge bijections. A node's
+    inputs, grouped by (edge colour, image of source), are checked once, at
+    the step that gives the last of it and its in-sources an image. With
+    surjective_only, a branch ends once the unassigned nodes of a colour
+    are fewer than the target nodes of that colour not yet hit.
     """
     src_nodes = N_src.node_ids()
     dst_nodes = N_dst.node_ids()
-    src_colour = dict(N_src.nodes)
-    dst_colour = dict(N_dst.nodes)
+    src_colour, dst_colour = N_src.node_colour, N_dst.node_colour
     candidates = {n: [m for m in dst_nodes if dst_colour[m] == src_colour[n]]
                   for n in src_nodes}
     if any(not c for c in candidates.values()):
         return []
+    left = Counter(src_colour.values())    # unassigned source nodes
+    unhit = Counter(dst_colour.values())   # target nodes without a preimage
+    if surjective_only and any(left[c] < k for c, k in unhit.items()):
+        return []
+    src_in = {n: N_src.in_edges(n) for n in src_nodes}
+    dst_in = {m: N_dst.in_edges(m) for m in dst_nodes}
+    inputs = {n: [(s, c) for _, s, _, c in src_in[n]] for n in src_nodes}
+    want = {m: sorted((c, s) for _, s, _, c in dst_in[m]) for m in dst_nodes}
     order = sorted(src_nodes,
-                   key=lambda n: (-len(N_src.in_edges(n)), _natural_key(n)))
+                   key=lambda n: (-len(inputs[n]), _natural_key(n)))
+    pos = {n: i for i, n in enumerate(order)}
+    checked_at = [[] for _ in order]   # nodes whose inputs step i completes
+    for n in src_nodes:
+        checked_at[max([pos[n]] + [pos[s] for s, _ in inputs[n]])].append(n)
 
     results = []
     assign = {}
-
-    def groups_feasible(n):
-        """Once n's image and all its in-sources' images are known, check
-        that in-edge groups keyed by (colour, image of source) match."""
-        m = assign[n]
-        got = {}
-        for e, s, _, c in N_src.in_edges(n):
-            if s not in assign:
-                return True  # defer
-            got[(c, assign[s])] = got.get((c, assign[s]), 0) + 1
-        want = {}
-        for e, s, _, c in N_dst.in_edges(m):
-            want[(c, s)] = want.get((c, s), 0) + 1
-        return got == want
+    hits = Counter()
 
     def extend(i):
         if i == len(order):
             results.append(dict(assign))
             return
         n = order[i]
+        colour = src_colour[n]
+        left[colour] -= 1
         for m in candidates[n]:
-            assign[n] = m
-            if all(groups_feasible(k) for k in assign):
-                extend(i + 1)
-            del assign[n]
+            hits[m] += 1
+            if hits[m] == 1:
+                unhit[colour] -= 1
+            if not (surjective_only and unhit[colour] > left[colour]):
+                assign[n] = m
+                if all(sorted([(c, assign[s]) for s, c in inputs[k]])
+                       == want[assign[k]] for k in checked_at[i]):
+                    extend(i + 1)
+                del assign[n]
+            hits[m] -= 1
+            if not hits[m]:
+                unhit[colour] += 1
+        left[colour] += 1
 
     extend(0)
 
     fibrations = []
     for nm in sorted(results,
                      key=lambda d: tuple(_natural_key(d[n]) for n in src_nodes)):
-        if surjective_only and set(nm.values()) != set(dst_nodes):
-            continue
-        # per node, enumerate edge bijections group by (colour, mapped source)
-        per_node_choices = []
-        feasible = True
+        # per node, the edge bijections of each (colour, mapped source) group
+        flat = []
         for n in src_nodes:
             groups_src, groups_dst = {}, {}
-            for e, s, _, c in N_src.in_edges(n):
+            for e, s, _, c in src_in[n]:
                 groups_src.setdefault((c, nm[s]), []).append(e)
-            for e, s, _, c in N_dst.in_edges(nm[n]):
+            for e, s, _, c in dst_in[nm[n]]:
                 groups_dst.setdefault((c, s), []).append(e)
-            if set(groups_src) != set(groups_dst) or any(
-                    len(groups_src[k]) != len(groups_dst[k]) for k in groups_src):
-                feasible = False
-                break
-            choices = []
             for key in sorted(groups_src):
-                es, ed = groups_src[key], groups_dst[key]
-                choices.append([tuple(zip(es, p))
-                                for p in itertools.permutations(ed)])
-            per_node_choices.append(choices)
-        if not feasible:
-            continue
-        flat = [g for node_choices in per_node_choices for g in node_choices]
+                es = groups_src[key]
+                flat.append([tuple(zip(es, p))
+                             for p in itertools.permutations(groups_dst[key])])
+        node_map = tuple(sorted(nm.items(), key=lambda p: _natural_key(p[0])))
         for combo in itertools.product(*flat):
             em = tuple(sorted((pair for group in combo for pair in group),
                               key=lambda p: _natural_key(p[0])))
-            fibrations.append(GraphFibration(
-                N_src, N_dst,
-                tuple(sorted(nm.items(), key=lambda p: _natural_key(p[0]))),
-                em))
+            fibrations.append(GraphFibration(N_src, N_dst, node_map, em))
     return fibrations
 
 
@@ -253,45 +244,55 @@ def _balanced_partitions(N):
 
     A partition is balanced when same-class nodes share a colour and have
     equal multisets of (edge colour, class of source) over their in-edges.
+    Nodes are placed in node order, each into an earlier class of its colour
+    or a new one, so partitions come in restricted-growth order. A node's
+    multiset is fixed once it and all its in-sources are placed; at that
+    step it is compared with every member of its class whose multiset is
+    already fixed, and the branch ends at the first difference.
     """
     node_ids = N.node_ids()
-    colour = dict(N.nodes)
+    colour = N.node_colour
+    index = {n: i for i, n in enumerate(node_ids)}
+    inputs = {n: [(s, c) for _, s, _, c in N.in_edges(n)] for n in node_ids}
+    fixed_at = [[] for _ in node_ids]   # nodes whose multiset step i fixes
+    for n in node_ids:
+        fixed_at[max([index[n]] + [index[s] for s, _ in inputs[n]])].append(n)
+    blocks = []
+    cls = {}
+    sig = {}
     partitions = []
 
-    def assign(i, blocks):
+    def balanced(i):
+        for n in fixed_at[i]:
+            sig_n = sorted((c, cls[s]) for s, c in inputs[n])
+            if any(sig.get(m, sig_n) != sig_n for m in blocks[cls[n]]):
+                return False
+            sig[n] = sig_n
+        return True
+
+    def place(i):
         if i == len(node_ids):
             partitions.append([tuple(b) for b in blocks])
             return
         n = node_ids[i]
-        for b in blocks:
-            if colour[b[0]] == colour[n]:
-                b.append(n)
-                assign(i + 1, blocks)
-                b.pop()
-        blocks.append([n])
-        assign(i + 1, blocks)
-        blocks.pop()
+        for k in range(len(blocks) + 1):
+            if k == len(blocks):
+                blocks.append([])
+            elif colour[blocks[k][0]] != colour[n]:
+                continue
+            blocks[k].append(n)
+            cls[n] = k
+            if balanced(i):
+                place(i + 1)
+            for m in fixed_at[i]:
+                sig.pop(m, None)
+            blocks[k].pop()
+            if not blocks[k]:
+                blocks.pop()
+        del cls[n]
 
-    assign(0, [])
-
-    balanced = []
-    for blocks in partitions:
-        cls = {}
-        for idx, b in enumerate(blocks):
-            for n in b:
-                cls[n] = idx
-        ok = True
-        for b in blocks:
-            sigs = set()
-            for n in b:
-                sig = tuple(sorted((c, cls[s]) for _, s, _, c in N.in_edges(n)))
-                sigs.add(sig)
-            if len(sigs) > 1:
-                ok = False
-                break
-        if ok:
-            balanced.append(blocks)
-    return balanced
+    place(0)
+    return partitions
 
 
 def quotient_network(N, blocks):
@@ -322,30 +323,85 @@ def quotient_network(N, blocks):
 
 
 def _canonical_network_form(N):
-    """Minimal encoding over colour-preserving node permutations."""
+    """Minimal encoding over colour-preserving node relabellings.
+
+    Labels 0..n-1 go to the colours in sorted order, so node_part is the
+    same for every relabelling; edge_part is the sorted tuple of (source
+    label, target label, edge colour), and the least one is returned. A
+    depth-first search places the labels in turn. With labels 0..k-1
+    placed, edge_part begins with a fixed prefix: each labelled source in
+    turn with its edges into labelled targets, up to the first source that
+    still has an unlabelled target. Every later entry exceeds `bound`,
+    (s, k) for that source s or (k,) if there is none. A branch is cut when
+    its prefix exceeds the best encoding's, or equals it while the best's
+    next entry lies below `bound`. Swapping two twins (same colour and the
+    same in-, out- and self-edges) is an automorphism, so one node per twin
+    class is tried at each label.
+    """
     node_ids = N.node_ids()
-    colour = dict(N.nodes)
-    by_colour = {}
-    for n in node_ids:
-        by_colour.setdefault(colour[n], []).append(n)
-    colours = sorted(by_colour)
+    colour = N.node_colour
+    slots = sorted(colour[n] for n in node_ids)   # colour of each label
+    pool = {c: [n for n in node_ids if colour[n] == c] for c in colour.values()}
+    out = {n: [] for n in node_ids}     # (target, colour), self-edges too
+    ins = {n: [] for n in node_ids}     # (source, colour), self-edges too
+    for _, s, t, c in N.edges:
+        out[s].append((t, c))
+        ins[t].append((s, c))
+    classes = {}
+    twin = {n: classes.setdefault(
+        (colour[n], tuple(sorted(c for t, c in out[n] if t == n)),
+         tuple(sorted((c, s) for s, c in ins[n] if s != n)),
+         tuple(sorted((c, t) for t, c in out[n] if t != n))), len(classes))
+        for n in node_ids}   # twin class number of each node
+    open_out = {n: len(out[n]) for n in node_ids}  # edges to unlabelled nodes
+    label = {}
+    order = []
+    prefix = []
     best = None
-    for perms in itertools.product(
-            *[itertools.permutations(by_colour[c]) for c in colours]):
-        relabel = {}
-        new_names = {}
-        idx = 0
-        for c, perm in zip(colours, perms):
-            for n in perm:
-                relabel[n] = idx
-                idx += 1
-        node_part = tuple(sorted((relabel[n], colour[n]) for n in node_ids))
-        edge_part = tuple(sorted((relabel[s], relabel[t], c)
-                                 for _, s, t, c in N.edges))
-        enc = (node_part, edge_part)
-        if best is None or enc < best:
-            best = enc
-    return best
+
+    def search(k, stop):
+        """Labels 0..k-1 are placed; `stop` is the first source whose
+        prefix entries are incomplete (k if there is none)."""
+        nonlocal best
+        if k == len(node_ids):
+            best = list(prefix)
+            return
+        tried = []
+        for v in pool[slots[k]]:
+            if v in label or twin[v] in tried:
+                continue
+            tried.append(twin[v])
+            label[v] = k
+            order.append(v)
+            for u, _ in ins[v]:
+                open_out[u] -= 1
+            mark = len(prefix)
+            s = stop
+            while s <= k:
+                u = order[s]
+                if s == stop and s < k:
+                    # only its edges into the new label k are missing
+                    prefix.extend((s, k, c) for c in sorted(
+                        c for t, c in out[u] if t == v))
+                else:
+                    prefix.extend((s,) + e for e in sorted(
+                        (label[t], c) for t, c in out[u] if t in label))
+                if open_out[u]:
+                    break
+                s += 1
+            bound = (s, k + 1) if s <= k else (k + 1,)
+            m = len(prefix)
+            if best is None or prefix < best[:m] or (
+                    prefix == best[:m] and m < len(best) and best[m] > bound):
+                search(k + 1, s)
+            del prefix[mark:]
+            for u, _ in ins[v]:
+                open_out[u] += 1
+            order.pop()
+            del label[v]
+
+    search(0, 0)
+    return tuple(enumerate(slots)), tuple(best)
 
 
 @dataclass
@@ -381,7 +437,9 @@ def build_quoq(N):
 
     Returns (quiver, representation, catalog, arrow_fibrations) where
     arrow_fibrations maps arrow id -> GraphFibration phi with
-    s(arrow) = codomain of phi and t(arrow) = domain of phi.
+    s(arrow) = codomain of phi and t(arrow) = domain of phi. Vertex ids
+    q01, q02, ... follow the catalog order, so quiver.vertices lines up
+    with catalog.quotients and catalog.witnesses.
     """
     catalog = enumerate_quotients(N)
     k = len(catalog.quotients)
@@ -411,15 +469,10 @@ def build_quoq(N):
 def _lifting_matrix(N_small, N_big, node_map):
     """Matrix of x |-> (x_{phi(m)})_{m in N_big} for phi: N_big -> N_small."""
     col_offsets = N_small.block_offsets()
-    rows = []
-    for m in N_big.node_ids():
-        d = N_big.node_dim(m)
-        img = node_map[m]
-        for r in range(d):
-            row = [Fraction(0)] * N_small.total_dim()
-            row[col_offsets[img] + r] = Fraction(1)
-            rows.append(row)
-    return rows
+    return selection_matrix(
+        [col_offsets[node_map[m]] + r
+         for m in N_big.node_ids() for r in range(N_big.node_dim(m))],
+        N_small.total_dim())
 
 
 def induce_on_quotients(N, family):
@@ -434,10 +487,6 @@ def induce_on_quotients(N, family):
             "; ".join(str(e) for e in report.dependency_errors
                       + report.groupoid_errors))
     quiver, rep, catalog, _ = build_quoq(N)
-    k = len(catalog.quotients)
-    width = max(2, len(str(k)))
-    comps = {}
-    for i, Q in enumerate(catalog.quotients):
-        vid = f"q{str(i + 1).zfill(width)}"
-        comps[vid] = family.instantiate(Q)
+    comps = {vid: family.instantiate(Q)
+             for vid, Q in zip(quiver.vertices, catalog.quotients)}
     return PolyMapTuple(rep, comps, family.param_dim)

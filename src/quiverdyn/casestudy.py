@@ -27,7 +27,7 @@ from .errors import CaseMismatch
 from .fileio import parse_poly_dsl
 from .lsreduction import (check_reduced_equivariance, find_branches_1param,
                           ls_reduce, synchrony_groups)
-from .quiver import Quiver, QuiverRepresentation
+from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMap, PolyMapTuple, check_equivariance
 
 CASES = ("a=0", "b=0", "ab-cd=0")
@@ -41,10 +41,6 @@ VERTEX_STATE = {
 }
 
 
-def _selection(rows, ncols):
-    return [[Fraction(int(j == r)) for j in range(ncols)] for r in rows]
-
-
 def build_case_quiver():
     """The three-vertex quiver with its four intertwining 0/1 maps."""
     quiver = Quiver(
@@ -52,10 +48,10 @@ def build_case_quiver():
         [("a1", "N1", "N2"), ("a2", "N1", "N2"),
          ("a3", "N3", "N2"), ("a4", "N2", "N3")])
     mats = {
-        "a1": _selection([0, 1, 2, 3], 5),   # (x1,y2,x3,y4,x5) -> (x1,y2,x3,y4)
-        "a2": _selection([4, 3, 2, 3], 5),   # -> (x5,y4,x3,y4)
-        "a3": _selection([1, 2, 1, 2], 3),   # (y1,x2,y3) -> (x2,y3,x2,y3)
-        "a4": _selection([1, 2, 3], 4),      # (x1,y2,x3,y4) -> (y2,x3,y4)
+        "a1": selection_matrix([0, 1, 2, 3], 5),   # (x1,y2,x3,y4,x5) -> (x1,y2,x3,y4)
+        "a2": selection_matrix([4, 3, 2, 3], 5),   # -> (x5,y4,x3,y4)
+        "a3": selection_matrix([1, 2, 1, 2], 3),   # (y1,x2,y3) -> (x2,y3,x2,y3)
+        "a4": selection_matrix([1, 2, 3], 4),      # (x1,y2,x3,y4) -> (y2,x3,y4)
     }
     rep = QuiverRepresentation(quiver, {"N1": 5, "N2": 4, "N3": 3}, mats,
                                mode="exact")

@@ -136,14 +136,12 @@ def quoq(network, out, seed):
     N = _load_network(network)
     quiver, rep, catalog, arrow_fibs = build_quoq(N)
     config = {"command": "quoq", "network": network, "seed": _seed(seed)}
-    width = max(2, len(str(len(catalog.quotients))))
     partitions = {}
-    for i, nm in enumerate(catalog.witnesses):
+    for vid, nm in zip(quiver.vertices, catalog.witnesses):
         classes = {}
         for n, c in nm.items():
             classes.setdefault(c, []).append(n)
-        partitions[f"q{str(i + 1).zfill(width)}"] = sorted(
-            sorted(v) for v in classes.values())
+        partitions[vid] = sorted(sorted(v) for v in classes.values())
     payload = {
         "representation": fileio.representation_to_json(rep),
         "partitions": partitions,

@@ -9,6 +9,8 @@ comparison in float mode carries a tolerance.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import arith
 from .arith import matrix_shape
 from .errors import DanglingArrow, NotInvariant, SolveFailed
@@ -41,6 +43,18 @@ class Quiver:
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
+
+
+def selection_matrix(cols, ncols):
+    """The exact 0/1 matrix with ncols columns whose row i reads
+    coordinate cols[i]."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = []
+    for c in cols:
+        row = [zero] * ncols
+        row[c] = one
+        rows.append(row)
+    return rows
 
 
 class QuiverRepresentation:

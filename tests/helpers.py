@@ -8,6 +8,7 @@ two-colour network with twelve. Random data is drawn from
 seeded random.Random instances so every test is reproducible.
 """
 
+import itertools
 import random
 import signal
 from contextlib import contextmanager
@@ -16,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from quiverdyn import exactlin
-from quiverdyn.network import ColouredNetwork, ResponseFamily
+from quiverdyn.builders import GraphFibration, quotient_network
+from quiverdyn.network import ColouredNetwork, ResponseFamily, _natural_key
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation
 from quiverdyn.tuples import PolyMap, PolyMapTuple
@@ -67,19 +69,31 @@ def two_type_network():
     return ColouredNetwork(nodes, edges)
 
 
-def two_colour_8_network():
-    """Eight nodes of colours 'y'/'g' with twelve quotients.
+def two_colour_network(colours, a_sources):
+    """Nodes 1..n of colours 'y'/'g' (colours[i - 1] for node i).
 
     Every node has a self edge coloured by its node colour and one 'a'
-    input; node 2 feeds 2, 3, 4 and 8, so 3, 4 and 8 are interchangeable.
+    input, from node a_sources[i - 1] into node i.
     """
-    colours = "ggyyygyy"
-    a_source = "82221412"
     nodes = [(str(i), c) for i, c in enumerate(colours, start=1)]
     edges = [(f"s{i}", str(i), str(i), "s" + c)
              for i, c in enumerate(colours, start=1)]
-    edges += [(f"a{i}", s, str(i), "a")
-              for i, s in enumerate(a_source, start=1)]
+    edges += [(f"a{i}", str(s), str(i), "a")
+              for i, s in enumerate(a_sources, start=1)]
+    return ColouredNetwork(nodes, edges)
+
+
+def two_colour_8_network():
+    """Eight nodes with twelve quotients; node 2 feeds 2, 3, 4 and 8, and
+    node 1 feeds 5 and 7, which are interchangeable."""
+    return two_colour_network("ggyyygyy", [8, 2, 2, 2, 1, 4, 1, 2])
+
+
+def ring_network(n):
+    """n same-coloured nodes, each with a self edge and a ring edge."""
+    nodes = [(str(i), "c") for i in range(1, n + 1)]
+    edges = [(f"s{i}", str(i), str(i), "s") for i in range(1, n + 1)]
+    edges += [(f"r{i}", str(i), str(i % n + 1), "r") for i in range(1, n + 1)]
     return ColouredNetwork(nodes, edges)
 
 
@@ -275,3 +289,116 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# --- brute-force oracles for the quotient searches ------------------------------
+
+def brute_canonical_network_form(N):
+    """Oracle: minimal encoding over all colour-preserving node permutations."""
+    node_ids = N.node_ids()
+    colour = dict(N.nodes)
+    by_colour = {}
+    for n in node_ids:
+        by_colour.setdefault(colour[n], []).append(n)
+    colours = sorted(by_colour)
+    best = None
+    for perms in itertools.product(
+            *[itertools.permutations(by_colour[c]) for c in colours]):
+        relabel = {}
+        idx = 0
+        for perm in perms:
+            for n in perm:
+                relabel[n] = idx
+                idx += 1
+        node_part = tuple(sorted((relabel[n], colour[n]) for n in node_ids))
+        edge_part = tuple(sorted((relabel[s], relabel[t], c)
+                                 for _, s, t, c in N.edges))
+        enc = (node_part, edge_part)
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def brute_balanced_partitions(N):
+    """Oracle: every colour-respecting set partition in restricted-growth
+    order, filtered for balance (equal multisets of (edge colour, class of
+    source) within each class)."""
+    node_ids = N.node_ids()
+    colour = dict(N.nodes)
+    partitions = []
+
+    def assign(i, blocks):
+        if i == len(node_ids):
+            partitions.append([tuple(b) for b in blocks])
+            return
+        n = node_ids[i]
+        for b in blocks:
+            if colour[b[0]] == colour[n]:
+                b.append(n)
+                assign(i + 1, blocks)
+                b.pop()
+        blocks.append([n])
+        assign(i + 1, blocks)
+        blocks.pop()
+
+    assign(0, [])
+    balanced = []
+    for blocks in partitions:
+        cls = {n: idx for idx, b in enumerate(blocks) for n in b}
+        if all(len({tuple(sorted((c, cls[s]) for _, s, _, c in N.in_edges(n)))
+                    for n in b}) == 1 for b in blocks):
+            balanced.append(blocks)
+    return balanced
+
+
+def brute_quotients(N):
+    """Oracle: (quotients, witnesses) in enumerate_quotients' order, from
+    the brute-force partitions and canonical forms."""
+    seen = set()
+    entries = []
+    for blocks in brute_balanced_partitions(N):
+        Q, node_map = quotient_network(N, blocks)
+        key = brute_canonical_network_form(Q)
+        if key not in seen:
+            seen.add(key)
+            entries.append((Q, node_map, key))
+    entries.sort(key=lambda t: (-len(t[0].nodes), t[2]))
+    return [e[0] for e in entries], [e[1] for e in entries]
+
+
+def brute_enumerate_fibrations(N_src, N_dst, surjective_only=False):
+    """Oracle: every colour-preserving node map whose in-edge groups keyed
+    by (edge colour, image of source) match, in enumerate_fibrations'
+    order, each expanded into all edge bijections."""
+    src_nodes = N_src.node_ids()
+    dst_nodes = N_dst.node_ids()
+    candidates = [[m for m in dst_nodes
+                   if N_dst.node_colour[m] == N_src.node_colour[n]]
+                  for n in src_nodes]
+    fibrations = []
+    for images in itertools.product(*candidates):
+        nm = dict(zip(src_nodes, images))
+        if surjective_only and set(images) != set(dst_nodes):
+            continue
+        groups = []
+        for n in src_nodes:
+            groups_src, groups_dst = {}, {}
+            for e, s, _, c in N_src.in_edges(n):
+                groups_src.setdefault((c, nm[s]), []).append(e)
+            for e, s, _, c in N_dst.in_edges(nm[n]):
+                groups_dst.setdefault((c, s), []).append(e)
+            if {k: len(v) for k, v in groups_src.items()} != \
+                    {k: len(v) for k, v in groups_dst.items()}:
+                break
+            groups += [[tuple(zip(groups_src[k], p))
+                        for p in itertools.permutations(groups_dst[k])]
+                       for k in sorted(groups_src)]
+        else:
+            for combo in itertools.product(*groups):
+                em = tuple(sorted((pair for g in combo for pair in g),
+                                  key=lambda p: _natural_key(p[0])))
+                fibrations.append(GraphFibration(
+                    N_src, N_dst,
+                    tuple(sorted(nm.items(),
+                                 key=lambda p: _natural_key(p[0]))), em))
+    return fibrations

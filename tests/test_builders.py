@@ -1,16 +1,24 @@
 """Subnetwork and quotient quivers, graph fibrations, induced tuples."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import (feedforward_pair_network, feedforward_chain_network, two_type_network,
-                     random_response_family)
-from quiverdyn.builders import (build_quoq, build_subq, enumerate_fibrations,
+from helpers import (brute_balanced_partitions, brute_canonical_network_form,
+                     brute_enumerate_fibrations, brute_quotients,
+                     feedforward_pair_network, feedforward_chain_network,
+                     random_response_family, ring_network, time_limit,
+                     two_colour_network, two_type_network)
+from quiverdyn.builders import (_balanced_partitions, _canonical_network_form,
+                                build_quoq, build_subq, enumerate_fibrations,
                                 enumerate_quotients, enumerate_subnetworks,
                                 induce_on_quotients, induce_on_subnetworks,
                                 quotient_network, subnetwork_network)
+from quiverdyn.network import ColouredNetwork
 from quiverdyn.quiver import validate_representation
 from quiverdyn.tuples import bracket_tuple, check_equivariance, compose_tuple
 
@@ -144,6 +152,82 @@ def test_fibrations_verify_structurally():
     N = two_type_network()
     for f in enumerate_fibrations(N, N):
         assert f.verify() == []
+
+
+@st.composite
+def coloured_networks(draw):
+    """Networks of 1-7 nodes in 1-3 colours: random in-degree 0-3, in-degree
+    2, or a ring with self edges and at most one extra input per node. Edge
+    colours name their end colours, so same-coloured edges join
+    same-coloured nodes."""
+    n = draw(st.integers(1, 7))
+    palette = "xyz"[:draw(st.integers(1, 3))]
+    colours = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["random", "in-degree 2", "ring"]))
+    node = st.integers(0, n - 1)
+    edges = []
+    for t in range(n):
+        if shape == "ring":
+            sources = [t, (t - 1) % n] + draw(st.lists(node, max_size=1))
+        else:
+            degree = 2 if shape == "in-degree 2" else draw(st.integers(0, 3))
+            sources = draw(st.lists(node, min_size=degree, max_size=degree))
+        for j, s in enumerate(sources):
+            kind = draw(st.integers(0, 1)) if shape == "random" else j
+            edges.append((f"e{len(edges)}", str(s + 1), str(t + 1),
+                          f"{colours[s]}{colours[t]}{kind}"))
+    return ColouredNetwork([(str(i + 1), c) for i, c in enumerate(colours)],
+                           edges)
+
+
+# random-9-1 of the quotient-enum benchmark, as drawn and with its nodes
+# permuted: a balance check that compares a node with only one member of
+# its class finds 8 and 7 balanced partitions here instead of 3
+RANDOM_9_1 = two_colour_network("yggyygyyg", [8, 7, 2, 8, 1, 1, 4, 6, 9])
+
+
+def relabelled(N, new_ids):
+    """N with node i renamed new_ids[i - 1] (nodes named 1..n)."""
+    nm = {str(i): str(j) for i, j in enumerate(new_ids, start=1)}
+    return ColouredNetwork([(nm[n], c) for n, c in N.nodes],
+                           [(e, nm[s], nm[t], c) for e, s, t, c in N.edges])
+
+
+RANDOM_9_1_PERMUTED = relabelled(RANDOM_9_1, [8, 7, 9, 3, 1, 5, 4, 6, 2])
+
+
+def node_maps(A, B):
+    """Number of colour-preserving node maps A -> B."""
+    return math.prod(sum(B.node_colour[m] == c for m in B.node_ids())
+                     for c in A.node_colour.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloured_networks())
+@example(RANDOM_9_1)
+@example(RANDOM_9_1_PERMUTED)
+def test_quotient_searches_match_brute_force_oracles(N):
+    assert _canonical_network_form(N) == brute_canonical_network_form(N)
+    assert _balanced_partitions(N) == brute_balanced_partitions(N)
+    catalog = enumerate_quotients(N)
+    assert (catalog.quotients, catalog.witnesses) == brute_quotients(N)
+    for Q in catalog.quotients:
+        for A, B in ((N, Q), (Q, N)):
+            if node_maps(A, B) > 2000:
+                continue
+            for surjective in (False, True):
+                got = enumerate_fibrations(A, B, surjective)
+                want = brute_enumerate_fibrations(A, B, surjective)
+                assert [(f.node_map, f.edge_map) for f in got] == \
+                    [(f.node_map, f.edge_map) for f in want]
+
+
+@pytest.mark.parametrize("n,seconds", [(10, 1), (14, 10)])
+def test_ring_quoq_in_bounded_time(n, seconds):
+    with time_limit(seconds):
+        quiver, _, _, _ = build_quoq(ring_network(n))
+    # one quotient per divisor d of n: the ring of d nodes
+    assert len(quiver.vertices) == sum(n % d == 0 for d in range(1, n + 1))
 
 
 def test_two_type_quoq_shape():
