@@ -181,8 +181,10 @@ def coloured_networks(draw):
 
 
 # random-9-1 of the quotient-enum benchmark, as drawn and with its nodes
-# permuted: a balance check that compares a node with only one member of
-# its class finds 8 and 7 balanced partitions here instead of 3
+# permuted. Both have 3 balanced partitions; a balance check that compares
+# each node only with the first other member of its class finds 8 and 7,
+# because members whose multisets are fixed at different steps are then
+# never compared with each other.
 RANDOM_9_1 = two_colour_network("yggyygyyg", [8, 7, 2, 8, 1, 1, 4, 6, 9])
 
 
