@@ -341,7 +341,7 @@ def _canonical_network_form(N):
     node_ids = N.node_ids()
     colour = N.node_colour
     slots = sorted(colour[n] for n in node_ids)   # colour of each label
-    pool = {c: [n for n in node_ids if colour[n] == c] for c in colour.values()}
+    pool = {c: [n for n in node_ids if colour[n] == c] for c in set(slots)}
     out = {n: [] for n in node_ids}     # (target, colour), self-edges too
     ins = {n: [] for n in node_ids}     # (source, colour), self-edges too
     for _, s, t, c in N.edges:
