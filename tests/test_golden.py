@@ -14,7 +14,8 @@ code and every file the command writes with the frozen copies under
   from float Newton iterations even on exact input, so they use the masked
   rule in both modes. `casestudy-s10` reads its three paper cases as text
   and has no float variant.
-- Network cases (`quoq`, `fibrations`) read network files, have no float
+- Network cases (`validate`, `subq`, `quoq`, `fibrations`,
+  `check-admissible`) read network and network-map files, have no float
   variant and must match byte for byte.
 
 The frozen files are data, not output of this test: a change that moves a
@@ -28,11 +29,12 @@ from pathlib import Path
 import pytest
 
 from helpers import (cm_coupled_tuple, cm_feedforward_tuple, float_copy,
-                     hopf_tuple, two_colour_8_network, two_type_network)
+                     hopf_tuple, random_response_family,
+                     two_colour_8_network, two_type_network)
 from quiverdyn.builders import quotient_network
 from quiverdyn.fileio import (dump_json, endomorphism_to_json,
-                              network_to_json, representation_to_json,
-                              tuple_to_json)
+                              network_map_to_json, network_to_json,
+                              representation_to_json, tuple_to_json)
 from quiverdyn.spectral import EndomorphismTuple
 from test_casestudy import CASE1, CASE2, CASE3
 from test_cli import run_cli
@@ -71,11 +73,22 @@ NETWORKS = {
         two_type_network(), [("1", "2", "3"), ("4", "5")])[0],
 }
 
+# network-map files written for every network case, as <name>.json: the
+# collapsed total-space map of an admissible response family
+NETWORK_MAPS = {
+    "twotype-map": lambda: random_response_family(
+        two_type_network(), seed=3).instantiate(),
+}
+
 NETWORK_COMMANDS = [
+    ("validate-twotype", ["validate", "twotype.json"]),
+    ("subq-twotype", ["subq", "twotype.json"]),
     ("quoq-twotype", ["quoq", "twotype.json"]),
     ("quoq-twocolour8", ["quoq", "twocolour8.json"]),
     ("fibrations-surjective-twotype",
      ["fibrations", "twotype.json", "twotype-q2.json", "--surjective"]),
+    ("check-admissible-twotype",
+     ["check-admissible", "twotype.json", "twotype-map.json"]),
 ]
 
 # commands whose reports hold float Newton results in either mode
@@ -101,6 +114,8 @@ def write_inputs(fixture, mode, directory):
     if fixture == "networks":
         for name, make in NETWORKS.items():
             dump_json(network_to_json(make()), directory / f"{name}.json")
+        for name, make in NETWORK_MAPS.items():
+            dump_json(network_map_to_json(make()), directory / f"{name}.json")
         return
     F = FIXTURES[fixture]()
     if mode == "float":
