@@ -407,7 +407,6 @@ def _canonical_network_form(N):
 @dataclass
 class QuotientCatalog:
     """Quotients of a network up to colour-preserving isomorphism."""
-    base: ColouredNetwork
     quotients: list      # of ColouredNetwork (canonical representatives)
     witnesses: list      # parallel list of node maps base -> quotient
 
@@ -429,7 +428,7 @@ def enumerate_quotients(N):
         seen[key] = True
         entries.append((Q, node_map, key))
     entries.sort(key=lambda t: (-len(t[0].nodes), t[2]))
-    return QuotientCatalog(N, [e[0] for e in entries], [e[1] for e in entries])
+    return QuotientCatalog([e[0] for e in entries], [e[1] for e in entries])
 
 
 def build_quoq(N):

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CaseMismatch
 from .fileio import parse_poly_dsl
-from .lsreduction import (check_reduced_equivariance, find_branches_1param,
-                          ls_reduce, synchrony_groups)
+from .lsreduction import (SYNC_TOL, check_reduced_equivariance,
+                          find_branches_1param, ls_reduce, synchrony_groups)
 from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMap, PolyMapTuple, check_equivariance
 
@@ -143,15 +143,15 @@ class CaseStudyReport:
     synchrony: list = field(default_factory=list)  # per branch: groups
 
 
-def _synchrony_pattern(red, vertex, branch, tol=1e-6):
+def _synchrony_pattern(red, vertex, branch):
     """Equality pattern of the lifted full-space coordinates on a branch."""
     names = VERTEX_STATE[vertex]
     lam, root = branch.points[0]        # largest parameter value
     x = red.lift(vertex, root, [lam])
     scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    groups = synchrony_groups(x, tol)
+    groups = synchrony_groups(x)
     zero = tuple(sorted(names[i] for g in groups
-                        if abs(x[g[0]]) <= tol * scale for i in g))
+                        if abs(x[g[0]]) <= SYNC_TOL * scale for i in g))
     pattern = tuple(tuple(names[i] for i in g) for g in groups if len(g) > 1)
     return {"equal_groups": pattern, "zero_coordinates": zero}
 

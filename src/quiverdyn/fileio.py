@@ -229,11 +229,12 @@ def tuple_from_json(obj):
         raise ParseError(str(exc))
 
 
-def network_map_to_json(pm, param_dim=0):
+def network_map_to_json(pm):
+    """A parameter-free total-space map as a network-map document."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "network_map",
-        "param_dim": param_dim,
+        "param_dim": 0,
         "outputs": [encode_poly(p) for p in pm.outputs],
     }
 

@@ -31,6 +31,7 @@ NEWTON_MAX_ITER = 50
 BRANCH_WINDOW = (1e-4, 1e-2)
 BRANCH_POINTS = 20
 FIT_R2_MIN = 0.999
+SYNC_TOL = 1e-6       # relative tolerance of synchrony_groups
 
 
 class CompiledField:
@@ -115,7 +116,6 @@ class LSReduction:
     representation: object
     param_dim: int
     kernel: object             # Subrepresentation
-    image: object              # Subrepresentation
     vertex_data: dict          # vertex -> VertexReduction
 
     def kernel_dim(self, v):
@@ -249,7 +249,7 @@ def ls_reduce(F, radius=None):
     rep = F.representation
     p = F.param_dim
     split = kernel_image_split(rep, EndomorphismTuple.from_linearization(F))
-    ker_sub, im_sub = split.selected, split.rest
+    ker_sub = split.selected
     vertex_data = {}
     for v in rep.quiver.vertices:
         d = rep.dim[v]
@@ -272,7 +272,7 @@ def ls_reduce(F, radius=None):
         else:
             r_v = radius if radius is not None else 0.1
         vertex_data[v] = VertexReduction(d, m, M, r_v, evaluator)
-    return LSReduction(rep, p, ker_sub, im_sub, vertex_data)
+    return LSReduction(rep, p, ker_sub, vertex_data)
 
 
 def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
@@ -321,13 +321,13 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
                         f"arrow {a!r}: no common neighbourhood above 1e-6")
         per_arrow[a] = worst
     passed = all(w <= tol for w in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, "sampled", tol)
+    return EquivarianceReport(per_arrow, passed, "sampled")
 
 
-def synchrony_groups(x, tol=1e-6):
+def synchrony_groups(x):
     """Indices of the coordinates of x grouped by equal value.
 
-    Two coordinates are equal when they differ by at most tol times
+    Two coordinates are equal when they differ by at most SYNC_TOL times
     max(1, max |x|). Groups are listed by their first index and include
     singletons.
     """
@@ -335,7 +335,7 @@ def synchrony_groups(x, tol=1e-6):
     groups = []
     for i in range(len(x)):
         for g in groups:
-            if abs(x[i] - x[g[0]]) <= tol * scale:
+            if abs(x[i] - x[g[0]]) <= SYNC_TOL * scale:
                 g.append(i)
                 break
         else:
@@ -380,22 +380,22 @@ def reduced_newton(red, v, u, lam, scale):
     return u, converged
 
 
-def _seed_grid(m, scale, seeds_per_axis=9):
-    """The seeds_per_axis^m grid on [-scale, scale]^m, one seed per row."""
+def _seed_grid(m, scale):
+    """The 9^m grid on [-scale, scale]^m, one seed per row."""
     if not m:
         return np.zeros((0, 0))
-    axes = [np.linspace(-scale, scale, seeds_per_axis)] * m
+    axes = [np.linspace(-scale, scale, 9)] * m
     return np.array(np.meshgrid(*axes)).reshape(m, -1).T
 
 
-def _distinct_roots(u, converged, scale, tol=1e-9):
+def _distinct_roots(u, converged, scale):
     """The converged points within 2 * scale, each kept unless it repeats
     one kept before it in seed order, then sorted."""
     cand = u[converged & ~(_max_abs(u) > 2 * scale)]
     roots = []
     while len(cand):
         roots.append(cand[0])
-        cand = cand[_max_abs(cand - cand[0]) > tol + 1e-6 * scale]
+        cand = cand[_max_abs(cand - cand[0]) > 1e-9 + 1e-6 * scale]
     roots.sort(key=lambda r: tuple(np.round(r / max(scale, 1e-12), 6)))
     return roots
 

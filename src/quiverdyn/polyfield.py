@@ -157,7 +157,7 @@ def ad_operator_matrix(L, k):
     return out
 
 
-def solve_homological(L, LS, Fk, k, tol=RANK_THRESHOLD):
+def solve_homological(L, LS, Fk, k):
     """Split F^k = ad_L(G) + R with G in im ad_{L^S} and R in ker ad_{L^S}.
 
     Fk is a vector field (list of Polys) homogeneous of grade k. With
@@ -171,11 +171,12 @@ def solve_homological(L, LS, Fk, k, tol=RANK_THRESHOLD):
     adL = ad_operator_matrix(L, k)
     basis, N = adL.basis, adL.basis.size
     ar = arith.of_matrix(adL.matrix)
-    im, ker = ar.image_kernel(ad_operator_matrix(LS, k).matrix, tol)
+    im, ker = ar.image_kernel(ad_operator_matrix(LS, k).matrix,
+                              RANK_THRESHOLD)
     Bim = ar.columns(im, N)
     f = basis.coords(Fk, ar)
     K = ar.hstack([ar.matmul(adL.matrix, Bim), ar.columns(ker, N)], N)
-    if ar.image_kernel(K, tol)[1]:
+    if ar.image_kernel(K, RANK_THRESHOLD)[1]:
         raise RankAmbiguous("[ad_L B_im | B_ker] is singular; is L^S "
                             "the semisimple part of L?")
     y = ar.solve_vector(K, f)[:len(im)]

@@ -92,10 +92,6 @@ class Poly:
         exps[i] = 1
         return Poly(nvars, {tuple(exps): 1})
 
-    @staticmethod
-    def monomial(nvars, exps, c=1):
-        return Poly(nvars, {tuple(exps): c})
-
     # --- predicates -------------------------------------------------------
 
     def is_zero(self):

@@ -36,6 +36,7 @@ from .tuples import EquivarianceReport, linear_part
 
 EPS_EIG = 1e-8
 EPS_AXIS = 1e-8
+SN_MAX_ITER = 50     # Newton steps for the exact semisimple part
 
 
 class EndomorphismTuple:
@@ -67,16 +68,17 @@ class EndomorphismTuple:
         return EndomorphismTuple(F.representation, linear_part(F))
 
 
-def check_endomorphism(rep, L, tol=EPS_EIG):
-    """Verify R_a L_s = L_t R_a for every arrow; per-arrow max residuals."""
+def check_endomorphism(rep, L):
+    """Verify R_a L_s = L_t R_a for every arrow; per-arrow max residuals
+    (float residuals pass up to EPS_EIG)."""
     ar = arith.joint(rep.mode, L.mode)
     per_arrow = {}
     for a, s, t in rep.quiver.arrows:
         R = rep.arrow_matrix[a]
         D = ar.sub(ar.matmul(R, L.matrices[s]), ar.matmul(L.matrices[t], R))
         per_arrow[a] = ar.max_abs(D)
-    passed = all(ar.passes(r, tol) for r in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, ar.mode, ar.report_tol(tol))
+    passed = all(ar.passes(r, EPS_EIG) for r in per_arrow.values())
+    return EquivarianceReport(per_arrow, passed, ar.mode)
 
 
 @dataclass
@@ -135,7 +137,7 @@ def _factor_representative(f):
     return rep, roots, is_pair
 
 
-def joint_spectrum(L, tol=EPS_EIG):
+def joint_spectrum(L):
     """Pool the eigenvalues of all L_v into clusters with per-vertex
     multiplicities (0 where a vertex misses the eigenvalue)."""
     rep = L.representation
@@ -155,7 +157,7 @@ def joint_spectrum(L, tol=EPS_EIG):
             continue
         for w in np.linalg.eigvals(L.matrices[v]):
             w = complex(w)
-            if abs(w.imag) <= tol * max(1.0, abs(w)):
+            if abs(w.imag) <= EPS_EIG * max(1.0, abs(w)):
                 w = complex(w.real, 0.0)
             if w.imag < 0:
                 continue  # conjugate pairs stored once
@@ -165,7 +167,7 @@ def joint_spectrum(L, tol=EPS_EIG):
     for w, v in pooled:
         placed = False
         for c in clusters:
-            if abs(w - c.value) <= tol * max(1.0, abs(c.value)):
+            if abs(w - c.value) <= EPS_EIG * max(1.0, abs(c.value)):
                 c.multiplicity[v] = c.multiplicity.get(v, 0) + 1
                 placed = True
                 break
@@ -179,13 +181,13 @@ def joint_spectrum(L, tol=EPS_EIG):
     return clusters
 
 
-def generalized_eigenspace_subrep(rep, L, cluster, tol=EPS_EIG):
+def generalized_eigenspace_subrep(rep, L, cluster):
     """The generalized eigenspace of a joint cluster at every vertex,
     packaged as a subrepresentation."""
-    return _union_subrep(rep, L, [cluster], tol)
+    return _union_subrep(rep, L, [cluster])
 
 
-def _eigenspace_basis(rep, L, cluster, tol):
+def _eigenspace_basis(rep, L, cluster):
     """Per-vertex basis of the generalized eigenspace of a joint cluster."""
     if L.mode == "exact" and cluster.factor is not None:
         basis = {}
@@ -209,10 +211,11 @@ def _eigenspace_basis(rep, L, cluster, tol):
         return basis
     # float path: ordered real Schur per vertex
     rv = complex(cluster.value)
+    near = 10 * EPS_EIG * max(1.0, abs(rv))
 
     def in_cluster(re, im):
-        return abs(complex(re, abs(im)) - rv) <= 10 * tol * max(1.0, abs(rv)) \
-            or abs(complex(re, -abs(im)) - rv) <= 10 * tol * max(1.0, abs(rv))
+        return abs(complex(re, abs(im)) - rv) <= near \
+            or abs(complex(re, -abs(im)) - rv) <= near
 
     basis = {}
     for v in rep.quiver.vertices:
@@ -225,7 +228,7 @@ def _eigenspace_basis(rep, L, cluster, tol):
         sel = [in_cluster(w.real, w.imag) for w in eigs]
         for w, s in zip(eigs, sel):
             dist = min(abs(w - rv), abs(np.conj(w) - rv))
-            if not s and dist <= 100 * tol * max(1.0, abs(rv)):
+            if not s and dist <= 100 * EPS_EIG * max(1.0, abs(rv)):
                 raise ClusterSplit(
                     f"vertex {v!r}: eigenvalue {w} too close to cluster "
                     f"{rv} to separate reliably")
@@ -234,24 +237,24 @@ def _eigenspace_basis(rep, L, cluster, tol):
     return basis
 
 
-def _union_subrep(rep, L, clusters, tol):
+def _union_subrep(rep, L, clusters):
     """Direct sum of the generalized eigenspaces of several clusters: their
     bases side by side, packaged as one subrepresentation."""
-    parts = [_eigenspace_basis(rep, L, c, tol) for c in clusters]
+    parts = [_eigenspace_basis(rep, L, c) for c in clusters]
     basis = {v: rep.arith.hstack([B[v] for B in parts], rep.dim[v])
              for v in rep.quiver.vertices}
-    return Subrepresentation.from_bases(rep, basis, tol)
+    return Subrepresentation.from_bases(rep, basis, EPS_EIG)
 
 
-def _spectrum_with_fallback(rep, L, tol):
-    clusters = joint_spectrum(L, tol)
+def _spectrum_with_fallback(rep, L):
+    clusters = joint_spectrum(L)
     if L.mode == "exact" and any(
             c.factor is not None and len(c.factor) > 3 for c in clusters):
         warnings.warn("characteristic polynomial did not factor over Q; "
                       "falling back to float arithmetic")
         rep = L.representation.to_float()
         L = EndomorphismTuple(rep, L.matrices)
-        clusters = joint_spectrum(L, tol)
+        clusters = joint_spectrum(L)
     return rep, L, clusters
 
 
@@ -297,7 +300,7 @@ def _is_selected(c, what):
 def _split(rep, L, what):
     """The clusters `what` selects against the rest, as a SpectralSplit of
     complementary subrepresentations."""
-    rep, L, clusters = _spectrum_with_fallback(rep, L, EPS_EIG)
+    rep, L, clusters = _spectrum_with_fallback(rep, L)
     sel, rest = [], []
     for c in clusters:
         (sel if _is_selected(c, what) else rest).append(c)
@@ -307,8 +310,8 @@ def _split(rep, L, what):
 
     gap = (min(distances(rest), default=np.inf)
            - max(distances(sel), default=0.0))
-    sub_sel = _union_subrep(rep, L, sel, EPS_EIG)
-    sub_rest = _union_subrep(rep, L, rest, EPS_EIG)
+    sub_sel = _union_subrep(rep, L, sel)
+    sub_rest = _union_subrep(rep, L, rest)
     basis, basis_inv = {}, {}
     for v in rep.quiver.vertices:
         basis[v] = rep.arith.hstack([sub_sel.basis[v], sub_rest.basis[v]],
@@ -333,7 +336,7 @@ def kernel_image_split(rep, L):
     return _split(rep, L, "kernel")
 
 
-def sn_decomposition(L, tol=EPS_EIG, max_iter=50):
+def sn_decomposition(L):
     """Jordan-Chevalley decomposition L = L^S + L^N per vertex.
 
     Exact mode runs Newton iteration on the squarefree part of the
@@ -355,7 +358,7 @@ def sn_decomposition(L, tol=EPS_EIG, max_iter=50):
             q = exactlin.poly_squarefree_part(exactlin.charpoly(A))
             dq = exactlin.poly_deriv(q)
             S = A
-            for _ in range(max_iter):
+            for _ in range(SN_MAX_ITER):
                 qS = exactlin.eval_matrix_poly(q, S)
                 if exactlin.is_zero_matrix(qS):
                     break
@@ -372,7 +375,7 @@ def sn_decomposition(L, tol=EPS_EIG, max_iter=50):
             A = as_float_matrix(L.matrices[v])
             w, V = np.linalg.eig(A)
             cond = np.linalg.cond(V)
-            if cond > 1.0 / tol:
+            if cond > 1.0 / EPS_EIG:
                 raise IllConditioned(
                     f"vertex {v!r}: eigenbasis condition number {cond:.2e}")
             # snap clustered eigenvalues to the cluster mean
@@ -381,7 +384,7 @@ def sn_decomposition(L, tol=EPS_EIG, max_iter=50):
             groups = []
             for i in idx:
                 if groups and abs(w[i] - w[groups[-1][0]]) <= \
-                        tol ** 0.5 * max(1.0, abs(w[i])):
+                        EPS_EIG ** 0.5 * max(1.0, abs(w[i])):
                     groups[-1].append(i)
                 else:
                     groups.append([i])

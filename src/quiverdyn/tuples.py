@@ -101,28 +101,25 @@ class EquivarianceReport:
     per_arrow: dict
     passed: bool
     mode: str
-    tol: float
 
     def max_residual(self):
         return max(self.per_arrow.values(), default=0)
 
 
-def identity_tuple(rep, param_dim=0, max_degree=DEGREE_CAP):
+def identity_tuple(rep):
     comps = {}
     for v in rep.quiver.vertices:
-        n = rep.dim[v] + param_dim
-        comps[v] = PolyMap([Poly.variable(n, i) for i in range(rep.dim[v])],
-                           nvars=n)
-    return PolyMapTuple(rep, comps, param_dim, max_degree)
+        n = rep.dim[v]
+        comps[v] = PolyMap([Poly.variable(n, i) for i in range(n)], nvars=n)
+    return PolyMapTuple(rep, comps)
 
 
-def linear_tuple(rep, matrices, param_dim=0, max_degree=DEGREE_CAP):
+def linear_tuple(rep, matrices):
     """The tuple x |-> L_v x from per-vertex square matrices."""
-    comps = {}
-    for v in rep.quiver.vertices:
-        n = rep.dim[v] + param_dim
-        comps[v] = PolyMap(linear_forms(matrices[v], n), nvars=n)
-    return PolyMapTuple(rep, comps, param_dim, max_degree)
+    comps = {v: PolyMap(linear_forms(matrices[v], rep.dim[v]),
+                        nvars=rep.dim[v])
+             for v in rep.quiver.vertices}
+    return PolyMapTuple(rep, comps)
 
 
 def equivariance_defect(F, arrow):
@@ -158,7 +155,7 @@ def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
             per_arrow[a] = max((p.max_abs_coeff() for p in defect.outputs),
                                default=Fraction(0))
         passed = all(r == 0 for r in per_arrow.values())
-        return EquivarianceReport(per_arrow, passed, "exact", 0.0)
+        return EquivarianceReport(per_arrow, passed, "exact")
     rng = np.random.default_rng(seed)
     for a, s, _ in rep.quiver.arrows:
         defect = equivariance_defect(F, a)
@@ -171,14 +168,7 @@ def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
                 worst = max(worst, max(abs(float(v)) for v in vals))
         per_arrow[a] = worst
     passed = all(r <= tol for r in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, "sampled", tol)
-
-
-def _cap_check(poly_map_degree, cap, allow_truncation, what):
-    if poly_map_degree > cap and not allow_truncation:
-        raise DegreeOverflow(
-            f"{what} has degree {poly_map_degree} > cap {cap}; "
-            "pass allow_truncation=True to truncate")
+    return EquivarianceReport(per_arrow, passed, "sampled")
 
 
 def compose_tuple(F, G, allow_truncation=False):
@@ -198,7 +188,10 @@ def compose_tuple(F, G, allow_truncation=False):
         subs = list(Gv.outputs) + [Poly.variable(n, d + l) for l in range(p)]
         outs = [Fv.outputs[i].compose(subs) for i in range(d)]
         deg = max((o.degree() for o in outs), default=-1)
-        _cap_check(deg, cap, allow_truncation, f"composition at vertex {v!r}")
+        if deg > cap and not allow_truncation:
+            raise DegreeOverflow(
+                f"composition at vertex {v!r} has degree {deg} > cap {cap}; "
+                "pass allow_truncation=True to truncate")
         comps[v] = PolyMap([o.truncate(cap) for o in outs], nvars=n)
     return PolyMapTuple(F.representation, comps, p, cap)
 
@@ -215,8 +208,9 @@ def bracket_polys(F_outputs, G_outputs, nvars, state_dim):
     return out
 
 
-def bracket_tuple(F, G, allow_truncation=False):
-    """Vertex-wise Lie bracket DF_v . G_v - DG_v . F_v."""
+def bracket_tuple(F, G):
+    """Vertex-wise Lie bracket DF_v . G_v - DG_v . F_v; DegreeOverflow
+    when a bracket's degree exceeds the lower of the two caps."""
     if F.param_dim != G.param_dim:
         raise ValueError("parameter dimensions differ")
     cap = min(F.max_degree, G.max_degree)
@@ -226,18 +220,20 @@ def bracket_tuple(F, G, allow_truncation=False):
         d = Fv.dim_out
         outs = bracket_polys(Fv.outputs, Gv.outputs, Fv.nvars, d)
         deg = max((o.degree() for o in outs), default=-1)
-        _cap_check(deg, cap, allow_truncation, f"bracket at vertex {v!r}")
-        comps[v] = PolyMap([o.truncate(cap) for o in outs], nvars=Fv.nvars)
+        if deg > cap:
+            raise DegreeOverflow(
+                f"bracket at vertex {v!r} has degree {deg} > cap {cap}")
+        comps[v] = PolyMap(outs, nvars=Fv.nvars)
     return PolyMapTuple(F.representation, comps, F.param_dim, cap)
 
 
-def restrict_to_subrep(F, S, tol=1e-9):
+def restrict_to_subrep(F, S):
     """Express F in the coordinates of an invariant family of subspaces.
 
     For each vertex, writes F_v(B_v u; lambda) = B_v \\tilde F_v(u; lambda)
     and returns the tuple of the \\tilde F_v over the coordinate
     representation of S. Raises NotInvariant when F_v's image leaves the
-    subspace (coefficient-wise in exact mode, beyond tol in float mode).
+    subspace (coefficient-wise in exact mode, beyond 1e-9 in float mode).
     """
     rep = F.representation
     ar = F.arith
@@ -254,7 +250,7 @@ def restrict_to_subrep(F, S, tol=1e-9):
         for e in monos:
             rhs = [poly.terms.get(e, 0) for poly in composed]
             try:
-                y = ar.solve_vector(B, rhs, tol)
+                y = ar.solve_vector(B, rhs, 1e-9)
             except SolveFailed:
                 raise NotInvariant(
                     f"image of component at {v!r} leaves the subspace")

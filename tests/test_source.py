@@ -1,7 +1,9 @@
 """Source hygiene checks over the package's modules."""
 
 import ast
+import importlib
 import pathlib
+from collections import Counter
 
 import quiverdyn
 
@@ -77,3 +79,148 @@ def test_every_public_name_is_read():
                             if other is not stmt)):
             unread.append(f"{path.stem}.{stmt.name}")
     assert unread == []
+
+
+def _files():
+    """The package's modules, the tests and the benchmark."""
+    root = PACKAGE.parent.parent
+    return ([p for p in sorted(PACKAGE.glob("*.py"))]
+            + sorted((root / "tests").glob("*.py"))
+            + sorted((root / "perfbench").glob("*.py")))
+
+
+def _package_trees():
+    return [(path, ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(tree):
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_every_field_and_method_is_read():
+    # a dataclass field or a non-dunder method of a package class must be
+    # read as an attribute somewhere other than its own body: in the
+    # package, the tests or the benchmark
+    reads = Counter()
+    for path in _files():
+        reads.update(_attribute_reads(ast.parse(path.read_text())))
+    unread = []
+    for path, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (_is_dataclass(cls) and isinstance(stmt, ast.AnnAssign)
+                        and reads[stmt.target.id] == 0):
+                    unread.append(f"{path.stem}.{cls.name}.{stmt.target.id}")
+                if (isinstance(stmt, ast.FunctionDef)
+                        and not stmt.name.startswith("__")
+                        and reads[stmt.name]
+                        == _attribute_reads(stmt).count(stmt.name)):
+                    unread.append(f"{path.stem}.{cls.name}.{stmt.name}")
+    assert unread == []
+
+
+def _parameters(fn):
+    a = fn.args
+    return a.posonlyargs + a.args + a.kwonlyargs + [
+        p for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def test_every_function_parameter_is_read():
+    unread = []
+    for path, tree in _package_trees():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = {node.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Name)}
+            unread += [f"{path.stem}.{fn.name}({p.arg})"
+                       for p in _parameters(fn) if p.arg not in names]
+    assert unread == []
+
+
+def _defaulted(fn):
+    """(name, position or None, default) of each defaulted parameter; the
+    position counts from the first argument a caller writes."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i - skip, d) for i, (p, d) in enumerate(
+        zip(positional[first:], a.defaults), start=first)]
+    out += [(p.arg, None, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call, name, position, default):
+    """Whether a call sets a parameter to something other than its
+    default."""
+    given = [kw.value for kw in call.keywords if kw.arg == name]
+    if position is not None and len(call.args) > position:
+        given.append(call.args[position])
+    splats = any(kw.arg is None for kw in call.keywords) or any(
+        isinstance(arg, ast.Starred) for arg in call.args)
+    return splats or any(ast.dump(value) != ast.dump(default)
+                         for value in given)
+
+
+def test_every_default_is_overridden_somewhere():
+    # a defaulted parameter of a package function or method must be passed
+    # a value other than its default by some call in the package, the tests
+    # or the benchmark; a value no caller varies is a constant
+    calls = {}
+    for path in _files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unset = []
+    for path, tree in _package_trees():
+        owner = {fn: cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            callee = owner[fn] if fn.name == "__init__" else fn.name
+            for name, position, default in _defaulted(fn):
+                if not any(_passes(call, name, position, default)
+                           for call in calls.get(callee, ())):
+                    unset.append(f"{path.stem}.{fn.name}({name})")
+    assert unset == []
+
+
+def test_every_traced_name_exists():
+    # perfbench/tracing.py wraps these with getattr and no default, so a
+    # name deleted from the package would break only the traced benchmark
+    tree = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracing.py")
+                     .read_text())
+    tables = {stmt.targets[0].id: ast.literal_eval(stmt.value)
+              for stmt in tree.body if isinstance(stmt, ast.Assign)
+              and getattr(stmt.targets[0], "id", None) in ("SPANNED",
+                                                            "COUNTED")}
+    wanted = [(module, cls, attr) for _, module, cls, attr in tables["SPANNED"]]
+    wanted += [("quiverdyn.polynomial", "Poly", attr)
+               for _, attrs in tables["COUNTED"] for attr in attrs]
+    missing = []
+    for module, cls, attr in wanted:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not hasattr(owner, attr):
+            missing.append(f"{module}.{cls}.{attr}")
+    assert missing == []
