@@ -10,7 +10,9 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 input error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import os
 import sys
 from fractions import Fraction
@@ -39,40 +41,9 @@ def _num(x):
     return float(x)
 
 
-def _seed(cli_seed):
-    env = os.environ.get("QUIVERDYN_SEED")
-    if env is not None:
-        return int(env)
-    return cli_seed
-
-
 def _config_hash(config):
     blob = fileio.dumps_canonical(config)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _emit(out, command, config, payload, passed, tables=None):
-    os.makedirs(out, exist_ok=True)
-    report = {
-        "schema_version": fileio.SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": command,
-        "config": config,
-        "config_hash": _config_hash(config),
-        "seed": config.get("seed"),
-        "passed": bool(passed),
-    }
-    report.update(payload)
-    path = os.path.join(out, f"{command}.json")
-    fileio.dump_json(report, path)
-    for name, (header, rows) in (tables or {}).items():
-        tsv = os.path.join(out, f"{command}.{name}.tsv")
-        with open(tsv, "w", encoding="utf-8") as fh:
-            fh.write("\t".join(header) + "\n")
-            for row in rows:
-                fh.write("\t".join(str(c) for c in row) + "\n")
-    click.echo(f"{command}: {'PASS' if passed else 'FAIL'} -> {path}")
-    return 0 if passed else 1
 
 
 def _load_network(path):
@@ -83,40 +54,99 @@ def _load_tuple(path):
     return fileio.tuple_from_json(fileio.load_json(path))
 
 
+def _load_endomorphism(representation, endomorphism):
+    rep = fileio.representation_from_json(fileio.load_json(representation))
+    L = fileio.endomorphism_from_json(fileio.load_json(endomorphism), rep)
+    return rep, L
+
+
+def _require_param_dim(F, want):
+    if F.param_dim != want:
+        raise click.BadParameter(f"the tuple has param_dim {F.param_dim}; "
+                                 f"this command needs {want}",
+                                 param_hint="'PVF'")
+
+
 @click.group()
 def main():
     """Quiver representations of network dynamical systems."""
 
 
-def _common(fn):
-    fn = click.option("--out", "-o", default="reports", show_default=True,
-                      help="output directory")(fn)
-    fn = click.option("--seed", default=0, show_default=True, type=int,
-                      help="random seed (env QUIVERDYN_SEED overrides)")(fn)
-    return fn
+def _report(fn):
+    """Run fn as a report command with --out and --seed.
+
+    fn receives the command's parameters it names, `seed` after
+    QUIVERDYN_SEED, and returns (payload, passed, tables). The report's
+    config is the command name and every parameter except --out; the
+    command exits 0 when passed, 1 otherwise.
+    """
+    wanted = inspect.signature(fn).parameters
+
+    @click.option("--seed", default=0, show_default=True, type=int,
+                  help="random seed (env QUIVERDYN_SEED overrides)")
+    @click.option("--out", "-o", default="reports", show_default=True,
+                  help="output directory")
+    @functools.wraps(fn)
+    def command(out, **params):
+        params["seed"] = int(os.environ.get("QUIVERDYN_SEED",
+                                            params["seed"]))
+        payload, passed, tables = fn(
+            **{k: v for k, v in params.items() if k in wanted})
+        name = click.get_current_context().command.name
+        config = {"command": name, **params}
+        os.makedirs(out, exist_ok=True)
+        report = {
+            "schema_version": fileio.SCHEMA_VERSION,
+            "tool_version": __version__,
+            "command": name,
+            "config": config,
+            "config_hash": _config_hash(config),
+            "seed": params["seed"],
+            "passed": bool(passed),
+        }
+        report.update(payload)
+        path = os.path.join(out, f"{name}.json")
+        fileio.dump_json(report, path)
+        for table, (header, rows) in tables.items():
+            tsv = os.path.join(out, f"{name}.{table}.tsv")
+            with open(tsv, "w", encoding="utf-8") as fh:
+                fh.write("\t".join(header) + "\n")
+                for row in rows:
+                    fh.write("\t".join(str(c) for c in row) + "\n")
+        click.echo(f"{name}: {'PASS' if passed else 'FAIL'} -> {path}")
+        sys.exit(0 if passed else 1)
+
+    return command
+
+
+def _coefficient_table(blocks):
+    """The coefficients table of (vertex, kind, polys) blocks: one row per
+    term of each component."""
+    rows = [(v, kind, i, list(e), _num(c)) for v, kind, polys in blocks
+            for i, p in enumerate(polys) for e, c in p.sorted_terms()]
+    return {"coefficients": (("vertex", "kind", "component", "exponents",
+                              "coefficient"), rows)}
 
 
 @main.command()
 @click.argument("network", type=click.Path(exists=True))
-@_common
-def validate(network, out, seed):
+@_report
+def validate(network):
     """Check the colour-consistency conditions of a network file."""
     N = _load_network(network)
     errors = validate_coloured_network(N)
-    config = {"command": "validate", "network": network, "seed": _seed(seed)}
     payload = {"errors": [str(e) for e in errors],
                "nodes": len(N.nodes), "edges": len(N.edges)}
-    sys.exit(_emit(out, "validate", config, payload, not errors))
+    return payload, not errors, {}
 
 
 @main.command()
 @click.argument("network", type=click.Path(exists=True))
-@_common
-def subq(network, out, seed):
+@_report
+def subq(network):
     """Build the quiver of subnetworks with projection matrices."""
     N = _load_network(network)
     quiver, rep, vertex_subsets = build_subq(N)
-    config = {"command": "subq", "network": network, "seed": _seed(seed)}
     payload = {
         "representation": fileio.representation_to_json(rep),
         "vertex_subsets": {v: list(s) for v, s in vertex_subsets.items()},
@@ -124,18 +154,16 @@ def subq(network, out, seed):
         "n_arrows": len(quiver.arrows),
     }
     rows = [(a, s, t) for a, s, t in quiver.arrows]
-    sys.exit(_emit(out, "subq", config, payload, True,
-                   {"arrows": (("arrow", "source", "target"), rows)}))
+    return payload, True, {"arrows": (("arrow", "source", "target"), rows)}
 
 
 @main.command()
 @click.argument("network", type=click.Path(exists=True))
-@_common
-def quoq(network, out, seed):
+@_report
+def quoq(network):
     """Build the quiver of quotient networks with lifting matrices."""
     N = _load_network(network)
     quiver, rep, catalog, arrow_fibs = build_quoq(N)
-    config = {"command": "quoq", "network": network, "seed": _seed(seed)}
     partitions = {}
     for vid, nm in zip(quiver.vertices, catalog.witnesses):
         classes = {}
@@ -150,28 +178,24 @@ def quoq(network, out, seed):
     }
     rows = [(a, s, t, dict(arrow_fibs[a].node_map))
             for a, s, t in quiver.arrows]
-    sys.exit(_emit(out, "quoq", config, payload, True,
-                   {"arrows": (("arrow", "source", "target", "node_map"),
-                               rows)}))
+    return payload, True, {
+        "arrows": (("arrow", "source", "target", "node_map"), rows)}
 
 
 @main.command()
 @click.argument("source", type=click.Path(exists=True))
 @click.argument("target", type=click.Path(exists=True))
 @click.option("--surjective", is_flag=True, help="only surjective fibrations")
-@_common
-def fibrations(source, target, surjective, out, seed):
+@_report
+def fibrations(source, target, surjective):
     """Enumerate graph fibrations between two network files."""
     Ns, Nt = _load_network(source), _load_network(target)
     fibs = enumerate_fibrations(Ns, Nt, surjective_only=surjective)
-    config = {"command": "fibrations", "source": source, "target": target,
-              "surjective": surjective, "seed": _seed(seed)}
     payload = {"count": len(fibs),
                "fibrations": [{"node_map": dict(f.node_map),
                                "edge_map": dict(f.edge_map)} for f in fibs]}
     rows = [(i, dict(f.node_map)) for i, f in enumerate(fibs)]
-    sys.exit(_emit(out, "fibrations", config, payload, True,
-                   {"maps": (("index", "node_map"), rows)}))
+    return payload, True, {"maps": (("index", "node_map"), rows)}
 
 
 @main.command("check-equivariance")
@@ -181,52 +205,45 @@ def fibrations(source, target, surjective, out, seed):
 @click.option("--tol", default=SAMPLED_DEFAULTS["tol"], show_default=True)
 @click.option("--samples", default=SAMPLED_DEFAULTS["samples"],
               show_default=True)
-@_common
-def check_equivariance_cmd(pvf, mode, tol, samples, out, seed):
+@_report
+def check_equivariance_cmd(pvf, mode, tol, samples, seed):
     """Verify arrow-intertwining of a polynomial tuple file."""
     F = _load_tuple(pvf)
     rpt = check_equivariance(F, mode=mode, tol=tol, samples=samples,
-                             seed=_seed(seed))
-    config = {"command": "check-equivariance", "pvf": pvf, "mode": mode,
-              "tol": tol, "samples": samples, "seed": _seed(seed)}
+                             seed=seed)
     payload = {"per_arrow": {a: _num(r) for a, r in rpt.per_arrow.items()},
                "max_residual": _num(rpt.max_residual())}
-    sys.exit(_emit(out, "check-equivariance", config, payload, rpt.passed))
+    return payload, rpt.passed, {}
 
 
 @main.command("check-admissible")
 @click.argument("network", type=click.Path(exists=True))
-@click.argument("mapfile", type=click.Path(exists=True))
+@click.argument("map", type=click.Path(exists=True))
 @click.option("--tol", default=1e-9, show_default=True)
-@_common
-def check_admissible_cmd(network, mapfile, tol, out, seed):
+@_report
+def check_admissible_cmd(network, map, tol):
     """Check dependency and groupoid-symmetry of a total-space map."""
     N = _load_network(network)
-    pm, param_dim = fileio.network_map_from_json(fileio.load_json(mapfile))
+    pm, param_dim = fileio.network_map_from_json(fileio.load_json(map))
     rpt = check_admissible(N, pm, param_dim=param_dim, tol=tol)
-    config = {"command": "check-admissible", "network": network,
-              "map": mapfile, "tol": tol, "seed": _seed(seed)}
     payload = {
         "dependency_errors": [str(e) for e in rpt.dependency_errors],
         "groupoid_errors": [str(e) for e in rpt.groupoid_errors],
         "skipped_ambiguous": len(rpt.skipped_ambiguous),
         "max_residual": _num(rpt.max_residual),
     }
-    sys.exit(_emit(out, "check-admissible", config, payload, rpt.ok))
+    return payload, rpt.ok, {}
 
 
 @main.command()
-@click.argument("rep_file", type=click.Path(exists=True))
-@click.argument("endo_file", type=click.Path(exists=True))
-@_common
-def spectrum(rep_file, endo_file, out, seed):
+@click.argument("representation", type=click.Path(exists=True))
+@click.argument("endomorphism", type=click.Path(exists=True))
+@_report
+def spectrum(representation, endomorphism):
     """Joint eigenvalue clusters of an endomorphism tuple."""
-    rep = fileio.representation_from_json(fileio.load_json(rep_file))
-    L = fileio.endomorphism_from_json(fileio.load_json(endo_file), rep)
+    rep, L = _load_endomorphism(representation, endomorphism)
     endo = check_endomorphism(rep, L)
     clusters = joint_spectrum(L)
-    config = {"command": "spectrum", "representation": rep_file,
-              "endomorphism": endo_file, "seed": _seed(seed)}
     payload = {
         "endomorphism_check": {a: _num(r) for a, r in endo.per_arrow.items()},
         "clusters": [{
@@ -239,46 +256,39 @@ def spectrum(rep_file, endo_file, out, seed):
     rows = [(i, _num(c.value), c.is_pair,
              dict(sorted(c.multiplicity.items())))
             for i, c in enumerate(clusters)]
-    sys.exit(_emit(out, "spectrum", config, payload, endo.passed,
-                   {"clusters": (("index", "value", "pair", "multiplicity"),
-                                 rows)}))
+    return payload, endo.passed, {
+        "clusters": (("index", "value", "pair", "multiplicity"), rows)}
 
 
 @main.command()
-@click.argument("rep_file", type=click.Path(exists=True))
-@click.argument("endo_file", type=click.Path(exists=True))
-@_common
-def sn(rep_file, endo_file, out, seed):
+@click.argument("representation", type=click.Path(exists=True))
+@click.argument("endomorphism", type=click.Path(exists=True))
+@_report
+def sn(representation, endomorphism):
     """Semisimple/nilpotent decomposition of an endomorphism tuple."""
-    rep = fileio.representation_from_json(fileio.load_json(rep_file))
-    L = fileio.endomorphism_from_json(fileio.load_json(endo_file), rep)
+    rep, L = _load_endomorphism(representation, endomorphism)
     S, N = sn_decomposition(L)
     okS = check_endomorphism(rep, S)
     okN = check_endomorphism(rep, N)
-    config = {"command": "sn", "representation": rep_file,
-              "endomorphism": endo_file, "seed": _seed(seed)}
     payload = {
         "semisimple": fileio.endomorphism_to_json(S),
         "nilpotent": fileio.endomorphism_to_json(N),
         "semisimple_endomorphism": okS.passed,
         "nilpotent_endomorphism": okN.passed,
     }
-    sys.exit(_emit(out, "sn", config, payload, okS.passed and okN.passed))
+    return payload, okS.passed and okN.passed, {}
 
 
 @main.command("ls-reduce")
 @click.argument("pvf", type=click.Path(exists=True))
 @click.option("--samples", default=100, show_default=True)
 @click.option("--tol", default=1e-8, show_default=True)
-@_common
-def ls_reduce_cmd(pvf, samples, tol, out, seed):
+@_report
+def ls_reduce_cmd(pvf, samples, tol, seed):
     """Lyapunov-Schmidt reduction and reduced-equivariance check."""
-    F = _load_tuple(pvf)
-    red = ls_reduce(F)
+    red = ls_reduce(_load_tuple(pvf))
     rpt = check_reduced_equivariance(red, samples=samples, tol=tol,
-                                     seed=_seed(seed))
-    config = {"command": "ls-reduce", "pvf": pvf, "samples": samples,
-              "tol": tol, "seed": _seed(seed)}
+                                     seed=seed)
     payload = {
         "kernel_dims": {v: red.kernel_dim(v)
                         for v in red.representation.quiver.vertices},
@@ -288,24 +298,28 @@ def ls_reduce_cmd(pvf, samples, tol, out, seed):
             for v in red.representation.quiver.vertices},
         "radius_is_heuristic": True,
     }
-    sys.exit(_emit(out, "ls-reduce", config, payload, rpt.passed))
+    return payload, rpt.passed, {}
 
 
 @main.command()
 @click.argument("pvf", type=click.Path(exists=True))
 @click.option("--vertex", required=True, help="vertex id to trace branches at")
-@click.option("--lam-min", default=1e-4, show_default=True)
-@click.option("--lam-max", default=1e-2, show_default=True)
-@click.option("--grid", default=20, show_default=True)
-@_common
-def branches(pvf, vertex, lam_min, lam_max, grid, out, seed):
+@click.option("--lam-min", default=1e-4, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--lam-max", default=1e-2, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--grid", default=20, show_default=True,
+              type=click.IntRange(min=1))
+@_report
+def branches(pvf, vertex, lam_min, lam_max, grid):
     """Trace and classify bifurcation branches of the reduced equation."""
     F = _load_tuple(pvf)
+    _require_param_dim(F, 1)
+    if vertex not in F.representation.quiver.vertices:
+        raise click.BadParameter(f"{vertex!r} is not a vertex of the "
+                                 "tuple's quiver", param_hint="'--vertex'")
     red = ls_reduce(F)
     brs = find_branches_1param(red, vertex, (lam_min, lam_max), grid)
-    config = {"command": "branches", "pvf": pvf, "vertex": vertex,
-              "lam_min": lam_min, "lam_max": lam_max, "grid": grid,
-              "seed": _seed(seed)}
     rows = []
     payload_branches = []
     for i, b in enumerate(brs):
@@ -321,64 +335,47 @@ def branches(pvf, vertex, lam_min, lam_max, grid, out, seed):
             "synchrony_groups": sync,
         })
     payload = {"branches": payload_branches, "count": len(brs)}
-    passed = all(b.classified for b in brs)
-    sys.exit(_emit(out, "branches", config, payload, passed,
-                   {"table": (("vertex", "branch", "exponent",
-                               "coefficients", "synchrony"), rows)}))
+    return payload, all(b.classified for b in brs), {
+        "table": (("vertex", "branch", "exponent", "coefficients",
+                   "synchrony"), rows)}
 
 
 @main.command("cm-reduce")
 @click.argument("pvf", type=click.Path(exists=True))
 @click.option("--degree", default=4, show_default=True)
-@_common
-def cm_reduce(pvf, degree, out, seed):
+@_report
+def cm_reduce(pvf, degree):
     """Center-manifold Taylor jet and coefficient-level equivariance."""
     F = _load_tuple(pvf)
+    _require_param_dim(F, 0)
     exp = cm_taylor(F, degree)
     rpt = check_cm_equivariance(exp)
-    config = {"command": "cm-reduce", "pvf": pvf, "degree": degree,
-              "seed": _seed(seed)}
-    coeff_rows = []
-    for v, vd in sorted(exp.vertices.items()):
-        for i, p in enumerate(vd.phi):
-            for e, c in p.sorted_terms():
-                coeff_rows.append((v, "phi", i, list(e), _num(c)))
-        for i, p in enumerate(vd.reduced):
-            for e, c in p.sorted_terms():
-                coeff_rows.append((v, "reduced", i, list(e), _num(c)))
     payload = {
         "degree": degree,
         "center_dims": {v: vd.center_dim
                         for v, vd in sorted(exp.vertices.items())},
         "per_arrow_residual": {a: _num(r) for a, r in rpt.per_arrow.items()},
     }
-    sys.exit(_emit(out, "cm-reduce", config, payload, rpt.passed,
-                   {"coefficients": (("vertex", "kind", "component",
-                                      "exponents", "coefficient"),
-                                     coeff_rows)}))
+    return payload, rpt.passed, _coefficient_table(
+        (v, kind, polys) for v, vd in sorted(exp.vertices.items())
+        for kind, polys in (("phi", vd.phi), ("reduced", vd.reduced)))
 
 
 @main.command("normal-form")
 @click.argument("pvf", type=click.Path(exists=True))
 @click.option("--grade", default=2, show_default=True)
-@_common
-def normal_form_cmd(pvf, grade, out, seed):
+@_report
+def normal_form_cmd(pvf, grade):
     """Lie-transform normal form with per-grade verification."""
     F = _load_tuple(pvf)
+    _require_param_dim(F, 0)
     res = normal_form(F, grade)
     rpt = verify_normal_form(res)
-    config = {"command": "normal-form", "pvf": pvf, "grade": grade,
-              "seed": _seed(seed)}
-    rows = []
-    for v, pm in sorted(res.transformed.components.items()):
-        for i, p in enumerate(pm.outputs):
-            for e, c in p.sorted_terms():
-                rows.append((v, "transformed", i, list(e), _num(c)))
-    for k, G in sorted(res.generators.items()):
-        for v, pm in sorted(G.components.items()):
-            for i, p in enumerate(pm.outputs):
-                for e, c in p.sorted_terms():
-                    rows.append((v, f"generator_{k}", i, list(e), _num(c)))
+    blocks = [(v, "transformed", pm.outputs)
+              for v, pm in sorted(res.transformed.components.items())]
+    blocks += [(v, f"generator_{k}", pm.outputs)
+               for k, G in sorted(res.generators.items())
+               for v, pm in sorted(G.components.items())]
     eq_ok = all(rpt["equivariance"][k]["generator"].passed
                 and rpt["equivariance"][k]["transformed_grade"].passed
                 for k in range(1, grade + 1)) \
@@ -394,24 +391,20 @@ def normal_form_cmd(pvf, grade, out, seed):
                                  for k, r in rpt["commutator"].items()},
         "equivariance_passed": eq_ok,
     }
-    sys.exit(_emit(out, "normal-form", config, payload, eq_ok and comm_ok,
-                   {"coefficients": (("vertex", "kind", "component",
-                                      "exponents", "coefficient"), rows)}))
+    return payload, eq_ok and comm_ok, _coefficient_table(blocks)
 
 
 @main.command("casestudy-s10")
-@click.option("--f", "f_text", required=True,
+@click.option("--f", required=True,
               help="e.g. 'f(x,y) = lambda*x - x^2 + y'")
-@click.option("--g", "g_text", required=True,
+@click.option("--g", required=True,
               help="e.g. 'g(y,x) = -1*y + x'")
 @click.option("--case", "case", required=True,
               type=click.Choice(["a=0", "b=0", "ab-cd=0"]))
-@_common
-def casestudy_cmd(f_text, g_text, case, out, seed):
+@_report
+def casestudy_cmd(f, g, case):
     """Run the three-vertex steady-state case study end to end."""
-    rpt = _run_casestudy(f_text, g_text, case)
-    config = {"command": "casestudy-s10", "f": f_text, "g": g_text,
-              "case": case, "seed": _seed(seed)}
+    rpt = _run_casestudy(f, g, case)
     rows = []
     for i, (b, s) in enumerate(zip(rpt.branches, rpt.synchrony)):
         rows.append(("N1", i, b.exponents, b.coefficients,
@@ -431,10 +424,9 @@ def casestudy_cmd(f_text, g_text, case, out, seed):
     passed = rpt.equivariance_passed and \
         rpt.reduced_equivariance_residual <= 1e-8 and \
         all(b.classified for b in rpt.branches)
-    sys.exit(_emit(out, "casestudy-s10", config, payload, passed,
-                   {"branches": (("vertex", "branch", "exponents",
-                                  "coefficients", "equal_groups",
-                                  "zero_coordinates"), rows)}))
+    return payload, passed, {
+        "branches": (("vertex", "branch", "exponents", "coefficients",
+                      "equal_groups", "zero_coordinates"), rows)}
 
 
 def run():

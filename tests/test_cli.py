@@ -10,6 +10,7 @@ import pytest
 import quiverdyn
 from helpers import (cm_lost_center_tuple, feedforward_chain_network,
                      float_copy, hopf_tuple, two_type_network)
+from test_lsreduction import transcritical_with_slave
 from quiverdyn.fileio import (dump_json, network_map_to_json,
                               network_to_json, tuple_to_json)
 from quiverdyn.polynomial import Poly
@@ -275,3 +276,34 @@ def test_malformed_matrix_exits_2(tmp_path, mode, row, message):
     r = run_cli(["check-equivariance", str(p), "--mode", "sampled"], tmp_path)
     assert r.returncode == 2
     assert "input error" in r.stderr and message in r.stderr, r.stderr
+
+
+# (arguments, text the one-line error names); tc.json has one parameter and
+# a vertex "v", hopf.json none
+UNSATISFIABLE = {
+    "grid-zero": (["branches", "tc.json", "--vertex", "v", "--grid", "0"],
+                  "'--grid'"),
+    "lam-min-zero": (["branches", "tc.json", "--vertex", "v",
+                      "--lam-min", "0"], "'--lam-min'"),
+    "lam-min-negative": (["branches", "tc.json", "--vertex", "v",
+                          "--lam-min", "-1"], "'--lam-min'"),
+    "lam-max-zero": (["branches", "tc.json", "--vertex", "v",
+                      "--lam-max", "0"], "'--lam-max'"),
+    "unknown-vertex": (["branches", "tc.json", "--vertex", "w"],
+                       "'--vertex'"),
+    "branches-without-parameter": (["branches", "hopf.json", "--vertex", "v"],
+                                   "param_dim 0"),
+    "cm-reduce-with-parameter": (["cm-reduce", "tc.json"], "param_dim 1"),
+    "normal-form-with-parameter": (["normal-form", "tc.json"], "param_dim 1"),
+}
+
+
+@pytest.mark.parametrize("args,message", UNSATISFIABLE.values(),
+                         ids=UNSATISFIABLE.keys())
+def test_unsatisfiable_request_exits_2(tmp_path, args, message):
+    dump_json(tuple_to_json(transcritical_with_slave()), tmp_path / "tc.json")
+    dump_json(tuple_to_json(hopf_tuple()), tmp_path / "hopf.json")
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2
+    assert message in r.stderr, r.stderr
+    assert not (tmp_path / "reports").exists()

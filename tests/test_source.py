@@ -41,6 +41,14 @@ def test_every_error_class_is_used_by_another_module():
     assert sorted(defined - used) == []
 
 
+def _files():
+    """The package's modules, the tests and the benchmark."""
+    root = PACKAGE.parent.parent
+    return (sorted(PACKAGE.glob("*.py"))
+            + sorted((root / "tests").glob("*.py"))
+            + sorted((root / "perfbench").glob("*.py")))
+
+
 def _statement_names(path):
     """Per top-level statement of a file, the names it reads: bare names,
     attribute names and imported names."""
@@ -62,11 +70,7 @@ def test_every_public_name_is_read():
     # an undecorated top-level function or class of the package must be
     # read somewhere other than its own definition and __init__.py: in the
     # package, the tests or the benchmark
-    root = PACKAGE.parent.parent
-    files = [p for p in sorted(PACKAGE.glob("*.py"))
-             if p.name != "__init__.py"]
-    files += sorted((root / "tests").glob("*.py"))
-    files += sorted((root / "perfbench").glob("*.py"))
+    files = [p for p in _files() if p.name != "__init__.py"]
     statements = [(path, stmt, names) for path in files
                   for stmt, names in _statement_names(path)]
     unread = []
@@ -79,14 +83,6 @@ def test_every_public_name_is_read():
                             if other is not stmt)):
             unread.append(f"{path.stem}.{stmt.name}")
     assert unread == []
-
-
-def _files():
-    """The package's modules, the tests and the benchmark."""
-    root = PACKAGE.parent.parent
-    return ([p for p in sorted(PACKAGE.glob("*.py"))]
-            + sorted((root / "tests").glob("*.py"))
-            + sorted((root / "perfbench").glob("*.py")))
 
 
 def _package_trees():
@@ -145,7 +141,8 @@ def test_every_function_parameter_is_read():
             if not isinstance(fn, ast.FunctionDef):
                 continue
             names = {node.id for node in ast.walk(fn)
-                     if isinstance(node, ast.Name)}
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load)}
             unread += [f"{path.stem}.{fn.name}({p.arg})"
                        for p in _parameters(fn) if p.arg not in names]
     assert unread == []
