@@ -8,12 +8,13 @@ build, combine and invert matrices, solve a linear system, split off the
 image and kernel of a matrix, and decide whether a residual passes.
 
 The exact implementation solves by elimination, which also proves that
-the system is consistent. The float one solves by least squares and accepts a solution that is unique (the
-matrix has full numerical column rank) and whose largest residual is at
-most the caller's tolerance, by default SOLVE_RTOL relative to the
-right-hand side. Both raise SolveFailed otherwise, which each caller maps
-to the error it documents. Image and kernel come from one rref in exact
-arithmetic and from an SVD with a rank gap in floats.
+the system is consistent. The float one solves by least squares and
+accepts a solution that is unique (the matrix has full numerical column
+rank) and whose largest residual is at most the caller's tolerance, by
+default SOLVE_RTOL relative to the right-hand side. Both raise SolveFailed
+otherwise, which each caller maps to the error it documents. Image and
+kernel come from one rref in exact arithmetic and from an SVD with a rank
+gap in floats.
 """
 
 from __future__ import annotations

@@ -210,7 +210,8 @@ def test_every_traced_name_exists():
               for stmt in tree.body if isinstance(stmt, ast.Assign)
               and getattr(stmt.targets[0], "id", None) in ("SPANNED",
                                                             "COUNTED")}
-    wanted = [(module, cls, attr) for _, module, cls, attr in tables["SPANNED"]]
+    wanted = [(module, cls, attr)
+              for _, module, cls, attr in tables["SPANNED"]]
     wanted += [("quiverdyn.polynomial", "Poly", attr)
                for _, attrs in tables["COUNTED"] for attr in attrs]
     missing = []
