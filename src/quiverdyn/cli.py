@@ -29,7 +29,11 @@ from .lsreduction import (check_reduced_equivariance, find_branches_1param,
 from .network import check_admissible, validate_coloured_network
 from .normalform import normal_form, verify_normal_form
 from .spectral import (check_endomorphism, joint_spectrum, sn_decomposition)
-from .tuples import SAMPLED_DEFAULTS, check_equivariance
+from .tuples import DEGREE_CAP, SAMPLED_DEFAULTS, check_equivariance
+
+SEED = click.IntRange(min=0)
+SAMPLES = click.IntRange(min=1)
+TOL = click.FloatRange(min=0)
 
 
 def _num(x):
@@ -82,14 +86,19 @@ def _report(fn):
     """
     wanted = inspect.signature(fn).parameters
 
-    @click.option("--seed", default=0, show_default=True, type=int,
+    @click.option("--seed", default=0, show_default=True, type=SEED,
                   help="random seed (env QUIVERDYN_SEED overrides)")
     @click.option("--out", "-o", default="reports", show_default=True,
                   help="output directory")
     @functools.wraps(fn)
     def command(out, **params):
-        params["seed"] = int(os.environ.get("QUIVERDYN_SEED",
-                                            params["seed"]))
+        env_seed = os.environ.get("QUIVERDYN_SEED")
+        if env_seed is not None:
+            try:
+                params["seed"] = SEED.convert(env_seed, None, None)
+            except click.BadParameter as exc:
+                raise click.BadParameter(
+                    exc.message, param_hint="QUIVERDYN_SEED") from None
         payload, passed, tables = fn(
             **{k: v for k, v in params.items() if k in wanted})
         name = click.get_current_context().command.name
@@ -202,9 +211,10 @@ def fibrations(source, target, surjective):
 @click.argument("pvf", type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["exact", "sampled"]),
               default="exact", show_default=True)
-@click.option("--tol", default=SAMPLED_DEFAULTS["tol"], show_default=True)
+@click.option("--tol", default=SAMPLED_DEFAULTS["tol"], show_default=True,
+              type=TOL)
 @click.option("--samples", default=SAMPLED_DEFAULTS["samples"],
-              show_default=True)
+              show_default=True, type=SAMPLES)
 @_report
 def check_equivariance_cmd(pvf, mode, tol, samples, seed):
     """Verify arrow-intertwining of a polynomial tuple file."""
@@ -219,7 +229,7 @@ def check_equivariance_cmd(pvf, mode, tol, samples, seed):
 @main.command("check-admissible")
 @click.argument("network", type=click.Path(exists=True))
 @click.argument("map", type=click.Path(exists=True))
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=1e-9, show_default=True, type=TOL)
 @_report
 def check_admissible_cmd(network, map, tol):
     """Check dependency and groupoid-symmetry of a total-space map."""
@@ -281,8 +291,8 @@ def sn(representation, endomorphism):
 
 @main.command("ls-reduce")
 @click.argument("pvf", type=click.Path(exists=True))
-@click.option("--samples", default=100, show_default=True)
-@click.option("--tol", default=1e-8, show_default=True)
+@click.option("--samples", default=100, show_default=True, type=SAMPLES)
+@click.option("--tol", default=1e-8, show_default=True, type=TOL)
 @_report
 def ls_reduce_cmd(pvf, samples, tol, seed):
     """Lyapunov-Schmidt reduction and reduced-equivariance check."""
@@ -342,7 +352,8 @@ def branches(pvf, vertex, lam_min, lam_max, grid):
 
 @main.command("cm-reduce")
 @click.argument("pvf", type=click.Path(exists=True))
-@click.option("--degree", default=4, show_default=True)
+@click.option("--degree", default=4, show_default=True,
+              type=click.IntRange(1, DEGREE_CAP))
 @_report
 def cm_reduce(pvf, degree):
     """Center-manifold Taylor jet and coefficient-level equivariance."""
@@ -363,7 +374,8 @@ def cm_reduce(pvf, degree):
 
 @main.command("normal-form")
 @click.argument("pvf", type=click.Path(exists=True))
-@click.option("--grade", default=2, show_default=True)
+@click.option("--grade", default=2, show_default=True,
+              type=click.IntRange(1, DEGREE_CAP - 1))
 @_report
 def normal_form_cmd(pvf, grade):
     """Lie-transform normal form with per-grade verification."""

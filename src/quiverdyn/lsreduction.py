@@ -37,11 +37,16 @@ SYNC_TOL = 1e-6       # relative tolerance of synchrony_groups
 class CompiledField:
     """A polynomial field and its Jacobian, evaluated by one matrix product.
 
-    The exponent array E has one row per monomial in the union of the
-    monomials of every field component and every Jacobian entry. The
-    coefficient matrix C has one row per field component, then one per
-    Jacobian entry in row-major order, so C @ prod(z ** E, axis=1) lists
-    the field and then the whole Jacobian at z.
+    The integer exponent array E has one row per monomial in the union of
+    the monomials of every field component and every Jacobian entry, and
+    top is its largest entry. The coefficient matrix C has one row per
+    field component, then one per Jacobian entry in row-major order. At z,
+    a table holds z_j^0 = 1 and z_j^k = z_j^(k-1) * z_j up to top, each
+    monomial is the product of its factors z_j^E[k, j] gathered from that
+    table in variable order, and C times those monomials lists the field
+    and then the whole Jacobian. Every power is a chain of correctly
+    rounded products, so its bits do not depend on how a float pow is
+    vectorised.
     """
 
     def __init__(self, field, jacobian, nvars):
@@ -49,8 +54,8 @@ class CompiledField:
         polys = list(field) + [p for row in jacobian for p in row]
         monos = sorted({e for p in polys for e in p.terms})
         column = {e: k for k, e in enumerate(monos)}
-        self.exponents = np.array(monos, dtype=float).reshape(len(monos),
-                                                              nvars)
+        self.exponents = np.array(monos, dtype=int).reshape(len(monos), nvars)
+        self.top = int(self.exponents.max(initial=0))
         self.coeffs = np.zeros((len(polys), len(monos)))
         for i, p in enumerate(polys):
             for e, c in p.terms.items():
@@ -61,9 +66,16 @@ class CompiledField:
 
         einsum, unlike a BLAS product, sums each lane's terms in the same
         order whatever the number of lanes, so a lane's values do not depend
-        on the batch it is evaluated in.
+        on the batch it is evaluated in. That holds only for C-ordered
+        monomials: the gather returns a batch's monomials in another order,
+        which would make einsum sum a batch differently from a single lane.
         """
-        monos = (z[..., None, :] ** self.exponents).prod(axis=-1)
+        table = np.empty(z.shape + (self.top + 1,))
+        table[..., 0] = 1.0
+        for k in range(1, self.top + 1):
+            table[..., k] = table[..., k - 1] * z
+        factors = table[..., np.arange(z.shape[-1]), self.exponents]
+        monos = np.ascontiguousarray(factors.prod(axis=-1))
         vals = np.einsum("...k,ik->...i", monos, self.coeffs)
         d = self.dim
         return vals[..., :d], vals[..., d:].reshape(z.shape[:-1] + (d, d))

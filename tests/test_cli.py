@@ -278,8 +278,8 @@ def test_malformed_matrix_exits_2(tmp_path, mode, row, message):
     assert "input error" in r.stderr and message in r.stderr, r.stderr
 
 
-# (arguments, text the one-line error names); tc.json has one parameter and
-# a vertex "v", hopf.json none
+# (arguments, text the one-line error names[, environment]); tc.json has one
+# parameter and a vertex "v", hopf.json none
 UNSATISFIABLE = {
     "grid-zero": (["branches", "tc.json", "--vertex", "v", "--grid", "0"],
                   "'--grid'"),
@@ -295,15 +295,44 @@ UNSATISFIABLE = {
                                    "param_dim 0"),
     "cm-reduce-with-parameter": (["cm-reduce", "tc.json"], "param_dim 1"),
     "normal-form-with-parameter": (["normal-form", "tc.json"], "param_dim 1"),
+    "seed-env-not-integer": (["check-equivariance", "hopf.json"],
+                             "QUIVERDYN_SEED", {"QUIVERDYN_SEED": "abc"}),
+    "seed-negative": (["check-equivariance", "hopf.json", "--mode", "sampled",
+                       "--seed", "-1"], "'--seed'"),
+    "degree-above-cap": (["cm-reduce", "hopf.json", "--degree", "9"],
+                         "'--degree'"),
+    "degree-negative": (["cm-reduce", "hopf.json", "--degree", "-2"],
+                        "'--degree'"),
+    "grade-above-cap": (["normal-form", "hopf.json", "--grade", "8"],
+                        "'--grade'"),
+    "grade-negative": (["normal-form", "hopf.json", "--grade", "-1"],
+                       "'--grade'"),
+    "sampled-zero-samples": (["check-equivariance", "hopf.json", "--mode",
+                              "sampled", "--samples", "0"], "'--samples'"),
+    "sampled-negative-samples": (["check-equivariance", "hopf.json", "--mode",
+                                  "sampled", "--samples", "-5"],
+                                 "'--samples'"),
+    "ls-reduce-zero-samples": (["ls-reduce", "tc.json", "--samples", "0"],
+                               "'--samples'"),
+    "ls-reduce-negative-samples": (["ls-reduce", "tc.json", "--samples", "-3"],
+                                   "'--samples'"),
+    "equivariance-negative-tol": (["check-equivariance", "hopf.json",
+                                   "--tol", "-1"], "'--tol'"),
+    "ls-reduce-negative-tol": (["ls-reduce", "tc.json", "--tol", "-1"],
+                               "'--tol'"),
+    # the option is rejected before either file is read
+    "admissible-negative-tol": (["check-admissible", "hopf.json", "hopf.json",
+                                 "--tol", "-1"], "'--tol'"),
 }
 
 
-@pytest.mark.parametrize("args,message", UNSATISFIABLE.values(),
+@pytest.mark.parametrize("request_", UNSATISFIABLE.values(),
                          ids=UNSATISFIABLE.keys())
-def test_unsatisfiable_request_exits_2(tmp_path, args, message):
+def test_unsatisfiable_request_exits_2(tmp_path, request_):
+    args, message, *env = request_
     dump_json(tuple_to_json(transcritical_with_slave()), tmp_path / "tc.json")
     dump_json(tuple_to_json(hopf_tuple()), tmp_path / "hopf.json")
-    r = run_cli(args, tmp_path)
+    r = run_cli(args, tmp_path, *env)
     assert r.returncode == 2
     assert message in r.stderr, r.stderr
     assert not (tmp_path / "reports").exists()

@@ -14,7 +14,8 @@ from quiverdyn.errors import DomainTooSmall, NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
 from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW, CONVERGED,
                                    DAMPING_FAILED, NEWTON_MAX_ITER,
-                                   _distinct_roots, _lane_solve, _seed_grid,
+                                   CompiledField, _distinct_roots,
+                                   _lane_solve, _seed_grid,
                                    check_reduced_equivariance,
                                    find_branches_1param, ls_reduce,
                                    reduced_newton)
@@ -171,6 +172,45 @@ def test_compiled_field_matches_poly_eval(name):
             for got, p in want:
                 ref = p.eval(list(z))
                 assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def repeated_product(e, z):
+    """The monomial z^e as Python floats: each power a chain of products
+    from 1, multiplied in variable order."""
+    value = 1.0
+    for zj, k in zip(z, e):
+        power = 1.0
+        for _ in range(k):
+            power *= zj
+        value *= power
+    return value
+
+
+def test_compiled_field_is_bit_exact_and_lane_independent():
+    # vars x, y and the parameter lam; every component and Jacobian entry is
+    # a single term with coefficient 1, so the sum over monomials adds only
+    # zeros and its order cannot change a bit
+    def mono(*e):
+        return Poly(3, {e: 1})
+
+    field = [mono(3, 1, 1), mono(2, 2, 0)]
+    jacobian = [[mono(2, 1, 1), mono(3, 0, 1)], [mono(1, 2, 0), mono(0, 0, 0)]]
+    ev = CompiledField(field, jacobian, 3)
+    assert ev.top == 3
+    rng = np.random.default_rng(5)
+    Z = rng.uniform(-2.0, 2.0, size=(300, 6))[:, ::2]   # a strided view
+    vals, jac = ev(Z)
+    exps = [next(iter(p.terms)) for p in field + sum(jacobian, [])]
+    for i, z in enumerate(Z.tolist()):
+        got = list(vals[i]) + list(jac[i].ravel())
+        assert got == [repeated_product(e, z) for e in exps]
+    for i in range(len(Z)):
+        for lane_vals, lane_jac in (ev(Z[i]), [a[0] for a in ev(Z[i:i + 1])]):
+            assert np.array_equal(lane_vals, vals[i])
+            assert np.array_equal(lane_jac, jac[i])
+    every_third = ev(Z[::3])
+    assert np.array_equal(every_third[0], vals[::3])
+    assert np.array_equal(every_third[1], jac[::3])
 
 
 def test_reduced_jacobian_matches_closed_form():
