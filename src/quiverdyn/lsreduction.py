@@ -67,8 +67,9 @@ class CompiledField:
         einsum, unlike a BLAS product, sums each lane's terms in the same
         order whatever the number of lanes, so a lane's values do not depend
         on the batch it is evaluated in. That holds only for C-ordered
-        monomials: the gather returns a batch's monomials in another order,
-        which would make einsum sum a batch differently from a single lane.
+        monomials: the gather leaves a batch's monomials in another memory
+        order, and einsum would then sum a batch's terms in another order
+        than a single lane's.
         """
         table = np.empty(z.shape + (self.top + 1,))
         table[..., 0] = 1.0
