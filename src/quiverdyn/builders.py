@@ -20,13 +20,16 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NotAdmissible
+from .errors import NotAdmissible, SizeOverflow
 from .network import ColouredNetwork, _natural_key, check_admissible
 from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMapTuple
 
 
 # --- subnetworks --------------------------------------------------------------
+
+SUBSET_CAP = 1024   # in-closed subsets enumerate_subnetworks may return
+
 
 @dataclass
 class SubnetworkLattice:
@@ -35,18 +38,30 @@ class SubnetworkLattice:
 
 
 def enumerate_subnetworks(N):
-    """All nonempty node subsets closed under incoming edges.
-
-    Canonical order: by size, then lexicographically by node ids.
+    """All nonempty node subsets closed under incoming edges: the down-sets
+    of the condensation of N under "feeds". Its components (nodes with equal
+    ancestor sets) are taken by ancestor count, a topological order, and
+    each down-set found so far also grows by a component whose feeders it
+    holds. Raises SizeOverflow above SUBSET_CAP subsets. Canonical order:
+    by size, then lexicographically by node ids.
     """
-    node_ids = N.node_ids()
-    in_sources = {n: {s for _, s, _, _ in N.in_edges(n)} for n in node_ids}
-    subsets = []
-    for r in range(1, len(node_ids) + 1):
-        for combo in itertools.combinations(node_ids, r):
-            cset = set(combo)
-            if all(in_sources[n] <= cset for n in combo):
-                subsets.append(tuple(sorted(combo, key=_natural_key)))
+    feeds = {n: {s for _, s, _, _ in N.in_edges(n)} for n in N.node_ids()}
+    components = {}   # ancestor set (self included) -> component
+    for n in feeds:
+        seen, stack = {n}, [n]
+        while stack:
+            for s in feeds[stack.pop()] - seen:
+                seen.add(s)
+                stack.append(s)
+        components.setdefault(frozenset(seen), set()).add(n)
+    downsets = [frozenset()]
+    for ancestors in sorted(components, key=len):
+        comp = components[ancestors]
+        needs = set().union(*(feeds[n] for n in comp)) - comp
+        downsets += [d | comp for d in downsets if needs <= d]
+        if len(downsets) > SUBSET_CAP + 1:
+            raise SizeOverflow(f"more than {SUBSET_CAP} in-closed subsets")
+    subsets = [tuple(sorted(d, key=_natural_key)) for d in downsets[1:]]
     subsets.sort(key=lambda s: (len(s), tuple(_natural_key(n) for n in s)))
     return SubnetworkLattice(subsets)
 
@@ -153,58 +168,102 @@ class GraphFibration:
         return problems
 
 
+class _FibrationSearch:
+    """One network's data for enumerate_fibrations, as source and target.
+
+    `order` is breadth-first backward along in-edges, from each node not
+    yet placed in (in-degree descending, natural key) order; `via` holds
+    the node and edge colour a node was reached through, None for a root.
+    `sources` holds each node's distinct sources by (edge colour, source
+    colour), and `groups` its in-edges by (edge colour, source).
+    """
+
+    def __init__(self, N):
+        nodes = N.node_ids()
+        colour = N.node_colour
+        ins = {n: N.in_edges(n) for n in nodes}
+        self.inputs = {n: [(s, c) for _, s, _, c in ins[n]] for n in nodes}
+        self.want = {m: sorted((c, s) for s, c in self.inputs[m])
+                     for m in nodes}
+        self.colour_count = Counter(colour.values())
+        self.by_colour, self.sources, self.groups = {}, {}, {}
+        for m in nodes:
+            self.by_colour.setdefault(colour[m], []).append(m)
+            self.sources[m], self.groups[m] = {}, {}
+            for e, s, _, c in ins[m]:
+                srcs = self.sources[m].setdefault((c, colour[s]), [])
+                if s not in srcs:
+                    srcs.append(s)
+                self.groups[m].setdefault((c, s), []).append(e)
+        self.order, self.via = [], {}
+        for root in sorted(nodes, key=lambda n: (-len(ins[n]),
+                                                 _natural_key(n))):
+            if root in self.via:
+                continue
+            self.via[root] = None
+            queue = [root]
+            for t in queue:
+                for s, c in self.inputs[t]:
+                    if s not in self.via:
+                        self.via[s] = (t, c)
+                        queue.append(s)
+            self.order += queue
+        pos = {n: i for i, n in enumerate(self.order)}
+        self.checked_at = [[] for _ in nodes]  # nodes step i completes
+        for n in nodes:
+            self.checked_at[max([pos[n]] + [pos[s] for s, _ in
+                                            self.inputs[n]])].append(n)
+
+
+def _fibration_search(N):
+    """N's search data, built once and kept on N (fixed after __init__)."""
+    if "_fibrations" not in vars(N):
+        N._fibrations = _FibrationSearch(N)
+    return N._fibrations
+
+
 def enumerate_fibrations(N_src, N_dst, surjective_only=False):
     """All graph fibrations N_src -> N_dst, in canonical order.
 
-    Backtracking over node images (nodes ordered by descending in-degree),
-    pruning on colour and per-node input feasibility; every consistent node
-    map is then expanded into all compatible edge bijections. A node's
-    inputs, grouped by (edge colour, image of source), are checked once, at
-    the step that gives the last of it and its in-sources an image. With
-    surjective_only, a branch ends once the unassigned nodes of a colour
-    are fewer than the target nodes of that colour not yet hit.
+    Backtracking over node images in the source's `order`. A fibration maps
+    t's inputs bijectively onto phi(t)'s, so a node reached through t by an
+    edge of colour c takes an image among the sources of phi(t)'s c-coloured
+    in-edges that have its colour; a root takes any node of its colour. A
+    node's inputs, grouped by (edge colour, image of source), are checked
+    once, at the step that gives the last of it and its in-sources an image.
+    With surjective_only, a branch ends once the unassigned nodes of a
+    colour are fewer than the target nodes of that colour not yet hit.
+    Every node map found is expanded into all compatible edge bijections.
     """
-    src_nodes = N_src.node_ids()
-    dst_nodes = N_dst.node_ids()
-    src_colour, dst_colour = N_src.node_colour, N_dst.node_colour
-    candidates = {n: [m for m in dst_nodes if dst_colour[m] == src_colour[n]]
-                  for n in src_nodes}
-    if any(not c for c in candidates.values()):
+    src, dst = _fibration_search(N_src), _fibration_search(N_dst)
+    if any(c not in dst.by_colour for c in src.colour_count):
         return []
-    left = Counter(src_colour.values())    # unassigned source nodes
-    unhit = Counter(dst_colour.values())   # target nodes without a preimage
+    left = Counter(src.colour_count)    # unassigned source nodes
+    unhit = Counter(dst.colour_count)   # target nodes without a preimage
     if surjective_only and any(left[c] < k for c, k in unhit.items()):
         return []
-    src_in = {n: N_src.in_edges(n) for n in src_nodes}
-    dst_in = {m: N_dst.in_edges(m) for m in dst_nodes}
-    inputs = {n: [(s, c) for _, s, _, c in src_in[n]] for n in src_nodes}
-    want = {m: sorted((c, s) for _, s, _, c in dst_in[m]) for m in dst_nodes}
-    order = sorted(src_nodes,
-                   key=lambda n: (-len(inputs[n]), _natural_key(n)))
-    pos = {n: i for i, n in enumerate(order)}
-    checked_at = [[] for _ in order]   # nodes whose inputs step i completes
-    for n in src_nodes:
-        checked_at[max([pos[n]] + [pos[s] for s, _ in inputs[n]])].append(n)
-
-    results = []
-    assign = {}
-    hits = Counter()
+    src_colour = N_src.node_colour
+    inputs, want = src.inputs, dst.want
+    results, assign, hits = [], {}, Counter()
 
     def extend(i):
-        if i == len(order):
+        if i == len(src.order):
             results.append(dict(assign))
             return
-        n = order[i]
+        n = src.order[i]
         colour = src_colour[n]
+        link = src.via[n]
+        candidates = dst.by_colour[colour] if link is None else \
+            dst.sources[assign[link[0]]].get((link[1], colour), ())
         left[colour] -= 1
-        for m in candidates[n]:
+        for m in candidates:
             hits[m] += 1
             if hits[m] == 1:
                 unhit[colour] -= 1
             if not (surjective_only and unhit[colour] > left[colour]):
                 assign[n] = m
                 if all(sorted([(c, assign[s]) for s, c in inputs[k]])
-                       == want[assign[k]] for k in checked_at[i]):
+                       == want[assign[k]] for k in src.checked_at[i]):
                     extend(i + 1)
                 del assign[n]
             hits[m] -= 1
@@ -214,21 +273,19 @@ def enumerate_fibrations(N_src, N_dst, surjective_only=False):
 
     extend(0)
 
+    src_nodes = N_src.node_ids()
     fibrations = []
     for nm in sorted(results,
                      key=lambda d: tuple(_natural_key(d[n]) for n in src_nodes)):
         # per node, the edge bijections of each (colour, mapped source) group
         flat = []
         for n in src_nodes:
-            groups_src, groups_dst = {}, {}
-            for e, s, _, c in src_in[n]:
+            groups_src = {}
+            for e, s, _, c in N_src.in_edges(n):
                 groups_src.setdefault((c, nm[s]), []).append(e)
-            for e, s, _, c in dst_in[nm[n]]:
-                groups_dst.setdefault((c, s), []).append(e)
             for key in sorted(groups_src):
-                es = groups_src[key]
-                flat.append([tuple(zip(es, p))
-                             for p in itertools.permutations(groups_dst[key])])
+                flat.append([tuple(zip(groups_src[key], p)) for p in
+                             itertools.permutations(dst.groups[nm[n]][key])])
         node_map = tuple(sorted(nm.items(), key=lambda p: _natural_key(p[0])))
         for combo in itertools.product(*flat):
             em = tuple(sorted((pair for group in combo for pair in group),

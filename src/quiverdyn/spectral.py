@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import arith, exactlin
 from .arith import as_float_matrix, matrix_shape
@@ -209,7 +208,9 @@ def _eigenspace_basis(rep, L, cluster):
                     f"{len(kern)} != expected {want}")
             basis[v] = tuple(tuple(vec[i] for vec in kern) for i in range(d))
         return basis
-    # float path: ordered real Schur per vertex
+    # float path: ordered real Schur per vertex (scipy is loaded only here)
+    import scipy.linalg
+
     rv = complex(cluster.value)
     near = 10 * EPS_EIG * max(1.0, abs(rv))
 

@@ -3,8 +3,8 @@
 All networks here are small hand-checkable examples: two feedforward
 networks (two and five nodes), a five-node network whose admissible maps
 commute with a five-element monoid of non-invertible symmetries, a
-five-node two-colour network with six quotients, and an eight-node
-two-colour network with twelve. Random data is drawn from
+five-node two-colour network with six quotients, an eight-node
+two-colour network with twelve, rings, and networks of isolated nodes. Random data is drawn from
 seeded random.Random instances so every test is reproducible.
 """
 
@@ -95,6 +95,14 @@ def ring_network(n):
     edges = [(f"s{i}", str(i), str(i), "s") for i in range(1, n + 1)]
     edges += [(f"r{i}", str(i), str(i % n + 1), "r") for i in range(1, n + 1)]
     return ColouredNetwork(nodes, edges)
+
+
+def isolated_network(n):
+    """n same-coloured nodes, each with only a self edge: every nonempty
+    node subset is in-closed."""
+    return ColouredNetwork([(str(i), "c") for i in range(1, n + 1)],
+                           [(f"s{i}", str(i), str(i), "s")
+                            for i in range(1, n + 1)])
 
 
 def monoid_network():
@@ -291,7 +299,21 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-# --- brute-force oracles for the quotient searches ------------------------------
+# --- brute-force oracles for the builder searches ----------------------------
+
+def brute_enumerate_subnetworks(N):
+    """Oracle: every nonempty node subset filtered for in-closure, in
+    enumerate_subnetworks' order (by size, then natural node keys)."""
+    node_ids = N.node_ids()
+    in_sources = {n: {s for _, s, _, _ in N.in_edges(n)} for n in node_ids}
+    subsets = []
+    for r in range(1, len(node_ids) + 1):
+        for combo in itertools.combinations(node_ids, r):
+            if all(in_sources[n] <= set(combo) for n in combo):
+                subsets.append(tuple(sorted(combo, key=_natural_key)))
+    subsets.sort(key=lambda s: (len(s), tuple(_natural_key(n) for n in s)))
+    return subsets
+
 
 def brute_canonical_network_form(N):
     """Oracle: minimal encoding over all colour-preserving node permutations."""

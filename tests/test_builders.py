@@ -9,40 +9,43 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_balanced_partitions, brute_canonical_network_form,
-                     brute_enumerate_fibrations, brute_quotients,
-                     feedforward_pair_network, feedforward_chain_network,
+                     brute_enumerate_fibrations, brute_enumerate_subnetworks,
+                     brute_quotients, feedforward_pair_network,
+                     feedforward_chain_network, isolated_network,
                      random_response_family, ring_network, time_limit,
-                     two_colour_network, two_type_network)
+                     two_colour_8_network, two_colour_network,
+                     two_type_network)
 from quiverdyn.builders import (_balanced_partitions, _canonical_network_form,
                                 build_quoq, build_subq, enumerate_fibrations,
                                 enumerate_quotients, enumerate_subnetworks,
                                 induce_on_quotients, induce_on_subnetworks,
                                 quotient_network, subnetwork_network)
+from quiverdyn.errors import SizeOverflow
 from quiverdyn.network import ColouredNetwork
 from quiverdyn.quiver import validate_representation
 from quiverdyn.tuples import bracket_tuple, check_equivariance, compose_tuple
-
-
-def brute_force_in_closed_subsets(N):
-    """Oracle: filter all nonempty node subsets for in-closure."""
-    ids = N.node_ids()
-    out = []
-    for r in range(1, len(ids) + 1):
-        for subset in itertools.combinations(ids, r):
-            sset = set(subset)
-            if all(s in sset
-                   for n in subset for _, s, _, _ in N.in_edges(n)):
-                out.append(tuple(subset))
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 @pytest.mark.parametrize("makenet", [feedforward_pair_network, feedforward_chain_network,
                                      two_type_network])
 def test_subnetworks_match_brute_force_oracle(makenet):
     N = makenet()
-    got = sorted((tuple(s) for s in enumerate_subnetworks(N).subsets),
-                 key=lambda s: (len(s), s))
-    assert got == brute_force_in_closed_subsets(N)
+    assert enumerate_subnetworks(N).subsets == brute_enumerate_subnetworks(N)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_ring_subq_in_bounded_time(n):
+    with time_limit(1):
+        quiver, _, subsets = build_subq(ring_network(n))
+    # the ring is strongly connected, so its only in-closed subset is itself
+    assert list(subsets.values()) == [tuple(str(i) for i in range(1, n + 1))]
+    assert len(quiver.arrows) == 1
+
+
+def test_subnetwork_cap_raises_in_bounded_time():
+    # 2^20 - 1 in-closed subsets, far above the cap
+    with time_limit(1), pytest.raises(SizeOverflow):
+        build_subq(isolated_network(20))
 
 
 def test_chain_subq_shape():
@@ -208,20 +211,30 @@ def node_maps(A, B):
 @given(coloured_networks())
 @example(RANDOM_9_1)
 @example(RANDOM_9_1_PERMUTED)
+@example(two_type_network())   # node 1 takes b from 2 and 3
 def test_quotient_searches_match_brute_force_oracles(N):
     assert _canonical_network_form(N) == brute_canonical_network_form(N)
     assert _balanced_partitions(N) == brute_balanced_partitions(N)
     catalog = enumerate_quotients(N)
     assert (catalog.quotients, catalog.witnesses) == brute_quotients(N)
-    for Q in catalog.quotients:
-        for A, B in ((N, Q), (Q, N)):
-            if node_maps(A, B) > 2000:
-                continue
-            for surjective in (False, True):
-                got = enumerate_fibrations(A, B, surjective)
-                want = brute_enumerate_fibrations(A, B, surjective)
-                assert [(f.node_map, f.edge_map) for f in got] == \
-                    [(f.node_map, f.edge_map) for f in want]
+    # N with each quotient both ways, and every ordered pair of quotients,
+    # which is what build_quoq searches
+    pairs = [(A, B) for Q in catalog.quotients for A, B in ((N, Q), (Q, N))]
+    for A, B in pairs + list(itertools.product(catalog.quotients, repeat=2)):
+        if node_maps(A, B) > 2000:
+            continue
+        for surjective in (False, True):
+            got = enumerate_fibrations(A, B, surjective)
+            want = brute_enumerate_fibrations(A, B, surjective)
+            assert [(f.node_map, f.edge_map) for f in got] == \
+                [(f.node_map, f.edge_map) for f in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(coloured_networks())
+@example(two_colour_8_network())
+def test_subnetworks_match_brute_force_oracle_on_random_networks(N):
+    assert enumerate_subnetworks(N).subsets == brute_enumerate_subnetworks(N)
 
 
 @pytest.mark.parametrize("n,seconds", [(10, 1), (14, 10)])

@@ -9,7 +9,8 @@ import pytest
 
 import quiverdyn
 from helpers import (cm_lost_center_tuple, feedforward_chain_network,
-                     float_copy, hopf_tuple, two_type_network)
+                     float_copy, hopf_tuple, isolated_network,
+                     two_type_network)
 from test_lsreduction import transcritical_with_slave
 from quiverdyn.fileio import (dump_json, network_map_to_json,
                               network_to_json, tuple_to_json)
@@ -24,13 +25,13 @@ PACKAGE_ROOT = os.path.dirname(
     os.path.dirname(os.path.abspath(quiverdyn.__file__)))
 
 
-def run_cli(args, cwd, env=None):
+def run_cli(args, cwd, env=None, command=CLI):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, full_env.get("PYTHONPATH")) if p)
-    r = subprocess.run(CLI + list(args), cwd=cwd, env=full_env,
+    r = subprocess.run(command + list(args), cwd=cwd, env=full_env,
                        capture_output=True, text=True)
     # A child that failed to start or raised past cli.run() names itself here
     # instead of surfacing as a wrong exit code or a missing report.
@@ -113,6 +114,37 @@ def test_quoq_report(tmp_path):
     p = tmp_path / "net5.json"
     dump_json(network_to_json(two_type_network()), p)
     r = run_cli(["quoq", str(p)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc, _ = report(tmp_path, "quoq")
+    assert doc["n_quotients"] == 6
+
+
+def test_subq_over_subset_cap_exits_1_with_named_error(tmp_path):
+    dump_json(network_to_json(isolated_network(20)), tmp_path / "iso20.json")
+    r = run_cli(["subq", "iso20.json"], tmp_path)
+    assert r.returncode == 1
+    assert "error: SizeOverflow" in r.stderr, r.stderr
+    assert not (tmp_path / "reports").exists()
+
+
+# Runs two exact commands in one process, then names any scipy module loaded.
+NO_SCIPY = """
+import sys
+from quiverdyn import cli
+for command in ("validate", "quoq"):
+    sys.argv = ["quiverdyn", command, "net5.json"]
+    try:
+        cli.run()
+    except SystemExit as exc:
+        assert exc.code == 0, (command, exc.code)
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def test_exact_validate_and_quoq_do_not_load_scipy(tmp_path):
+    dump_json(network_to_json(two_type_network()), tmp_path / "net5.json")
+    r = run_cli([], tmp_path, command=[sys.executable, "-c", NO_SCIPY])
     assert r.returncode == 0, r.stderr
     doc, _ = report(tmp_path, "quoq")
     assert doc["n_quotients"] == 6
