@@ -179,20 +179,54 @@ def random_response_family(N, seed, max_degree=3, param_dim=0):
     for colour, sig in sorted(tpl.slots.items()):
         nvars = tpl.response_nvars(N, colour, param_dim)
         dims = tpl.slot_dims(N, colour)
-        starts = [sum(dims[:i]) for i in range(len(dims))]
-        outs = []
-        for _ in range(N.internal_dim[colour]):
-            p = random_poly(rng, nvars, max_degree=max_degree)
-            for i in range(len(sig)):
-                for j in range(i + 1, len(sig)):
-                    if sig[i][0] == sig[j][0]:
-                        # equal slot dims are guaranteed by matching colours
-                        for k in range(dims[i]):
-                            p = symmetrize_pair(p, starts[i] + k,
-                                                starts[j] + k)
-            outs.append(p)
+        outs = [symmetrize_slots(random_poly(rng, nvars,
+                                             max_degree=max_degree),
+                                 sig, dims)
+                for _ in range(N.internal_dim[colour])]
         responses[colour] = PolyMap(outs, nvars=nvars)
     return ResponseFamily(N, responses, param_dim=param_dim)
+
+
+def symmetrize_slots(p, sig, dims):
+    """Average a response over swaps of every two slots that share an edge
+    colour (sig is the colour's slot signature, dims its slot dims)."""
+    starts = [sum(dims[:i]) for i in range(len(dims))]
+    for i in range(len(sig)):
+        for j in range(i + 1, len(sig)):
+            if sig[i][0] == sig[j][0]:
+                # equal slot dims are guaranteed by matching colours
+                for k in range(dims[i]):
+                    p = symmetrize_pair(p, starts[i] + k, starts[j] + k)
+    return p
+
+
+def planted_family(N, linear, seed):
+    """Admissible family with a planted linear part, on a network whose
+    node states are one-dimensional.
+
+    The response of colour c is the sum over its slots of
+    linear[c][edge colour] times the slot state, plus random quadratic and
+    cubic terms, averaged over slots that share an edge colour. A colour
+    whose slot coefficients sum to 0 and whose inputs all come from its own
+    colour plants a synchrony zero: its synchronous states make a zero
+    eigenvalue of the linearization on every network the family is induced
+    on.
+    """
+    from quiverdyn.network import AdmissibleTemplate
+
+    rng = random.Random(seed)
+    tpl = AdmissibleTemplate.of(N)
+    responses = {}
+    for colour, sig in sorted(tpl.slots.items()):
+        nvars = tpl.response_nvars(N, colour)
+        p = random_poly(rng, nvars, constant=False)
+        p = p - p.homogeneous_part(1) + Poly(nvars, {
+            tuple(int(i == j) for i in range(nvars)):
+                Fraction(linear[colour][ec])
+            for j, (ec, _) in enumerate(sig)})
+        responses[colour] = PolyMap(
+            [symmetrize_slots(p, sig, tpl.slot_dims(N, colour))], nvars=nvars)
+    return ResponseFamily(N, responses)
 
 
 def single_vertex_tuple(polys):
