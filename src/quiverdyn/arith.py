@@ -7,14 +7,21 @@ the same in both arithmetics are written once against that interface:
 build, combine and invert matrices, solve a linear system, split off the
 image and kernel of a matrix, and decide whether a residual passes.
 
-The exact implementation solves by elimination, which also proves that
-the system is consistent. The float one solves by least squares and
-accepts a solution that is unique (the matrix has full numerical column
-rank) and whose largest residual is at most the caller's tolerance, by
-default SOLVE_RTOL relative to the right-hand side. Both raise SolveFailed
-otherwise, which each caller maps to the error it documents. Image and
-kernel come from one rref in exact arithmetic and from an SVD with a rank
-gap in floats.
+A solve has one contract in both arithmetics: it returns the unique X
+with A X = B, or it raises SolveFailed, which each caller maps to the
+error it documents. The exact solve decides both uniqueness and
+consistency by one elimination of [A | B]. The float solve takes the
+least-squares X and accepts it when A has full column rank by the rank
+rule below and the largest residual is at most the caller's tolerance, by
+default SOLVE_RTOL relative to the right-hand side. Image and kernel come
+from one rref in exact arithmetic and from an SVD in floats.
+
+Float rank has one rule. With the threshold
+t = RANK_THRESHOLD * max(1, largest singular value), a singular value
+above 10 t counts toward the rank, one below t / 10 does not, and one in
+between leaves the rank ambiguous. image_kernel raises RankAmbiguous on
+an ambiguous rank; solve accepts only a matrix whose every singular value
+counts.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from .errors import RankAmbiguous, SolveFailed
 # a float solve passes when its largest residual is at most this fraction
 # of max(1, largest right-hand side entry), unless the caller gives a tol
 SOLVE_RTOL = 1e-10
+# the float rank threshold, relative to max(1, largest singular value)
+RANK_THRESHOLD = 1e-10
 
 
 def as_float_matrix(matrix):
@@ -53,6 +62,11 @@ def tolist(values):
 def _fraction(x):
     """x as a Fraction; one that already is passes through unchanged."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _rank_threshold(s):
+    """The float rank threshold for singular values s, largest first."""
+    return RANK_THRESHOLD * max(s[0] if s.size else 0.0, 1.0)
 
 
 def _entries(values):
@@ -107,17 +121,16 @@ class ExactArith:
         return tuple(map(tuple, exactlin.inverse(A))) if len(A) else ()
 
     def solve(self, A, B, tol=None):
-        """X with A X = B exactly (free variables zero); tol is unused."""
+        """The unique X with A X = B, or SolveFailed; tol is unused."""
         return tuple(map(tuple, exactlin.solve_matrix(A, B)))
 
     def solve_vector(self, A, b, tol=None):
         """The one-column case of solve, as a list."""
         return exactlin.solve(A, self.vector(b))
 
-    def image_kernel(self, A, tol):
+    def image_kernel(self, A):
         """Bases of the column space (the pivot columns of A) and of the
-        kernel (as exactlin.nullspace gives it), from one rref; tol is
-        unused."""
+        kernel (as exactlin.nullspace gives it), from one rref."""
         R, pivots = exactlin.rref(A)
         cols = list(zip(*A))
         return ([list(cols[c]) for c in pivots],
@@ -180,29 +193,35 @@ class FloatArith:
             raise SolveFailed("matrix is singular")
 
     def solve(self, A, B, tol=None):
-        """The unique least-squares X, accepted when max |A X - B| <= tol
-        (default SOLVE_RTOL * max(1, max |B|))."""
+        """The least-squares X, accepted when every singular value of A
+        counts toward its rank (the rank rule above) and
+        max |A X - B| <= tol (default SOLVE_RTOL * max(1, max |B|))."""
         A = as_float_matrix(A)
         B = np.asarray(B, dtype=float)
         if tol is None:
             tol = SOLVE_RTOL * max(1.0, self.max_abs(B))
-        X, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
-        if rank < A.shape[1]:
-            raise SolveFailed(f"matrix has rank {rank} < {A.shape[1]} columns")
+        X, _, _, s = np.linalg.lstsq(A, B, rcond=None)
+        cut = 10 * _rank_threshold(s)
+        counted = int(np.sum(s > cut))
+        if counted < A.shape[1]:
+            raise SolveFailed(f"{counted} singular values above {cut:.2e} "
+                              f"for {A.shape[1]} columns")
         residual = self.max_abs(A @ X - B)
         if residual > tol:
             raise SolveFailed(f"residual {residual:.2e}")
         return X
 
-    solve_vector = solve
+    def solve_vector(self, A, b, tol=None):
+        """The one-column case of solve."""
+        return self.solve(A, b, tol)
 
-    def image_kernel(self, A, tol):
+    def image_kernel(self, A):
         """Orthonormal bases of the column space and the kernel of A from its
-        SVD, with rank the number of singular values above
-        tol * max(1, largest). A singular value within a factor 10 of that
-        threshold raises RankAmbiguous."""
+        SVD, with rank the number of singular values above the rank
+        threshold. A singular value within a factor 10 of the threshold
+        raises RankAmbiguous (the rank rule above)."""
         U, s, Vt = np.linalg.svd(as_float_matrix(A))
-        thr = tol * max(s[0] if s.size else 0.0, 1.0)
+        thr = _rank_threshold(s)
         near = [x for x in s if 0.1 * thr < x < 10 * thr]
         if near:
             raise RankAmbiguous(

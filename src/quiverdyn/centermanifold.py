@@ -109,7 +109,8 @@ def _add_phi_degree(fc, fh, Ac, Ah, phi, nc, nh, dd, ar):
 
     The degree-dd correction psi solves T(psi) = Ah psi - D psi . (Ac u)
     = minus the residual of the invariance equation, with T the
-    homological operator at (Ac, Ah).
+    homological operator at (Ac, Ah). A T with no unique solution raises
+    ResonantBlock, in exact and float arithmetic alike.
     """
     if nh == 0 or nc == 0:
         return phi

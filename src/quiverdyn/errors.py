@@ -84,7 +84,7 @@ class RankAmbiguous(QuiverdynError):
 
 
 class SolveFailed(QuiverdynError):
-    """A linear solve that should be consistent failed."""
+    """A linear system has no unique solution."""
 
 
 # --- reductions ---------------------------------------------------------------

@@ -131,21 +131,21 @@ def rref_nullspace(R, pivots, n):
 
 
 def solve(A, b):
-    """The x with A x = b and free variables zero, or SolveFailed."""
+    """The unique x with A x = b, or SolveFailed (see solve_matrix)."""
     return [row[0] for row in solve_matrix(A, [[c] for c in b])]
 
 
 def solve_matrix(A, B):
-    """The X with A X = B and free variables zero, from one rref of [A | B];
-    SolveFailed if any column is inconsistent."""
+    """The unique X with A X = B, from one rref of [A | B]. SolveFailed
+    when any column of B is inconsistent, or when A has a free column
+    (rank below its number of columns), so that a solution is not unique."""
     n = shape(A)[1]
     R, pivots = rref([list(row) + list(rb) for row, rb in zip(A, B)])
     if pivots and pivots[-1] >= n:
         raise SolveFailed("inconsistent linear system")
-    X = zeros(n, shape(B)[1])
-    for r, pc in enumerate(pivots):
-        X[pc] = R[r][n:]
-    return X
+    if len(pivots) < n:
+        raise SolveFailed(f"matrix has rank {len(pivots)} < {n} columns")
+    return [row[n:] for row in R[:n]]
 
 
 def inverse(A):

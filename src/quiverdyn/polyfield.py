@@ -25,12 +25,11 @@ from functools import cached_property
 import numpy as np
 
 from . import arith
-from .errors import RankAmbiguous, SizeOverflow
+from .errors import RankAmbiguous, SizeOverflow, SolveFailed
 from .polynomial import Poly, monomial_exponents
 from .tuples import bracket_polys
 
 SIZE_CAP = 20000
-RANK_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -164,22 +163,22 @@ def solve_homological(L, LS, Fk, k):
     bases B_im and B_ker of the image and kernel of ad_{L^S}, one square
     solve [ad_L B_im | B_ker] (y, z) = f gives G = B_im y and
     R = f - ad_L G. For L^S semisimple and commuting with L, L - L^S
-    nilpotent, the system is nonsingular; a singular one raises
-    RankAmbiguous, as does a float singular value of ad_{L^S} near the
-    rank threshold. Returns (G, R) as lists of Polys.
+    nilpotent, the system has a unique solution; a solve that finds none
+    raises RankAmbiguous, as does a float singular value of ad_{L^S} near
+    the rank threshold. Returns (G, R) as lists of Polys.
     """
     adL = ad_operator_matrix(L, k)
     basis, N = adL.basis, adL.basis.size
     ar = arith.of_matrix(adL.matrix)
-    im, ker = ar.image_kernel(ad_operator_matrix(LS, k).matrix,
-                              RANK_THRESHOLD)
+    im, ker = ar.image_kernel(ad_operator_matrix(LS, k).matrix)
     Bim = ar.columns(im, N)
     f = basis.coords(Fk, ar)
     K = ar.hstack([ar.matmul(adL.matrix, Bim), ar.columns(ker, N)], N)
-    if ar.image_kernel(K, RANK_THRESHOLD)[1]:
+    try:
+        y = ar.solve_vector(K, f)[:len(im)]
+    except SolveFailed:
         raise RankAmbiguous("[ad_L B_im | B_ker] is singular; is L^S "
-                            "the semisimple part of L?")
-    y = ar.solve_vector(K, f)[:len(im)]
+                            "the semisimple part of L?") from None
     g = ar.matvec(Bim, y)
     rem = ar.sub(f, ar.matvec(adL.matrix, g))
     return basis.from_coords(list(g)), basis.from_coords(list(rem))

@@ -1,5 +1,6 @@
 """Image/kernel bases, solves and adapted coordinates, exact and float."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ def test_image_kernel_spans_products(mode):
     for _ in range(20):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = random_matrix(rng, m, n)
-        im, ker = ar.image_kernel(ar.freeze(A), 1e-10)
+        im, ker = ar.image_kernel(ar.freeze(A))
         assert len(im) == len(exactlin.rref(A)[1])
         assert len(im) + len(ker) == n
         # every column of A lies in the image span, every kernel vector
@@ -42,7 +43,45 @@ def test_image_kernel_spans_products(mode):
 
 def test_float_image_kernel_rejects_rank_near_threshold():
     with pytest.raises(RankAmbiguous):
-        arith.FLOAT.image_kernel(np.diag([1.0, 1e-10]), 1e-10)
+        arith.FLOAT.image_kernel(np.diag([1.0, 1e-10]))
+
+
+@pytest.mark.parametrize("small, unique", [(1e-12, False), (1e-8, True)])
+def test_float_solve_judges_uniqueness_by_the_rank_rule(small, unique):
+    # lstsq's own eps-level rank counts both singular values; the rank rule
+    # counts 1e-12 out, as image_kernel does, and 1e-8 in
+    A, b = np.diag([1.0, small]), np.array([1.0, small])
+    assert np.linalg.lstsq(A, b, rcond=None)[2] == 2
+    assert len(arith.FLOAT.image_kernel(A)[1]) == (0 if unique else 1)
+    for solve in (arith.FLOAT.solve, arith.FLOAT.solve_vector):
+        if unique:
+            assert np.array_equal(solve(A, b), np.linalg.lstsq(A, b)[0])
+        else:
+            with pytest.raises(SolveFailed):
+                solve(A, b)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_requires_a_unique_solution(mode):
+    # consistent but rank-deficient: both arithmetics refuse to pick one
+    ar = arith.of(mode)
+    A = ar.freeze([[1, 1], [2, 2]])
+    with pytest.raises(SolveFailed):
+        ar.solve_vector(A, [1, 2])
+    with pytest.raises(SolveFailed):
+        ar.solve(A, ar.freeze([[1], [2]]))
+    x = ar.solve_vector(ar.freeze([[1, 1], [0, 2]]), [3, 4])
+    assert ar.passes(ar.max_abs(ar.sub(x, [1, 2])), 1e-12)
+
+
+def test_both_arithmetics_define_one_interface():
+    def interface(cls):
+        return {name: (list(inspect.signature(value).parameters)
+                       if callable(value) else None)
+                for name, value in vars(cls).items()
+                if not name.startswith("_")}
+
+    assert interface(arith.ExactArith) == interface(arith.FloatArith)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

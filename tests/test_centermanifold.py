@@ -140,9 +140,9 @@ def test_singular_jet_operator(mode="exact"):
     # nonsingular (its eigenvalues have the hyperbolic real parts), so the
     # degree step is driven directly with a resonant block: center rate 1,
     # hyperbolic rates 2 and 3, u' = u, w0' = 2 w0, w1' = 3 w1 + u^2. On
-    # u^2 the operator is diag(2 - 2, 3 - 2), singular but consistent.
-    # Exact mode returns the solution with the free coefficient zero,
-    # w1 = -u^2; float mode raises ResonantBlock rather than pick one.
+    # u^2 the operator is diag(2 - 2, 3 - 2), singular but consistent:
+    # w1 = -u^2 with any u^2 term in w0 solves it. Neither arithmetic picks
+    # one of those jets; both raise ResonantBlock.
     ar = arith.of(mode)
     conv = float if mode == "float" else Fraction
     fc = [Poly(3, {(1, 0, 0): conv(1)})]
@@ -151,12 +151,8 @@ def test_singular_jet_operator(mode="exact"):
     Ac = [[conv(1)]]
     Ah = [[conv(2), conv(0)], [conv(0), conv(3)]]
     phi = [Poly.zero(1), Poly.zero(1)]
-    if mode == "float":
-        with pytest.raises(ResonantBlock):
-            _add_phi_degree(fc, fh, Ac, Ah, phi, 1, 2, 2, ar)
-        return
-    phi = _add_phi_degree(fc, fh, Ac, Ah, phi, 1, 2, 2, ar)
-    assert [p.terms for p in phi] == [{}, {(2,): Fraction(-1)}]
+    with pytest.raises(ResonantBlock, match="degree-2 invariance operator"):
+        _add_phi_degree(fc, fh, Ac, Ah, phi, 1, 2, 2, ar)
 
 
 def test_singular_jet_operator_float():

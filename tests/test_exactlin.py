@@ -46,8 +46,11 @@ def test_solve_recovers_planted_solution_and_detects_inconsistency():
         A = random_matrix(rng, n, n)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         b = exactlin.matvec(A, x)
-        got = exactlin.solve(A, b)
-        assert exactlin.matvec(A, got) == b
+        if len(exactlin.rref(A)[1]) == n:
+            assert exactlin.solve(A, b) == x
+        else:               # consistent, but x is one of many solutions
+            with pytest.raises(SolveFailed):
+                exactlin.solve(A, b)
     with pytest.raises(SolveFailed):
         exactlin.solve([[Fraction(1)], [Fraction(1)]],
                        [Fraction(0), Fraction(1)])
@@ -204,11 +207,13 @@ def test_solve_matrix_matches_sympy(m, n, k, data):
     try:
         sol, params = to_sympy(A, m, n).gauss_jordan_solve(to_sympy(B, m, k))
     except ValueError:                  # sympy: no solution
+        params = None
+    if params is None or len(params):   # no solution, or not a unique one
         with pytest.raises(SolveFailed):
             exactlin.solve_matrix(A, B)
         return
     got = exactlin.solve_matrix(A, B)
-    assert got == from_sympy(sol.subs({p: 0 for p in params}))
+    assert got == from_sympy(sol)
     assert all_fractions(got)
 
 
@@ -240,11 +245,17 @@ def test_empty_inner_dimension_gives_fraction_zeros():
 
 
 def test_solve_matrix_raises_when_any_column_is_inconsistent():
-    A = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    good, bad = [Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]
-    assert exactlin.solve_matrix(A, [[g] for g in good]) == [[1], [0]]
+    A = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)],
+         [Fraction(2), Fraction(1)]]
+    good = [Fraction(1), Fraction(3), Fraction(4)]
+    bad = [Fraction(1), Fraction(3), Fraction(5)]
+    assert exactlin.solve_matrix(A, [[g] for g in good]) == [[1], [2]]
     with pytest.raises(SolveFailed, match="inconsistent linear system"):
         exactlin.solve_matrix(A, [[g, b] for g, b in zip(good, bad)])
+    # a rank-1 matrix has no unique solution, even for a consistent column
+    singular = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
+    with pytest.raises(SolveFailed, match="rank 1 < 2"):
+        exactlin.solve_matrix(singular, [[Fraction(1)], [Fraction(2)]])
 
 
 @pytest.mark.parametrize("func", [

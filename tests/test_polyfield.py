@@ -163,6 +163,32 @@ def test_solve_homological_rejects_nilpotent_LS(mode):
         solve_homological(LS, LS, zero, 1)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_solve_homological_eliminates_twice(mode, monkeypatch):
+    # the image and kernel of ad_{L^S}, then one solve of K that also
+    # proves K nonsingular: in exact mode two rrefs, in float mode one SVD
+    # split and no separate check of K
+    calls = []
+
+    def counted(func):
+        def wrapper(*args):
+            calls.append(func.__name__)
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(exactlin, "rref", counted(exactlin.rref))
+    monkeypatch.setattr(arith.FloatArith, "image_kernel",
+                        counted(arith.FloatArith.image_kernel))
+    L = frac_matrix([[1, 0], [0, -1]])
+    b = hom_basis(2, 2)
+    F = b.from_coords([Fraction(x % 5 - 2) for x in range(b.size)])
+    if mode == "float":
+        L, F = np.array(L, dtype=float), [p.to_float() for p in F]
+    solve_homological(L, L, F, 2)
+    assert calls == (["rref", "rref"] if mode == "exact"
+                     else ["image_kernel"])
+
+
 @st.composite
 def jordan_matrices(draw):
     """A 2x2 or 3x3 rational matrix U J U^-1 with J holding a Jordan block
@@ -203,7 +229,9 @@ def test_solve_homological_splits_with_a_nilpotent_part(L, k, data):
     f, g, r = (b.coords(x, ar) for x in (F, G, R))
     assert f == [x + y for x, y in zip(exactlin.matvec(adL, g), r)]
     assert all(x == 0 for x in exactlin.matvec(adS, r))
-    ar.solve_vector(adS, g)     # raises SolveFailed unless g is in im ad_S
+    # g lies in im ad_S: appending it as a column leaves the rank unchanged
+    assert len(exactlin.rref(adS)[1]) == len(exactlin.rref(
+        [list(row) + [x] for row, x in zip(adS, g)])[1])
 
 
 def test_solve_homological_reconstructs_field():
