@@ -86,23 +86,22 @@ def build_subq(N):
     """
     lattice = enumerate_subnetworks(N)
     vertex_subsets = {subq_vertex_id(s): s for s in lattice.subsets}
-    arrows = []
-    for big in lattice.subsets:
-        for small in lattice.subsets:
-            if set(small) <= set(big):
-                arrows.append((f"{subq_vertex_id(big)}>{subq_vertex_id(small)}",
-                               subq_vertex_id(big), subq_vertex_id(small)))
-    quiver = Quiver(vertex_subsets.keys(), arrows)
+    members = [(vid, sub, frozenset(sub)) for vid, sub in vertex_subsets.items()]
     dim = {vid: sum(N.node_dim(n) for n in sub)
            for vid, sub in vertex_subsets.items()}
-    matrices = {}
-    for a, svid, tvid in arrows:
-        big, small = vertex_subsets[svid], vertex_subsets[tvid]
+    arrows, matrices = [], {}
+    for bvid, big, big_set in members:
         col_offsets = dict(zip(big, itertools.accumulate(
             (N.node_dim(n) for n in big[:-1]), initial=0)))
-        matrices[a] = selection_matrix(
-            [col_offsets[n] + k for n in small for k in range(N.node_dim(n))],
-            dim[svid])
+        for svid, small, small_set in members:
+            if small_set <= big_set:
+                a = f"{bvid}>{svid}"
+                arrows.append((a, bvid, svid))
+                matrices[a] = selection_matrix(
+                    [col_offsets[n] + k
+                     for n in small for k in range(N.node_dim(n))],
+                    dim[bvid])
+    quiver = Quiver(vertex_subsets.keys(), arrows)
     rep = QuiverRepresentation(quiver, dim, matrices, mode="exact")
     return quiver, rep, vertex_subsets
 

@@ -18,6 +18,7 @@ the state variables.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -53,6 +54,9 @@ def decode_number(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        # json reads NaN, Infinity and -Infinity as floats
+        if not math.isfinite(x):
+            raise ParseError(f"non-finite number {x!r}")
         return x
     raise ParseError(f"expected a number, got {type(x).__name__}")
 

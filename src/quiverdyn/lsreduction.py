@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import as_float_matrix
-from .errors import DomainTooSmall, NewtonDiverged, SingularImageBlock
+from .errors import (DomainTooSmall, NewtonDiverged, SingularImageBlock,
+                     SizeOverflow)
 from .polynomial import change_coordinates
 from .spectral import EndomorphismTuple, kernel_image_split
 from .tuples import EquivarianceReport, require_equilibrium
@@ -427,7 +428,9 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
         raise ValueError("branch tracing requires exactly one parameter")
     m = red.kernel_dim(vertex)
     if m > 3:
-        raise ValueError("branch tracing supports kernel dimension <= 3")
+        # the seed grid has 9^m points per parameter value
+        raise SizeOverflow(
+            f"branch tracing supports kernel dimension <= 3, got {m}")
     lams = np.geomspace(lam_range[0], lam_range[1], grid)[::-1]
     # zeros at every lam from one seed grid each, all solved in one batch
     scales = [5.0 * math.sqrt(abs(lam)) for lam in lams]

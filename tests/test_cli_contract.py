@@ -7,10 +7,13 @@ runs the command in-process through ``cli.run``. The exit code must be 0,
 """
 
 import json
+import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,10 @@ from helpers import (cm_feedforward_tuple, feedforward_chain_network,
 from quiverdyn import cli
 from quiverdyn.fileio import (endomorphism_to_json, network_to_json,
                               representation_to_json, tuple_to_json)
+from quiverdyn.polynomial import Poly
+from quiverdyn.quiver import Quiver, QuiverRepresentation
 from quiverdyn.spectral import EndomorphismTuple
+from quiverdyn.tuples import PolyMap, PolyMapTuple
 
 WRONG_VALUES = [None, True, -1, 1.5, "x", "1/0", [], {}, [[1, 2]]]
 
@@ -135,3 +141,38 @@ def test_mutated_dsl(which, data):
     texts[which] = data.draw(mutated_dsl(texts[which]))
     assert_contract(["casestudy-s10", "--f", texts[0], "--g", texts[1],
                      "--case", "b=0"])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_are_input_errors(value):
+    # json writes these as the bare literals NaN, Infinity and -Infinity,
+    # which json reads back as floats
+    rep, endo = (json.loads(json.dumps(SPECTRAL["float"][name]))
+                 for name in ("rep", "endo"))
+    endo["matrices"]["big"][0][0] = value
+    files = [("rep.json", json.dumps(rep)), ("endo.json", json.dumps(endo))]
+    for command in ("spectrum", "sn"):
+        assert exit_code([command, "rep.json", "endo.json"], files) == 2
+    F = tuple_to_json(float_copy(cm_feedforward_tuple()))
+    F["components"]["big"][0]["terms"][0]["coefficient"] = value
+    assert exit_code(["normal-form", "tuple.json"],
+                     [("tuple.json", json.dumps(F))]) == 2
+
+
+def test_branches_on_a_kernel_above_the_seed_grid_cap(capsys):
+    # x_i' = lambda x_i - x_i^2 on four coordinates: the kernel at the
+    # origin has dimension 4, and the 9^m seed grid stops at m = 3
+    n = 4
+    quiver = Quiver(["v"], [("id", "v", "v")])
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rep = QuiverRepresentation(quiver, {"v": n}, {"id": eye})
+    unit = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+    polys = [Poly(n + 1, {tuple(a + b for a, b in zip(unit[i], unit[n])): 1,
+                          tuple(2 * a for a in unit[i]): -1})
+             for i in range(n)]
+    F = PolyMapTuple(rep, {"v": PolyMap(polys)}, param_dim=1)
+    code = exit_code(["branches", "tuple.json", "--vertex", "v"],
+                     [("tuple.json", json.dumps(tuple_to_json(F)))])
+    assert code == 1
+    assert "error: SizeOverflow" in capsys.readouterr().err
