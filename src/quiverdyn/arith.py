@@ -7,21 +7,15 @@ the same in both arithmetics are written once against that interface:
 build, combine and invert matrices, solve a linear system, split off the
 image and kernel of a matrix, and decide whether a residual passes.
 
-A solve has one contract in both arithmetics: it returns the unique X
-with A X = B, or it raises SolveFailed, which each caller maps to the
-error it documents. The exact solve decides both uniqueness and
-consistency by one elimination of [A | B]. The float solve takes the
-least-squares X and accepts it when A has full column rank by the rank
-rule below and the largest residual is at most the caller's tolerance, by
-default SOLVE_RTOL relative to the right-hand side. Image and kernel come
+A solve returns the unique X with A X = B or raises SolveFailed, which
+each caller maps to the error it documents: exactly by one elimination of
+[A | B], in floats by least squares, accepted when A has full column rank
+by the rank rule and the residual is within the caller's tolerance
+(default SOLVE_RTOL relative to the right-hand side). The float rank
+rule: with t = RANK_THRESHOLD * max(1, largest singular value), a
+singular value above 10 t counts, one below t / 10 does not, and one
+between makes image_kernel raise RankAmbiguous. Image and kernel come
 from one rref in exact arithmetic and from an SVD in floats.
-
-Float rank has one rule. With the threshold
-t = RANK_THRESHOLD * max(1, largest singular value), a singular value
-above 10 t counts toward the rank, one below t / 10 does not, and one in
-between leaves the rank ambiguous. image_kernel raises RankAmbiguous on
-an ambiguous rank; solve accepts only a matrix whose every singular value
-counts.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from .errors import RankAmbiguous, SolveFailed
 # a float solve passes when its largest residual is at most this fraction
 # of max(1, largest right-hand side entry), unless the caller gives a tol
 SOLVE_RTOL = 1e-10
-# the float rank threshold, relative to max(1, largest singular value)
 RANK_THRESHOLD = 1e-10
 
 
@@ -193,19 +186,16 @@ class FloatArith:
             raise SolveFailed("matrix is singular")
 
     def solve(self, A, B, tol=None):
-        """The least-squares X, accepted when every singular value of A
-        counts toward its rank (the rank rule above) and
-        max |A X - B| <= tol (default SOLVE_RTOL * max(1, max |B|))."""
+        """The least-squares X, if A has full column rank by the rank rule
+        and max |A X - B| <= tol (SOLVE_RTOL * max(1, max |B|) if None)."""
         A = as_float_matrix(A)
         B = np.asarray(B, dtype=float)
         if tol is None:
             tol = SOLVE_RTOL * max(1.0, self.max_abs(B))
         X, _, _, s = np.linalg.lstsq(A, B, rcond=None)
-        cut = 10 * _rank_threshold(s)
-        counted = int(np.sum(s > cut))
-        if counted < A.shape[1]:
-            raise SolveFailed(f"{counted} singular values above {cut:.2e} "
-                              f"for {A.shape[1]} columns")
+        rank = int(np.sum(s > 10 * _rank_threshold(s)))
+        if rank < A.shape[1]:
+            raise SolveFailed(f"matrix has rank {rank} < {A.shape[1]} columns")
         residual = self.max_abs(A @ X - B)
         if residual > tol:
             raise SolveFailed(f"residual {residual:.2e}")
@@ -217,9 +207,7 @@ class FloatArith:
 
     def image_kernel(self, A):
         """Orthonormal bases of the column space and the kernel of A from its
-        SVD, with rank the number of singular values above the rank
-        threshold. A singular value within a factor 10 of the threshold
-        raises RankAmbiguous (the rank rule above)."""
+        SVD, split where the rank rule puts the rank, or RankAmbiguous."""
         U, s, Vt = np.linalg.svd(as_float_matrix(A))
         thr = _rank_threshold(s)
         near = [x for x in s if 0.1 * thr < x < 10 * thr]

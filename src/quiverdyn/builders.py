@@ -86,7 +86,7 @@ def build_subq(N):
     """
     lattice = enumerate_subnetworks(N)
     vertex_subsets = {subq_vertex_id(s): s for s in lattice.subsets}
-    members = [(vid, sub, frozenset(sub)) for vid, sub in vertex_subsets.items()]
+    members = [(v, sub, frozenset(sub)) for v, sub in vertex_subsets.items()]
     dim = {vid: sum(N.node_dim(n) for n in sub)
            for vid, sub in vertex_subsets.items()}
     arrows, matrices = [], {}

@@ -136,23 +136,21 @@ def solve(A, b):
 
 
 def solve_matrix(A, B):
-    """The unique X with A X = B, from one rref of [A | B]. SolveFailed
-    when any column of B is inconsistent, or when A has a free column
-    (rank below its number of columns), so that a solution is not unique."""
+    """The unique X with A X = B, from one rref of [A | B]; SolveFailed
+    when A has rank below its column count or a column is inconsistent."""
     n = shape(A)[1]
     R, pivots = rref([list(row) + list(rb) for row, rb in zip(A, B)])
-    if pivots and pivots[-1] >= n:
+    rank = sum(c < n for c in pivots)
+    if rank < n:
+        raise SolveFailed(f"matrix has rank {rank} < {n} columns")
+    if len(pivots) > n:
         raise SolveFailed("inconsistent linear system")
-    if len(pivots) < n:
-        raise SolveFailed(f"matrix has rank {len(pivots)} < {n} columns")
     return [row[n:] for row in R[:n]]
 
 
 def inverse(A):
-    try:
-        return solve_matrix(A, identity(_square(A, "inverse")))
-    except SolveFailed:     # [A | I] is inconsistent exactly when A is singular
-        raise SolveFailed("matrix is singular") from None
+    """A^-1; SolveFailed when A is singular."""
+    return solve_matrix(A, identity(_square(A, "inverse")))
 
 
 # --- characteristic polynomial and friends -----------------------------------

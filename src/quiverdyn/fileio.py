@@ -54,8 +54,7 @@ def decode_number(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        # json reads NaN, Infinity and -Infinity as floats
-        if not math.isfinite(x):
+        if not math.isfinite(x):    # json reads NaN and Infinity as floats
             raise ParseError(f"non-finite number {x!r}")
         return x
     raise ParseError(f"expected a number, got {type(x).__name__}")

@@ -428,9 +428,7 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
         raise ValueError("branch tracing requires exactly one parameter")
     m = red.kernel_dim(vertex)
     if m > 3:
-        # the seed grid has 9^m points per parameter value
-        raise SizeOverflow(
-            f"branch tracing supports kernel dimension <= 3, got {m}")
+        raise SizeOverflow(f"kernel dimension {m} > 3, the 9^m seed grid cap")
     lams = np.geomspace(lam_range[0], lam_range[1], grid)[::-1]
     # zeros at every lam from one seed grid each, all solved in one batch
     scales = [5.0 * math.sqrt(abs(lam)) for lam in lams]

@@ -122,27 +122,17 @@ class Subrepresentation:
     def from_bases(rep, basis, tol=DEFAULT_TOL):
         """Build coordinate matrices from per-vertex bases.
 
-        Solves B_t C = R_a B_s for every arrow and raises NotInvariant when
-        there is no solution: exactly in exact mode, and in float mode when
+        Solves B_t C = R_a B_s for every arrow, a zero-dimensional subspace
+        at either end included, and raises NotInvariant when there is no
+        unique solution: exactly in exact mode, and in float mode also when
         the least-squares residual exceeds tol.
         """
         ar = rep.arith
         coords = {}
         for a, s, t in rep.quiver.arrows:
-            Bs, Bt = basis[s], basis[t]
-            ks = matrix_shape(Bs)[1]
-            kt = matrix_shape(Bt)[1]
-            if ks == 0:
-                coords[a] = ar.zeros(kt, 0)
-                continue
-            RBs = ar.matmul(rep.arrow_matrix[a], Bs)
-            if kt == 0:
-                if not ar.passes(ar.max_abs(RBs), tol):
-                    raise NotInvariant(f"arrow {a!r} leaves the subspace")
-                coords[a] = ar.zeros(0, ks)
-                continue
+            RBs = ar.matmul(rep.arrow_matrix[a], basis[s])
             try:
-                coords[a] = ar.solve(Bt, RBs, tol)
+                coords[a] = ar.solve(basis[t], RBs, tol)
             except SolveFailed as exc:
                 raise NotInvariant(f"arrow {a!r} leaves the subspace ({exc})")
         return Subrepresentation(rep, dict(basis), coords)
