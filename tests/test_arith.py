@@ -55,7 +55,8 @@ def test_float_solve_judges_uniqueness_by_the_rank_rule(small, unique):
     assert len(arith.FLOAT.image_kernel(A)[1]) == (0 if unique else 1)
     for solve in (arith.FLOAT.solve, arith.FLOAT.solve_vector):
         if unique:
-            assert np.array_equal(solve(A, b), np.linalg.lstsq(A, b)[0])
+            assert np.array_equal(solve(A, b),
+                                  np.linalg.lstsq(A, b, rcond=None)[0])
         else:
             with pytest.raises(SolveFailed):
                 solve(A, b)
