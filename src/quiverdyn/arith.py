@@ -4,8 +4,9 @@ A matrix is stored either exactly, as a tuple of rows of Fraction entries,
 or in floats, as a numpy array. Each representation picks one of the two
 implementations below from its mode string, and the algorithms that are
 the same in both arithmetics are written once against that interface:
-build, combine and invert matrices, solve a linear system, split off the
-image and kernel of a matrix, and decide whether a residual passes.
+build, combine and invert matrices, evaluate a polynomial at a matrix,
+solve a linear system, split off the image and kernel of a matrix, and
+decide whether a residual passes.
 
 A solve returns the unique X with A X = B or raises SolveFailed, which
 each caller maps to the error it documents: exactly by one elimination of
@@ -15,7 +16,9 @@ by the rank rule and the residual is within the caller's tolerance
 rule: with t = RANK_THRESHOLD * max(1, largest singular value), a
 singular value above 10 t counts, one below t / 10 does not, and one
 between makes image_kernel raise RankAmbiguous. Image and kernel come
-from one rref in exact arithmetic and from an SVD in floats.
+from one rref in exact arithmetic and from an SVD in floats; both give
+the kernel in exactlin.nullspace's normal form, one vector per free
+column, 1 there and 0 at the other free columns.
 """
 
 from __future__ import annotations
@@ -123,11 +126,15 @@ class ExactArith:
 
     def image_kernel(self, A):
         """Bases of the column space (the pivot columns of A) and of the
-        kernel (as exactlin.nullspace gives it), from one rref."""
+        kernel (in the normal form), from one rref."""
         R, pivots = exactlin.rref(A)
         cols = list(zip(*A))
         return ([list(cols[c]) for c in pivots],
                 exactlin.rref_nullspace(R, pivots, len(cols)))
+
+    def matrix_poly(self, p, A):
+        """p(A) for coefficients p in increasing degree."""
+        return tuple(map(tuple, exactlin.eval_matrix_poly(p, A)))
 
     def max_abs(self, values):
         return max((abs(x) for x in _entries(values)), default=Fraction(0))
@@ -206,8 +213,12 @@ class FloatArith:
         return self.solve(A, b, tol)
 
     def image_kernel(self, A):
-        """Orthonormal bases of the column space and the kernel of A from its
-        SVD, split where the rank rule puts the rank, or RankAmbiguous."""
+        """An orthonormal basis of the column space and the kernel in the
+        normal form, from the SVD split where the rank rule puts the rank,
+        or RankAmbiguous. The free columns are the rows of the SVD kernel K
+        that raise its rank, taken from the last one up: the non-pivot
+        columns of rref(A) whenever the rank rule agrees with exact zero
+        tests."""
         U, s, Vt = np.linalg.svd(as_float_matrix(A))
         thr = _rank_threshold(s)
         near = [x for x in s if 0.1 * thr < x < 10 * thr]
@@ -215,8 +226,23 @@ class FloatArith:
             raise RankAmbiguous(
                 f"singular values {near} near the rank threshold {thr:.2e}")
         r = int(np.sum(s > thr))
-        return ([U[:, i].copy() for i in range(r)],
-                [Vt[i, :].copy() for i in range(r, Vt.shape[0])])
+        K, free = Vt[r:].T, []
+        for i in reversed(range(len(K))):
+            sv = np.linalg.svd(K[free + [i]], compute_uv=False)
+            if len(sv) > len(free) and sv[-1] > _rank_threshold(sv):
+                free.append(i)
+        free.sort()
+        N = np.linalg.solve(K[free].T, K.T)
+        N[:, free] = np.eye(len(free))
+        return [U[:, i].copy() for i in range(r)], list(N)
+
+    def matrix_poly(self, p, A):
+        """p(A) for coefficients p in increasing degree, by Horner's rule."""
+        A = as_float_matrix(A)
+        H = np.zeros_like(A)
+        for c in reversed(p):
+            H = H @ A + float(c) * np.eye(len(A))
+        return H
 
     def max_abs(self, values):
         values = np.asarray(values, dtype=float)

@@ -15,7 +15,8 @@ exactlin.rational_factors: candidates from numeric roots re-solved after
 exact shifts, each kept only when exact division proves it a factor, so
 the clusters are coprime. Anything not proven stays in one cofactor, a
 single cluster; when it has degree three or more, the split falls back to
-float with a warning.
+float with a warning. In both arithmetics a generalized eigenspace is the
+kernel of f(L_v)^m in arith.image_kernel's normal form.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ class EndomorphismTuple:
         self.matrices = mats
 
     @staticmethod
-    def identity(rep):
-        return EndomorphismTuple(rep, {v: rep.arith.identity(rep.dim[v])
-                                       for v in rep.quiver.vertices})
-
-    @staticmethod
     def from_linearization(F):
         """D_x F_v(0;0) per vertex (an endomorphism whenever F is
         equivariant and fixes the origin)."""
@@ -89,7 +85,8 @@ class SpectralCluster:
     list in increasing degree); `value` is a numeric representative
     (conjugate pairs stored once, with nonnegative imaginary part).
     Multiplicities count the factor, so a conjugate pair of multiplicity m
-    spans a real subspace of dimension (deg factor) * m.
+    spans a real subspace of dimension (deg factor) * m. A float cluster's
+    value is the mean of the eigenvalues pooled into it, its roots.
     """
     value: object
     multiplicity: dict          # vertex -> int
@@ -164,19 +161,15 @@ def joint_spectrum(L):
     pooled.sort(key=lambda t: (t[0].real, t[0].imag))
     clusters = []
     for w, v in pooled:
-        placed = False
-        for c in clusters:
-            if abs(w - c.value) <= EPS_EIG * max(1.0, abs(c.value)):
-                c.multiplicity[v] = c.multiplicity.get(v, 0) + 1
-                placed = True
-                break
-        if not placed:
-            mult = {u: 0 for u in rep.quiver.vertices}
-            mult[v] = 1
-            clusters.append(SpectralCluster(w, mult, w.imag > 0, None, (w,)))
-    for c in clusters:
-        for u in rep.quiver.vertices:
-            c.multiplicity.setdefault(u, 0)
+        c = next((c for c in clusters if abs(w - c.roots[0])
+                  <= EPS_EIG * max(1.0, abs(c.roots[0]))), None)
+        if c is None:
+            c = SpectralCluster(w, dict.fromkeys(rep.quiver.vertices, 0),
+                                w.imag > 0)
+            clusters.append(c)
+        c.multiplicity[v] += 1
+        c.roots += (w,)
+        c.value = sum(c.roots) / len(c.roots)
     return clusters
 
 
@@ -187,54 +180,39 @@ def generalized_eigenspace_subrep(rep, L, cluster):
 
 
 def _eigenspace_basis(rep, L, cluster):
-    """Per-vertex basis of the generalized eigenspace of a joint cluster."""
-    if L.mode == "exact" and cluster.factor is not None:
-        basis = {}
-        for v in rep.quiver.vertices:
-            d = rep.dim[v]
-            m = cluster.multiplicity.get(v, 0)
-            if d == 0 or m == 0:
-                basis[v] = tuple(tuple() for _ in range(d))
-                continue
+    """Per-vertex basis of the generalized eigenspace of a joint cluster:
+    the kernel of f(L_v)^m in the normal form, for the cluster's factor f
+    of multiplicity m at v. A float cluster with value z takes f = t - z,
+    or t^2 - 2 Re(z) t + |z|^2 for a pair, and L_v must have exactly
+    deg(f) m eigenvalues within 10 EPS_EIG max(1, |z|) of z or its
+    conjugate and none within 100, else ClusterSplit."""
+    ar, f, z = L.arith, cluster.factor, complex(cluster.value)
+    if f is None:
+        f = [abs(z) ** 2, -2 * z.real, 1.0] if cluster.is_pair \
+            else [-z.real, 1.0]
+    basis = {}
+    for v in rep.quiver.vertices:
+        m = cluster.multiplicity[v]
+        want = (len(f) - 1) * m
+        if ar.mode == "float" and rep.dim[v]:
+            w = np.linalg.eigvals(as_float_matrix(L.matrices[v]))
+            dist = np.minimum(abs(w - z), abs(w.conj() - z)) \
+                / (EPS_EIG * max(1.0, abs(z)))
+            if np.sum(dist <= 10) != want or np.any(dist[dist > 10] <= 100):
+                raise ClusterSplit(
+                    f"vertex {v!r}: eigenvalues {w} do not hold exactly "
+                    f"{want} separated from the rest near cluster {z}")
+        kern = []
+        if m:
             fpow = [Fraction(1)]
             for _ in range(m):
-                fpow = exactlin.poly_mul(fpow, cluster.factor)
-            M = exactlin.eval_matrix_poly(fpow, L.matrices[v])
-            kern = exactlin.nullspace(M)
-            want = len(cluster.factor[:-1]) * m  # deg(factor) * mult
+                fpow = exactlin.poly_mul(fpow, f)
+            kern = ar.image_kernel(ar.matrix_poly(fpow, L.matrices[v]))[1]
             if len(kern) != want:
                 raise ClusterSplit(
                     f"vertex {v!r}: generalized eigenspace dimension "
                     f"{len(kern)} != expected {want}")
-            basis[v] = tuple(tuple(vec[i] for vec in kern) for i in range(d))
-        return basis
-    # float path: ordered real Schur per vertex (scipy is loaded only here)
-    import scipy.linalg
-
-    rv = complex(cluster.value)
-    near = 10 * EPS_EIG * max(1.0, abs(rv))
-
-    def in_cluster(re, im):
-        return abs(complex(re, abs(im)) - rv) <= near \
-            or abs(complex(re, -abs(im)) - rv) <= near
-
-    basis = {}
-    for v in rep.quiver.vertices:
-        A = as_float_matrix(L.matrices[v])
-        d = A.shape[0]
-        if d == 0:
-            basis[v] = np.zeros((0, 0))
-            continue
-        eigs = np.linalg.eigvals(A)
-        sel = [in_cluster(w.real, w.imag) for w in eigs]
-        for w, s in zip(eigs, sel):
-            dist = min(abs(w - rv), abs(np.conj(w) - rv))
-            if not s and dist <= 100 * EPS_EIG * max(1.0, abs(rv)):
-                raise ClusterSplit(
-                    f"vertex {v!r}: eigenvalue {w} too close to cluster "
-                    f"{rv} to separate reliably")
-        T, Z, sdim = scipy.linalg.schur(A, output="real", sort=in_cluster)
-        basis[v] = Z[:, :sdim]
+        basis[v] = ar.columns(kern, rep.dim[v])
     return basis
 
 
@@ -342,9 +320,10 @@ def sn_decomposition(L):
 
     Exact mode runs Newton iteration on the squarefree part of the
     characteristic polynomial (quadratic convergence; terminates exactly).
-    Float mode diagonalizes numerically, snaps clustered eigenvalues to
-    their mean, and raises IllConditioned when the eigenbasis is too ill
-    conditioned to trust.
+    Float mode diagonalizes numerically and snaps the eigenvalues within
+    10 EPS_EIG max(1, |w|) of each other to their mean; two within 100 of
+    that but not 10, or an eigenbasis too ill conditioned to trust, raise
+    IllConditioned.
     """
     rep = L.representation
     S_mats, N_mats = {}, {}
@@ -379,21 +358,15 @@ def sn_decomposition(L):
             if cond > 1.0 / EPS_EIG:
                 raise IllConditioned(
                     f"vertex {v!r}: eigenbasis condition number {cond:.2e}")
-            # snap clustered eigenvalues to the cluster mean
-            snapped = np.array(w, dtype=complex)
-            idx = sorted(range(d), key=lambda i: (w[i].real, w[i].imag))
-            groups = []
-            for i in idx:
-                if groups and abs(w[i] - w[groups[-1][0]]) <= \
-                        EPS_EIG ** 0.5 * max(1.0, abs(w[i])):
-                    groups[-1].append(i)
-                else:
-                    groups.append([i])
-            for g in groups:
-                mean = np.mean([w[i] for i in g])
-                for i in g:
-                    snapped[i] = mean
-            S = V @ np.diag(snapped) @ np.linalg.inv(V)
+            # snap each eigenvalue to the mean of those within the split
+            # check's band of it; one in the ambiguity band is too close
+            gap = abs(w[:, None] - w) / (
+                EPS_EIG * np.maximum(1.0, abs(w)))[:, None]
+            if np.any((gap > 10) & (gap <= 100)):
+                raise IllConditioned(f"vertex {v!r}: eigenvalues {w} too "
+                                     "close to separate reliably")
+            near = gap <= 10
+            S = V @ np.diag(near @ w / near.sum(axis=1)) @ np.linalg.inv(V)
             S = S.real
             S_mats[v] = S
             N_mats[v] = A - S

@@ -20,12 +20,19 @@ def random_matrix(rng, m, n, lo=-4, hi=4):
 def test_image_kernel_spans_products(mode):
     rng = random.Random(2)
     ar = arith.of(mode)
-    for _ in range(20):
+    for _ in range(40):
+        # rank at most r, and often below min(m, n)
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = random_matrix(rng, m, n)
+        r = rng.randint(0, min(m, n))
+        A = exactlin.matmul(random_matrix(rng, m, r),
+                            random_matrix(rng, r, n)) if r else \
+            random_matrix(rng, m, n, 0, 0)
         im, ker = ar.image_kernel(ar.freeze(A))
         assert len(im) == len(exactlin.rref(A)[1])
         assert len(im) + len(ker) == n
+        # the kernel is in the normal form of exactlin.nullspace
+        assert ar.passes(ar.max_abs(ar.sub(
+            ar.columns(ker, n), ar.columns(exactlin.nullspace(A), n))), 1e-9)
         # every column of A lies in the image span, every kernel vector
         # is killed by A
         B = ar.columns(im, m)

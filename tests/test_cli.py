@@ -8,13 +8,15 @@ import sys
 import pytest
 
 import quiverdyn
-from helpers import (cm_lost_center_tuple, feedforward_chain_network,
-                     float_copy, hopf_tuple, isolated_network,
-                     two_type_network)
+from helpers import (cm_feedforward_tuple, cm_lost_center_tuple,
+                     feedforward_chain_network, float_copy, hopf_tuple,
+                     isolated_network, two_type_network)
 from test_lsreduction import transcritical_with_slave
-from quiverdyn.fileio import (dump_json, network_map_to_json,
-                              network_to_json, tuple_to_json)
+from quiverdyn.fileio import (dump_json, endomorphism_to_json,
+                              network_map_to_json, network_to_json,
+                              representation_to_json, tuple_to_json)
 from quiverdyn.polynomial import Poly
+from quiverdyn.spectral import EndomorphismTuple
 from quiverdyn.tuples import PolyMap
 
 CLI = [sys.executable, "-m", "quiverdyn.cli"]
@@ -127,23 +129,37 @@ def test_subq_over_subset_cap_exits_1_with_named_error(tmp_path):
     assert not (tmp_path / "reports").exists()
 
 
-# Runs two exact commands in one process, then names any scipy module loaded.
+# Runs exact and float commands in one process, then names any scipy module
+# loaded.
 NO_SCIPY = """
 import sys
 from quiverdyn import cli
-for command in ("validate", "quoq"):
-    sys.argv = ["quiverdyn", command, "net5.json"]
+for args in (["validate", "net5.json"], ["quoq", "net5.json"],
+             ["cm-reduce", "cmff.json"], ["ls-reduce", "tc.json"],
+             ["branches", "tc.json", "--vertex", "v"],
+             ["normal-form", "hopf.json"], ["spectrum", "rep.json", "endo.json"],
+             ["sn", "rep.json", "endo.json"]):
+    sys.argv = ["quiverdyn"] + args
     try:
         cli.run()
     except SystemExit as exc:
-        assert exc.code == 0, (command, exc.code)
+        assert exc.code == 0, (args, exc.code)
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
 """
 
 
-def test_exact_validate_and_quoq_do_not_load_scipy(tmp_path):
+def test_exact_network_and_float_reduction_commands_do_not_load_scipy(
+        tmp_path):
     dump_json(network_to_json(two_type_network()), tmp_path / "net5.json")
+    cmff = float_copy(cm_feedforward_tuple())
+    for name, F in (("cmff", cmff), ("hopf", float_copy(hopf_tuple())),
+                    ("tc", float_copy(transcritical_with_slave()))):
+        dump_json(tuple_to_json(F), tmp_path / f"{name}.json")
+    dump_json(representation_to_json(cmff.representation),
+              tmp_path / "rep.json")
+    dump_json(endomorphism_to_json(
+        EndomorphismTuple.from_linearization(cmff)), tmp_path / "endo.json")
     r = run_cli([], tmp_path, command=[sys.executable, "-c", NO_SCIPY])
     assert r.returncode == 0, r.stderr
     doc, _ = report(tmp_path, "quoq")

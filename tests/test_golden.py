@@ -94,6 +94,14 @@ NETWORK_COMMANDS = [
 # commands whose reports hold float Newton results in either mode
 NEWTON_COMMANDS = {"branches", "casestudy-s10"}
 
+# cases whose float run must report what the exact run reports; `spectrum`
+# and `sn` carry exact factors by design, and `normal-form` lists float
+# round-off terms
+PARITY = ["check-equivariance-sampled-hopf", "check-equivariance-sampled-cmff",
+          "cm-reduce-cmff", "cm-reduce-cmcoupled", "ls-reduce-transcritical",
+          "branches-v-transcritical"]
+FRACTION = re.compile(r'"?(-?\d+)/(\d+)"?')
+
 
 def case_name(args, fixture, mode):
     return "-".join([args[0]] + args[3:4] + [fixture, mode])
@@ -159,3 +167,23 @@ def test_golden_report(tmp_path, name, args, fixture, mode):
             assert files[fname] == text, f"{name}/{fname}"
         else:
             assert_numbers_close(files[fname], text, f"{name}/{fname}")
+
+
+def as_floats(text):
+    """Exact report text with every p/q (a quoted string in JSON) written
+    as the float it stands for."""
+    return FRACTION.sub(lambda m: repr(int(m[1]) / int(m[2])), text)
+
+
+@pytest.mark.parametrize("name", PARITY)
+def test_float_report_matches_exact_report(tmp_path, name):
+    args, fixture = next((c[1], c[2]) for c in CASES
+                         if c[0] == f"{name}-float")
+    code, files = run_case(args, fixture, "float", tmp_path)
+    exact = GOLDEN / f"{name}-exact"
+    assert code == int((exact / "exit_code").read_text())
+    assert sorted(files) == sorted(
+        p.name for p in exact.iterdir() if p.name != "exit_code")
+    for fname, text in files.items():
+        want = as_floats((exact / fname).read_text(encoding="utf-8"))
+        assert_numbers_close(text, want, f"{name}/{fname}")

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import madd, mat_pow
 from test_casestudy import CASE1
 from test_lsreduction import case_study_tuple
 from quiverdyn import arith, exactlin
-from quiverdyn.errors import AxisAmbiguous
+from quiverdyn.errors import AxisAmbiguous, ClusterSplit, IllConditioned
 from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
 from quiverdyn.spectral import (EndomorphismTuple, center_hyperbolic_split,
                                 check_endomorphism,
@@ -309,3 +311,70 @@ def test_float_spectrum_conjugate_pairs():
     assert len(clusters) == 1 and clusters[0].is_pair
     assert complex(clusters[0].value).real == pytest.approx(1.0)
     assert abs(complex(clusters[0].value).imag) == pytest.approx(2.0)
+
+
+@st.composite
+def diagonalizable(draw):
+    """Exact U D U^-1 of dimension 2 to 5: D holds one block per real part,
+    a scalar block (once or twice) or a rotation block a +- b i, and U is
+    a product of unit lower and upper triangular integer matrices."""
+    blocks = []
+    for a in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3,
+                           unique=True)):
+        b = draw(st.integers(0, 2))
+        blocks += [[[a, -b], [b, a]]] if b else [[[a]]] * draw(
+            st.integers(1, 2))
+    n = sum(len(B) for B in blocks)
+    assume(2 <= n <= 5)
+    D = exactlin.zeros(n, n)
+    k = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            D[k + i][k:k + len(B)] = map(Fraction, row)
+        k += len(B)
+    entries = st.integers(-2, 2)
+    lo = [[Fraction(1 if i == j else draw(entries) if i > j else 0)
+           for j in range(n)] for i in range(n)]
+    up = [[Fraction(1 if i == j else draw(entries) if i < j else 0)
+           for j in range(n)] for i in range(n)]
+    U = exactlin.matmul(lo, up)
+    return exactlin.matmul(exactlin.matmul(U, D), exactlin.inverse(U))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonalizable())
+def test_float_split_basis_is_the_exact_basis(A):
+    # both arithmetics take the kernel of f(L)^m in one normal form, so
+    # for clusters with distinct real parts the bases agree, not only the
+    # projectors
+    for split_fn in (kernel_image_split, center_hyperbolic_split):
+        bases = []
+        for mode in ("exact", "float"):
+            rep = one_vertex_rep(len(A), mode)
+            L = EndomorphismTuple(rep, {"v": mode_matrix(A, mode)})
+            bases.append(as_array(split_fn(rep, L).basis["v"]))
+        assert np.allclose(bases[1], bases[0], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("split_fn", [kernel_image_split,
+                                      center_hyperbolic_split])
+def test_float_split_of_jordan_pair_raises_cluster_split(split_fn):
+    # the double eigenvalue -2 of a Jordan block comes out of eigvals as
+    # -2 +- 1.4e-8: two float clusters whose f(L) kernels are nearly
+    # parallel, which the separation check refuses
+    rep = one_vertex_rep(2, "float")
+    A = np.array([[-8 / 3, 1 / 3], [-4 / 3, -4 / 3]])
+    with pytest.raises(ClusterSplit):
+        split_fn(rep, EndomorphismTuple(rep, {"v": A}))
+
+
+def test_float_sn_groups_eigenvalues_in_the_split_band():
+    # 1e-5 apart: two clusters, so the float S is L and N is 0, as exactly;
+    # 5e-7 apart: inside (10, 100] EPS_EIG, too close to tell
+    rep = one_vertex_rep(2, "float")
+    L = EndomorphismTuple(rep, {"v": np.diag([1.0, 1.0 + 1e-5])})
+    assert len(joint_spectrum(L)) == 2
+    assert not np.any(sn_decomposition(L)[1].matrices["v"])
+    with pytest.raises(IllConditioned):
+        sn_decomposition(EndomorphismTuple(
+            rep, {"v": np.diag([1.0, 1.0 + 5e-7])}))
