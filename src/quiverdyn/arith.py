@@ -65,6 +65,14 @@ def _rank_threshold(s):
     return RANK_THRESHOLD * max(s[0] if s.size else 0.0, 1.0)
 
 
+def _rank(s):
+    """The rank the rank rule gives singular values s, or RankAmbiguous."""
+    thr = _rank_threshold(s)
+    if any(0.1 * thr < x < 10 * thr for x in s):
+        raise RankAmbiguous(f"singular values {s} near the threshold {thr}")
+    return int(np.sum(s > thr))
+
+
 def _entries(values):
     for x in values:
         if isinstance(x, (list, tuple)):
@@ -216,22 +224,18 @@ class FloatArith:
         """An orthonormal basis of the column space and the kernel in the
         normal form, from the SVD split where the rank rule puts the rank,
         or RankAmbiguous. The free columns are the rows of the SVD kernel K
-        that raise its rank, taken from the last one up: the non-pivot
-        columns of rref(A) whenever the rank rule agrees with exact zero
-        tests."""
+        that raise its rank by the rank rule, taken from the last one up
+        (RankAmbiguous if too few): the non-pivot columns of rref(A)
+        whenever the rank rule agrees with exact zero tests."""
         U, s, Vt = np.linalg.svd(as_float_matrix(A))
-        thr = _rank_threshold(s)
-        near = [x for x in s if 0.1 * thr < x < 10 * thr]
-        if near:
-            raise RankAmbiguous(
-                f"singular values {near} near the rank threshold {thr:.2e}")
-        r = int(np.sum(s > thr))
+        r = _rank(s)
         K, free = Vt[r:].T, []
         for i in reversed(range(len(K))):
-            sv = np.linalg.svd(K[free + [i]], compute_uv=False)
-            if len(sv) > len(free) and sv[-1] > _rank_threshold(sv):
-                free.append(i)
-        free.sort()
+            if len(free) < K.shape[1] and _rank(np.linalg.svd(
+                    K[[i] + free], compute_uv=False)) > len(free):
+                free.insert(0, i)
+        if len(free) < K.shape[1]:
+            raise RankAmbiguous(f"{len(free)} free columns, not {K.shape[1]}")
         N = np.linalg.solve(K[free].T, K.T)
         N[:, free] = np.eye(len(free))
         return [U[:, i].copy() for i in range(r)], list(N)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -179,13 +180,13 @@ def generalized_eigenspace_subrep(rep, L, cluster):
     return _union_subrep(rep, L, [cluster])
 
 
-def _eigenspace_basis(rep, L, cluster):
+def _eigenspace_basis(rep, L, cluster, eigs):
     """Per-vertex basis of the generalized eigenspace of a joint cluster:
     the kernel of f(L_v)^m in the normal form, for the cluster's factor f
     of multiplicity m at v. A float cluster with value z takes f = t - z,
-    or t^2 - 2 Re(z) t + |z|^2 for a pair, and L_v must have exactly
-    deg(f) m eigenvalues within 10 EPS_EIG max(1, |z|) of z or its
-    conjugate and none within 100, else ClusterSplit."""
+    or t^2 - 2 Re(z) t + |z|^2 for a pair, and the eigenvalues eigs[v] of
+    L_v must hold exactly deg(f) m within 10 EPS_EIG max(1, |z|) of z or
+    its conjugate and none within 100, else ClusterSplit."""
     ar, f, z = L.arith, cluster.factor, complex(cluster.value)
     if f is None:
         f = [abs(z) ** 2, -2 * z.real, 1.0] if cluster.is_pair \
@@ -195,7 +196,7 @@ def _eigenspace_basis(rep, L, cluster):
         m = cluster.multiplicity[v]
         want = (len(f) - 1) * m
         if ar.mode == "float" and rep.dim[v]:
-            w = np.linalg.eigvals(as_float_matrix(L.matrices[v]))
+            w = eigs[v]
             dist = np.minimum(abs(w - z), abs(w.conj() - z)) \
                 / (EPS_EIG * max(1.0, abs(z)))
             if np.sum(dist <= 10) != want or np.any(dist[dist > 10] <= 100):
@@ -204,9 +205,7 @@ def _eigenspace_basis(rep, L, cluster):
                     f"{want} separated from the rest near cluster {z}")
         kern = []
         if m:
-            fpow = [Fraction(1)]
-            for _ in range(m):
-                fpow = exactlin.poly_mul(fpow, f)
+            fpow = reduce(exactlin.poly_mul, [f] * m, [Fraction(1)])
             kern = ar.image_kernel(ar.matrix_poly(fpow, L.matrices[v]))[1]
             if len(kern) != want:
                 raise ClusterSplit(
@@ -219,7 +218,9 @@ def _eigenspace_basis(rep, L, cluster):
 def _union_subrep(rep, L, clusters):
     """Direct sum of the generalized eigenspaces of several clusters: their
     bases side by side, packaged as one subrepresentation."""
-    parts = [_eigenspace_basis(rep, L, c) for c in clusters]
+    eigs = {v: np.linalg.eigvals(as_float_matrix(L.matrices[v]))
+            for v in rep.quiver.vertices if L.mode == "float" and rep.dim[v]}
+    parts = [_eigenspace_basis(rep, L, c, eigs) for c in clusters]
     basis = {v: rep.arith.hstack([B[v] for B in parts], rep.dim[v])
              for v in rep.quiver.vertices}
     return Subrepresentation.from_bases(rep, basis, EPS_EIG)
@@ -328,10 +329,8 @@ def sn_decomposition(L):
     rep = L.representation
     S_mats, N_mats = {}, {}
     for v in rep.quiver.vertices:
-        d = rep.dim[v]
-        if d == 0:
-            S_mats[v] = L.matrices[v]
-            N_mats[v] = L.matrices[v]
+        if rep.dim[v] == 0:
+            S_mats[v] = N_mats[v] = L.matrices[v]
             continue
         if L.mode == "exact":
             A = L.matrices[v]
@@ -349,8 +348,7 @@ def sn_decomposition(L):
                 raise IllConditioned(
                     f"vertex {v!r}: Newton iteration for the semisimple "
                     "part did not terminate")
-            S_mats[v] = S
-            N_mats[v] = exactlin.msub(A, S)
+            S_mats[v], N_mats[v] = S, exactlin.msub(A, S)
         else:
             A = as_float_matrix(L.matrices[v])
             w, V = np.linalg.eig(A)
@@ -366,8 +364,7 @@ def sn_decomposition(L):
                 raise IllConditioned(f"vertex {v!r}: eigenvalues {w} too "
                                      "close to separate reliably")
             near = gap <= 10
-            S = V @ np.diag(near @ w / near.sum(axis=1)) @ np.linalg.inv(V)
-            S = S.real
-            S_mats[v] = S
-            N_mats[v] = A - S
+            S = (V @ np.diag(near @ w / near.sum(axis=1))
+                 @ np.linalg.inv(V)).real
+            S_mats[v], N_mats[v] = S, A - S
     return (EndomorphismTuple(rep, S_mats), EndomorphismTuple(rep, N_mats))

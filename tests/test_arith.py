@@ -53,6 +53,15 @@ def test_float_image_kernel_rejects_rank_near_threshold():
         arith.FLOAT.image_kernel(np.diag([1.0, 1e-10]))
 
 
+def test_float_image_kernel_judges_free_columns_by_the_rank_rule():
+    # the last kernel row has norm 1.2e-10, inside the ambiguity band; the
+    # two rows above it add only 0.85e-10 each, so no choice of free
+    # columns is decided by the rank rule
+    a = -8.5e-11
+    with pytest.raises(RankAmbiguous):
+        arith.FLOAT.image_kernel(np.array([[a, a, 1.0]]))
+
+
 @pytest.mark.parametrize("small, unique", [(1e-12, False), (1e-8, True)])
 def test_float_solve_judges_uniqueness_by_the_rank_rule(small, unique):
     # lstsq's own eps-level rank counts both singular values; the rank rule

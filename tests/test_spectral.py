@@ -12,7 +12,8 @@ from helpers import madd, mat_pow
 from test_casestudy import CASE1
 from test_lsreduction import case_study_tuple
 from quiverdyn import arith, exactlin
-from quiverdyn.errors import AxisAmbiguous, ClusterSplit, IllConditioned
+from quiverdyn.errors import (AxisAmbiguous, ClusterSplit, IllConditioned,
+                              RankAmbiguous)
 from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
 from quiverdyn.spectral import (EndomorphismTuple, center_hyperbolic_split,
                                 check_endomorphism,
@@ -366,6 +367,19 @@ def test_float_split_of_jordan_pair_raises_cluster_split(split_fn):
     A = np.array([[-8 / 3, 1 / 3], [-4 / 3, -4 / 3]])
     with pytest.raises(ClusterSplit):
         split_fn(rep, EndomorphismTuple(rep, {"v": A}))
+
+
+@pytest.mark.parametrize("split_fn", [kernel_image_split,
+                                      center_hyperbolic_split])
+def test_float_split_with_ambiguous_free_columns_raises_rank_ambiguous(
+        split_fn):
+    # L^2 = L with eigenvalues 0, 0, 1: the kernel of L^2 has free columns
+    # the rank rule cannot decide, so the split names that, not a LinAlgError
+    a = -8.5e-11
+    rep = one_vertex_rep(3, "float")
+    L = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [a, a, 1.0]])
+    with pytest.raises(RankAmbiguous):
+        split_fn(rep, EndomorphismTuple(rep, {"v": L}))
 
 
 def test_float_sn_groups_eigenvalues_in_the_split_band():
