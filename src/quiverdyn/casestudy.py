@@ -1,11 +1,12 @@
 """Worked steady-state bifurcation study on a three-vertex quiver.
 
-The fixture is a feedforward-like five-cell network with two cell types
-(alternating x- and y-cells driven by maps f(x, y; lam) and g(y, x; lam)),
-together with a four-cell subnetwork and a three-cell quotient-type
-network. The three phase spaces carry four intertwining linear maps; any
-pair (f, g) induces an equivariant tuple. Depending on the degeneracy of
-the linearization coefficients
+The fixture is three coloured networks of alternating x- and y-cells
+driven by f(x, y; lam) and g(y, x; lam): a feedforward-like five-cell
+network, a four-cell subnetwork and a three-cell quotient-type network.
+Four node maps between them give the arrows, each acting by the pullback
+x |-> (x_phi(m))_m, and one response family instantiated on each network
+gives an equivariant tuple for any pair (f, g). Depending on the
+degeneracy of the linearization coefficients
 
     a = f_x(0),  c = f_y(0),  b = g_y(0),  d = g_x(0)
 
@@ -27,71 +28,57 @@ from .errors import CaseMismatch
 from .fileio import parse_poly_dsl
 from .lsreduction import (SYNC_TOL, check_reduced_equivariance,
                           find_branches_1param, ls_reduce, synchrony_groups)
+from .network import ColouredNetwork, ResponseFamily
 from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMap, PolyMapTuple, check_equivariance
 
 CASES = ("a=0", "b=0", "ab-cd=0")
 
-# state layouts: big vertex (x1, y2, x3, y4, x5); middle (x1, y2, x3, y4);
-# small (y1, x2, y3)
-VERTEX_STATE = {
-    "N1": ("x1", "y2", "x3", "y4", "x5"),
-    "N2": ("x1", "y2", "x3", "y4"),
-    "N3": ("y1", "x2", "y3"),
-}
+# per vertex: each cell's colour and the one other cell it reads (cells
+# numbered from 1); per arrow: source, target, and the node map sending
+# each target cell to the source cell it copies
+CELLS = {"N1": ("xyxyx", (2, 3, 4, 3, 4)), "N2": ("xyxy", (2, 3, 4, 3)),
+         "N3": ("yxy", (2, 3, 2))}
+NODE_MAPS = {"a1": ("N1", "N2", (1, 2, 3, 4)), "a2": ("N1", "N2", (5, 4, 3, 4)),
+             "a3": ("N3", "N2", (2, 3, 2, 3)), "a4": ("N2", "N3", (2, 3, 4))}
+
+
+def case_network(vertex):
+    """A vertex's network: a c-cell reads itself along a "self-c" edge and
+    its input d-cell along a "d->c" edge, and "self" sorts first, so the
+    slots are (own state, input) as f(x, y) and g(y, x) expect."""
+    colours, reads = CELLS[vertex]
+    edges = []
+    for i, (c, j) in enumerate(zip(colours, reads), start=1):
+        edges += [(f"s{i}", i, i, f"self-{c}"),
+                  (f"e{i}", j, i, f"{colours[j - 1]}->{c}")]
+    return ColouredNetwork(enumerate(colours, start=1), edges)
 
 
 def build_case_quiver():
-    """The three-vertex quiver with its four intertwining 0/1 maps."""
-    quiver = Quiver(
-        ["N1", "N2", "N3"],
-        [("a1", "N1", "N2"), ("a2", "N1", "N2"),
-         ("a3", "N3", "N2"), ("a4", "N2", "N3")])
-    mats = {
-        "a1": selection_matrix([0, 1, 2, 3], 5),   # (x1,y2,x3,y4,x5) -> (x1,y2,x3,y4)
-        "a2": selection_matrix([4, 3, 2, 3], 5),   # -> (x5,y4,x3,y4)
-        "a3": selection_matrix([1, 2, 1, 2], 3),   # (y1,x2,y3) -> (x2,y3,x2,y3)
-        "a4": selection_matrix([1, 2, 3], 4),      # (x1,y2,x3,y4) -> (y2,x3,y4)
-    }
-    rep = QuiverRepresentation(quiver, {"N1": 5, "N2": 4, "N3": 3}, mats,
-                               mode="exact")
-    return quiver, rep
-
-
-def _embed(poly, n, pos_self, pos_in, pos_lam):
-    """Place a 3-variable response (own state, input, parameter) into a
-    vertex phase space with n state variables plus one parameter."""
-    return poly.embed(n + 1, [pos_self, pos_in, pos_lam])
+    """The three-vertex quiver; each arrow matrix is the pullback
+    x |-> (x_phi(m))_m of the arrow's node map phi."""
+    quiver = Quiver(CELLS, [(a, s, t) for a, (s, t, _) in NODE_MAPS.items()])
+    mats = {a: selection_matrix([m - 1 for m in phi], len(CELLS[s][0]))
+            for a, (s, _, phi) in NODE_MAPS.items()}
+    dim = {v: len(colours) for v, (colours, _) in CELLS.items()}
+    return quiver, QuiverRepresentation(quiver, dim, mats, mode="exact")
 
 
 def assemble_case_tuple(f_poly, g_poly):
     """The equivariant tuple induced by responses f(x, y; lam), g(y, x; lam).
 
     Both inputs are Polys in 3 variables (own state, input state,
-    parameter). Wiring: in the five-cell vertex, x-cells listen to the next
-    y-cell (x5 to y4) and y-cells to the middle x-cell; the four-cell and
-    three-cell vertices are wired compatibly.
+    parameter). One response family, f on the x-cells and g on the
+    y-cells, is instantiated on the network of every vertex.
     """
     _, rep = build_case_quiver()
-    c1 = PolyMap([
-        _embed(f_poly, 5, 0, 1, 5),   # x1' = f(x1, y2)
-        _embed(g_poly, 5, 1, 2, 5),   # y2' = g(y2, x3)
-        _embed(f_poly, 5, 2, 3, 5),   # x3' = f(x3, y4)
-        _embed(g_poly, 5, 3, 2, 5),   # y4' = g(y4, x3)
-        _embed(f_poly, 5, 4, 3, 5),   # x5' = f(x5, y4)
-    ])
-    c2 = PolyMap([
-        _embed(f_poly, 4, 0, 1, 4),
-        _embed(g_poly, 4, 1, 2, 4),
-        _embed(f_poly, 4, 2, 3, 4),
-        _embed(g_poly, 4, 3, 2, 4),
-    ])
-    c3 = PolyMap([
-        _embed(g_poly, 3, 0, 1, 3),   # y1' = g(y1, x2)
-        _embed(f_poly, 3, 1, 2, 3),   # x2' = f(x2, y3)
-        _embed(g_poly, 3, 2, 1, 3),   # y3' = g(y3, x2)
-    ])
-    return PolyMapTuple(rep, {"N1": c1, "N2": c2, "N3": c3}, param_dim=1)
+    networks = {v: case_network(v) for v in CELLS}
+    family = ResponseFamily(networks["N1"], {"x": PolyMap([f_poly]),
+                                             "y": PolyMap([g_poly])},
+                            param_dim=1)
+    return PolyMapTuple(rep, {v: family.instantiate(N)
+                              for v, N in networks.items()}, param_dim=1)
 
 
 def linear_coefficients(f_poly, g_poly):
@@ -145,7 +132,7 @@ class CaseStudyReport:
 
 def _synchrony_pattern(red, vertex, branch):
     """Equality pattern of the lifted full-space coordinates on a branch."""
-    names = VERTEX_STATE[vertex]
+    names = [c + n for n, c in case_network(vertex).nodes]
     lam, root = branch.points[0]        # largest parameter value
     x = red.lift(vertex, root, [lam])
     scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
@@ -176,9 +163,8 @@ def casestudy_s10(f_text, g_text, case):
     kernel_dims = {v: ker_sub.subdim[v] for v in rep.quiver.vertices}
     restricted = {a: ker_sub.coords[a] for a, _, _ in rep.quiver.arrows}
     req = check_reduced_equivariance(red, samples=100)
-    m1 = red.kernel_dim("N1")
     decoupled = None
-    if case == "a=0" and m1 == 2:
+    if case == "a=0" and red.kernel_dim("N1") == 2:
         _, J = red.reduced_jacobian("N1", np.zeros(2), [0.0])
         decoupled = bool(max(abs(J[0, 1]), abs(J[1, 0])) <= 1e-8)
     identity_restriction = all(
@@ -195,8 +181,7 @@ def casestudy_s10(f_text, g_text, case):
         restricted_maps=restricted,
         decoupled=decoupled,
         identity_restriction=identity_restriction,
-        reduced_equivariance_residual=float(max(
-            (float(r) for r in req.per_arrow.values()), default=0.0)),
+        reduced_equivariance_residual=float(req.max_residual()),
         branches=branches,
         synchrony=synchrony,
     )

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .arith import as_float_matrix
+from .arith import as_float_matrix, tolist
 from .errors import DegreeOverflow, IllConditioned, ResonantBlock, SolveFailed
 from .polyfield import homological_operator
-from .polynomial import (Poly, change_coordinates, combine_rows, float_flow,
-                         substitute_linear)
+from .polynomial import Poly, change_coordinates, float_flow
 from .spectral import EndomorphismTuple, center_hyperbolic_split
-from .tuples import DEGREE_CAP, EquivarianceReport, require_equilibrium
+from .tuples import (DEGREE_CAP, check_arrows, intertwining_defect,
+                     require_equilibrium)
 
 SPECTRAL_GAP_MIN = 1e-6
 
@@ -142,24 +142,20 @@ def check_cm_equivariance(exp):
     matrices of R_a on the center and hyperbolic subspaces; float residuals
     pass up to 1e-10.
     """
-    rep = exp.representation
-    ar = rep.arith
-    per_arrow = {}
-    for a, s, t in rep.quiver.arrows:
-        Cc = exp.center.coords[a]
+    ar = exp.representation.arith
+
+    def residual(a, s, t):
         vs, vt = exp.vertices[s], exp.vertices[t]
-        n = vs.center_dim
-        # target jets at u_t = Cc u_s against the source jets mapped by the
-        # hyperbolic and center coordinate matrices
-        rhs = substitute_linear(vt.phi + vt.reduced, Cc, n)
-        lhs = (combine_rows(exp.hyperbolic.coords[a], vs.phi, n)
-               + combine_rows(Cc, vs.reduced, n))
-        worst = ar.zero
-        for l, r in zip(lhs, rhs):
-            worst = max(worst, (l - r).max_abs_coeff())
-        per_arrow[a] = worst
-    passed = all(ar.passes(w, 1e-10) for w in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, ar.mode)
+        # [R^h_a 0; 0 R^c_a] maps the source jets (phi, F^c)
+        Rout = ([list(r) + [ar.zero] * vs.center_dim
+                 for r in tolist(exp.hyperbolic.coords[a])]
+                + [[ar.zero] * vs.hyperbolic_dim + list(r)
+                   for r in tolist(exp.center.coords[a])])
+        defect = intertwining_defect(Rout, vs.phi + vs.reduced,
+                                     exp.center.coords[a],
+                                     vt.phi + vt.reduced, vs.center_dim)
+        return max([ar.zero] + [p.max_abs_coeff() for p in defect])
+    return check_arrows(exp.representation, residual, 1e-10, ar.mode)
 
 
 def flow_consistency(F, exp, vertex, radius=1e-2):

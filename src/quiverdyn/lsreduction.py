@@ -25,7 +25,7 @@ from .errors import (DomainTooSmall, NewtonDiverged, SingularImageBlock,
                      SizeOverflow)
 from .polynomial import change_coordinates
 from .spectral import EndomorphismTuple, kernel_image_split
-from .tuples import EquivarianceReport, require_equilibrium
+from .tuples import check_arrows, require_equilibrium
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -299,17 +299,14 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
     sampling radius halved, so the draws are those of a sample-by-sample
     loop. Raises DomainTooSmall when the radius falls below 1e-6.
     """
-    rep = red.representation
     rng = np.random.default_rng(seed)
     if radius is None:
         radius = 0.1 * min(vd.radius for vd in red.vertex_data.values())
-    per_arrow = {}
-    for a, s, t in rep.quiver.arrows:
+
+    def residual(a, s, t):
         C = red.kernel_matrix(a)
         m_s = red.kernel_dim(s)
-        worst = 0.0
-        r = radius
-        done = 0
+        worst, r, done = 0.0, radius, 0
         while done < samples:
             state = rng.bit_generator.state
             draws = rng.uniform(-r, r, (samples - done, m_s + red.param_dim))
@@ -333,9 +330,8 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
                 if r < 1e-6:
                     raise DomainTooSmall(
                         f"arrow {a!r}: no common neighbourhood above 1e-6")
-        per_arrow[a] = worst
-    passed = all(w <= tol for w in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, "sampled")
+        return worst
+    return check_arrows(red.representation, residual, tol, "sampled")
 
 
 def synchrony_groups(x):

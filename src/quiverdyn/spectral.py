@@ -33,7 +33,7 @@ from .arith import as_float_matrix, matrix_shape
 from .errors import (AxisAmbiguous, ClusterSplit, IllConditioned,
                      ShapeMismatch, SolveFailed)
 from .quiver import Subrepresentation
-from .tuples import EquivarianceReport, linear_part
+from .tuples import check_arrows, linear_part
 
 EPS_EIG = 1e-8
 EPS_AXIS = 1e-8
@@ -68,13 +68,12 @@ def check_endomorphism(rep, L):
     """Verify R_a L_s = L_t R_a for every arrow; per-arrow max residuals
     (float residuals pass up to EPS_EIG)."""
     ar = arith.joint(rep.mode, L.mode)
-    per_arrow = {}
-    for a, s, t in rep.quiver.arrows:
+
+    def residual(a, s, t):
         R = rep.arrow_matrix[a]
-        D = ar.sub(ar.matmul(R, L.matrices[s]), ar.matmul(L.matrices[t], R))
-        per_arrow[a] = ar.max_abs(D)
-    passed = all(ar.passes(r, EPS_EIG) for r in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, ar.mode)
+        return ar.max_abs(ar.sub(ar.matmul(R, L.matrices[s]),
+                                 ar.matmul(L.matrices[t], R)))
+    return check_arrows(rep, residual, EPS_EIG, ar.mode)
 
 
 @dataclass

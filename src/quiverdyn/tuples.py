@@ -122,16 +122,32 @@ def linear_tuple(rep, matrices):
     return PolyMapTuple(rep, comps)
 
 
+def check_arrows(rep, residual, tol, mode):
+    """The EquivarianceReport of residual(a, s, t) over the arrows of rep,
+    in quiver order: an arrow passes when its residual is exactly 0 in
+    exact mode, or at most tol in any other mode."""
+    per_arrow = {a: residual(a, s, t) for a, s, t in rep.quiver.arrows}
+    passed = all(r == 0 if mode == "exact" else float(r) <= tol
+                 for r in per_arrow.values())
+    return EquivarianceReport(per_arrow, passed, mode)
+
+
+def intertwining_defect(R_out, P_s, R_in, P_t, n, param_dim=0):
+    """R_out P_s(x, lambda) - P_t(R_in x, lambda) for Polys P_s in the n
+    source variables plus param_dim parameters."""
+    rhs = substitute_linear(P_t, R_in, n, param_dim)
+    lhs = combine_rows(R_out, P_s, n + param_dim)
+    return [l - r for l, r in zip(lhs, rhs)]
+
+
 def equivariance_defect(F, arrow):
     """R_a o F_s - F_t o (R_a x id) as a PolyMap on the source variables."""
     rep = F.representation
     s, t = rep.quiver.source[arrow], rep.quiver.target[arrow]
     R = rep.arrow_matrix[arrow]
-    n = rep.dim[s] + F.param_dim
-    rhs = substitute_linear(F.components[t].outputs, R, rep.dim[s],
-                            F.param_dim)
-    lhs = combine_rows(R, F.components[s].outputs, n)
-    return PolyMap([l - r for l, r in zip(lhs, rhs)], nvars=n)
+    return PolyMap(intertwining_defect(
+        R, F.components[s].outputs, R, F.components[t].outputs, rep.dim[s],
+        F.param_dim), nvars=rep.dim[s] + F.param_dim)
 
 
 def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
@@ -145,30 +161,21 @@ def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
-    rep = F.representation
-    per_arrow = {}
-    if mode == "exact":
-        if not F.is_exact():
-            raise ModeUnavailable("exact equivariance check needs rational data")
-        for a, _, _ in rep.quiver.arrows:
-            defect = equivariance_defect(F, a)
-            per_arrow[a] = max((p.max_abs_coeff() for p in defect.outputs),
-                               default=Fraction(0))
-        passed = all(r == 0 for r in per_arrow.values())
-        return EquivarianceReport(per_arrow, passed, "exact")
-    rng = np.random.default_rng(seed)
-    for a, s, _ in rep.quiver.arrows:
-        defect = equivariance_defect(F, a)
-        n = rep.dim[s] + F.param_dim
-        worst = 0.0
-        for _ in range(samples):
-            x = rng.uniform(-1.0, 1.0, size=n)
-            vals = defect.eval([float(xx) for xx in x])
-            if vals:
-                worst = max(worst, max(abs(float(v)) for v in vals))
-        per_arrow[a] = worst
-    passed = all(r <= tol for r in per_arrow.values())
-    return EquivarianceReport(per_arrow, passed, "sampled")
+    if mode == "exact" and not F.is_exact():
+        raise ModeUnavailable("exact equivariance check needs rational data")
+    # the generator is made only for sampled mode, which alone draws points
+    rng = np.random.default_rng(seed) if mode == "sampled" else None
+
+    def residual(a, s, t):
+        defect = equivariance_defect(F, a).outputs
+        if rng is None:
+            return max((p.max_abs_coeff() for p in defect),
+                       default=Fraction(0))
+        points = rng.uniform(-1.0, 1.0, (samples, F.representation.dim[s]
+                                         + F.param_dim))
+        return max((abs(float(p.eval(x.tolist())))
+                    for x in points for p in defect), default=0.0)
+    return check_arrows(F.representation, residual, tol, mode)
 
 
 def compose_tuple(F, G, allow_truncation=False):

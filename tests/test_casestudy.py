@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdyn.casestudy import (assemble_case_tuple, build_case_quiver,
+from quiverdyn.builders import enumerate_fibrations
+from quiverdyn.casestudy import (NODE_MAPS, assemble_case_tuple,
+                                 build_case_quiver, case_network,
                                  casestudy_s10, check_case,
                                  linear_coefficients)
 from quiverdyn.errors import CaseMismatch
@@ -139,3 +141,13 @@ def test_selection_matrices_are_zero_one():
     for a, _, _ in rep.quiver.arrows:
         for row in rep.arrow_matrix[a]:
             assert sum(row) == 1 and all(x in (0, 1) for x in row)
+
+
+@pytest.mark.parametrize("arrow", sorted(NODE_MAPS))
+def test_case_arrow_node_map_is_a_graph_fibration(arrow):
+    # the arrow s -> t pulls back along a fibration phi: N_t -> N_s, so
+    # enumerate_fibrations between the two case networks must find phi
+    s, t, phi = NODE_MAPS[arrow]
+    want = tuple((str(m), str(n)) for m, n in enumerate(phi, start=1))
+    found = enumerate_fibrations(case_network(t), case_network(s))
+    assert want in [fib.node_map for fib in found]

@@ -6,11 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import float_copy, random_poly
+from helpers import cm_feedforward_tuple, float_copy, random_poly
+from quiverdyn import centermanifold, lsreduction, spectral, tuples
+from quiverdyn.casestudy import assemble_case_tuple
+from quiverdyn.centermanifold import check_cm_equivariance, cm_taylor
 from quiverdyn.errors import (DegreeOverflow, ModeUnavailable, NotEquilibrium,
                               NotInvariant)
+from quiverdyn.fileio import parse_poly_dsl
+from quiverdyn.lsreduction import check_reduced_equivariance, ls_reduce
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
+from quiverdyn.spectral import EndomorphismTuple, check_endomorphism
 from quiverdyn.tuples import (PolyMap, PolyMapTuple, bracket_tuple,
                               check_equivariance, compose_tuple,
                               equivariance_defect, identity_tuple,
@@ -177,3 +183,29 @@ def test_require_equilibrium_rejects_any_constant_term():
         bad = ok + Poly.constant(2, c)
         with pytest.raises(NotEquilibrium, match="vertex 'v'"):
             require_equilibrium(PolyMapTuple(rep, {"v": PolyMap([bad])}, 1))
+
+
+def test_every_intertwining_check_runs_the_one_arrow_loop(monkeypatch):
+    # each checker reaches tuples.check_arrows through its module's binding;
+    # a counter in place of every binding sees one call per check
+    loop, calls = tuples.check_arrows, []
+
+    def counted(rep, residual, tol, mode):
+        calls.append(mode)
+        return loop(rep, residual, tol, mode)
+    F = cm_feedforward_tuple()
+    exp = cm_taylor(F, 3)
+    L = EndomorphismTuple.from_linearization(F)
+    red = ls_reduce(assemble_case_tuple(
+        *(parse_poly_dsl(text, param_dim=1)[2] for text in
+          ("f(x,y) = -x + y", "g(y,x) = x + lambda*y - y^2"))))
+    for module in (tuples, centermanifold, lsreduction, spectral):
+        assert module.check_arrows is loop
+        monkeypatch.setattr(module, "check_arrows", counted)
+    reports = [check_equivariance(F, mode="exact"),
+               check_equivariance(F, mode="sampled"),
+               check_cm_equivariance(exp),
+               check_reduced_equivariance(red, samples=10),
+               check_endomorphism(F.representation, L)]
+    assert calls == ["exact", "sampled", "exact", "sampled", "exact"]
+    assert all(r.passed for r in reports)
