@@ -18,7 +18,9 @@ singular value above 10 t counts, one below t / 10 does not, and one
 between makes image_kernel raise RankAmbiguous. Image and kernel come
 from one rref in exact arithmetic and from an SVD in floats; both give
 the kernel in exactlin.nullspace's normal form, one vector per free
-column, 1 there and 0 at the other free columns.
+column, 1 there and 0 at the other free columns. Float free columns are
+found by the rank rule at the kernel's accuracy, t over the least
+singular value kept.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def _rank_threshold(s):
     return RANK_THRESHOLD * max(s[0] if s.size else 0.0, 1.0)
 
 
-def _rank(s):
-    """The rank the rank rule gives singular values s, or RankAmbiguous."""
-    thr = _rank_threshold(s)
+def _rank(s, thr):
+    """The rank the rank rule gives singular values s at the threshold
+    thr, or RankAmbiguous."""
     if any(0.1 * thr < x < 10 * thr for x in s):
         raise RankAmbiguous(f"singular values {s} near the threshold {thr}")
     return int(np.sum(s > thr))
@@ -224,15 +226,17 @@ class FloatArith:
         """An orthonormal basis of the column space and the kernel in the
         normal form, from the SVD split where the rank rule puts the rank,
         or RankAmbiguous. The free columns are the rows of the SVD kernel K
-        that raise its rank by the rank rule, taken from the last one up
+        that raise its rank by the rank rule at K's accuracy, the threshold
+        over the least kept singular value, taken from the last one up
         (RankAmbiguous if too few): the non-pivot columns of rref(A)
         whenever the rank rule agrees with exact zero tests."""
         U, s, Vt = np.linalg.svd(as_float_matrix(A))
-        r = _rank(s)
-        K, free = Vt[r:].T, []
+        thr = _rank_threshold(s)
+        r = _rank(s, thr)
+        K, free, acc = Vt[r:].T, [], thr / (s[r - 1] if r else 1.0)
         for i in reversed(range(len(K))):
             if len(free) < K.shape[1] and _rank(np.linalg.svd(
-                    K[[i] + free], compute_uv=False)) > len(free):
+                    K[[i] + free], compute_uv=False), acc) > len(free):
                 free.insert(0, i)
         if len(free) < K.shape[1]:
             raise RankAmbiguous(f"{len(free)} free columns, not {K.shape[1]}")
