@@ -3,8 +3,8 @@
 Grade by grade (grade k = polynomial degree k+1), the homological equation
 F^k = ad_L(G) + R is solved per vertex for the unique generator G in
 im ad_{L^S} and remainder R in ker ad_{L^S}, and the time-1 Lie transform
-exp(ad_G) is applied. The surviving grade-k terms lie in ker ad_{L^S},
-i.e. they commute with the semisimple part of the linearization. Because
+exp(ad_G) is applied. The surviving grade-k terms are R, taken from the
+solve, so they commute with the semisimple part of the linearization. Because
 the generator choice is the canonical one, equivariant input yields
 equivariant generators and an equivariant normal form; verify_normal_form
 checks this together with the commutation property and a numeric
@@ -85,10 +85,12 @@ def normal_form(F, r):
             Fk = polyfield.grade_part(current[v], k)
             G, rem = polyfield.solve_homological(Lv, LSv, Fk, k)
             gen_comps[v] = PolyMap(G, nvars=d)
-            current[v] = polyfield.lie_transform(current[v], G, k, r)
-            # residual of the surviving grade against ker ad_{L^S}
+            # the surviving grade is the solve's remainder R
+            current[v] = [p - p.homogeneous_part(k + 1) + q for p, q in zip(
+                polyfield.lie_transform(current[v], G, k, r), rem)]
+            # residual of R against ker ad_{L^S}
             adS = polyfield.ad_operator_matrix(LSv, k)
-            coords = adS.basis.coords(polyfield.grade_part(current[v], k), ar)
+            coords = adS.basis.coords(rem, ar)
             worst = max(worst, ar.max_abs(ar.matvec(adS.matrix, coords)))
         generators[k] = PolyMapTuple(
             rep, gen_comps, 0, F.max_degree)

@@ -162,7 +162,7 @@ def solve_homological(L, LS, Fk, k):
     Fk is a vector field (list of Polys) homogeneous of grade k. With
     bases B_im and B_ker of the image and kernel of ad_{L^S}, one square
     solve [ad_L B_im | B_ker] (y, z) = f gives G = B_im y and
-    R = f - ad_L G. For L^S semisimple and commuting with L, L - L^S
+    R = B_ker z. For L^S semisimple and commuting with L, L - L^S
     nilpotent, the system has a unique solution; a solve that finds none
     raises RankAmbiguous, as does a float singular value of ad_{L^S} near
     the rank threshold. Returns (G, R) as lists of Polys.
@@ -173,14 +173,15 @@ def solve_homological(L, LS, Fk, k):
     im, ker = ar.image_kernel(ad_operator_matrix(LS, k).matrix)
     Bim = ar.columns(im, N)
     f = basis.coords(Fk, ar)
-    K = ar.hstack([ar.matmul(adL.matrix, Bim), ar.columns(ker, N)], N)
+    Bker = ar.columns(ker, N)
+    K = ar.hstack([ar.matmul(adL.matrix, Bim), Bker], N)
     try:
-        y = ar.solve_vector(K, f)[:len(im)]
+        yz = ar.solve_vector(K, f)
     except SolveFailed:
         raise RankAmbiguous("[ad_L B_im | B_ker] is singular; is L^S "
                             "the semisimple part of L?") from None
-    g = ar.matvec(Bim, y)
-    rem = ar.sub(f, ar.matvec(adL.matrix, g))
+    g = ar.matvec(Bim, yz[:len(im)])
+    rem = ar.matvec(Bker, yz[len(im):])
     return basis.from_coords(list(g)), basis.from_coords(list(rem))
 
 
