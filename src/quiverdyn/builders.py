@@ -26,10 +26,12 @@ from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMapTuple
 
 
+SUBSET_CAP = 1024      # in-closed subsets enumerate_subnetworks may return
+FIBRATION_CAP = 4096   # node maps or fibrations enumerate_fibrations may find
+ARROW_CAP = 1024       # arrows build_quoq may emit
+
+
 # --- subnetworks --------------------------------------------------------------
-
-SUBSET_CAP = 1024   # in-closed subsets enumerate_subnetworks may return
-
 
 @dataclass
 class SubnetworkLattice:
@@ -233,6 +235,8 @@ def enumerate_fibrations(N_src, N_dst, surjective_only=False):
     With surjective_only, a branch ends once the unassigned nodes of a
     colour are fewer than the target nodes of that colour not yet hit.
     Every node map found is expanded into all compatible edge bijections.
+    Raises SizeOverflow as soon as more than FIBRATION_CAP node maps or
+    fibrations are found.
     """
     src, dst = _fibration_search(N_src), _fibration_search(N_dst)
     if any(c not in dst.by_colour for c in src.colour_count):
@@ -248,6 +252,8 @@ def enumerate_fibrations(N_src, N_dst, surjective_only=False):
     def extend(i):
         if i == len(src.order):
             results.append(dict(assign))
+            if len(results) > FIBRATION_CAP:
+                raise SizeOverflow(f"more than {FIBRATION_CAP} fibrations")
             return
         n = src.order[i]
         colour = src_colour[n]
@@ -290,6 +296,8 @@ def enumerate_fibrations(N_src, N_dst, surjective_only=False):
             em = tuple(sorted((pair for group in combo for pair in group),
                               key=lambda p: _natural_key(p[0])))
             fibrations.append(GraphFibration(N_src, N_dst, node_map, em))
+            if len(fibrations) > FIBRATION_CAP:
+                raise SizeOverflow(f"more than {FIBRATION_CAP} fibrations")
     return fibrations
 
 
@@ -494,7 +502,8 @@ def build_quoq(N):
     arrow_fibrations maps arrow id -> GraphFibration phi with
     s(arrow) = codomain of phi and t(arrow) = domain of phi. Vertex ids
     q01, q02, ... follow the catalog order, so quiver.vertices lines up
-    with catalog.quotients and catalog.witnesses.
+    with catalog.quotients and catalog.witnesses. Raises SizeOverflow as
+    soon as more than ARROW_CAP arrows are found.
     """
     catalog = enumerate_quotients(N)
     k = len(catalog.quotients)
@@ -511,6 +520,8 @@ def build_quoq(N):
             for idx, phi in enumerate(fibs, start=1):
                 aid = f"{svid}>{tvid}#{idx}"
                 arrows.append((aid, svid, tvid))
+                if len(arrows) > ARROW_CAP:
+                    raise SizeOverflow(f"more than {ARROW_CAP} arrows")
                 arrow_fibrations[aid] = phi
                 matrices[aid] = _lifting_matrix(networks[svid],
                                                 networks[tvid],

@@ -48,6 +48,24 @@ def test_subnetwork_cap_raises_in_bounded_time():
         build_subq(isolated_network(20))
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_fibration_cap_raises_in_bounded_time(n):
+    # n^n self-maps, and at n = 7 more than 50,000 quotient arrows: both
+    # searches stop at the fibration cap long before they would finish
+    N = isolated_network(n)
+    with time_limit(1), pytest.raises(SizeOverflow, match="fibrations"):
+        enumerate_fibrations(N, N)
+    with time_limit(1), pytest.raises(SizeOverflow, match="fibrations"):
+        build_quoq(N)
+
+
+def test_quoq_arrow_cap_raises_in_bounded_time():
+    # at n = 6 each search stays under the fibration cap, and the arrows of
+    # the whole build pass the arrow cap
+    with time_limit(1), pytest.raises(SizeOverflow, match="arrows"):
+        build_quoq(isolated_network(6))
+
+
 def test_chain_subq_shape():
     N = feedforward_chain_network()
     quiver, rep, subsets = build_subq(N)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cm_feedforward_tuple, feedforward_chain_network,
-                     float_copy, hopf_tuple)
+                     float_copy, hopf_tuple, isolated_network, time_limit)
 from quiverdyn import cli
 from quiverdyn.fileio import (endomorphism_to_json, network_to_json,
                               representation_to_json, tuple_to_json)
@@ -174,5 +174,17 @@ def test_branches_on_a_kernel_above_the_seed_grid_cap(capsys):
     F = PolyMapTuple(rep, {"v": PolyMap(polys)}, param_dim=1)
     code = exit_code(["branches", "tuple.json", "--vertex", "v"],
                      [("tuple.json", json.dumps(tuple_to_json(F)))])
+    assert code == 1
+    assert "error: SizeOverflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("command", [["quoq", "net.json"],
+                                     ["fibrations", "net.json", "net.json"]])
+def test_fibration_searches_over_cap_exit_1_with_named_error(
+        command, n, capsys):
+    text = json.dumps(network_to_json(isolated_network(n)))
+    with time_limit(1):
+        code = exit_code(command, [("net.json", text)])
     assert code == 1
     assert "error: SizeOverflow" in capsys.readouterr().err
