@@ -178,8 +178,9 @@ def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
     return check_arrows(F.representation, residual, tol, mode)
 
 
-def compose_tuple(F, G, allow_truncation=False):
-    """Vertex-wise composition F_v o G_v (parameters passed through)."""
+def compose_tuple(F, G):
+    """Vertex-wise composition F_v o G_v (parameters passed through);
+    DegreeOverflow above the lower of the two degree caps."""
     if F.representation is not G.representation and \
             F.representation.quiver != G.representation.quiver:
         raise ValueError("tuples live on different representations")
@@ -195,11 +196,10 @@ def compose_tuple(F, G, allow_truncation=False):
         subs = list(Gv.outputs) + [Poly.variable(n, d + l) for l in range(p)]
         outs = [Fv.outputs[i].compose(subs) for i in range(d)]
         deg = max((o.degree() for o in outs), default=-1)
-        if deg > cap and not allow_truncation:
+        if deg > cap:
             raise DegreeOverflow(
-                f"composition at vertex {v!r} has degree {deg} > cap {cap}; "
-                "pass allow_truncation=True to truncate")
-        comps[v] = PolyMap([o.truncate(cap) for o in outs], nvars=n)
+                f"composition at vertex {v!r} has degree {deg} > cap {cap}")
+        comps[v] = PolyMap(outs, nvars=n)
     return PolyMapTuple(F.representation, comps, p, cap)
 
 

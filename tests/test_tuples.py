@@ -109,8 +109,6 @@ def test_degree_cap_enforced():
     F = feedforward_tuple({(3,): 1}, {(0, 1): 1})
     with pytest.raises(DegreeOverflow):
         compose_tuple(F, F)  # degree 9 > cap 8
-    truncated = compose_tuple(F, F, allow_truncation=True)
-    assert truncated.degree() <= truncated.max_degree
 
 
 def test_linear_tuple_and_linear_part_roundtrip():
