@@ -18,9 +18,7 @@ singular value above 10 t counts, one below t / 10 does not, and one
 between makes image_kernel raise RankAmbiguous. Image and kernel come
 from one rref in exact arithmetic and from an SVD in floats; both give
 the kernel in exactlin.nullspace's normal form, one vector per free
-column, 1 there and 0 at the other free columns. Float free columns are
-found by the rank rule at the kernel's accuracy, t over the least
-singular value kept.
+column, 1 there and 0 at the other free columns.
 """
 
 from __future__ import annotations
@@ -68,8 +66,7 @@ def _rank_threshold(s):
 
 
 def _rank(s, thr):
-    """The rank the rank rule gives singular values s at the threshold
-    thr, or RankAmbiguous."""
+    """The rank of singular values s at threshold thr, or RankAmbiguous."""
     if any(0.1 * thr < x < 10 * thr for x in s):
         raise RankAmbiguous(f"singular values {s} near the threshold {thr}")
     return int(np.sum(s > thr))

@@ -163,7 +163,7 @@ def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
         raise ValueError("mode must be 'exact' or 'sampled'")
     if mode == "exact" and not F.is_exact():
         raise ModeUnavailable("exact equivariance check needs rational data")
-    # the generator is made only for sampled mode, which alone draws points
+    # only sampled mode draws points, so only it loads numpy.random
     rng = np.random.default_rng(seed) if mode == "sampled" else None
 
     def residual(a, s, t):
