@@ -39,8 +39,9 @@ CASES = ("a=0", "b=0", "ab-cd=0")
 # each target cell to the source cell it copies
 CELLS = {"N1": ("xyxyx", (2, 3, 4, 3, 4)), "N2": ("xyxy", (2, 3, 4, 3)),
          "N3": ("yxy", (2, 3, 2))}
-NODE_MAPS = {"a1": ("N1", "N2", (1, 2, 3, 4)), "a2": ("N1", "N2", (5, 4, 3, 4)),
-             "a3": ("N3", "N2", (2, 3, 2, 3)), "a4": ("N2", "N3", (2, 3, 4))}
+NODE_MAPS = {
+    "a1": ("N1", "N2", (1, 2, 3, 4)), "a2": ("N1", "N2", (5, 4, 3, 4)),
+    "a3": ("N3", "N2", (2, 3, 2, 3)), "a4": ("N2", "N3", (2, 3, 4))}
 
 
 def case_network(vertex):
