@@ -3,10 +3,9 @@
 The fixture is three coloured networks of alternating x- and y-cells
 driven by f(x, y; lam) and g(y, x; lam): a feedforward-like five-cell
 network, a four-cell subnetwork and a three-cell quotient-type network.
-Four node maps between them give the arrows, each acting by the pullback
-x |-> (x_phi(m))_m, and one response family instantiated on each network
-gives an equivariant tuple for any pair (f, g). Depending on the
-degeneracy of the linearization coefficients
+Four node maps between them act as arrows by pullback, and one response
+family instantiated on each network gives an equivariant tuple for any
+pair (f, g). Depending on the degeneracy of the linearization coefficients
 
     a = f_x(0),  c = f_y(0),  b = g_y(0),  d = g_x(0)
 

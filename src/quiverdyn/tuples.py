@@ -6,7 +6,8 @@ variables (x_1 .. x_{dim v}, lambda_1 .. lambda_p). Equivariance of such a
 tuple means R_a o F_{s(a)} = F_{t(a)} o (R_a x id) for every arrow a; this
 module checks that identity exactly (coefficient expansion) or at sampled
 points, and implements the operations that preserve it: composition, Lie
-bracket, and restriction to an invariant family of subspaces.
+bracket, and restriction to an invariant family of subspaces. check_arrows
+is the one arrow loop of every intertwining check in the package.
 """
 
 from __future__ import annotations
