@@ -128,8 +128,8 @@ def check_arrows(rep, residual, tol, mode):
     in quiver order: an arrow passes when its residual is exactly 0 in
     exact mode, or at most tol in any other mode."""
     per_arrow = {a: residual(a, s, t) for a, s, t in rep.quiver.arrows}
-    passed = all(r == 0 if mode == "exact" else float(r) <= tol
-                 for r in per_arrow.values())
+    ar = arith.EXACT if mode == "exact" else arith.FLOAT
+    passed = all(ar.passes(r, tol) for r in per_arrow.values())
     return EquivarianceReport(per_arrow, passed, mode)
 
 
