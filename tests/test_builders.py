@@ -15,8 +15,9 @@ from helpers import (brute_balanced_partitions, brute_canonical_network_form,
                      random_response_family, ring_network, time_limit,
                      two_colour_8_network, two_colour_network,
                      two_type_network)
-from quiverdyn.builders import (_balanced_partitions, _canonical_network_form,
-                                build_quoq, build_subq, enumerate_fibrations,
+from quiverdyn.builders import (FIBRATION_CAP, _balanced_partitions,
+                                _canonical_network_form, build_quoq,
+                                build_subq, enumerate_fibrations,
                                 enumerate_quotients, enumerate_subnetworks,
                                 induce_on_quotients, induce_on_subnetworks,
                                 quotient_network, subnetwork_network)
@@ -218,6 +219,11 @@ def relabelled(N, new_ids):
 
 RANDOM_9_1_PERMUTED = relabelled(RANDOM_9_1, [8, 7, 9, 3, 1, 5, 4, 6, 2])
 
+# one node with seven parallel self edges: one node map, 7! = 5040 edge
+# bijections, past the fibration cap
+SEVEN_PARALLEL = ColouredNetwork(
+    [("1", "x")], [(f"e{i}", "1", "1", "xx0") for i in range(7)])
+
 
 def node_maps(A, B):
     """Number of colour-preserving node maps A -> B."""
@@ -230,6 +236,7 @@ def node_maps(A, B):
 @example(RANDOM_9_1)
 @example(RANDOM_9_1_PERMUTED)
 @example(two_type_network())   # node 1 takes b from 2 and 3
+@example(SEVEN_PARALLEL)
 def test_quotient_searches_match_brute_force_oracles(N):
     assert _canonical_network_form(N) == brute_canonical_network_form(N)
     assert _balanced_partitions(N) == brute_balanced_partitions(N)
@@ -242,8 +249,13 @@ def test_quotient_searches_match_brute_force_oracles(N):
         if node_maps(A, B) > 2000:
             continue
         for surjective in (False, True):
-            got = enumerate_fibrations(A, B, surjective)
             want = brute_enumerate_fibrations(A, B, surjective)
+            if len(want) > FIBRATION_CAP:
+                # parallel edges can multiply the edge bijections past the cap
+                with pytest.raises(SizeOverflow):
+                    enumerate_fibrations(A, B, surjective)
+                continue
+            got = enumerate_fibrations(A, B, surjective)
             assert [(f.node_map, f.edge_map) for f in got] == \
                 [(f.node_map, f.edge_map) for f in want]
 
