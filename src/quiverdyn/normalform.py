@@ -4,7 +4,9 @@ Grade by grade (grade k = polynomial degree k+1), the homological equation
 F^k = ad_L(G) + R is solved per vertex for the unique generator G in
 im ad_{L^S} and remainder R in ker ad_{L^S}, and the time-1 Lie transform
 exp(ad_G) is applied. The surviving grade-k terms are R, taken from the
-solve, so they commute with the semisimple part of the linearization. Because
+solve, so they commute with the semisimple part of the linearization; the
+grade's kernel residual is the largest coefficient of the grade-k part of the
+transform minus R, the part that taking R discards. Because
 the generator choice is the canonical one, equivariant input yields
 equivariant generators and an equivariant normal form; verify_normal_form
 checks this together with the commutation property and a numeric
@@ -39,7 +41,7 @@ class NormalFormResult:
     LS: EndomorphismTuple
     transformed: PolyMapTuple            # L x + sum of normalized grades
     generators: dict                     # k -> PolyMapTuple (grade-k fields)
-    kernel_residuals: dict               # k -> max residual of F_bar^k in ker
+    kernel_residuals: dict               # k -> max |grade k of exp(ad_G) F - R|
 
     def transformed_grade(self, k):
         """The grade-k homogeneous part of the transformed tuple."""
@@ -55,8 +57,8 @@ def normal_form(F, r):
     """Normalize F through grade r (polynomial degree r+1).
 
     Requires F(0) = 0 and param_dim = 0. Returns the transformed tuple, the
-    generators G^1..G^r, and per-grade residuals of the surviving terms
-    against ker ad_{L^S}.
+    generators G^1..G^r, and per-grade kernel residuals: how far the
+    grade-k part of the transform is from the remainder R kept in its place.
     """
     if F.param_dim != 0:
         raise ValueError("normal forms are computed for parameter-free tuples")
@@ -85,13 +87,13 @@ def normal_form(F, r):
             Fk = polyfield.grade_part(current[v], k)
             G, rem = polyfield.solve_homological(Lv, LSv, Fk, k)
             gen_comps[v] = PolyMap(G, nvars=d)
-            # the surviving grade is the solve's remainder R
-            current[v] = [p - p.homogeneous_part(k + 1) + q for p, q in zip(
-                polyfield.lie_transform(current[v], G, k, r), rem)]
-            # residual of R against ker ad_{L^S}
-            adS = polyfield.ad_operator_matrix(LSv, k)
-            coords = adS.basis.coords(rem, ar)
-            worst = max(worst, ar.max_abs(ar.matvec(adS.matrix, coords)))
+            # the surviving grade is the solve's remainder R; the residual
+            # is what the transform leaves there besides R
+            moved = polyfield.lie_transform(current[v], G, k, r)
+            kept = polyfield.grade_part(moved, k)
+            worst = max([worst] + [(p - q).max_abs_coeff()
+                                   for p, q in zip(kept, rem)])
+            current[v] = [p - h + q for p, h, q in zip(moved, kept, rem)]
         generators[k] = PolyMapTuple(
             rep, gen_comps, 0, F.max_degree)
         kernel_residuals[k] = worst

@@ -63,6 +63,26 @@ def test_kernel_residuals_and_commutators_small():
     assert all(r <= 1e-10 for r in report["commutator"].values())
 
 
+def test_kernel_residual_measures_what_the_remainder_replaces(monkeypatch):
+    # exactly, the transform's own grade k equals R, so the residual is 0
+    assert normal_form(hopf_tuple(), 2).kernel_residuals == {1: 0, 2: 0}
+    # a transform that leaves F as it is keeps the nonresonant quadratic
+    # terms where R goes, and the residual shows them
+    with monkeypatch.context() as m:
+        m.setattr(polyfield, "lie_transform",
+                  lambda F, G, k, r: [p.truncate(r + 1) for p in F])
+        assert normal_form(hopf_tuple(), 2).kernel_residuals[1] > 0
+    # so does a generator that is not the solve's G
+    solve = polyfield.solve_homological
+
+    def doubled(L, LS, Fk, k):
+        G, R = solve(L, LS, Fk, k)
+        return [p.scale(2) for p in G], R
+
+    monkeypatch.setattr(polyfield, "solve_homological", doubled)
+    assert normal_form(hopf_tuple(), 2).kernel_residuals[1] > 0
+
+
 def test_verification_report_equivariance_and_conjugacy():
     F = hopf_tuple()
     res = normal_form(F, 3)
