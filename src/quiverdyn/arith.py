@@ -226,7 +226,9 @@ class FloatArith:
         that raise its rank by the rank rule at K's accuracy, the threshold
         over the least kept singular value, taken from the last one up
         (RankAmbiguous if too few): the non-pivot columns of rref(A)
-        whenever the rank rule agrees with exact zero tests."""
+        whenever the rank rule agrees with exact zero tests. A row of size
+        x needs a least kept singular value above 10 t / x: nearer, the
+        normal form may be off by a tenth, and RankAmbiguous is raised."""
         U, s, Vt = np.linalg.svd(as_float_matrix(A))
         thr = _rank_threshold(s)
         r = _rank(s, thr)

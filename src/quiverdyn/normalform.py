@@ -4,9 +4,7 @@ Grade by grade (grade k = polynomial degree k+1), the homological equation
 F^k = ad_L(G) + R is solved per vertex for the unique generator G in
 im ad_{L^S} and remainder R in ker ad_{L^S}, and the time-1 Lie transform
 exp(ad_G) is applied. The surviving grade-k terms are R, taken from the
-solve, so they commute with the semisimple part of the linearization; the
-grade's kernel residual is the largest coefficient of the grade-k part of the
-transform minus R, the part that taking R discards. Because
+solve, so they commute with the semisimple part of the linearization. Because
 the generator choice is the canonical one, equivariant input yields
 equivariant generators and an equivariant normal form; verify_normal_form
 checks this together with the commutation property and a numeric
@@ -87,15 +85,13 @@ def normal_form(F, r):
             Fk = polyfield.grade_part(current[v], k)
             G, rem = polyfield.solve_homological(Lv, LSv, Fk, k)
             gen_comps[v] = PolyMap(G, nvars=d)
-            # the surviving grade is the solve's remainder R; the residual
-            # is what the transform leaves there besides R
+            # R replaces the transform's grade k; the residual is the rest
             moved = polyfield.lie_transform(current[v], G, k, r)
             kept = polyfield.grade_part(moved, k)
             worst = max([worst] + [(p - q).max_abs_coeff()
                                    for p, q in zip(kept, rem)])
             current[v] = [p - h + q for p, h, q in zip(moved, kept, rem)]
-        generators[k] = PolyMapTuple(
-            rep, gen_comps, 0, F.max_degree)
+        generators[k] = PolyMapTuple(rep, gen_comps, 0, F.max_degree)
         kernel_residuals[k] = worst
     transformed = PolyMapTuple(
         rep, {v: PolyMap(polys, nvars=rep.dim[v] if not polys else None)

@@ -62,6 +62,23 @@ def test_float_image_kernel_judges_free_columns_by_the_rank_rule():
         arith.FLOAT.image_kernel(np.array([[a, a, 1.0]]))
 
 
+@pytest.mark.parametrize("least, trusted", [(15e-10, False), (40e-10, True)])
+def test_float_kernel_rows_are_judged_at_the_kernel_accuracy(least, trusted):
+    # A has the kernel (1, 1, 1, 1) and least kept singular value `least`
+    # above t = 1e-10, so the kernel is known to t / least. Its last row,
+    # 0.5, is trusted only above 10 t / least: at 15 t the normal form
+    # could be off by more than a tenth, and image_kernel says so
+    V = np.array([[1, -1, 0, 0], [1, 1, -2, 0], [1, 1, 1, -3]], dtype=float)
+    A = np.diag([1.0, 0.5, least]) @ (V / np.linalg.norm(V, axis=1)[:, None])
+    if not trusted:
+        with pytest.raises(RankAmbiguous):
+            arith.FLOAT.image_kernel(A)
+        return
+    im, ker = arith.FLOAT.image_kernel(A)
+    assert len(im) == 3
+    assert np.allclose(ker, [[1.0, 1.0, 1.0, 1.0]], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("small, unique", [(1e-12, False), (1e-8, True)])
 def test_float_solve_judges_uniqueness_by_the_rank_rule(small, unique):
     # lstsq's own eps-level rank counts both singular values; the rank rule
