@@ -13,7 +13,6 @@ is the one arrow loop of every intertwining check in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -170,8 +169,8 @@ def check_equivariance(F, mode="exact", tol=SAMPLED_DEFAULTS["tol"],
     def residual(a, s, t):
         defect = equivariance_defect(F, a).outputs
         if rng is None:
-            return max((p.max_abs_coeff() for p in defect),
-                       default=Fraction(0))
+            return max([arith.EXACT.zero]
+                       + [p.max_abs_coeff() for p in defect])
         points = rng.uniform(-1.0, 1.0, (samples, F.representation.dim[s]
                                          + F.param_dim))
         return max((abs(float(p.eval(x.tolist())))
