@@ -10,6 +10,7 @@ comparison in float mode carries a tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import arith
 from .arith import matrix_shape
@@ -67,6 +68,55 @@ class QuiverRepresentation:
         self.mode = mode
         self.arrow_matrix = {str(a): self.arith.freeze(m)
                              for a, m in arrow_matrix.items()}
+
+    @cached_property
+    def generating_arrows(self):
+        """Arrows of an exact representation whose matrices generate the
+        rest, in quiver order; computed at first use and kept.
+
+        The closure starts with every loop whose matrix is the identity. An
+        arrow a: s -> t joins it when R_a = R_b R_c for arrows c: s -> m and
+        b: m -> t already in it. When no arrow joins, the unproved arrow with
+        the least |dim s - dim t| (the first in quiver order) becomes a
+        generator, so covers come before composites. A relation between
+        source and target that holds on identity loops and is closed under
+        products holds on every arrow once it holds on these.
+        """
+        ar, q, R = arith.EXACT, self.quiver, self.arrow_matrix
+        between = {}
+        for a, s, t in q.arrows:
+            between.setdefault((s, t), []).append(a)
+        closed, queue, out_of, into = set(), [], {}, {}
+
+        def join(a):
+            closed.add(a)
+            queue.append(a)
+        for a, s, t in q.arrows:
+            if s == t and R[a] == ar.identity(self.dim[s]):
+                join(a)
+        by_gap = sorted(q.arrows,
+                        key=lambda x: abs(self.dim[x[1]] - self.dim[x[2]]))
+        generators = set()
+        while True:
+            while queue:
+                x = queue.pop()
+                s, t = q.source[x], q.target[x]
+                out_of.setdefault(s, []).append(x)
+                into.setdefault(t, []).append(x)
+                for c, b in ([(x, b) for b in out_of.get(t, [])]
+                             + [(c, x) for c in into.get(s, []) if c != x]):
+                    open_ = [a for a in between.get((q.source[c],
+                                                     q.target[b]), ())
+                             if a not in closed]
+                    product = ar.matmul(R[b], R[c]) if open_ else None
+                    for a in open_:
+                        if R[a] == product:
+                            join(a)
+            rest = [a for a, _, _ in by_gap if a not in closed]
+            if not rest:
+                return tuple(a for a, _, _ in q.arrows if a in generators)
+            generators.add(rest[0])
+            join(rest[0])
 
     def to_float(self):
         """The same quiver, dimensions and arrow matrices in float mode."""
