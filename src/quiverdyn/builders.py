@@ -29,6 +29,7 @@ from .tuples import PolyMapTuple
 SUBSET_CAP = 1024      # in-closed subsets enumerate_subnetworks may return
 FIBRATION_CAP = 4096   # node maps or fibrations enumerate_fibrations may find
 ARROW_CAP = 1024       # arrows build_quoq may emit
+PARTITION_CAP = 8192   # balanced partitions enumerate_quotients may find
 
 
 # --- subnetworks --------------------------------------------------------------
@@ -312,7 +313,8 @@ def _balanced_partitions(N):
     or a new one, so partitions come in restricted-growth order. A node's
     multiset is fixed once it and all its in-sources are placed; at that
     step it is compared with every member of its class whose multiset is
-    already fixed, and the branch ends at the first difference.
+    already fixed, and the branch ends at the first difference. Raises
+    SizeOverflow as soon as more than PARTITION_CAP partitions are found.
     """
     node_ids = N.node_ids()
     colour = N.node_colour
@@ -336,6 +338,9 @@ def _balanced_partitions(N):
 
     def place(i):
         if i == len(node_ids):
+            if len(partitions) == PARTITION_CAP:
+                raise SizeOverflow(
+                    f"more than {PARTITION_CAP} balanced partitions")
             partitions.append([tuple(b) for b in blocks])
             return
         n = node_ids[i]
@@ -480,7 +485,8 @@ def enumerate_quotients(N):
 
     Representatives come from balanced partitions with classes labelled by
     minimal original node id. Order: by node count descending (the trivial
-    quotient N itself first), then by canonical encoding.
+    quotient N itself first), then by canonical encoding. Raises
+    SizeOverflow above PARTITION_CAP balanced partitions.
     """
     seen = {}
     entries = []

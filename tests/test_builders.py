@@ -67,6 +67,15 @@ def test_quoq_arrow_cap_raises_in_bounded_time():
         build_quoq(isolated_network(6))
 
 
+def test_partition_cap_raises_in_bounded_time():
+    # 115,975 balanced partitions, every one of them a quotient to build
+    N = isolated_network(10)
+    with time_limit(1), pytest.raises(SizeOverflow, match="partitions"):
+        enumerate_quotients(N)
+    with time_limit(1), pytest.raises(SizeOverflow, match="partitions"):
+        build_quoq(N)
+
+
 def test_chain_subq_shape():
     N = feedforward_chain_network()
     quiver, rep, subsets = build_subq(N)

@@ -188,3 +188,12 @@ def test_fibration_searches_over_cap_exit_1_with_named_error(
         code = exit_code(command, [("net.json", text)])
     assert code == 1
     assert "error: SizeOverflow" in capsys.readouterr().err
+
+
+def test_quoq_over_partition_cap_exits_1_with_named_error(capsys):
+    text = json.dumps(network_to_json(isolated_network(10)))
+    with time_limit(1):
+        code = exit_code(["quoq", "net.json"], [("net.json", text)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: SizeOverflow" in err and "balanced partitions" in err
