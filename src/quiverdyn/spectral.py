@@ -133,9 +133,19 @@ def _factor_representative(f):
     return rep, roots, is_pair
 
 
+def _exact_real_part(c):
+    """The real part of an exact cluster: exact for a rational root or a
+    conjugate pair, numeric for any other factor."""
+    if len(c.factor) == 2:
+        return -c.factor[0]
+    return -c.factor[1] / 2 if c.is_pair else complex(c.value).real
+
+
 def joint_spectrum(L):
     """Pool the eigenvalues of all L_v into clusters with per-vertex
-    multiplicities (0 where a vertex misses the eigenvalue)."""
+    multiplicities (0 where a vertex misses the eigenvalue), ordered by
+    real part, then by imaginary part. Float real parts within the cluster
+    band of each other count as equal, so round-off orders no clusters."""
     rep = L.representation
     if L.mode == "exact":
         factors, mults = _exact_factors(L)
@@ -143,7 +153,7 @@ def joint_spectrum(L):
         for f, m in zip(factors, mults):
             value, roots, is_pair = _factor_representative(f)
             clusters.append(SpectralCluster(value, m, is_pair, f, roots))
-        clusters.sort(key=lambda c: (complex(c.value).real,
+        clusters.sort(key=lambda c: (_exact_real_part(c),
                                      complex(c.value).imag))
         return clusters
     # float mode: numeric eigenvalues, greedy clustering
@@ -170,7 +180,13 @@ def joint_spectrum(L):
         c.multiplicity[v] += 1
         c.roots += (w,)
         c.value = sum(c.roots) / len(c.roots)
-    return clusters
+    tie, real = None, {}
+    for c in sorted(clusters, key=lambda c: c.value.real):
+        if tie is None or c.value.real - tie.value.real \
+                > EPS_EIG * max(1.0, abs(tie.value)):
+            tie = c
+        real[id(c)] = tie.value.real
+    return sorted(clusters, key=lambda c: (real[id(c)], c.value.imag))
 
 
 def generalized_eigenspace_subrep(rep, L, cluster):

@@ -368,6 +368,24 @@ def test_float_split_basis_is_the_exact_basis(A):
                       <= 1e-9 * np.maximum(1.0, np.abs(bases[0])))
 
 
+def test_clusters_with_tied_real_parts_keep_one_order_in_both_modes():
+    # U D U^-1 with eigenvalues 1 and 1 +- 2i, U = [[1,1,0],[0,1,1],[1,0,1]]:
+    # the float pair's real part is 0.9999999999999991, which once put it
+    # first in float mode and second in exact mode
+    A = [[2, -1, -1], [2, 1, -2], [1, 1, 0]]
+    bases = []
+    for mode in ("exact", "float"):
+        rep = one_vertex_rep(3, mode)
+        L = EndomorphismTuple(rep, {"v": mode_matrix(A, mode)})
+        clusters = joint_spectrum(L)
+        assert [c.is_pair for c in clusters] == [False, True]
+        assert [complex(c.value) for c in clusters] == pytest.approx(
+            [1, 1 + 2j])
+        bases.append(as_array(center_hyperbolic_split(rep, L).basis["v"]))
+    assert np.all(np.abs(bases[1] - bases[0])
+                  <= 1e-9 * np.maximum(1.0, np.abs(bases[0])))
+
+
 @pytest.mark.parametrize("split_fn", [kernel_image_split,
                                       center_hyperbolic_split])
 def test_float_split_of_jordan_pair_raises_cluster_split(split_fn):
