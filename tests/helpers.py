@@ -293,6 +293,29 @@ def cm_lost_center_tuple():
     return PolyMapTuple(rep, {"s": fs, "t": ft})
 
 
+def twin_representation():
+    """Two 2-dimensional vertices u, v joined both ways by the identity,
+    with identity loops: a tuple on it is equivariant when F_u = F_v."""
+    eye = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
+    quiver = Quiver(["u", "v"], [("iu", "u", "u"), ("iv", "v", "v"),
+                                 ("uv", "u", "v"), ("vu", "v", "u")])
+    return QuiverRepresentation(quiver, {"u": 2, "v": 2},
+                                {a: eye for a in ("iu", "iv", "uv", "vu")})
+
+
+def fork_representation():
+    """The two coordinate projections p, q of a 2-dimensional vertex s onto
+    a 1-dimensional vertex t, with identity loops: q is not p composed with
+    a loop, though its endpoints are."""
+    one, zero = Fraction(1), Fraction(0)
+    quiver = Quiver(["s", "t"], [("is", "s", "s"), ("it", "t", "t"),
+                                 ("p", "s", "t"), ("q", "s", "t")])
+    return QuiverRepresentation(
+        quiver, {"s": 2, "t": 1},
+        {"is": [[one, zero], [zero, one]], "it": [[one]],
+         "p": [[one, zero]], "q": [[zero, one]]})
+
+
 def float_copy(F):
     """The same tuple in float mode: float arrow matrices and coefficients."""
     rep = F.representation
@@ -458,3 +481,63 @@ def brute_enumerate_fibrations(N_src, N_dst, surjective_only=False):
                     tuple(sorted(nm.items(),
                                  key=lambda p: _natural_key(p[0]))), em))
     return fibrations
+
+
+# --- full-loop oracles for the exact intertwining checks ----------------------
+
+def _intertwining_residual(R_out, P_s, R_in, P_t, n, p=0):
+    """Largest |coefficient| of R_out P_s(x, l) - P_t(R_in x, l) for x in
+    n variables and l in p, expanded by Poly composition, from the exact
+    zero."""
+    nv = n + p
+    xs = [Poly.variable(nv, j) for j in range(nv)]
+
+    def combine(R, polys):
+        return [sum((polys[j] * c for j, c in enumerate(row) if c),
+                    Poly.zero(nv)) for row in R]
+    Rx = combine(R_in, xs) + xs[n:]
+    return max([Fraction(0)] + [(lhs - P_t[i].compose(Rx)).max_abs_coeff()
+                                for i, lhs in enumerate(combine(R_out, P_s))])
+
+
+def full_equivariance_report(F):
+    """Oracle: (per-arrow residuals, passed) of the exact check_equivariance,
+    with the defect of every arrow worked out."""
+    rep = F.representation
+    per_arrow = {a: _intertwining_residual(
+        rep.arrow_matrix[a], F.components[s].outputs, rep.arrow_matrix[a],
+        F.components[t].outputs, rep.dim[s], F.param_dim)
+        for a, s, t in rep.quiver.arrows}
+    return per_arrow, all(r == 0 for r in per_arrow.values())
+
+
+def full_cm_report(exp):
+    """Oracle: (per-arrow residuals, passed) of the exact
+    check_cm_equivariance: R^h_a phi_s = phi_t R^c_a and
+    R^c_a F^c_s = F^c_t R^c_a on every arrow."""
+    per_arrow = {}
+    for a, s, t in exp.representation.quiver.arrows:
+        vs, vt = exp.vertices[s], exp.vertices[t]
+        C, H = exp.center.coords[a], exp.hyperbolic.coords[a]
+        per_arrow[a] = max(
+            _intertwining_residual(H, vs.phi, C, vt.phi, vs.center_dim),
+            _intertwining_residual(C, vs.reduced, C, vt.reduced,
+                                   vs.center_dim))
+    return per_arrow, all(r == 0 for r in per_arrow.values())
+
+
+def full_endomorphism_report(rep, L):
+    """Oracle: (per-arrow residuals, passed) of the exact
+    check_endomorphism, |R_a L_s - L_t R_a| entry by entry on every arrow."""
+    def product(A, B, rows, inner, cols):
+        return [[sum((A[i][k] * B[k][j] for k in range(inner)), Fraction(0))
+                 for j in range(cols)] for i in range(rows)]
+    per_arrow = {}
+    for a, s, t in rep.quiver.arrows:
+        R, ds, dt = rep.arrow_matrix[a], rep.dim[s], rep.dim[t]
+        RL = product(R, L.matrices[s], dt, ds, ds)
+        LR = product(L.matrices[t], R, dt, dt, ds)
+        per_arrow[a] = max([Fraction(0)] + [abs(x - y) for r1, r2 in
+                                            zip(RL, LR)
+                                            for x, y in zip(r1, r2)])
+    return per_arrow, all(r == 0 for r in per_arrow.values())

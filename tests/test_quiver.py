@@ -5,9 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import (feedforward_chain_network, feedforward_pair_network,
+                     fork_representation, random_response_family,
+                     twin_representation, two_type_network)
+from quiverdyn.builders import build_quoq, build_subq, induce_on_quotients
 from quiverdyn.errors import DanglingArrow, NotInvariant
 from quiverdyn.quiver import (Quiver, QuiverRepresentation,
                               Subrepresentation, validate_representation)
+from quiverdyn.tuples import check_equivariance
 
 
 def feedforward_rep():
@@ -108,3 +113,43 @@ def test_full_and_zero_subrepresentations(mode="exact"):
 
 def test_full_and_zero_subrepresentations_float():
     test_full_and_zero_subrepresentations("float")
+
+
+@pytest.mark.parametrize("network, build, generators, n_arrows", [
+    (feedforward_pair_network, build_subq, ["1+2>1"], 3),
+    (feedforward_chain_network, build_subq,
+     ["1+2+3+4+5>1+2+3+4", "1+2+3+4>1+2+3", "1+2+3>1+2", "1+2>1"], 15),
+    (two_type_network, build_quoq,
+     ["q02>q01#1", "q03>q01#1", "q04>q02#1", "q04>q03#1", "q05>q02#1",
+      "q06>q04#1", "q06>q05#1"], 52),
+], ids=["pair", "chain", "two-type"])
+def test_generating_arrows_are_the_lattice_covers(network, build, generators,
+                                                  n_arrows):
+    # every other arrow is an identity loop or a product of covers
+    rep = build(network())[1]
+    assert len(rep.quiver.arrows) == n_arrows
+    assert rep.generating_arrows == tuple(generators)
+
+
+def test_identity_arrow_between_two_vertices_is_a_generator():
+    # only loops with identity matrices are free: an identity matrix from
+    # u to v says F_u = F_v, which is a condition to check
+    assert twin_representation().generating_arrows == ("uv", "vu")
+
+
+def test_arrow_is_implied_only_by_a_product_equal_to_its_matrix():
+    # q: s -> t has the endpoints of p composed with the loops, not the matrix
+    assert fork_representation().generating_arrows == ("p", "q")
+
+
+def test_generating_arrows_wait_for_the_first_exact_check():
+    # quotient enumeration builds representations and checks none, so the
+    # closure is computed at the first exact check and kept there
+    N = two_type_network()
+    rep = build_quoq(N)[1]
+    assert "generating_arrows" not in vars(rep)
+    F = induce_on_quotients(N, random_response_family(N, seed=1))
+    check_equivariance(F, mode="sampled", samples=2)
+    assert "generating_arrows" not in vars(F.representation)
+    check_equivariance(F, mode="exact")
+    assert len(vars(F.representation)["generating_arrows"]) == 7

@@ -3,13 +3,24 @@
 import random
 from fractions import Fraction
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import cm_feedforward_tuple, float_copy, random_poly
+from helpers import (cm_feedforward_tuple, feedforward_chain_network,
+                     feedforward_pair_network, float_copy, fork_representation,
+                     full_cm_report, full_endomorphism_report,
+                     full_equivariance_report, planted_family, random_poly,
+                     random_response_family, ring_network,
+                     twin_representation, two_type_network)
 from quiverdyn import centermanifold, lsreduction, spectral, tuples
+from quiverdyn.builders import induce_on_quotients, induce_on_subnetworks
 from quiverdyn.casestudy import assemble_case_tuple
-from quiverdyn.centermanifold import check_cm_equivariance, cm_taylor
+from quiverdyn.centermanifold import (CMExpansion, check_cm_equivariance,
+                                      cm_taylor)
 from quiverdyn.errors import (DegreeOverflow, ModeUnavailable, NotEquilibrium,
                               NotInvariant)
 from quiverdyn.fileio import parse_poly_dsl
@@ -207,3 +218,129 @@ def test_every_intertwining_check_runs_the_one_arrow_loop(monkeypatch):
                check_endomorphism(F.representation, L)]
     assert calls == ["exact", "sampled", "exact", "sampled", "exact"]
     assert all(r.passed for r in reports)
+
+
+# --- exact checks on generating arrows -----------------------------------------
+
+def induced(network, induce):
+    def build(seed):
+        N = network()
+        return induce(N, random_response_family(N, seed, max_degree=2))
+    return build
+
+
+def twin_tuple(seed):
+    g = PolyMap([random_poly(random.Random(seed), 2) for _ in range(2)])
+    return PolyMapTuple(twin_representation(), {"u": g, "v": g})
+
+
+def fork_tuple(seed):
+    # F_s = (g(x1), g(x2)) and F_t = g commute with both projections
+    g = random_poly(random.Random(seed), 1)
+    return PolyMapTuple(fork_representation(), {
+        "s": PolyMap([g.embed(2, [0]), g.embed(2, [1])]), "t": PolyMap([g])})
+
+
+EQUIVARIANT_TUPLES = {
+    "pair": induced(feedforward_pair_network, induce_on_subnetworks),
+    "chain": induced(feedforward_chain_network, induce_on_subnetworks),
+    "two-type": induced(two_type_network, induce_on_quotients),
+    "ring-4": induced(lambda: ring_network(4), induce_on_quotients),
+    "twin": twin_tuple,
+    "fork": fork_tuple,
+}
+
+
+def plant(F, defect):
+    """F with the defect (vertex index, component index, exponents,
+    coefficient) added: coefficient * x^exponents in one output of one
+    vertex, the indices taken modulo the counts there."""
+    vi, ci, exps, c = defect
+    rep = F.representation
+    v = rep.quiver.vertices[vi % len(rep.quiver.vertices)]
+    outs = list(F.components[v].outputs)
+    n = outs[0].nvars
+    outs[ci % len(outs)] += Poly(n, {tuple(exps[:n]): Fraction(c)})
+    return PolyMapTuple(rep, {**F.components, v: PolyMap(outs)},
+                        F.param_dim, F.max_degree)
+
+
+def assert_full_report(report, oracle):
+    """The report equals the full loop's, arrow order and value types
+    included."""
+    per_arrow, passed = oracle
+    assert report.passed == passed
+    assert list(report.per_arrow.items()) == list(per_arrow.items())
+    assert ([type(r) for r in report.per_arrow.values()]
+            == [type(r) for r in per_arrow.values()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(EQUIVARIANT_TUPLES)),
+       seed=st.integers(0, 10 ** 6),
+       defect=st.none() | st.tuples(
+           st.integers(0, 99), st.integers(0, 99),
+           st.lists(st.integers(0, 2), min_size=6, max_size=6),
+           st.sampled_from([-2, -1, 1, 2])))
+# the identity arrows u -> v and v -> u are the only arrows to see this
+@example(kind="twin", seed=0, defect=(1, 0, [2, 0, 0, 0, 0, 0], 1))
+# q sees x2^2 in the second output at s, and p and the loops do not
+@example(kind="fork", seed=0, defect=(0, 1, [0, 2, 0, 0, 0, 0], 1))
+def test_exact_checks_on_generators_report_what_the_full_loop_does(
+        kind, seed, defect):
+    F = EQUIVARIANT_TUPLES[kind](seed)
+    if defect is None:
+        assert check_equivariance(F, mode="exact").passed
+    else:
+        F = plant(F, defect)
+    assert_full_report(check_equivariance(F, mode="exact"),
+                       full_equivariance_report(F))
+    L = EndomorphismTuple.from_linearization(F)
+    assert_full_report(check_endomorphism(F.representation, L),
+                       full_endomorphism_report(F.representation, L))
+
+
+def test_exact_check_works_out_generators_then_every_arrow_on_a_defect(
+        monkeypatch):
+    N = two_type_network()
+    F = induce_on_quotients(N, random_response_family(N, seed=5))
+    defect, calls = tuples.equivariance_defect, []
+
+    def counted(F, arrow):
+        calls.append(arrow)
+        return defect(F, arrow)
+    monkeypatch.setattr(tuples, "equivariance_defect", counted)
+    assert check_equivariance(F, mode="exact").passed
+    assert len(calls) == 7 and len(F.representation.quiver.arrows) == 52
+    calls.clear()
+    report = check_equivariance(plant(F, (2, 0, [1, 1, 0, 0], 1)), "exact")
+    assert not report.passed
+    assert sorted(calls) == sorted(a for a, _, _ in
+                                   F.representation.quiver.arrows)
+
+
+@pytest.fixture(scope="module")
+def ring_cm_expansion():
+    N = ring_network(4)
+    return cm_taylor(induce_on_quotients(
+        N, planted_family(N, {"c": {"s": -1, "r": 1}}, 0)), 3)
+
+
+# q03 is one-dimensional and all centre, so it has no hyperbolic jet phi
+@pytest.mark.parametrize("vertex, part", [
+    ("q01", "phi"), ("q01", "reduced"), ("q02", "phi"), ("q02", "reduced"),
+    ("q03", "reduced")])
+def test_exact_cm_check_on_generators_reports_what_the_full_loop_does(
+        ring_cm_expansion, vertex, part):
+    exp = ring_cm_expansion
+    assert_full_report(check_cm_equivariance(exp), full_cm_report(exp))
+    vd = exp.vertices[vertex]
+    polys = list(getattr(vd, part))
+    polys[0] += Poly(vd.center_dim, {(2,) * vd.center_dim: Fraction(1)})
+    tampered = CMExpansion(exp.representation, exp.degree, exp.center,
+                           exp.hyperbolic, {**exp.vertices, vertex:
+                                            dataclasses.replace(
+                                                vd, **{part: polys})})
+    report = check_cm_equivariance(tampered)
+    assert not report.passed
+    assert_full_report(report, full_cm_report(tampered))
