@@ -83,20 +83,14 @@ class QuiverRepresentation:
         products holds on every arrow once it holds on these.
         """
         ar, q, R = arith.EXACT, self.quiver, self.arrow_matrix
-        between = {}
+        between, out_of, into = {}, {}, {}
         for a, s, t in q.arrows:
             between.setdefault((s, t), []).append(a)
-        closed, queue, out_of, into = set(), [], {}, {}
-
-        def join(a):
-            closed.add(a)
-            queue.append(a)
-        for a, s, t in q.arrows:
-            if s == t and R[a] == ar.identity(self.dim[s]):
-                join(a)
+        queue = [a for a, s, t in q.arrows
+                 if s == t and R[a] == ar.identity(self.dim[s])]
+        closed, generators = set(queue), set()
         by_gap = sorted(q.arrows,
                         key=lambda x: abs(self.dim[x[1]] - self.dim[x[2]]))
-        generators = set()
         while True:
             while queue:
                 x = queue.pop()
@@ -109,14 +103,15 @@ class QuiverRepresentation:
                                                      q.target[b]), ())
                              if a not in closed]
                     product = ar.matmul(R[b], R[c]) if open_ else None
-                    for a in open_:
-                        if R[a] == product:
-                            join(a)
+                    joined = [a for a in open_ if R[a] == product]
+                    closed.update(joined)
+                    queue += joined
             rest = [a for a, _, _ in by_gap if a not in closed]
             if not rest:
                 return tuple(a for a, _, _ in q.arrows if a in generators)
             generators.add(rest[0])
-            join(rest[0])
+            closed.add(rest[0])
+            queue.append(rest[0])
 
     def to_float(self):
         """The same quiver, dimensions and arrow matrices in float mode."""
