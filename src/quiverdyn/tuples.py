@@ -132,17 +132,16 @@ def check_arrows(rep, residual, tol, mode):
     each relation checked is closed under products, and gets the exact
     zero; otherwise the remaining residuals are worked out too.
     """
+    ar = arith.EXACT if mode == "exact" else arith.FLOAT
     q, known = rep.quiver, {}
-    if mode == "exact":
+    if ar is arith.EXACT:
         known = {a: residual(a, q.source[a], q.target[a])
                  for a in rep.generating_arrows}
-        if all(r == 0 for r in known.values()):
+        if all(ar.passes(r, tol) for r in known.values()):
             return EquivarianceReport(
-                {a: known.get(a, arith.EXACT.zero) for a, _, _ in q.arrows},
-                True, mode)
+                {a: known.get(a, ar.zero) for a, _, _ in q.arrows}, True, mode)
     per_arrow = {a: known[a] if a in known else residual(a, s, t)
                  for a, s, t in q.arrows}
-    ar = arith.EXACT if mode == "exact" else arith.FLOAT
     passed = all(ar.passes(r, tol) for r in per_arrow.values())
     return EquivarianceReport(per_arrow, passed, mode)
 
