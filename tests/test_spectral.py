@@ -354,9 +354,13 @@ def diagonalizable(draw):
 @example(frac_matrix([[4, 34, 14, 4, -4], [-10, -81, -35, -10, 10],
                       [18, 179, 77, 22, -20], [19, 100, 43, 13, -16],
                       [3, 88, 36, 11, -7]]))
+# U D U^-1 with eigenvalues 1 and 1 +- 2i, U = [[1,1,0],[0,1,1],[1,0,1]]:
+# the float pair's real part is 0.9999999999999991, so only the tie band
+# keeps the real cluster first in float mode, as it is in exact mode
+@example(frac_matrix([[2, -1, -1], [2, 1, -2], [1, 1, 0]]))
 def test_float_split_basis_is_the_exact_basis(A):
-    # both arithmetics take the kernel of f(L)^m in one normal form, so
-    # for clusters with distinct real parts the bases agree, not only the
+    # both arithmetics take the kernel of f(L)^m in one normal form and
+    # order the clusters alike, so the bases agree, not only the
     # projectors, at the float rule of the goldens
     for split_fn in (kernel_image_split, center_hyperbolic_split):
         bases = []
@@ -366,24 +370,6 @@ def test_float_split_basis_is_the_exact_basis(A):
             bases.append(as_array(split_fn(rep, L).basis["v"]))
         assert np.all(np.abs(bases[1] - bases[0])
                       <= 1e-9 * np.maximum(1.0, np.abs(bases[0])))
-
-
-def test_clusters_with_tied_real_parts_keep_one_order_in_both_modes():
-    # U D U^-1 with eigenvalues 1 and 1 +- 2i, U = [[1,1,0],[0,1,1],[1,0,1]]:
-    # the float pair's real part is 0.9999999999999991, which once put it
-    # first in float mode and second in exact mode
-    A = [[2, -1, -1], [2, 1, -2], [1, 1, 0]]
-    bases = []
-    for mode in ("exact", "float"):
-        rep = one_vertex_rep(3, mode)
-        L = EndomorphismTuple(rep, {"v": mode_matrix(A, mode)})
-        clusters = joint_spectrum(L)
-        assert [c.is_pair for c in clusters] == [False, True]
-        assert [complex(c.value) for c in clusters] == pytest.approx(
-            [1, 1 + 2j])
-        bases.append(as_array(center_hyperbolic_split(rep, L).basis["v"]))
-    assert np.all(np.abs(bases[1] - bases[0])
-                  <= 1e-9 * np.maximum(1.0, np.abs(bases[0])))
 
 
 @pytest.mark.parametrize("split_fn", [kernel_image_split,

@@ -1,9 +1,8 @@
 """Equivariant polynomial tuples: checks, composition, bracket, restriction."""
 
+import dataclasses
 import random
 from fractions import Fraction
-
-import dataclasses
 
 import numpy as np
 import pytest
