@@ -109,17 +109,22 @@ def build_subq(N):
     return quiver, rep, vertex_subsets
 
 
+def _require_admissible(N, family):
+    """Raise NotAdmissible, naming every error, unless family fits N."""
+    report = check_admissible(N, family)
+    if not report.ok:
+        raise NotAdmissible(
+            "; ".join(str(e) for e in report.dependency_errors
+                      + report.groupoid_errors))
+
+
 def induce_on_subnetworks(N, family):
     """Instantiate an admissible response family on every subnetwork.
 
     Returns a PolyMapTuple on the SubQ representation; by construction it is
     exactly equivariant.
     """
-    report = check_admissible(N, family)
-    if not report.ok:
-        raise NotAdmissible(
-            "; ".join(str(e) for e in report.dependency_errors
-                      + report.groupoid_errors))
+    _require_admissible(N, family)
     quiver, rep, vertex_subsets = build_subq(N)
     comps = {}
     for vid, subset in vertex_subsets.items():
@@ -553,11 +558,7 @@ def induce_on_quotients(N, family):
     Returns a PolyMapTuple on the QuoQ representation; equivariance follows
     from the lifting construction and is exact.
     """
-    report = check_admissible(N, family)
-    if not report.ok:
-        raise NotAdmissible(
-            "; ".join(str(e) for e in report.dependency_errors
-                      + report.groupoid_errors))
+    _require_admissible(N, family)
     quiver, rep, catalog, _ = build_quoq(N)
     comps = {vid: family.instantiate(Q)
              for vid, Q in zip(quiver.vertices, catalog.quotients)}

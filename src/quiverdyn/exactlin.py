@@ -72,14 +72,6 @@ def matvec(A, x):
     return _over([[sum(map(mul, row, v)) for row in N]], dA * dx)[0]
 
 
-def msub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def is_zero_matrix(A):
-    return all(x == 0 for row in A for x in row)
-
-
 # --- elimination ------------------------------------------------------------
 
 def _primitive(row):

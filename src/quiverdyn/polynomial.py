@@ -21,7 +21,11 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import tolist
+
+FLOW_STEPS = 256     # Runge-Kutta steps of one float_flow call
 
 
 def _coerce(c):
@@ -414,14 +418,21 @@ def change_coordinates(polys, M, Minv, param_dim=0):
 
 def float_flow(field, x0, time):
     """The point that x' = field(x) reaches from x0 after `time`, integrated
-    in floats by solve_ivp with rtol 1e-12 and atol 1e-14."""
-    import scipy.integrate
-
+    in floats by FLOW_STEPS steps of the classical fourth-order Runge-Kutta
+    rule."""
     field = [p.to_float() for p in field]
-    sol = scipy.integrate.solve_ivp(
-        lambda _, x: [p.eval(list(x)) for p in field], (0, time), x0,
-        rtol=1e-12, atol=1e-14)
-    return sol.y[:, -1]
+
+    def rate(x):
+        return np.array([p.eval(x.tolist()) for p in field])
+
+    h, x = time / FLOW_STEPS, np.array(x0, dtype=float)
+    for _ in range(FLOW_STEPS):
+        k1 = rate(x)
+        k2 = rate(x + h / 2 * k1)
+        k3 = rate(x + h / 2 * k2)
+        k4 = rate(x + h * k3)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
 
 
 def monomial_exponents(nvars, degree):

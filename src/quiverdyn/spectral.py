@@ -4,19 +4,16 @@ An endomorphism tuple is a square matrix per vertex commuting with every
 arrow matrix. Its per-vertex spectra are pooled into joint clusters; each
 cluster carries a generalized eigenspace at every vertex, and these families
 of subspaces are invariant under all arrows, i.e. subrepresentations. On top
-of that sit the two complementary splittings used by the reductions
-(generalized kernel vs. reduced image, and center vs. hyperbolic), which
-share one body, classify every cluster in one place and return the
-coordinates adapted to the split, and the semisimple/nilpotent
-(Jordan-Chevalley) decomposition.
+of that sit the kernel/image and center/hyperbolic splittings, which share
+one body, and the semisimple/nilpotent (Jordan-Chevalley) decomposition.
 
 Exact mode factors the lcm of the vertex charpolys over Q once, by
-exactlin.rational_factors: candidates from numeric roots re-solved after
-exact shifts, each kept only when exact division proves it a factor, so
-the clusters are coprime. Anything not proven stays in one cofactor, a
-single cluster; when it has degree three or more, the split falls back to
-float with a warning. In both arithmetics a generalized eigenspace is the
-kernel of f(L_v)^m in arith.image_kernel's normal form.
+exactlin.rational_factors, so the clusters are coprime; what is not proven
+stays in one cofactor, and a split whose cofactor has degree three or more
+falls back to float with a warning. Float mode takes eigenvalues in
+joint_spectrum only and decides by one band, _same, which are one. Both
+take a generalized eigenspace as the kernel of f(L_v)^m, f the cluster's
+factor, in arith.image_kernel's normal form.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from . import arith, exactlin
-from .arith import as_float_matrix, matrix_shape
+from .arith import matrix_shape
 from .errors import (AxisAmbiguous, ClusterSplit, IllConditioned,
                      ShapeMismatch, SolveFailed)
 from .quiver import Subrepresentation
@@ -37,7 +34,7 @@ from .tuples import check_arrows, linear_part
 
 EPS_EIG = 1e-8
 EPS_AXIS = 1e-8
-SN_MAX_ITER = 50     # Newton steps for the exact semisimple part
+SN_MAX_ITER = 50     # Newton steps for the semisimple part
 
 
 class EndomorphismTuple:
@@ -141,11 +138,23 @@ def _exact_real_part(c):
     return -c.factor[1] / 2 if c.is_pair else complex(c.value).real
 
 
+def _same(w, z, tie=False):
+    """Whether float roots w and z are one eigenvalue: |w - z| within
+    10 EPS_EIG max(1, |z|). Above 100 times that they are distinct; between
+    raises ClusterSplit, or counts as distinct for a tie of real parts."""
+    d = abs(w - z) / (EPS_EIG * max(1.0, abs(z)))
+    if 10 < d <= 100 and not tie:
+        raise ClusterSplit(f"roots {w} and {z} are neither one nor two")
+    return d <= 10
+
+
 def joint_spectrum(L):
     """Pool the eigenvalues of all L_v into clusters with per-vertex
     multiplicities (0 where a vertex misses the eigenvalue), ordered by
-    real part, then by imaginary part. Float real parts within the cluster
-    band of each other count as equal, so round-off orders no clusters."""
+    real part, then by imaginary part. Float mode decides which roots are
+    one by _same alone: a root joins the cluster it is one with, is real
+    when one with its conjugate, and real parts that are one tie, so
+    round-off orders no clusters."""
     rep = L.representation
     if L.mode == "exact":
         factors, mults = _exact_factors(L)
@@ -156,34 +165,33 @@ def joint_spectrum(L):
         clusters.sort(key=lambda c: (_exact_real_part(c),
                                      complex(c.value).imag))
         return clusters
-    # float mode: numeric eigenvalues, greedy clustering
+    # float mode: numeric eigenvalues, pooled into clusters by _same
     pooled = []
     for v in rep.quiver.vertices:
         if rep.dim[v] == 0:
             continue
         for w in np.linalg.eigvals(L.matrices[v]):
             w = complex(w)
-            if abs(w.imag) <= EPS_EIG * max(1.0, abs(w)):
+            if _same(w, w.conjugate()):
                 w = complex(w.real, 0.0)
-            if w.imag < 0:
+            elif w.imag < 0:
                 continue  # conjugate pairs stored once
             pooled.append((w, v))
     pooled.sort(key=lambda t: (t[0].real, t[0].imag))
     clusters = []
     for w, v in pooled:
-        c = next((c for c in clusters if abs(w - c.roots[0])
-                  <= EPS_EIG * max(1.0, abs(c.roots[0]))), None)
-        if c is None:
-            c = SpectralCluster(w, dict.fromkeys(rep.quiver.vertices, 0),
-                                w.imag > 0)
-            clusters.append(c)
+        near = [c for c in clusters if _same(w, c.value)]
+        if not near:
+            near = [SpectralCluster(w, dict.fromkeys(rep.quiver.vertices, 0),
+                                    w.imag > 0)]
+            clusters += near
+        c = near[0]
         c.multiplicity[v] += 1
         c.roots += (w,)
         c.value = sum(c.roots) / len(c.roots)
     tie, real = None, {}
     for c in sorted(clusters, key=lambda c: c.value.real):
-        if tie is None or c.value.real - tie.value.real \
-                > EPS_EIG * max(1.0, abs(tie.value)):
+        if tie is None or not _same(c.value.real, tie.value.real, tie=True):
             tie = c
         real[id(c)] = tie.value.real
     return sorted(clusters, key=lambda c: (real[id(c)], c.value.imag))
@@ -195,37 +203,31 @@ def generalized_eigenspace_subrep(rep, L, cluster):
     return _union_subrep(rep, L, [cluster])
 
 
-def _eigenspace_basis(rep, L, cluster, eigs):
+def _cluster_factor(c):
+    """A cluster's factor: the proven one in exact mode; in float mode t - z,
+    or t^2 - 2 Re(z) t + |z|^2 for a pair, z the cluster's value."""
+    if c.factor is not None:
+        return c.factor
+    z = complex(c.value)
+    return [abs(z) ** 2, -2 * z.real, 1.0] if c.is_pair else [-z.real, 1.0]
+
+
+def _eigenspace_basis(rep, L, cluster):
     """Per-vertex basis of the generalized eigenspace of a joint cluster:
     the kernel of f(L_v)^m in the normal form, for the cluster's factor f
-    of multiplicity m at v. A float cluster with value z takes f = t - z,
-    or t^2 - 2 Re(z) t + |z|^2 for a pair, and the eigenvalues eigs[v] of
-    L_v must hold exactly deg(f) m within 10 EPS_EIG max(1, |z|) of z or
-    its conjugate and none within 100, else ClusterSplit."""
-    ar, f, z = L.arith, cluster.factor, complex(cluster.value)
-    if f is None:
-        f = [abs(z) ** 2, -2 * z.real, 1.0] if cluster.is_pair \
-            else [-z.real, 1.0]
+    of multiplicity m at v; ClusterSplit unless it has dimension deg(f) m."""
+    ar, f = L.arith, _cluster_factor(cluster)
     basis = {}
     for v in rep.quiver.vertices:
         m = cluster.multiplicity[v]
-        want = (len(f) - 1) * m
-        if ar.mode == "float" and rep.dim[v]:
-            w = eigs[v]
-            dist = np.minimum(abs(w - z), abs(w.conj() - z)) \
-                / (EPS_EIG * max(1.0, abs(z)))
-            if np.sum(dist <= 10) != want or np.any(dist[dist > 10] <= 100):
-                raise ClusterSplit(
-                    f"vertex {v!r}: eigenvalues {w} do not hold exactly "
-                    f"{want} separated from the rest near cluster {z}")
         kern = []
         if m:
             fpow = reduce(exactlin.poly_mul, [f] * m, [Fraction(1)])
             kern = ar.image_kernel(ar.matrix_poly(fpow, L.matrices[v]))[1]
-            if len(kern) != want:
-                raise ClusterSplit(
-                    f"vertex {v!r}: generalized eigenspace dimension "
-                    f"{len(kern)} != expected {want}")
+            if len(kern) != (len(f) - 1) * m:
+                raise ClusterSplit(f"vertex {v!r}: generalized eigenspace "
+                                   f"of dimension {len(kern)}, not "
+                                   f"{(len(f) - 1) * m}")
         basis[v] = ar.columns(kern, rep.dim[v])
     return basis
 
@@ -233,9 +235,7 @@ def _eigenspace_basis(rep, L, cluster, eigs):
 def _union_subrep(rep, L, clusters):
     """Direct sum of the generalized eigenspaces of several clusters: their
     bases side by side, packaged as one subrepresentation."""
-    eigs = {v: np.linalg.eigvals(as_float_matrix(L.matrices[v]))
-            for v in rep.quiver.vertices if L.mode == "float" and rep.dim[v]}
-    parts = [_eigenspace_basis(rep, L, c, eigs) for c in clusters]
+    parts = [_eigenspace_basis(rep, L, c) for c in clusters]
     basis = {v: rep.arith.hstack([B[v] for B in parts], rep.dim[v])
              for v in rep.quiver.vertices}
     return Subrepresentation.from_bases(rep, basis, EPS_EIG)
@@ -332,54 +332,49 @@ def kernel_image_split(rep, L):
 
 
 def sn_decomposition(L):
-    """Jordan-Chevalley decomposition L = L^S + L^N per vertex.
-
-    Exact mode runs Newton iteration on the squarefree part of the
-    characteristic polynomial (quadratic convergence; terminates exactly).
-    Float mode diagonalizes numerically and snaps the eigenvalues within
-    10 EPS_EIG max(1, |w|) of each other to their mean; two within 100 of
-    that but not 10, or an eigenbasis too ill conditioned to trust, raise
-    IllConditioned.
-    """
-    rep = L.representation
+    """Jordan-Chevalley decomposition L = L^S + L^N per vertex, by one
+    Newton iteration S <- S - q'(S)^{-1} q(S) from S = L_v, until q(S) is 0.
+    Exact q is the squarefree part of the charpoly; float q is the product
+    of the factors of the joint clusters at v, and a float step that no
+    longer halves, or is within the solve tolerance of S, ends it."""
+    rep, ar = L.representation, L.arith
+    clusters = joint_spectrum(L) if ar.mode == "float" else []
     S_mats, N_mats = {}, {}
     for v in rep.quiver.vertices:
+        A = L.matrices[v]
         if rep.dim[v] == 0:
-            S_mats[v] = N_mats[v] = L.matrices[v]
+            S_mats[v] = N_mats[v] = A
             continue
-        if L.mode == "exact":
-            A = L.matrices[v]
-            q = exactlin.poly_squarefree_part(exactlin.charpoly(A))
-            dq = exactlin.poly_deriv(q)
-            S = A
-            for _ in range(SN_MAX_ITER):
-                qS = exactlin.eval_matrix_poly(q, S)
-                if exactlin.is_zero_matrix(qS):
-                    break
-                dqS = exactlin.eval_matrix_poly(dq, S)
-                step = exactlin.solve_matrix(dqS, qS)
-                S = exactlin.msub(S, step)
-            else:
-                raise IllConditioned(
-                    f"vertex {v!r}: Newton iteration for the semisimple "
-                    "part did not terminate")
-            S_mats[v], N_mats[v] = S, exactlin.msub(A, S)
+        if ar.mode == "exact":
+            fs = [exactlin.poly_squarefree_part(exactlin.charpoly(A))]
         else:
-            A = as_float_matrix(L.matrices[v])
-            w, V = np.linalg.eig(A)
-            cond = np.linalg.cond(V)
-            if cond > 1.0 / EPS_EIG:
-                raise IllConditioned(
-                    f"vertex {v!r}: eigenbasis condition number {cond:.2e}")
-            # snap each eigenvalue to the mean of those within the split
-            # check's band of it; one in the ambiguity band is too close
-            gap = abs(w[:, None] - w) / (
-                EPS_EIG * np.maximum(1.0, abs(w)))[:, None]
-            if np.any((gap > 10) & (gap <= 100)):
-                raise IllConditioned(f"vertex {v!r}: eigenvalues {w} too "
-                                     "close to separate reliably")
-            near = gap <= 10
-            S = (V @ np.diag(near @ w / near.sum(axis=1))
-                 @ np.linalg.inv(V)).real
-            S_mats[v], N_mats[v] = S, A - S
+            # q / s takes the steps of q; s = max |q'(L_v)| keeps the rank
+            # rule of the solve relative to q'(S) when clusters lie close
+            fs = [_cluster_factor(c) for c in clusters if c.multiplicity[v]]
+            s = ar.max_abs(ar.matrix_poly(exactlin.poly_deriv(
+                reduce(exactlin.poly_mul, fs)), A))
+            fs[0] = [c / s for c in fs[0]]
+        dq = exactlin.poly_deriv(reduce(exactlin.poly_mul, fs))
+        S, last = A, np.inf
+        for _ in range(SN_MAX_ITER):
+            # q(S) by its factors: expanded, q loses the digits that tell
+            # close clusters apart
+            qS = reduce(ar.matmul, [ar.matrix_poly(f, S) for f in fs])
+            if ar.max_abs(qS) == 0:
+                break
+            try:
+                step = ar.solve(ar.matrix_poly(dq, S), qS)
+            except SolveFailed as exc:
+                raise IllConditioned(f"vertex {v!r}: q'(S) is singular "
+                                     f"({exc})")
+            size = ar.max_abs(step)
+            if ar.mode == "float" and (
+                    size > last / 2
+                    or size <= arith.SOLVE_RTOL * max(1.0, ar.max_abs(S))):
+                break
+            S, last = ar.sub(S, step), size
+        else:
+            raise IllConditioned(f"vertex {v!r}: Newton iteration for the "
+                                 "semisimple part did not terminate")
+        S_mats[v], N_mats[v] = S, ar.sub(A, S)
     return (EndomorphismTuple(rep, S_mats), EndomorphismTuple(rep, N_mats))

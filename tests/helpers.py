@@ -328,6 +328,18 @@ def float_copy(F):
     return PolyMapTuple(frep, comps, F.param_dim, F.max_degree)
 
 
+# exact linear parts that are not semisimple: the Jordan block J2(-1) next
+# to the eigenvalue 2, the double pair of charpoly (t^2 + 2t + 10)^2, and a
+# Jordan pair at -2 that float eigvals returns as -2 +- 1.4e-8
+NON_SEMISIMPLE = {
+    "jordan-block": [[-1, 1, 0], [0, -1, 0], [0, 0, 2]],
+    "double-pair": [[-1, -3, 1, 0], [3, -1, 0, 1], [0, 0, -1, -3],
+                    [0, 0, 3, -1]],
+    "jordan-pair": [[Fraction(-8, 3), Fraction(1, 3)],
+                    [Fraction(-4, 3), Fraction(-4, 3)]],
+}
+
+
 def madd(A, B):
     """A + B for matrices given as lists of rows."""
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]

@@ -234,11 +234,10 @@ def test_criterion_4_spectral_subreps_and_sn():
             Nv = [[Fraction(x) for x in row] for row in N.matrices[v]]
             assert madd(Sv, Nv) == Lv
             assert exactlin.matmul(Sv, Nv) == exactlin.matmul(Nv, Sv)
-            assert exactlin.is_zero_matrix(
-                mat_pow(Nv, len(Nv)))
+            assert arith.EXACT.max_abs(mat_pow(Nv, len(Nv))) == 0
             sq = exactlin.poly_squarefree_part(exactlin.charpoly(Lv))
-            assert exactlin.is_zero_matrix(
-                exactlin.eval_matrix_poly(sq, Sv))
+            assert arith.EXACT.max_abs(
+                exactlin.eval_matrix_poly(sq, Sv)) == 0
         assert check_endomorphism(rep, S).passed
         assert check_endomorphism(rep, N).passed
     announce(4, t0)

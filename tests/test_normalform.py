@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (feedforward_chain_network, float_copy, hopf_tuple,
-                     single_vertex_tuple, time_limit)
+from helpers import (NON_SEMISIMPLE, feedforward_chain_network, float_copy,
+                     hopf_tuple, single_vertex_tuple, time_limit)
 from quiverdyn import arith, polyfield
 from quiverdyn.builders import build_subq
 from quiverdyn.errors import DegreeOverflow, NotEquilibrium
@@ -133,6 +133,32 @@ def test_float_resonant_diagonal_matches_exact():
         for e in set(p.terms) | set(q.terms):
             assert abs(float(p.terms.get(e, 0)) - q.terms.get(e, 0.0)) <= 1e-9
     assert max(flt.kernel_residuals.values()) <= 1e-9
+
+
+@pytest.mark.parametrize("name", NON_SEMISIMPLE)
+def test_float_normal_form_of_non_semisimple_linearization_matches_exact(
+        name):
+    # x' = A x + x_i x_{i+1}: the float L^S of a Jordan block is the exact
+    # one, so the normal forms agree at the goldens' rule
+    A = NON_SEMISIMPLE[name]
+    n = len(A)
+    polys = []
+    for i, row in enumerate(A):
+        terms = {tuple(int(k == j) for k in range(n)): c
+                 for j, c in enumerate(row) if c}
+        terms[tuple(int(k in (i, (i + 1) % n)) for k in range(n))] = 1
+        polys.append(Poly(n, terms))
+    F = single_vertex_tuple(polys)
+    exact, flt = normal_form(F, 2), normal_form(float_copy(F), 2)
+    pairs = [(exact.transformed, flt.transformed)] + [
+        (exact.generators[k], flt.generators[k]) for k in (1, 2)]
+    for e_tuple, f_tuple in pairs:
+        for p, q in zip(e_tuple.components["v"].outputs,
+                        f_tuple.components["v"].outputs):
+            for e in set(p.terms) | set(q.terms):
+                want = float(p.terms.get(e, 0))
+                assert abs(q.terms.get(e, 0.0) - want) \
+                    <= 1e-9 * max(1.0, abs(want))
 
 
 def test_generators_live_in_image_of_ad():

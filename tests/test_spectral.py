@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import madd, mat_pow
+from helpers import NON_SEMISIMPLE, madd, mat_pow
 from test_casestudy import CASE1
 from test_lsreduction import case_study_tuple
 from quiverdyn import arith, exactlin
-from quiverdyn.errors import (AxisAmbiguous, ClusterSplit, IllConditioned,
-                              RankAmbiguous)
+from quiverdyn.errors import AxisAmbiguous, ClusterSplit, RankAmbiguous
 from quiverdyn.quiver import Quiver, QuiverRepresentation, Subrepresentation
 from quiverdyn.spectral import (EndomorphismTuple, center_hyperbolic_split,
                                 check_endomorphism,
@@ -254,10 +253,10 @@ def test_sn_decomposition_exact_axioms():
     assert madd(Ss, Ns) == Ls
     assert exactlin.matmul(Ss, Ns) == exactlin.matmul(Ns, Ss)
     # nilpotency
-    assert exactlin.is_zero_matrix(mat_pow(Ns, 5))
+    assert arith.EXACT.max_abs(mat_pow(Ns, 5)) == 0
     # semisimplicity: squarefree part of the charpoly annihilates S
     sq = exactlin.poly_squarefree_part(exactlin.charpoly(Ls))
-    assert exactlin.is_zero_matrix(exactlin.eval_matrix_poly(sq, Ss))
+    assert arith.EXACT.max_abs(exactlin.eval_matrix_poly(sq, Ss)) == 0
     # both parts are endomorphisms
     assert check_endomorphism(rep, S).passed
     assert check_endomorphism(rep, N).passed
@@ -358,6 +357,9 @@ def diagonalizable(draw):
 # the float pair's real part is 0.9999999999999991, so only the tie band
 # keeps the real cluster first in float mode, as it is in exact mode
 @example(frac_matrix([[2, -1, -1], [2, 1, -2], [1, 1, 0]]))
+# a Jordan block at -2: float eigvals gives -2 +- 1.4e-8, within the band
+# of one eigenvalue, so float mode finds the one cluster exact mode proves
+@example(frac_matrix(NON_SEMISIMPLE["jordan-pair"]))
 def test_float_split_basis_is_the_exact_basis(A):
     # both arithmetics take the kernel of f(L)^m in one normal form and
     # order the clusters alike, so the bases agree, not only the
@@ -370,18 +372,6 @@ def test_float_split_basis_is_the_exact_basis(A):
             bases.append(as_array(split_fn(rep, L).basis["v"]))
         assert np.all(np.abs(bases[1] - bases[0])
                       <= 1e-9 * np.maximum(1.0, np.abs(bases[0])))
-
-
-@pytest.mark.parametrize("split_fn", [kernel_image_split,
-                                      center_hyperbolic_split])
-def test_float_split_of_jordan_pair_raises_cluster_split(split_fn):
-    # the double eigenvalue -2 of a Jordan block comes out of eigvals as
-    # -2 +- 1.4e-8: two float clusters whose f(L) kernels are nearly
-    # parallel, which the separation check refuses
-    rep = one_vertex_rep(2, "float")
-    A = np.array([[-8 / 3, 1 / 3], [-4 / 3, -4 / 3]])
-    with pytest.raises(ClusterSplit):
-        split_fn(rep, EndomorphismTuple(rep, {"v": A}))
 
 
 @pytest.mark.parametrize("split_fn", [kernel_image_split,
@@ -404,6 +394,40 @@ def test_float_sn_groups_eigenvalues_in_the_split_band():
     L = EndomorphismTuple(rep, {"v": np.diag([1.0, 1.0 + 1e-5])})
     assert len(joint_spectrum(L)) == 2
     assert not np.any(sn_decomposition(L)[1].matrices["v"])
-    with pytest.raises(IllConditioned):
+    with pytest.raises(ClusterSplit):
         sn_decomposition(EndomorphismTuple(
             rep, {"v": np.diag([1.0, 1.0 + 5e-7])}))
+
+
+@pytest.mark.parametrize("run", [
+    lambda rep, L: joint_spectrum(L), kernel_image_split,
+    center_hyperbolic_split], ids=["spectrum", "kernel", "center"])
+def test_float_roots_in_the_band_raise_cluster_split(run):
+    # 5e-7 apart is 50 EPS_EIG: neither one eigenvalue nor two
+    rep = one_vertex_rep(2, "float")
+    with pytest.raises(ClusterSplit):
+        run(rep, EndomorphismTuple(rep, {"v": np.diag([1.0, 1.0 + 5e-7])}))
+
+
+def test_float_root_in_the_band_of_its_conjugate_raises_cluster_split():
+    # 1 +- 1e-7 i: 2 |Im w| is 20 EPS_EIG, so the root is neither real nor
+    # one of a conjugate pair
+    rep = one_vertex_rep(2, "float")
+    L = EndomorphismTuple(rep, {"v": np.array([[1.0, -1e-7], [1e-7, 1.0]])})
+    with pytest.raises(ClusterSplit):
+        joint_spectrum(L)
+
+
+@pytest.mark.parametrize("name", NON_SEMISIMPLE)
+def test_float_sn_of_non_semisimple_matrix_matches_exact(name):
+    # one Newton iteration in both arithmetics, so a Jordan block needs no
+    # eigenbasis: float S and N are the exact ones at the goldens' rule
+    A = NON_SEMISIMPLE[name]
+    parts = []
+    for mode in ("exact", "float"):
+        rep = one_vertex_rep(len(A), mode)
+        L = EndomorphismTuple(rep, {"v": mode_matrix(A, mode)})
+        parts.append([as_array(T.matrices["v"]) for T in sn_decomposition(L)])
+    for exact, flt in zip(*parts):
+        assert np.all(np.abs(flt - exact)
+                      <= 1e-9 * np.maximum(1.0, np.abs(exact)))
