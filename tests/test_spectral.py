@@ -376,6 +376,18 @@ def test_float_split_basis_is_the_exact_basis(A):
 
 @pytest.mark.parametrize("split_fn", [kernel_image_split,
                                       center_hyperbolic_split])
+def test_float_split_of_jordan_pair_raises_cluster_split(split_fn):
+    # a Jordan block at -2 with off-diagonal 1000, conjugated by
+    # [[1, 1], [1, 2]]: eigvals gives -2 +- 6.7e-7 i, a conjugate pair too
+    # close to be two roots and too far apart to be one real root
+    rep = one_vertex_rep(2, "float")
+    A = np.array([[-1002.0, 1000.0], [-1000.0, 998.0]])
+    with pytest.raises(ClusterSplit):
+        split_fn(rep, EndomorphismTuple(rep, {"v": A}))
+
+
+@pytest.mark.parametrize("split_fn", [kernel_image_split,
+                                      center_hyperbolic_split])
 def test_float_split_with_ambiguous_free_columns_raises_rank_ambiguous(
         split_fn):
     # L^2 = L with eigenvalues 0, 0, 1: the kernel of L^2 has free columns
