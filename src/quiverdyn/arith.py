@@ -60,6 +60,13 @@ def _fraction(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _frozen_row(row):
+    """row as a tuple of Fractions; one that already is passes through."""
+    if type(row) is tuple and {*map(type, row)} <= {Fraction}:
+        return row
+    return tuple(map(_fraction, row))
+
+
 def _rank_threshold(s):
     """The float rank threshold for singular values s, largest first."""
     return RANK_THRESHOLD * max(s[0] if s.size else 0.0, 1.0)
@@ -87,7 +94,7 @@ class ExactArith:
     zero = Fraction(0)
 
     def freeze(self, matrix):
-        return tuple(tuple(map(_fraction, row)) for row in matrix)
+        return tuple(map(_frozen_row, matrix))
 
     def vector(self, values):
         return list(map(_fraction, values))

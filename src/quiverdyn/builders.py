@@ -11,7 +11,11 @@ x |-> (x_{phi(m)})_m. Parallel arrows arise when a fibration admits several
 edge maps; all of them are emitted.
 
 Admissible maps induce equivariant tuples on both quivers by instantiating
-the same response family on every subnetwork / quotient.
+the same response family on every subnetwork / quotient. The first
+induction on a network keeps the representation and the vertex networks on
+it, so every tuple induced on one network shares one representation (and
+its generating arrows, computed at the first exact check). build_subq and
+build_quoq build afresh on every call and keep nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +34,39 @@ SUBSET_CAP = 1024      # in-closed subsets enumerate_subnetworks may return
 FIBRATION_CAP = 4096   # node maps or fibrations enumerate_fibrations may find
 ARROW_CAP = 1024       # arrows build_quoq may emit
 PARTITION_CAP = 8192   # balanced partitions enumerate_quotients may find
+
+
+def _kept(N, name, build):
+    """build(N), computed at the first call and kept on N as `name`.
+
+    A network is fixed after __init__, so what is derived from it stays
+    valid; a build that raises keeps nothing, and the next call builds
+    again.
+    """
+    kept = vars(N)
+    if name not in kept:
+        kept[name] = build(N)
+    return kept[name]
+
+
+def _require_admissible(N, family):
+    """Raise NotAdmissible, naming every error, unless family fits N."""
+    report = check_admissible(N, family)
+    if not report.ok:
+        raise NotAdmissible(
+            "; ".join(str(e) for e in report.dependency_errors
+                      + report.groupoid_errors))
+
+
+def _induce(N, family, name, build):
+    """family instantiated on each vertex network of N's kept quiver.
+
+    build(N) gives the representation and a dict vertex id -> network.
+    """
+    _require_admissible(N, family)
+    rep, networks = _kept(N, name, build)
+    comps = {vid: family.instantiate(M) for vid, M in networks.items()}
+    return PolyMapTuple(rep, comps, family.param_dim)
 
 
 # --- subnetworks --------------------------------------------------------------
@@ -109,27 +146,19 @@ def build_subq(N):
     return quiver, rep, vertex_subsets
 
 
-def _require_admissible(N, family):
-    """Raise NotAdmissible, naming every error, unless family fits N."""
-    report = check_admissible(N, family)
-    if not report.ok:
-        raise NotAdmissible(
-            "; ".join(str(e) for e in report.dependency_errors
-                      + report.groupoid_errors))
+def _subq_induction(N):
+    _, rep, vertex_subsets = build_subq(N)
+    return rep, {vid: subnetwork_network(N, subset)
+                 for vid, subset in vertex_subsets.items()}
 
 
 def induce_on_subnetworks(N, family):
     """Instantiate an admissible response family on every subnetwork.
 
-    Returns a PolyMapTuple on the SubQ representation; by construction it is
-    exactly equivariant.
+    Returns a PolyMapTuple on the SubQ representation, the one kept on N
+    since its first induction; by construction it is exactly equivariant.
     """
-    _require_admissible(N, family)
-    quiver, rep, vertex_subsets = build_subq(N)
-    comps = {}
-    for vid, subset in vertex_subsets.items():
-        comps[vid] = family.instantiate(subnetwork_network(N, subset))
-    return PolyMapTuple(rep, comps, family.param_dim)
+    return _induce(N, family, "_subq", _subq_induction)
 
 
 # --- graph fibrations ---------------------------------------------------------
@@ -223,10 +252,8 @@ class _FibrationSearch:
 
 
 def _fibration_search(N):
-    """N's search data, built once and kept on N (fixed after __init__)."""
-    if "_fibrations" not in vars(N):
-        N._fibrations = _FibrationSearch(N)
-    return N._fibrations
+    """N's search data, built once and kept on N."""
+    return _kept(N, "_fibrations", _FibrationSearch)
 
 
 def enumerate_fibrations(N_src, N_dst, surjective_only=False):
@@ -552,14 +579,16 @@ def _lifting_matrix(N_small, N_big, node_map):
         N_small.total_dim())
 
 
+def _quoq_induction(N):
+    quiver, rep, catalog, _ = build_quoq(N)
+    return rep, dict(zip(quiver.vertices, catalog.quotients))
+
+
 def induce_on_quotients(N, family):
     """Instantiate an admissible response family on every quotient.
 
-    Returns a PolyMapTuple on the QuoQ representation; equivariance follows
-    from the lifting construction and is exact.
+    Returns a PolyMapTuple on the QuoQ representation, the one kept on N
+    since its first induction; equivariance follows from the lifting
+    construction and is exact.
     """
-    _require_admissible(N, family)
-    quiver, rep, catalog, _ = build_quoq(N)
-    comps = {vid: family.instantiate(Q)
-             for vid, Q in zip(quiver.vertices, catalog.quotients)}
-    return PolyMapTuple(rep, comps, family.param_dim)
+    return _induce(N, family, "_quoq", _quoq_induction)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (DependencyViolation, DimClash, EdgeColourClash,
                      GroupoidViolation, InputMismatch)
@@ -34,7 +35,12 @@ def _natural_key(s):
 
 
 class ColouredNetwork:
-    """Node/edge-coloured directed multigraph with per-colour internal dims."""
+    """Node/edge-coloured directed multigraph with per-colour internal dims.
+
+    A network is fixed after __init__: nodes and edges are tuples, and
+    node_colour and internal_dim are read-only mappings, so data derived
+    from a network may be computed once and kept on it.
+    """
 
     def __init__(self, nodes, edges, internal_dim=None):
         self.nodes = tuple(sorted(((str(n), str(c)) for n, c in nodes),
@@ -42,7 +48,7 @@ class ColouredNetwork:
         self.edges = tuple(sorted(
             ((str(e), str(s), str(t), str(c)) for e, s, t, c in edges),
             key=lambda t: _natural_key(t[0])))
-        self.node_colour = dict(self.nodes)
+        self.node_colour = MappingProxyType(dict(self.nodes))
         if len(self.node_colour) != len(self.nodes):
             raise ValueError("duplicate node ids")
         if len({e for e, *_ in self.edges}) != len(self.edges):
@@ -53,7 +59,8 @@ class ColouredNetwork:
         colours = {c for _, c in self.nodes}
         if internal_dim is None:
             internal_dim = {c: 1 for c in colours}
-        self.internal_dim = {str(c): int(d) for c, d in internal_dim.items()}
+        self.internal_dim = MappingProxyType(
+            {str(c): int(d) for c, d in internal_dim.items()})
         for c in colours:
             if c not in self.internal_dim:
                 raise ValueError(f"missing internal_dim for colour {c!r}")

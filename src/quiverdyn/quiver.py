@@ -46,16 +46,13 @@ class Quiver:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
 
+_ZERO, _ONE = (Fraction(0),), (Fraction(1),)
+
+
 def selection_matrix(cols, ncols):
     """The exact 0/1 matrix with ncols columns whose row i reads
-    coordinate cols[i]."""
-    zero, one = Fraction(0), Fraction(1)
-    rows = []
-    for c in cols:
-        row = [zero] * ncols
-        row[c] = one
-        rows.append(row)
-    return rows
+    coordinate cols[i], frozen: rows are tuples over one shared 0 and 1."""
+    return tuple(_ZERO * c + _ONE + _ZERO * (ncols - c - 1) for c in cols)
 
 
 class QuiverRepresentation:

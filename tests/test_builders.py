@@ -15,7 +15,7 @@ from helpers import (brute_balanced_partitions, brute_canonical_network_form,
                      random_response_family, ring_network, time_limit,
                      two_colour_8_network, two_colour_network,
                      two_type_network)
-from quiverdyn.builders import (FIBRATION_CAP, _balanced_partitions,
+from quiverdyn.builders import (ARROW_CAP, FIBRATION_CAP, _balanced_partitions,
                                 _canonical_network_form, build_quoq,
                                 build_subq, enumerate_fibrations,
                                 enumerate_quotients, enumerate_subnetworks,
@@ -310,3 +310,41 @@ def test_composition_and_bracket_of_induced_tuples():
     G = induce_on_subnetworks(N, random_response_family(N, 2, max_degree=2))
     assert check_equivariance(compose_tuple(F, G), mode="exact").passed
     assert check_equivariance(bracket_tuple(F, G), mode="exact").passed
+
+
+def test_induced_tuples_share_the_kept_representation():
+    # the first induction keeps the quiver on N; later ones reuse it, and
+    # with it the generating arrows of the first exact check
+    for N, induce in ((feedforward_chain_network(), induce_on_subnetworks),
+                      (two_type_network(), induce_on_quotients)):
+        F = induce(N, random_response_family(N, 1, max_degree=2))
+        G = induce(N, random_response_family(N, 2, max_degree=2))
+        assert G.representation is F.representation
+        assert check_equivariance(F, mode="exact").passed
+        assert "generating_arrows" in vars(G.representation)
+        assert check_equivariance(G, mode="exact").passed
+
+
+def test_builds_called_directly_are_fresh():
+    N = two_type_network()
+    F = induce_on_quotients(N, random_response_family(N, 1, max_degree=2))
+    for build in (build_subq, build_quoq):
+        reps = [build(N)[1] for _ in range(2)]
+        assert reps[0] is not reps[1] and F.representation not in reps
+        assert reps[0].quiver == reps[1].quiver
+        assert reps[0].arrow_matrix == reps[1].arrow_matrix
+
+
+@pytest.mark.parametrize("n, induce, cap", [
+    (20, induce_on_subnetworks, "in-closed subsets"),
+    (6, induce_on_quotients, f"more than {ARROW_CAP} arrows"),
+    (10, induce_on_quotients, "partitions")],
+    ids=["subset-cap", "arrow-cap", "partition-cap"])
+def test_induction_whose_build_raises_keeps_nothing(n, induce, cap):
+    N = isolated_network(n)
+    family = random_response_family(N, 1, max_degree=2)
+    before = dict(vars(N))
+    for _ in range(2):
+        with time_limit(1), pytest.raises(SizeOverflow, match=cap):
+            induce(N, family)
+        assert vars(N) == before

@@ -20,6 +20,18 @@ def test_fixture_networks_are_colour_consistent():
         assert validate_coloured_network(N) == []
 
 
+def test_network_colours_and_dims_are_read_only():
+    # data derived from a network is kept on it, so the network must not
+    # change after __init__
+    N = two_type_network()
+    with pytest.raises(TypeError):
+        N.node_colour["1"] = "green"
+    with pytest.raises(TypeError):
+        N.internal_dim["yellow"] = 2
+    assert N == two_type_network()
+    assert ColouredNetwork(N.nodes, N.edges, N.internal_dim) == N
+
+
 def test_inconsistent_input_multisets_reported():
     N = ColouredNetwork(
         nodes=[("1", "c"), ("2", "c")],
