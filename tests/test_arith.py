@@ -9,6 +9,7 @@ import pytest
 
 from quiverdyn import arith, exactlin
 from quiverdyn.errors import RankAmbiguous, SolveFailed
+from quiverdyn.quiver import selection_matrix
 
 
 def random_matrix(rng, m, n, lo=-4, hi=4):
@@ -137,3 +138,13 @@ def test_projector_is_oblique_projection(mode):
     # subspaces that meet give no coordinates
     with pytest.raises(SolveFailed):
         ar.inverse(ar.hstack([B_on, ar.freeze([[1, 0], [1, 0], [0, 1]])], 3))
+
+
+def test_exact_freeze_passes_frozen_rows_through():
+    # selection matrices are built frozen, so freezing them copies nothing;
+    # any other row is converted entry by entry
+    S = selection_matrix([2, 0], 3)
+    assert all(a is b for a, b in zip(arith.EXACT.freeze(S), S))
+    mixed = arith.EXACT.freeze([(Fraction(1), 2), [3, Fraction(1, 2)]])
+    assert mixed == ((1, 2), (3, Fraction(1, 2)))
+    assert {type(x) for row in mixed for x in row} == {Fraction}
