@@ -6,9 +6,11 @@ denominator per matrix and multiply ints, rref keeps its rows primitive
 integers, and charpoly is Berkowitz's division-free recursion.
 
 Univariate polynomials appear as coefficient lists in increasing degree,
-again with Fraction entries. Their linear and quadratic factors over Q are
-found by one loop, rational_factors, which takes candidates from numeric
-roots and keeps only those that exact division proves.
+with int or Fraction entries in and Fraction entries out. Inside, the
+factoring layer (gcd, squarefree part, Taylor shift, division) runs on
+primitive integer lists. Linear and quadratic factors over Q are found by
+one loop, rational_factors, which takes candidates from numeric roots and
+keeps only those that exact division proves.
 """
 
 from __future__ import annotations
@@ -180,6 +182,12 @@ def eval_matrix_poly(p, A):
 
 
 # --- univariate polynomials over Q -------------------------------------------
+#
+# The factoring layer computes on primitive integer lists with a positive
+# leading coefficient, the one integer associate of a polynomial over Q. By
+# Gauss's lemma a primitive F divides P over Q exactly when P / F is integral,
+# so every division below is an exact integer division. Results leave this
+# module as Fraction lists, monic except divide_out's exact quotient.
 
 def poly_trim(p):
     p = list(p)
@@ -193,58 +201,119 @@ def poly_degree(p):
 
 
 def poly_mul(p, q):
+    """p q, for int, Fraction or float coefficients."""
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    p, q = (poly_trim([Fraction(c) for c in x]) for x in (p, q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot, rem = [Fraction(0)] * max(0, len(p) - len(q) + 1), list(p)
-    while len(rem) >= len(q) and rem:
-        f = rem[-1] / q[-1]
-        k = len(rem) - len(q)
-        quot[k] = f
-        for i, b in enumerate(q):
-            rem[k + i] -= f * b
-        rem = poly_trim(rem)
-    return poly_trim(quot), rem
-
-
-def poly_gcd(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    return [c / p[-1] for c in p]
-
-
 def poly_deriv(p):
     return poly_trim([c * i for i, c in enumerate(p)][1:])
 
 
+def _integral(p):
+    """The primitive integer associate of p, leading coefficient > 0."""
+    (P,), _ = _cleared([poly_trim(p)])
+    g = math.gcd(*P)
+    if P and P[-1] < 0:
+        g = -g
+    return [x // g for x in P] if g not in (0, 1) else P
+
+
+def _nonzero(p):
+    P = _integral(p)
+    if not P:
+        raise ValueError("zero polynomial")
+    return P
+
+
+def _monic(P):
+    return [Fraction(x, P[-1]) for x in P]
+
+
+def _roots(P):
+    # x / P[-1] is the correctly rounded float of the monic coefficient
+    return np.roots([x / P[-1] for x in reversed(P)])
+
+
+def _quo(P, F):
+    """P / F when the primitive F divides P, else None."""
+    R, n, b = list(P), len(F) - 1, F[-1]
+    Q = [0] * (len(R) - n)
+    for k in reversed(range(len(Q))):
+        a, r = divmod(R[k + n], b)
+        if r:
+            return None
+        Q[k] = a
+        if a:
+            for i in range(n):
+                R[k + i] -= a * F[i]
+    return None if any(R[:n]) else Q
+
+
+def _gcd(P, Q):
+    """gcd of primitive P and Q by the primitive pseudo-remainder
+    sequence."""
+    while Q:
+        R, b = P, Q[-1]
+        while len(R) >= len(Q):
+            a, k = R[-1], len(R) - len(Q)
+            g = math.gcd(a, b)
+            R = [x * (b // g) for x in R]
+            for i, y in enumerate(Q):
+                R[k + i] -= (a // g) * y
+            R = poly_trim(R)
+        P, Q = Q, _integral(R)
+    return P
+
+
+def _squarefree(P):
+    return _quo(P, _gcd(P, _integral(poly_deriv(P))))
+
+
+def _shifted(P, step):
+    """The primitive associate of P(t + step), by Horner's rule in
+    b t + a for step = a / b."""
+    a, b = step.numerator, step.denominator
+    H, w = [], 1
+    for c in reversed(P):
+        H = [a * x + b * y for x, y in zip(H + [0], [0] + H)]
+        H[0] += c * w
+        w *= b
+    return _integral(H)
+
+
+def poly_gcd(p, q):
+    """The monic gcd of p and q ([] when both are 0)."""
+    return _monic(_gcd(_integral(p), _integral(q)))
+
+
 def poly_squarefree_part(p):
     """p / gcd(p, p'), normalized monic."""
-    q = poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
-    return [c / q[-1] for c in q]
+    return _monic(_squarefree(_nonzero(p)))
 
 
-def poly_shift(p, c):
-    """p(t + c), exactly (Taylor shift by Horner's rule)."""
-    q = []
-    for a in reversed(p):
-        q = [x + c * y for x, y in zip([Fraction(0)] + q, q + [Fraction(0)])]
-        q[0] += a
-    return q
+def _divide_out(P, F):
+    """(m, P / F**m) for the largest m such that F**m divides P."""
+    m, Q = 0, _quo(P, F)
+    while Q is not None:
+        P, m, Q = Q, m + 1, _quo(Q, F)
+    return m, P
 
 
-def _numeric_roots(p):
-    return np.roots([float(c) for c in reversed(p)])
+def divide_out(p, f):
+    """(m, p / f**m) for the largest m such that f**m divides p; f of
+    degree at least 1, p not 0."""
+    P, F = _integral(p), _integral(f)
+    if not P or len(F) < 2:
+        raise ValueError("divide_out needs p != 0 and deg f >= 1")
+    m, Q = _divide_out(P, F)
+    scale = Fraction(poly_trim(p)[-1]) / Fraction(poly_trim(f)[-1]) ** m
+    return m, [x * scale for x in _monic(Q)]
 
 
 def _rational_near(x, scale, bound):
@@ -255,31 +324,39 @@ def _rational_near(x, scale, bound):
     return Fraction(x).limit_denominator(bound)
 
 
-def _proven_factor(g, degree):
-    """A monic factor of degree 1 or 2 of the monic squarefree g that exact
-    division proves, or None. Its coefficients lie in Z/D and Z/D**2, D the
-    lcm of g's denominators (Gauss's lemma on D**n g(t/D)). g is shifted
-    exactly to the nearest rational (denominator <= 2D) of each root z and
-    solved again while the shift at least halves, so z's cluster is solved
-    at its own scale; roots within its largest correction are tracked from
-    there too. At each centre c, each root c + x, good to about 1e-14
-    max(|x|, off) with off the distance the centre was rounded by, gives a
-    linear candidate and each pair a quadratic (its product r (sum - r)
-    from the better known root r)."""
-    D = math.lcm(*(c.denominator for c in g))
+def _proven_factor(G, degree):
+    """A primitive factor of degree 1 or 2 of the primitive squarefree G
+    that exact division proves, or None. The monic factor's coefficients
+    lie in Z/D and Z/D**2, D the lcm of the denominators of G / G[-1]
+    (Gauss's lemma on D**n g(t/D)). G is shifted exactly to the nearest
+    rational (denominator <= 2D) of each root z and solved again while the
+    shift at least halves, so z's cluster is solved at its own scale; roots
+    within its largest correction are tracked from there too. At each
+    centre c, each root c + x, good to about 1e-14 max(|x|, off) with off
+    the distance the centre was rounded by, gives a linear candidate and
+    each pair a quadratic (its product r (sum - r) from the better known
+    root r)."""
+    D = math.lcm(*(G[-1] // math.gcd(G[-1], x) for x in G))
+
+    def linear(c, w, s):
+        r = _rational_near(c + Fraction(w.real), s, D)
+        return (-r.numerator, r.denominator)
 
     def pair(c, x, w, sx, sw):
         if sw < sx:
             x, w, sx, sw = w, x, sw, sx
         s = _rational_near(2 * c + Fraction((x + w).real), sx + sw, D)
         a, b = Fraction(x.real), Fraction(x.imag)
-        p = (c + a) * (s - c - a) + b * b
-        return [_rational_near(p, sx * abs(w - x), D * D), -s, Fraction(1)]
+        p = _rational_near((c + a) * (s - c - a) + b * b,
+                           sx * abs(w - x), D * D)
+        e = math.lcm(p.denominator, s.denominator)
+        return (p.numerator * (e // p.denominator),
+                -s.numerator * (e // s.denominator), e)
 
-    zs = _numeric_roots(g)
-    starts = [(Fraction(0), g, zs, i) for i in range(len(zs))]
+    zs = _roots(G)
+    starts = [(Fraction(0), G, zs, i) for i in range(len(zs))]
     centres, tried = set(), set()
-    for k, (c, h, roots, i) in enumerate(starts):
+    for k, (c, H, roots, i) in enumerate(starts):
         steps, off = [math.inf], 0
         while True:
             x = roots[i]
@@ -287,71 +364,79 @@ def _proven_factor(g, degree):
             step = _rational_near(est, max(abs(x), off), 2 * D) - c
             if not step or abs(step) > steps[-1] / 2:
                 break
-            h, c, off = poly_shift(h, step), c + step, abs(c + step - est)
+            H, c, off = _shifted(H, step), c + step, abs(c + step - est)
             steps.append(abs(step))
-            roots = _numeric_roots(h)
+            roots = _roots(H)
             i = np.argmin(abs(roots - (x - float(step))))
         if c in centres:
             continue
         centres.add(c)
         if k < len(zs):
             window = max(steps[2:], default=0)
-            starts += [(c, h, roots, j) for j, w in enumerate(roots)
+            starts += [(c, H, roots, j) for j, w in enumerate(roots)
                        if j != i and abs(w) < window]
         scales = [max(abs(w), off) for w in roots]
         if degree == 1:
-            candidates = ([-_rational_near(c + Fraction(w.real), s, D),
-                           Fraction(1)] for w, s in zip(roots, scales))
+            candidates = (linear(c, w, s) for w, s in zip(roots, scales))
         else:
             candidates = (pair(c, roots[j], roots[l], scales[j], scales[l])
                           for j, l in itertools.combinations(
                               range(len(roots)), 2))
-        for f in candidates:
-            if tuple(f) not in tried:
-                tried.add(tuple(f))
-                if not poly_divmod(g, f)[1]:
-                    return f
+        for F in candidates:
+            if F not in tried:
+                tried.add(F)
+                if _quo(G, F) is not None:
+                    return F
     return None
 
 
-def divide_out(p, f):
-    """(m, p / f**m) for the largest m such that f**m divides p."""
-    m, (quo, rem) = 0, poly_divmod(p, f)
-    while not rem:
-        p, m = quo, m + 1
-        quo, rem = poly_divmod(p, f)
-    return m, p
-
-
-def _factors_of_degree(p, degree):
-    """(factors, monic cofactor): the monic factors of p of the given
-    degree that _proven_factor finds in its squarefree part, each with its
-    multiplicity."""
-    p = poly_trim([Fraction(c) for c in p])
-    if not p:
-        raise ValueError("zero polynomial")
-    rest = [c / p[-1] for c in p]
-    g, factors = poly_squarefree_part(rest), []
-    while poly_degree(g) >= degree:
-        f = g if poly_degree(g) == degree else _proven_factor(g, degree)
-        if f is None:
+def _factors_of_degree(P, degree):
+    """(factors, cofactor): the primitive factors of the primitive P of
+    the given degree that _proven_factor finds in its squarefree part,
+    each with its multiplicity, and P divided by them."""
+    G, factors = _squarefree(P), []
+    while len(G) > degree:
+        F = G if len(G) == degree + 1 else _proven_factor(G, degree)
+        if F is None:
             break
-        g = poly_divmod(g, f)[0]
-        m, rest = divide_out(rest, f)
-        factors.append((f, m))
-    return factors, rest
+        G = _quo(G, F)
+        m, P = _divide_out(P, F)
+        factors.append((F, m))
+    return factors, P
 
 
 def rational_roots(p):
     """(roots, cofactor): the rational roots of p, sorted, with their
     multiplicities, and the monic rest of p, holding any root missed."""
-    factors, cofactor = _factors_of_degree(p, 1)
-    return sorted((-f[0], m) for f, m in factors), cofactor
+    factors, rest = _factors_of_degree(_nonzero(p), 1)
+    return (sorted((Fraction(-F[0], F[1]), m) for F, m in factors),
+            _monic(rest))
 
 
 def rational_factors(p):
     """(factors, cofactor): the monic linear, then quadratic factors of p
     over Q with their multiplicities, and the monic rest of p."""
     roots, cofactor = rational_roots(p)
-    quadratics, cofactor = _factors_of_degree(cofactor, 2)
-    return [([-r, Fraction(1)], m) for r, m in roots] + quadratics, cofactor
+    quadratics, rest = _factors_of_degree(_integral(cofactor), 2)
+    return ([([-r, Fraction(1)], m) for r, m in roots]
+            + [(_monic(F), m) for F, m in quadratics]), _monic(rest)
+
+
+def shared_factors(polys):
+    """(factors, mults) for nonzero polys: the monic factors that
+    rational_factors proves in the lcm of the polys, then the squarefree
+    part of its unproven cofactor, pairwise coprime; mults[i][k] is the
+    multiplicity of factors[i] in polys[k]."""
+    Ps, lcm = [_nonzero(p) for p in polys], [1]
+    for P in Ps:
+        lcm = poly_mul(lcm, _quo(P, _gcd(lcm, P)))
+    found, rest = rational_factors(lcm)
+    Fs = [_integral(f) for f, _ in found]
+    if len(rest) > 1:
+        Fs.append(_squarefree(_integral(rest)))
+    mults = [[] for _ in Fs]
+    for P in Ps:
+        for row, F in zip(mults, Fs):
+            m, P = _divide_out(P, F)
+            row.append(m)
+    return [_monic(F) for F in Fs], mults

@@ -170,6 +170,8 @@ class LSReduction:
                 cand = w[lanes] - alpha * step[trying]
                 inside = ~(_max_abs(cand) > vd.radius)
                 lanes, cand = lanes[inside], cand[inside]
+                if not lanes.size:
+                    continue
                 cvals, cjac = vd.evaluator(
                     np.hstack([u[lanes], cand, lam[lanes]]))
                 norm = _max_abs(cvals[:, m:])

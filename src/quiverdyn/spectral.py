@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -98,24 +97,14 @@ def _exact_factors(L):
     Returns (factors, mults): monic coefficient lists, pairwise coprime
     as factors of the lcm of the charpolys (the squarefree part of its
     unproven cofactor last), and mults[i][v], the multiplicity of
-    factors[i] in charpoly(L_v).
+    factors[i] in charpoly(L_v), by exactlin.shared_factors.
     """
     rep = L.representation
-    charpolys = {v: exactlin.charpoly(L.matrices[v])
-                 for v in rep.quiver.vertices if rep.dim[v]}
-    lcm = [Fraction(1)]
-    for p in charpolys.values():
-        lcm = exactlin.poly_mul(
-            lcm, exactlin.poly_divmod(p, exactlin.poly_gcd(lcm, p))[0])
-    found, rest = exactlin.rational_factors(lcm)
-    factors = [f for f, _ in found]
-    if exactlin.poly_degree(rest) >= 1:
-        factors.append(exactlin.poly_squarefree_part(rest))
-    mults = [dict.fromkeys(rep.quiver.vertices, 0) for _ in factors]
-    for v, p in charpolys.items():
-        for m, f in zip(mults, factors):
-            m[v], p = exactlin.divide_out(p, f)
-    return factors, mults
+    vertices = [v for v in rep.quiver.vertices if rep.dim[v]]
+    factors, counts = exactlin.shared_factors(
+        [exactlin.charpoly(L.matrices[v]) for v in vertices])
+    return factors, [{**dict.fromkeys(rep.quiver.vertices, 0),
+                      **dict(zip(vertices, row))} for row in counts]
 
 
 def _factor_representative(f):
@@ -222,7 +211,7 @@ def _eigenspace_basis(rep, L, cluster):
         m = cluster.multiplicity[v]
         kern = []
         if m:
-            fpow = reduce(exactlin.poly_mul, [f] * m, [Fraction(1)])
+            fpow = reduce(exactlin.poly_mul, [f] * m)
             kern = ar.image_kernel(ar.matrix_poly(fpow, L.matrices[v]))[1]
             if len(kern) != (len(f) - 1) * m:
                 raise ClusterSplit(f"vertex {v!r}: generalized eigenspace "

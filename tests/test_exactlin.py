@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -87,9 +88,8 @@ def test_cayley_hamilton():
 def test_univariate_helpers():
     # (t - 1)(t - 2) = t^2 - 3t + 2, ascending: [2, -3, 1]
     p = [Fraction(2), Fraction(-3), Fraction(1)]
-    q, r = exactlin.poly_divmod(p, [Fraction(-1), Fraction(1)])
-    assert exactlin.poly_trim(r) == []
-    assert q == [Fraction(-2), Fraction(1)]
+    assert exactlin.divide_out(p, [Fraction(-1), Fraction(1)]) == (
+        1, [Fraction(-2), Fraction(1)])
     roots, cofactor = exactlin.rational_roots(p)
     assert roots == [(Fraction(1), 1), (Fraction(2), 1)]
     assert exactlin.poly_degree(cofactor) == 0
@@ -385,3 +385,93 @@ def test_quadratic_factors_with_denominators_above_a_million():
         exactlin.poly_mul(first, second))
     assert sorted(factors) == sorted([(first, 1), (second, 1)])
     assert cofactor == [Fraction(1)]
+
+
+def test_rational_factors_of_a_dense_20x20_matrix_in_bounded_time():
+    rng = random.Random(20)
+    A = random_matrix(rng, 20, 20, lo=-5, hi=5)
+    p = exactlin.charpoly(A)
+    with time_limit(2.0):
+        factors, cofactor = exactlin.rational_factors(p)
+    rest = cofactor
+    for f, m in factors:
+        rest = exactlin.poly_mul(rest, reduce(exactlin.poly_mul, [f] * m))
+    assert rest == p
+
+
+# --- gcd, squarefree part and divide_out against sympy -----------------------
+
+coefficients = st.integers(-9, 9) | st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([2, 1234567, 10 ** 7]))
+
+
+@st.composite
+def factor_lists(draw):
+    """Nonzero polynomials of degree 1 to 3 with any rational leading
+    coefficient, negative ones included."""
+    lead = draw(coefficients.filter(lambda c: c != 0))
+    return draw(st.lists(coefficients, min_size=1, max_size=3)) + [lead]
+
+
+def _product(factors, scalar=1):
+    return reduce(exactlin.poly_mul, factors, [Fraction(scalar)])
+
+
+def _sympy_poly(p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p)], sympy.Symbol("t"),
+                      domain="QQ")
+
+
+def _from_sympy(f):
+    return exactlin.poly_trim(Fraction(int(c.p), int(c.q))
+                              for c in reversed(f.all_coeffs()))
+
+
+def _monic(p):
+    return [c / p[-1] for c in p]
+
+
+scalars = coefficients.filter(lambda c: c != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(factor_lists(), max_size=2),
+       st.lists(factor_lists(), max_size=2),
+       st.lists(factor_lists(), max_size=2), scalars, scalars)
+def test_poly_gcd_matches_sympy(shared, left, right, a, b):
+    p, q = _product(shared + left, a), _product(shared + right, b)
+    want = _monic(_from_sympy(_sympy_poly(p).gcd(_sympy_poly(q))))
+    assert exactlin.poly_gcd(p, q) == want
+    assert exactlin.poly_gcd(q, p) == want
+
+
+def test_poly_gcd_edge_cases():
+    assert exactlin.poly_gcd([], []) == []
+    assert exactlin.poly_gcd([1], []) == [1]
+    # coprime inputs, one of them not monic, have the constant gcd 1
+    assert exactlin.poly_gcd([Fraction(1, 10 ** 7), Fraction(-3)],
+                             [-1, 0, 1]) == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(factor_lists(), st.integers(1, 3)), min_size=1,
+                max_size=3), scalars)
+def test_poly_squarefree_part_matches_sympy(factors, a):
+    p = _product([f for f, m in factors for _ in range(m)], a)
+    want = _monic(_from_sympy(_sympy_poly(p).sqf_part()))
+    assert exactlin.poly_squarefree_part(p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_lists(), st.integers(0, 3), st.lists(factor_lists(),
+                                                   max_size=2), scalars)
+def test_divide_out_matches_sympy(f, m, others, a):
+    p = _product([f] * m + others, a)
+    P, F, want_m = _sympy_poly(p), _sympy_poly(f), 0
+    quo, rem = P.div(F)
+    while rem.is_zero:
+        P, want_m = quo, want_m + 1
+        quo, rem = P.div(F)
+    assert exactlin.divide_out(p, f) == (want_m, _from_sympy(P))

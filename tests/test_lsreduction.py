@@ -347,6 +347,21 @@ def test_branch_tracer_raises_no_runtime_warning(case):
         assert find_branches_1param(red, "N1")
 
 
+@pytest.mark.parametrize("case", [CASE2, CASE3])
+def test_branch_tracer_evaluates_no_empty_batch(case, monkeypatch):
+    # a damping trial whose lanes all leave the radius is not evaluated
+    red = case_study_reduction(case)
+    sizes, call = [], CompiledField.__call__
+
+    def counted(self, z):
+        sizes.append(len(z))
+        return call(self, z)
+
+    monkeypatch.setattr(CompiledField, "__call__", counted)
+    assert find_branches_1param(red, "N1")
+    assert sizes and min(sizes) > 0
+
+
 def sampled_defects_one_by_one(red, samples=100, radius=None, seed=0):
     """check_reduced_equivariance's worst residual per arrow, drawn and
     solved one sample at a time through the public reduced_eval."""
