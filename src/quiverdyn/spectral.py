@@ -8,7 +8,7 @@ of that sit the kernel/image and center/hyperbolic splittings, which share
 one body, and the semisimple/nilpotent (Jordan-Chevalley) decomposition.
 
 Exact mode factors the lcm of the vertex charpolys over Q once, by
-exactlin.rational_factors, so the clusters are coprime; what is not proven
+exactlin.shared_factors, so the clusters are coprime; what is not proven
 stays in one cofactor, and a split whose cofactor has degree three or more
 falls back to float with a warning. Float mode takes eigenvalues in
 joint_spectrum only and decides by one band, _same, which are one. Both
