@@ -403,14 +403,15 @@ def test_rational_factors_of_a_dense_20x20_matrix_in_bounded_time():
 
 coefficients = st.integers(-9, 9) | st.builds(
     Fraction, st.integers(-9, 9), st.sampled_from([2, 1234567, 10 ** 7]))
+scalars = coefficients.filter(lambda c: c != 0)
 
 
 @st.composite
 def factor_lists(draw):
     """Nonzero polynomials of degree 1 to 3 with any rational leading
     coefficient, negative ones included."""
-    lead = draw(coefficients.filter(lambda c: c != 0))
-    return draw(st.lists(coefficients, min_size=1, max_size=3)) + [lead]
+    return (draw(st.lists(coefficients, min_size=1, max_size=3))
+            + [draw(scalars)])
 
 
 def _product(factors, scalar=1):
@@ -431,9 +432,6 @@ def _from_sympy(f):
 
 def _monic(p):
     return [c / p[-1] for c in p]
-
-
-scalars = coefficients.filter(lambda c: c != 0)
 
 
 @settings(max_examples=60, deadline=None)
