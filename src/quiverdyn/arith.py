@@ -115,8 +115,11 @@ class ExactArith:
         return tuple(tuple(_fraction(v[i]) for v in vectors)
                      for i in range(nrows))
 
-    def matmul(self, A, B):
-        return tuple(map(tuple, exactlin.matmul(A, B))) if len(A) else ()
+    def matmul(self, A, B, ncols):
+        """A B, with ncols columns: a B without rows does not carry them."""
+        if not len(A) or not len(B):
+            return self.zeros(len(A), ncols)
+        return tuple(map(tuple, exactlin.matmul(A, B)))
 
     def matvec(self, A, x):
         return exactlin.matvec(A, x)
@@ -188,8 +191,10 @@ class FloatArith:
             return np.zeros((nrows, 0))
         return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
 
-    def matmul(self, A, B):
-        return as_float_matrix(A) @ as_float_matrix(B)
+    def matmul(self, A, B, ncols):
+        """A B, with ncols columns: a B without rows does not carry them."""
+        A, B = as_float_matrix(A), as_float_matrix(B)
+        return A @ (B if B.size else B.reshape(A.shape[1], ncols))
 
     def matvec(self, A, x):
         return as_float_matrix(A) @ x

@@ -25,7 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotAdmissible, SizeOverflow
-from .network import ColouredNetwork, _natural_key, check_admissible
+from .network import (ColouredNetwork, _kept, _natural_key,
+                      check_admissible)
 from .quiver import Quiver, QuiverRepresentation, selection_matrix
 from .tuples import PolyMapTuple
 
@@ -34,19 +35,6 @@ SUBSET_CAP = 1024      # in-closed subsets enumerate_subnetworks may return
 FIBRATION_CAP = 4096   # node maps or fibrations enumerate_fibrations may find
 ARROW_CAP = 1024       # arrows build_quoq may emit
 PARTITION_CAP = 8192   # balanced partitions enumerate_quotients may find
-
-
-def _kept(N, name, build):
-    """build(N), computed at the first call and kept on N as `name`.
-
-    A network is fixed after __init__, so what is derived from it stays
-    valid; a build that raises keeps nothing, and the next call builds
-    again.
-    """
-    kept = vars(N)
-    if name not in kept:
-        kept[name] = build(N)
-    return kept[name]
 
 
 def _require_admissible(N, family):

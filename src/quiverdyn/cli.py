@@ -15,7 +15,6 @@ import hashlib
 import inspect
 import os
 import sys
-from fractions import Fraction
 
 import click
 
@@ -37,12 +36,10 @@ TOL = click.FloatRange(min=0)
 
 
 def _num(x):
-    """Serialize an exact or float scalar for reports."""
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+    """Serialize an exact, float or complex scalar for reports."""
     if isinstance(x, complex):
         return {"re": float(x.real), "im": float(x.imag)}
-    return float(x)
+    return fileio.encode_number(x)
 
 
 def _config_hash(config):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParseError
 from .network import ColouredNetwork
-from .polynomial import Poly
+from .polynomial import Poly, exact_scalar
 from .quiver import Quiver, QuiverRepresentation
 from .tuples import DEGREE_CAP, PolyMap, PolyMapTuple
 
@@ -36,11 +36,11 @@ SCHEMA_VERSION = 1
 # --- scalars -----------------------------------------------------------------
 
 def encode_number(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return f"{x}/1"
-    return float(x)
+    """An exact scalar as the string "p/q" (an int as "p/1"), a float as
+    itself."""
+    if exact_scalar(x) is None:
+        return float(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def decode_number(x):

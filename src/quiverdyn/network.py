@@ -25,13 +25,25 @@ from types import MappingProxyType
 
 from .errors import (DependencyViolation, DimClash, EdgeColourClash,
                      GroupoidViolation, InputMismatch)
-from .polynomial import Poly
 from .tuples import PolyMap
 
 
 def _natural_key(s):
     s = str(s)
     return (0, int(s)) if s.isdigit() else (1, s)
+
+
+def _kept(N, name, build):
+    """build(N), computed at the first call and kept on N as `name`.
+
+    A network is fixed after __init__, so what is derived from it stays
+    valid; a build that raises keeps nothing, and the next call builds
+    again.
+    """
+    kept = vars(N)
+    if name not in kept:
+        kept[name] = build(N)
+    return kept[name]
 
 
 class ColouredNetwork:
@@ -207,6 +219,11 @@ class AdmissibleTemplate:
         return sum(self.slot_dims(N, colour)) + param_dim
 
 
+def _template(N):
+    """AdmissibleTemplate.of(N), worked out once and kept on N."""
+    return _kept(N, "_template", AdmissibleTemplate.of)
+
+
 class ResponseFamily:
     """An admissible map, stored as one response function per node colour.
 
@@ -217,7 +234,7 @@ class ResponseFamily:
 
     def __init__(self, network, responses, param_dim=0):
         self.network = network
-        self.template = AdmissibleTemplate.of(network)
+        self.template = _template(network)
         self.param_dim = int(param_dim)
         self.responses = {str(c): r for c, r in responses.items()}
         for c in {col for _, col in network.nodes}:
@@ -267,7 +284,7 @@ class ResponseFamily:
         Returns a PolyMap in total_dim + param_dim variables.
         """
         N = network if network is not None else self.network
-        tpl = AdmissibleTemplate.of(N)
+        tpl = _template(N)
         for c in tpl.slots:
             if tpl.slots[c] != self.template.slots.get(c):
                 raise ValueError(
@@ -275,18 +292,16 @@ class ResponseFamily:
         offsets = N.block_offsets()
         total = N.total_dim()
         nvars = total + self.param_dim
+        params = list(range(total, nvars))
         outputs = []
         for n in N.node_ids():
             c = N.node_colour[n]
-            r = self.responses[c]
-            dims = tpl.slot_dims(N, c)
-            subs = []
-            for (e, s, _, _), d in zip(N.in_edges(n), dims):
-                base = offsets[s]
-                subs.extend(Poly.variable(nvars, base + k) for k in range(d))
-            subs.extend(Poly.variable(nvars, total + l)
-                        for l in range(self.param_dim))
-            outputs.extend(p.compose(subs) for p in r.outputs)
+            # slot variables read their source's block, parameters stay last
+            var_map = [offsets[s] + k for (_, s, _, _), d
+                       in zip(N.in_edges(n), tpl.slot_dims(N, c))
+                       for k in range(d)] + params
+            outputs.extend(p.embed(nvars, var_map)
+                           for p in self.responses[c].outputs)
         return PolyMap(outputs, nvars=nvars)
 
 
@@ -296,7 +311,7 @@ class AdmissibilityReport:
     dependency_errors: list
     groupoid_errors: list
     skipped_ambiguous: list
-    max_residual: object = 0
+    max_residual: object = 0.0
 
 
 def _block_var_map(N, pairs):
@@ -338,7 +353,7 @@ def check_admissible(N, F, param_dim=0, tol=1e-9):
         bad = [GroupoidViolation(
             f"response for colour {c!r} not slot-symmetric (residual {d})")
             for c, d in defects.items() if d != 0]
-        worst = max(defects.values(), default=0)
+        worst = max(defects.values(), default=0.0)
         return AdmissibilityReport(not bad, [], bad, [], worst)
 
     if not isinstance(F, PolyMap):
@@ -369,7 +384,7 @@ def check_admissible(N, F, param_dim=0, tol=1e-9):
 
     group_errors = []
     ambiguous = []
-    worst = 0
+    worst = 0.0
     edge_src = {e: s for e, s, _, _ in N.edges}
     for beta in symmetry_groupoid(N):
         if beta.from_node == beta.to_node and all(a == b for a, b in beta.edge_map):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import arith
 from .errors import RankAmbiguous, SizeOverflow, SolveFailed
-from .polynomial import Poly, monomial_exponents
+from .polynomial import Poly, exact_scalar, monomial_exponents
 from .tuples import bracket_polys
 
 SIZE_CAP = 20000
@@ -71,7 +71,8 @@ class HomBasis:
         """The map with the given coefficient vector."""
         polys = [dict() for _ in range(self.m)]
         for (j, e), c in zip(self.elements, vec):
-            c = c if isinstance(c, Fraction) else float(c)
+            x = exact_scalar(c)
+            c = float(c) if x is None else x
             if c != 0:
                 polys[j][e] = c
         return [Poly(self.n, terms) for terms in polys]
@@ -174,7 +175,7 @@ def solve_homological(L, LS, Fk, k):
     Bim = ar.columns(im, N)
     f = basis.coords(Fk, ar)
     Bker = ar.columns(ker, N)
-    K = ar.hstack([ar.matmul(adL.matrix, Bim), Bker], N)
+    K = ar.hstack([ar.matmul(adL.matrix, Bim, len(im)), Bker], N)
     try:
         yz = ar.solve_vector(K, f)
     except SolveFailed:

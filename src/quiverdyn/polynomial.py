@@ -1,11 +1,12 @@
 """Multivariate polynomials with exact rational or float coefficients.
 
 A Poly is a mapping from exponent multi-indices (tuples of length nvars) to
-coefficients. Coefficients are either fractions.Fraction (exact mode) or
-floats; integers are normalized to Fraction. Terms with zero coefficient are
-dropped, so the zero polynomial has an empty term dict. Term order, wherever
-terms are listed, is graded lexicographic: by total degree, then by the
-exponent tuple.
+coefficients. Coefficients are exact or floats. An exact coefficient is an
+int when its value is an integer and a fractions.Fraction of denominator > 1
+otherwise (see exact_scalar), so integral arithmetic never pays the gcd of a
+Fraction. Terms with zero coefficient are dropped, so the zero polynomial has
+an empty term dict. Term order, wherever terms are listed, is graded
+lexicographic: by total degree, then by the exponent tuple.
 
 The public constructor validates its input: nvars and every exponent must be
 non-negative integers, every multi-index must have length nvars. Arithmetic
@@ -28,14 +29,29 @@ from .arith import tolist
 FLOW_STEPS = 256     # Runge-Kutta steps of one float_flow call
 
 
-def _coerce(c):
+def exact_scalar(c):
+    """c in the exact coefficient domain, or None when c is a float.
+
+    The domain holds an int for an integral value (a bool becomes its int)
+    and a Fraction of denominator > 1 for any other rational. This is the
+    one place that tells exact coefficients from floats; TypeError for any
+    other type.
+    """
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, float):
-        return c
+        return None
+    if isinstance(c, int):
+        return int(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _coerce(c):
+    """c as a coefficient: exact ones in their domain, floats as they are."""
+    x = exact_scalar(c)
+    return c if x is None else x
 
 
 def _count(x, what):
@@ -73,7 +89,7 @@ class Poly:
             c = _coerce(c)
             if c:
                 prev = clean.get(exps)
-                c = c if prev is None else prev + c
+                c = c if prev is None else _coerce(prev + c)
                 if c:
                     clean[exps] = c
                 elif exps in clean:
@@ -102,7 +118,7 @@ class Poly:
         return not self.terms
 
     def is_exact(self):
-        return all(isinstance(c, Fraction) for c in self.terms.values())
+        return all(exact_scalar(c) is not None for c in self.terms.values())
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -158,7 +174,7 @@ class Poly:
                                           self.terms.items()}), _clean=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compat(other)
         terms = {}
@@ -212,7 +228,7 @@ class Poly:
                 continue
             new = list(exps)
             new[i] -= 1
-            terms[tuple(new)] = c * exps[i]
+            terms[tuple(new)] = _coerce(c * exps[i])
         return Poly(self.nvars, terms, _clean=True)
 
     def eval(self, point):
@@ -281,10 +297,10 @@ class Poly:
             (e, c), = p.terms.items()
             if c != 1:
                 return None
-            float_one = float_one or isinstance(c, float)
+            float_one = float_one or exact_scalar(c) is None
             targets.append(e)
-        if float_one and not all(isinstance(c, float)
-                                 for c in self.terms.values()):
+        if float_one and any(exact_scalar(c) is not None
+                             for c in self.terms.values()):
             return None
         return targets
 
@@ -350,10 +366,10 @@ def _accumulate(terms, more):
 
 
 def _nonzero(terms):
-    """terms without its zero coefficients."""
-    if all(terms.values()):
-        return terms
-    return {e: c for e, c in terms.items() if c}
+    """terms without its zero coefficients, each in its domain: a sum or
+    product of Fractions can be integral."""
+    return {e: c if type(c) is int else _coerce(c)
+            for e, c in terms.items() if c}
 
 
 def linear_forms(M, nvars):
@@ -402,8 +418,8 @@ def combine_rows(M, polys, nvars):
                 if p.nvars != nvars:
                     raise ValueError("nvars mismatch")
                 # an exact 1 leaves every coefficient as it is
-                exact_one = c == 1 and not isinstance(c, float)
-                _accumulate(terms, p.terms if exact_one else p.scale(c).terms)
+                one = exact_scalar(c) == 1
+                _accumulate(terms, p.terms if one else p.scale(c).terms)
         out.append(Poly(nvars, _nonzero(terms), _clean=True))
     return out
 

@@ -99,7 +99,8 @@ class QuiverRepresentation:
                     open_ = [a for a in between.get((q.source[c],
                                                      q.target[b]), ())
                              if a not in closed]
-                    product = ar.matmul(R[b], R[c]) if open_ else None
+                    product = (ar.matmul(R[b], R[c], self.dim[q.source[c]])
+                               if open_ else None)
                     joined = [a for a in open_ if R[a] == product]
                     closed.update(joined)
                     queue += joined
@@ -172,7 +173,8 @@ class Subrepresentation:
         ar = rep.arith
         coords = {}
         for a, s, t in rep.quiver.arrows:
-            RBs = ar.matmul(rep.arrow_matrix[a], basis[s])
+            RBs = ar.matmul(rep.arrow_matrix[a], basis[s],
+                            matrix_shape(basis[s])[1])
             try:
                 coords[a] = ar.solve(basis[t], RBs, tol)
             except SolveFailed as exc:

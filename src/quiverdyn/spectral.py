@@ -67,8 +67,9 @@ def check_endomorphism(rep, L):
 
     def residual(a, s, t):
         R = rep.arrow_matrix[a]
-        return ar.max_abs(ar.sub(ar.matmul(R, L.matrices[s]),
-                                 ar.matmul(L.matrices[t], R)))
+        n = rep.dim[s]
+        return ar.max_abs(ar.sub(ar.matmul(R, L.matrices[s], n),
+                                 ar.matmul(L.matrices[t], R, n)))
     return check_arrows(rep, residual, EPS_EIG, ar.mode)
 
 
@@ -348,7 +349,8 @@ def sn_decomposition(L):
         for _ in range(SN_MAX_ITER):
             # q(S) by its factors: expanded, q loses the digits that tell
             # close clusters apart
-            qS = reduce(ar.matmul, [ar.matrix_poly(f, S) for f in fs])
+            qS = reduce(lambda X, Y: ar.matmul(X, Y, rep.dim[v]),
+                        [ar.matrix_poly(f, S) for f in fs])
             if ar.max_abs(qS) == 0:
                 break
             try:

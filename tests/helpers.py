@@ -316,6 +316,12 @@ def fork_representation():
          "p": [[one, zero]], "q": [[zero, one]]})
 
 
+def in_exact_domain(c):
+    """c is an exact Poly coefficient: an int (never a bool) or a Fraction
+    whose denominator is > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def float_copy(F):
     """The same tuple in float mode: float arrow matrices and coefficients."""
     rep = F.representation

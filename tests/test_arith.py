@@ -130,11 +130,11 @@ def test_projector_is_oblique_projection(mode):
     Minv = ar.inverse(M)
     assert ar.max_abs(ar.sub(M, ar.freeze([[1, 1, 0], [1, 0, 0],
                                            [0, 0, 1]]))) == 0
-    assert ar.max_abs(ar.sub(ar.matmul(M, Minv), ar.identity(3))) == 0
-    P = ar.matmul(B_on, Minv[:1])
-    assert ar.max_abs(ar.sub(ar.matmul(P, P), P)) == 0
-    assert ar.max_abs(ar.sub(ar.matmul(P, B_on), B_on)) == 0
-    assert ar.max_abs(ar.matmul(P, B_along)) == 0
+    assert ar.max_abs(ar.sub(ar.matmul(M, Minv, 3), ar.identity(3))) == 0
+    P = ar.matmul(B_on, Minv[:1], 3)
+    assert ar.max_abs(ar.sub(ar.matmul(P, P, 3), P)) == 0
+    assert ar.max_abs(ar.sub(ar.matmul(P, B_on, 1), B_on)) == 0
+    assert ar.max_abs(ar.matmul(P, B_along, 2)) == 0
     # subspaces that meet give no coordinates
     with pytest.raises(SolveFailed):
         ar.inverse(ar.hstack([B_on, ar.freeze([[1, 0], [1, 0], [0, 1]])], 3))
@@ -148,3 +148,11 @@ def test_exact_freeze_passes_frozen_rows_through():
     mixed = arith.EXACT.freeze([(Fraction(1), 2), [3, Fraction(1, 2)]])
     assert mixed == ((1, 2), (3, Fraction(1, 2)))
     assert {type(x) for row in mixed for x in row} == {Fraction}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_product_over_a_zero_inner_dimension_keeps_its_columns(mode):
+    ar = arith.of(mode)
+    got = ar.matmul(ar.zeros(2, 0), ar.zeros(0, 3), 3)
+    assert arith.matrix_shape(got) == (2, 3)
+    assert ar.max_abs(got) == 0

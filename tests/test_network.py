@@ -1,12 +1,15 @@
 """Coloured networks, the symmetry groupoid, and admissibility checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import (feedforward_pair_network, two_type_network, monoid_network,
-                     random_poly, random_response_family)
+from helpers import (feedforward_chain_network, feedforward_pair_network,
+                     two_type_network, monoid_network, random_poly,
+                     random_response_family)
+from quiverdyn import builders
 from quiverdyn.network import (AdmissibleTemplate, ColouredNetwork,
                                ResponseFamily, check_admissible,
                                input_bijections, symmetry_groupoid,
@@ -105,3 +108,45 @@ def test_induced_subnetwork_map_matches_manual_substitution():
     # node 2's slots in canonical order: (b edge from 1, own-state loop)
     assert total.outputs[1].terms == g.compose(
         [Poly.variable(2, 0), Poly.variable(2, 1)]).terms
+
+
+def compose_instantiate(family, N):
+    """The collapsed map of family on N, each response composed with the
+    variables its slots read, as instantiate once built it."""
+    tpl = AdmissibleTemplate.of(N)
+    offsets, total = N.block_offsets(), N.total_dim()
+    nvars = total + family.param_dim
+    outputs = []
+    for n in N.node_ids():
+        c = N.node_colour[n]
+        subs = [Poly.variable(nvars, offsets[s] + k)
+                for (_, s, _, _), d in zip(N.in_edges(n), tpl.slot_dims(N, c))
+                for k in range(d)]
+        subs += [Poly.variable(nvars, total + l)
+                 for l in range(family.param_dim)]
+        outputs += [p.compose(subs) for p in family.responses[c].outputs]
+    return outputs
+
+
+@pytest.mark.parametrize("network", [feedforward_pair_network,
+                                     feedforward_chain_network,
+                                     two_type_network])
+@pytest.mark.parametrize("induction", ["_subq_induction", "_quoq_induction"])
+def test_instantiate_relabels_as_compose_did(network, induction, monkeypatch):
+    N = network()
+    families = [random_response_family(N, seed, param_dim=seed)
+                for seed in (0, 1)]
+    calls, of = Counter(), AdmissibleTemplate.of
+
+    def counted(M):
+        calls[id(M)] += 1
+        return of(M)
+    monkeypatch.setattr(AdmissibleTemplate, "of", staticmethod(counted))
+    _, networks = getattr(builders, induction)(N)
+    for family in families:
+        for M in networks.values():
+            got = family.instantiate(M).outputs
+            assert list(got) == compose_instantiate(family, M)
+    # compose_instantiate's own calls aside, one template per network
+    assert {calls[id(M)] - 2 for M in networks.values()} == {1}
+    assert calls[id(N)] == 0      # kept when the families were built

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (NON_SEMISIMPLE, feedforward_chain_network, float_copy,
-                     hopf_tuple, single_vertex_tuple, time_limit)
+                     hopf_tuple, in_exact_domain, single_vertex_tuple,
+                     time_limit)
 from quiverdyn import arith, polyfield
 from quiverdyn.builders import build_subq
 from quiverdyn.errors import DegreeOverflow, NotEquilibrium
@@ -107,9 +108,9 @@ def test_exact_hyperbolic_normal_form_keeps_only_resonant_terms():
         for e in p.homogeneous_part(3).terms:
             assert (j, e) in {(0, (2, 1)), (1, (1, 2))}
     # the planted resonant coefficients survive untouched at grade 2 modulo
-    # contributions generated by the quadratic transform; both stay rational
-    assert all(isinstance(c, Fraction)
-               for p in out for c in p.terms.values())
+    # contributions generated by the quadratic transform; both stay exact:
+    # no coefficient is a float
+    assert all(in_exact_domain(c) for p in out for c in p.terms.values())
     assert res.kernel_residuals[2] == 0
 
 

@@ -8,7 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverdyn.polynomial import Poly, count_monomials, monomial_exponents
+from helpers import in_exact_domain
+from quiverdyn.polyfield import hom_basis
+from quiverdyn.polynomial import (Poly, combine_rows, count_monomials,
+                                  exact_scalar, monomial_exponents,
+                                  substitute_linear)
 
 
 def polys(nvars=2, max_degree=3):
@@ -181,7 +185,8 @@ def assert_valid(q, nvars):
     for e, c in q.terms.items():
         assert type(e) is tuple and len(e) == nvars
         assert all(type(k) is int and k >= 0 for k in e)
-        assert type(c) in (Fraction, float) and c != 0
+        assert in_exact_domain(c) or type(c) is float
+        assert c != 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,3 +216,105 @@ def test_float_underflow_drops_terms():
     assert p.scale(1e-200).terms == {(0,): 1e-200}
     assert (p * p).terms == {(0,): 1.0, (1,): 2e-200}
     assert Poly(1, {(1,): Fraction(1, 10 ** 400)}).to_float().is_zero()
+
+
+# --- the exact coefficient domain ---------------------------------------------
+
+# ints, bools and Fractions, integral ones such as Fraction(2) included
+scalars = st.one_of(st.integers(-4, 4), st.booleans(),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+def mixed_polys(nvars=2, max_degree=3):
+    exps = st.tuples(*([st.integers(0, max_degree)] * nvars)).filter(
+        lambda e: sum(e) <= max_degree)
+    return st.dictionaries(exps, scalars, max_size=5).map(
+        lambda t: Poly(nvars, t))
+
+
+def plain(p):
+    """The terms of p with every coefficient a Fraction."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def plain_add(*dicts):
+    out = {}
+    for d in dicts:
+        for e, c in d.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def plain_scale(d, c):
+    return {e: Fraction(c) * v for e, v in d.items() if c * v}
+
+
+def plain_mul(a, b):
+    return plain_add(*({tuple(x + y for x, y in zip(e1, e2)): c1 * c2}
+                       for e1, c1 in a.items() for e2, c2 in b.items()))
+
+
+def plain_compose(d, subs, m):
+    """sum_c c * prod_i subs[i]^e_i, multiplied out on Fraction dicts."""
+    total = []
+    for exps, c in d.items():
+        term = {(0,) * m: c}
+        for s, e in zip(subs, exps):
+            for _ in range(e):
+                term = plain_mul(term, s)
+        total.append(term)
+    return plain_add(*total)
+
+
+def unit(m, j):
+    return {tuple(int(i == j) for i in range(m)): Fraction(1)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_polys(), mixed_polys(), scalars,
+       st.lists(st.lists(st.fractions(min_value=-2, max_value=2,
+                                      max_denominator=2),
+                         min_size=2, max_size=2), min_size=2, max_size=2),
+       st.lists(st.integers(0, 2), min_size=2, max_size=2),
+       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                min_size=6, max_size=6))
+def test_exact_results_stay_in_the_coefficient_domain(p, q, c, M, var_map,
+                                                      vec):
+    P, Q = plain(p), plain(q)
+    M = tuple(map(tuple, M))
+    forms = [plain_add(*(plain_scale(unit(2, j), x)
+                         for j, x in enumerate(row))) for row in M]
+    basis = hom_basis(2, 1)      # quadratic vector fields on R^2: 6 elements
+    pairs = [
+        (p + q, plain_add(P, Q)),
+        (p - q, plain_add(P, plain_scale(Q, -1))),
+        (p * q, plain_mul(P, Q)),
+        (p.scale(c), plain_scale(P, c)),
+        (p * c, plain_scale(P, c)),
+        (p.diff(0), {tuple(k - (i == 0) for i, k in enumerate(e)): v * e[0]
+                     for e, v in P.items() if e[0]}),
+        (p.compose([q, p]), plain_compose(P, [Q, P], 2)),
+        (p.embed(3, var_map), plain_compose(P, [unit(3, j) for j in var_map],
+                                            3)),
+    ]
+    pairs += zip(combine_rows(M, [p, q], 2),
+                 [plain_add(plain_scale(P, a), plain_scale(Q, b))
+                  for a, b in M])
+    pairs += zip(substitute_linear([p, q], M, 2),
+                 [plain_compose(D, forms, 2) for D in (P, Q)])
+    pairs += zip(basis.from_coords(vec),
+                 [{e: x for (j, e), x in zip(basis.elements, vec)
+                   if j == i and x} for i in range(2)])
+    for got, want in pairs:
+        assert all(in_exact_domain(v) for v in got.terms.values())
+        assert got.terms == want and got.is_exact()
+
+
+def test_exact_scalar_tells_the_domain_from_floats():
+    assert exact_scalar(Fraction(6, 3)) == 2
+    assert type(exact_scalar(Fraction(6, 3))) is int
+    assert exact_scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(exact_scalar(True)) is int
+    assert exact_scalar(0.5) is None
+    with pytest.raises(TypeError):
+        exact_scalar("1")

@@ -142,6 +142,20 @@ def test_arrow_is_implied_only_by_a_product_equal_to_its_matrix():
     assert fork_representation().generating_arrows == ("p", "q")
 
 
+def test_product_through_a_zero_dimensional_vertex_proves_its_composite():
+    # a4: s -> t is the product of a5: s -> m and a3: m -> t through the
+    # zero-dimensional m, so R_a4 is the 1 x 2 zero matrix. By the gaps a4
+    # comes last among a1, a2 and a3, after a5 has joined as a2 a1.
+    q = Quiver(["s", "v", "m", "t"],
+               [("a1", "s", "v"), ("a2", "v", "m"), ("a3", "m", "t"),
+                ("a4", "s", "t"), ("a5", "s", "m")])
+    rep = QuiverRepresentation(
+        q, {"s": 2, "v": 1, "m": 0, "t": 1},
+        {"a1": [[1, 0]], "a2": [], "a3": [[]], "a4": [[0, 0]], "a5": []})
+    assert validate_representation(rep) == []
+    assert rep.generating_arrows == ("a1", "a2", "a3")
+
+
 def test_generating_arrows_wait_for_the_first_exact_check():
     # quotient enumeration builds representations and checks none, so the
     # closure is computed at the first exact check and kept there

@@ -222,3 +222,43 @@ def test_every_traced_name_exists():
         if not hasattr(owner, attr):
             missing.append(f"{module}.{cls}.{attr}")
     assert missing == []
+
+
+# where a scalar may be tested against Fraction or float: the coefficient
+# domain's one helper, the JSON decoders, and arith's matrix storage, whose
+# entries stay Fractions
+TYPE_TEST_OWNERS = {("polynomial", "exact_scalar"),
+                    ("fileio", "decode_number"), ("fileio", "decode_matrix"),
+                    ("arith", "_fraction"), ("arith", "_frozen_row")}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _type_tests(tree):
+    """The lines that test a value against Fraction or float:
+    isinstance(x, T), or a comparison that reads type(x) and T."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            if _names(node.args[1]) & {"Fraction", "float"}:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            names = _names(node)
+            if "type" in names and names & {"Fraction", "float"}:
+                lines.add(node.lineno)
+    return lines
+
+
+def test_exact_or_float_is_decided_in_one_helper():
+    stray = []
+    for path, tree in _package_trees():
+        owned = {line for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and (path.stem, fn.name) in TYPE_TEST_OWNERS
+                 for line in range(fn.lineno, fn.end_lineno + 1)}
+        stray += [f"{path.stem}:{line}"
+                  for line in sorted(_type_tests(tree) - owned)]
+    assert stray == []

@@ -214,14 +214,15 @@ def test_split_keeps_its_adapted_coordinates(mode, split_fn, k):
     assert arith.of_matrix(M) is ar and sel.subdim["v"] == k
     assert ar.max_abs(ar.sub(
         M, ar.hstack([sel.basis["v"], rest.basis["v"]], 5))) == 0
-    assert ar.passes(ar.max_abs(ar.sub(ar.matmul(M, Minv),
+    assert ar.passes(ar.max_abs(ar.sub(ar.matmul(M, Minv, 5),
                                        ar.identity(5))), 1e-12)
     # the projector onto the selected part along the rest does not depend
     # on the bases, so both modes give the exact one
-    P = ar.matmul(first_columns(M, k), Minv[:k])
-    assert ar.passes(ar.max_abs(ar.sub(ar.matmul(P, sel.basis["v"]),
+    P = ar.matmul(first_columns(M, k), Minv[:k], 5)
+    assert ar.passes(ar.max_abs(ar.sub(ar.matmul(P, sel.basis["v"], k),
                                        sel.basis["v"])), 1e-12)
-    assert ar.passes(ar.max_abs(ar.matmul(P, rest.basis["v"])), 1e-12)
+    assert ar.passes(ar.max_abs(ar.matmul(P, rest.basis["v"], 5 - k)),
+                     1e-12)
     exact = split_projectors(split_in("exact"), "v")[0]
     assert np.allclose(as_array(P), exact, rtol=0, atol=1e-9)
 
