@@ -103,7 +103,7 @@ class EquivarianceReport:
     mode: str
 
     def max_residual(self):
-        return max(self.per_arrow.values(), default=0)
+        return max(self.per_arrow.values(), default=0.0)
 
 
 def identity_tuple(rep):

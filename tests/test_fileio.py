@@ -28,6 +28,13 @@ def test_rational_scalars_roundtrip():
         decode_number(True)
 
 
+def test_exact_scalars_are_written_as_p_over_q():
+    # an integral exact coefficient is an int, written like its Fraction
+    assert [encode_number(x) for x in (Fraction(3, 7), Fraction(-2), -2, 0)] \
+        == ["3/7", "-2/1", "-2/1", "0/1"]
+    assert type(encode_number(0.0)) is float
+
+
 def test_network_roundtrip_is_canonical():
     N = feedforward_chain_network()
     doc = network_to_json(N)

@@ -15,7 +15,7 @@ from quiverdyn.network import (AdmissibleTemplate, ColouredNetwork,
                                input_bijections, symmetry_groupoid,
                                validate_coloured_network)
 from quiverdyn.polynomial import Poly
-from quiverdyn.tuples import PolyMap
+from quiverdyn.tuples import EquivarianceReport, PolyMap
 
 
 def test_fixture_networks_are_colour_consistent():
@@ -150,3 +150,14 @@ def test_instantiate_relabels_as_compose_did(network, induction, monkeypatch):
     # compose_instantiate's own calls aside, one template per network
     assert {calls[id(M)] - 2 for M in networks.values()} == {1}
     assert calls[id(N)] == 0      # kept when the families were built
+
+
+def test_admissibility_and_equivariance_maxima_start_from_float_zero():
+    # reports print an int as "p/1", so a maximum over nothing, or over
+    # exact zeros, stays the 0.0 that check-admissible has always printed
+    N = two_type_network()
+    F = random_response_family(N, seed=3).instantiate()
+    rpt = check_admissible(N, F)
+    assert rpt.ok
+    assert type(rpt.max_residual) is float and rpt.max_residual == 0
+    assert type(EquivarianceReport({}, True, "exact").max_residual()) is float
