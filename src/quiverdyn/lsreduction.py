@@ -11,6 +11,10 @@ is again equivariant, which check_reduced_equivariance verifies by sampling.
 
 Branches of a one-parameter reduced equation are traced on a logarithmic
 parameter window and classified by leading exponent (lam or sqrt(lam)).
+Their zeros come from Newton on the whole field F(u, w; lam) = 0 rather
+than on f_v: a zero of F with w inside the neighbourhood radius is a zero
+of f_v with w = phi(u; lam), and one Newton step on F costs one evaluation,
+where a step on f_v first solves for phi.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .tuples import check_arrows, require_equilibrium
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+CLOSING_STEPS = 2     # Newton steps a branch root takes past NEWTON_TOL
 BRANCH_WINDOW = (1e-4, 1e-2)
 BRANCH_POINTS = 20
 FIT_R2_MIN = 0.999
@@ -365,31 +370,42 @@ class Branch:
     classified: bool = True
 
 
-def reduced_newton(red, v, u, lam, scale):
-    """Newton on f_v(.; lam) = 0 from every lane (u[i], lam[i]), in lockstep.
+def flat_newton(red, v, u, lam, scale):
+    """Newton on the whole field F(u, w; lam) = 0 at vertex v from every
+    lane (u[i], 0; lam[i]), in lockstep.
 
-    A lane stops when max |f_v| <= 1e-12 (converged), when its phi or
-    Jacobian solve fails, when a step is longer than 10 * scale[i], or after
-    NEWTON_MAX_ITER steps. Returns the last points and the converged mask.
+    A zero of F with w inside the vertex's radius is a zero of the reduced
+    map f_v, with w = phi(u; lam). A lane fails when its Jacobian is
+    singular, when the u part of a step is longer than 10 * scale[i], when
+    w leaves the radius, or when it has not converged in NEWTON_MAX_ITER
+    steps. It converges when max |F| <= NEWTON_TOL, and then takes
+    CLOSING_STEPS more steps under the same rules, so that its root is
+    exact to round-off rather than to NEWTON_TOL / |F'|; a closing step
+    that fails a rule leaves the lane where it was. Returns the last u of
+    every lane and the converged mask.
     """
-    u = np.array(u, dtype=float)
+    vd = red.vertex_data[v]
+    m, d = vd.ker_dim, vd.dim
+    z = np.hstack([u, np.zeros((len(u), d - m)), lam])
     converged = np.zeros(len(u), dtype=bool)
+    closed = np.zeros(len(u), dtype=int)   # steps taken since converging
     live = np.arange(len(u))
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER + CLOSING_STEPS):
         if not live.size:
             break
-        _, f, J, status = red.reduced_lanes(v, u[live], lam[live], True)
-        ok = status == CONVERGED
-        live, f, J = live[ok], f[ok], J[ok]
-        done = _max_abs(f) <= 1e-12
-        converged[live[done]] = True
-        live, f, J = live[~done], f[~done], J[~done]
-        step, ok = _lane_solve(J, f[:, :, None])
+        F, J = vd.evaluator(z[live])
+        converged[live] |= _max_abs(F) <= NEWTON_TOL
+        conv = converged[live]
+        step, ok = _lane_solve(J, F[:, :, None])
         step = step[:, :, 0]
-        ok &= ~(_max_abs(step) > 10 * scale[live])
-        live = live[ok]
-        u[live] = u[live] - step[ok]
-    return u, converged
+        cand = z[live, :d] - step
+        ok &= (conv | (it < NEWTON_MAX_ITER)) \
+            & (_max_abs(step[:, :m]) <= 10 * scale[live]) \
+            & (_max_abs(cand[:, m:]) <= vd.radius)
+        z[live[ok], :d] = cand[ok]
+        closed[live[ok & conv]] += 1
+        live = live[ok & (closed[live] < CLOSING_STEPS)]
+    return z[:, :m], converged
 
 
 def _seed_grid(m, scale):
@@ -416,11 +432,13 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
                          grid=BRANCH_POINTS):
     """Trace and classify branches of the reduced equation at one vertex.
 
-    Zeros are found by Newton from a seed grid at each of `grid` log-spaced
-    parameter values in lam_range, linked by continuation from large to
-    small lam, and classified per coordinate by a log-log fit with exponents
-    restricted to {1, 1/2}; coordinates below noise level are reported as
-    identically zero.
+    Zeros are found by flat_newton on the whole field from a seed grid at
+    each of `grid` log-spaced parameter values in lam_range, all in one
+    batch, and are exact to round-off. They are linked by continuation from
+    large to small lam, and classified per coordinate by a log-log fit with
+    exponents restricted to {1, 1/2}; coordinates below noise level are
+    reported as identically zero. A coordinate without three points at
+    distinct lam has no fit and leaves its branch unclassified.
     """
     if red.param_dim != 1:
         raise ValueError("branch tracing requires exactly one parameter")
@@ -432,9 +450,9 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
     scales = [5.0 * math.sqrt(abs(lam)) for lam in lams]
     seeds = [_seed_grid(m, sc) for sc in scales]
     n = len(seeds[0])
-    u, converged = reduced_newton(red, vertex, np.vstack(seeds),
-                                  np.repeat(lams, n)[:, None],
-                                  np.repeat(scales, n))
+    u, converged = flat_newton(red, vertex, np.vstack(seeds),
+                               np.repeat(lams, n)[:, None],
+                               np.repeat(scales, n))
     branches = []
     for li, lam in enumerate(lams):
         block = slice(li * n, (li + 1) * n)
@@ -476,13 +494,15 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
                 coefs.append(0.0)
                 continue
             mask = col > 1e-12
-            if np.sum(mask) < 3:
+            lx, ly = np.log(ls[mask]), np.log(col[mask])
+            # a fit needs three points at numerically distinct lam
+            fit = np.polyfit(lx, ly, 1, full=True) if len(lx) >= 3 else None
+            if fit is None or fit[2] < 2:
                 exps.append(None)
                 coefs.append(None)
                 worst_r2 = 0.0
                 continue
-            lx, ly = np.log(ls[mask]), np.log(col[mask])
-            q, c = np.polyfit(lx, ly, 1)
+            q, c = fit[0]
             resid = ly - (q * lx + c)
             ss_tot = np.sum((ly - np.mean(ly)) ** 2)
             r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
@@ -499,7 +519,7 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
         b.exponents = exps
         b.coefficients = coefs
         b.r_squared = worst_r2
-        b.classified = worst_r2 >= FIT_R2_MIN and all(
+        b.classified = bool(worst_r2 >= FIT_R2_MIN) and all(
             e is not None for e in exps)
         out.append(b)
     out.sort(key=lambda b: tuple(

@@ -3,7 +3,9 @@
 Each example takes a valid network, representation, tuple or DSL input,
 drops one entry, gives one value a wrong type, or truncates the text, and
 runs the command in-process through ``cli.run``. The exit code must be 0,
-1 or 2, and no exception may escape ``cli.run``.
+1 or 2, and no exception may escape ``cli.run``. The cases with a branch
+the tracer cannot classify run the CLI as a process, so that a traceback
+or a half-written report shows.
 """
 
 import json
@@ -20,12 +22,15 @@ from hypothesis import strategies as st
 from helpers import (cm_feedforward_tuple, feedforward_chain_network,
                      float_copy, hopf_tuple, isolated_network, time_limit)
 from quiverdyn import cli
-from quiverdyn.fileio import (endomorphism_to_json, network_to_json,
-                              representation_to_json, tuple_to_json)
+from quiverdyn.fileio import (dump_json, endomorphism_to_json,
+                              network_to_json, representation_to_json,
+                              tuple_to_json)
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation
 from quiverdyn.spectral import EndomorphismTuple
 from quiverdyn.tuples import PolyMap, PolyMapTuple
+from test_cli import run_cli
+from test_lsreduction import transcritical_with_slave
 
 WRONG_VALUES = [None, True, -1, 1.5, "x", "1/0", [], {}, [[1, 2]]]
 
@@ -197,3 +202,30 @@ def test_quoq_over_partition_cap_exits_1_with_named_error(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error: SizeOverflow" in err and "balanced partitions" in err
+
+
+def imperfect_pitchfork():
+    """x' = lambda x + x^2/100 - x^3, whose branches
+    x = (1/100 +- sqrt(1/10^4 + 4 lambda)) / 2 bend from slope 1 to slope
+    1/2 inside the default window (near lambda = 2.5e-5)."""
+    quiver = Quiver(["v"], [("id", "v", "v")])
+    rep = QuiverRepresentation(quiver, {"v": 1}, {"id": [[Fraction(1)]]})
+    p = Poly(2, {(1, 1): 1, (2, 0): Fraction(1, 100), (3, 0): -1})
+    return PolyMapTuple(rep, {"v": PolyMap([p])}, param_dim=1)
+
+
+@pytest.mark.parametrize("fixture,window,classified", [
+    (transcritical_with_slave, ["--lam-min", "0.01", "--lam-max", "0.01"],
+     [True, False]),
+    (imperfect_pitchfork, [], [True, False, False]),
+], ids=["one-lam", "bent-branch"])
+def test_branches_with_an_unclassified_branch_exit_1(
+        tmp_path, fixture, window, classified):
+    # one lam gives no fit, and a bent branch fits below FIT_R2_MIN; either
+    # way the report is written whole and the command exits 1
+    dump_json(tuple_to_json(fixture()), tmp_path / "pvf.json")
+    r = run_cli(["branches", "pvf.json", "--vertex", "v"] + window, tmp_path)
+    assert r.returncode == 1
+    report = json.loads((tmp_path / "reports" / "branches.json").read_text())
+    assert report["passed"] is False
+    assert [b["classified"] for b in report["branches"]] == classified

@@ -4,21 +4,23 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from helpers import single_vertex_tuple
 from test_casestudy import CASE1, CASE2, CASE3
-from quiverdyn.casestudy import assemble_case_tuple
+from quiverdyn.casestudy import assemble_case_tuple, casestudy_s10
 from quiverdyn.errors import DomainTooSmall, NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
-from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW, CONVERGED,
-                                   DAMPING_FAILED, NEWTON_MAX_ITER,
-                                   CompiledField, _distinct_roots,
-                                   _lane_solve, _seed_grid,
+from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW,
+                                   CLOSING_STEPS, CONVERGED, DAMPING_FAILED,
+                                   NEWTON_MAX_ITER, NEWTON_TOL,
+                                   CompiledField, LSReduction,
+                                   _distinct_roots, _lane_solve, _seed_grid,
                                    check_reduced_equivariance,
-                                   find_branches_1param, ls_reduce,
-                                   reduced_newton)
+                                   find_branches_1param, flat_newton,
+                                   ls_reduce)
 from quiverdyn.polynomial import Poly, combine_rows, substitute_linear
 from quiverdyn.quiver import Quiver, QuiverRepresentation
 from quiverdyn.spectral import EndomorphismTuple, kernel_image_split
@@ -252,15 +254,31 @@ def seed_lanes(red, v, lams):
 
 
 def test_transcritical_roots_from_seed_lanes():
-    red = ls_reduce(transcritical_with_slave())
+    # radius 1.5e-3 keeps the root (0.010001, 0.010001^2) inside it, but
+    # the first step from the four far seeds puts w outside it
+    red = ls_reduce(transcritical_with_slave(), radius=1.5e-3)
     u0, lam, scale = seed_lanes(red, "v", np.array([1e-2]))
-    u, converged = reduced_newton(red, "v", u0, lam, scale)
+    u, converged = flat_newton(red, "v", u0, lam, scale)
     roots = _distinct_roots(u, converged, scale[0])
     assert [float(r[0]) for r in roots] == pytest.approx([0.0, 0.010001],
                                                          abs=1e-6)
-    # seeds beyond the neighbourhood radius (phi = u^2 > 0.1) fail in phi
     far = np.abs(u0[:, 0]) > 0.33
-    assert far.any() and not converged[far].any()
+    assert far.sum() == 4 and converged.tolist() == (~far).tolist()
+    F, J = red.vertex_data["v"].evaluator(np.hstack([u0, 0 * u0, lam]))
+    step = np.linalg.solve(J, F[:, :, None])[:, :, 0]
+    assert (np.abs(step[:, 0]) <= 10 * scale).all()
+    assert (np.abs(step[far, 1]) > 1.5e-3).all()
+    # no branch root of the whole field has w = u^2 beyond a radius of 1e-5
+    red = ls_reduce(transcritical_with_slave(), radius=1e-5)
+    u, converged = flat_newton(red, "v", u0, lam, scale)
+    assert converged.tolist() == (u0[:, 0] == 0).tolist()
+
+
+def test_phi_fails_beyond_the_radius():
+    # seeds beyond phi's neighbourhood radius (phi = u^2 > 0.1) fail in phi
+    red = ls_reduce(transcritical_with_slave())
+    u0, lam, _ = seed_lanes(red, "v", np.array([1e-2]))
+    far = np.abs(u0[:, 0]) > 0.33
     status = red.reduced_lanes("v", u0, lam)[3]
     assert (status[far] == DAMPING_FAILED).all()
     assert (status[~far] == CONVERGED).all()
@@ -272,36 +290,41 @@ def test_each_seed_lane_solves_as_it_would_alone(name):
     v = "v" if name == "transcritical" else "N1"
     lams = np.geomspace(*BRANCH_WINDOW, BRANCH_POINTS)[::-1]
     u0, lam, scale = seed_lanes(red, v, lams)
-    u, converged = reduced_newton(red, v, u0, lam, scale)
+    u, converged = flat_newton(red, v, u0, lam, scale)
     assert converged.any()
     for i in range(len(u0)):
-        ui, ci = reduced_newton(red, v, u0[i:i + 1], lam[i:i + 1],
-                                scale[i:i + 1])
+        ui, ci = flat_newton(red, v, u0[i:i + 1], lam[i:i + 1],
+                             scale[i:i + 1])
         assert np.array_equal(ui[0], u[i]) and ci[0] == converged[i]
 
 
 def newton_one_seed_at_a_time(red, v, u0, lam, scale):
-    """The branch tracer's Newton from each seed by a plain loop of public
-    reduced_jacobian calls: the last point and whether it converged."""
+    """The branch tracer's Newton from each seed by a plain loop of
+    evaluator calls and np.linalg.solve: the last u and whether it
+    converged."""
+    vd = red.vertex_data[v]
+    m = vd.ker_dim
     out = []
     for seed in u0:
-        u, ok = seed.copy(), False
-        for _ in range(NEWTON_MAX_ITER):
-            try:
-                f, J = red.reduced_jacobian(v, u, [lam])
-            except NewtonDiverged:
-                break
-            if np.max(np.abs(f), initial=0.0) <= 1e-12:
-                ok = True
+        z, ok, closed = np.concatenate([seed, np.zeros(vd.dim - m)]), False, 0
+        for it in range(NEWTON_MAX_ITER + CLOSING_STEPS):
+            F, J = vd.evaluator(np.concatenate([z, [lam]]))
+            ok = ok or np.max(np.abs(F), initial=0.0) <= NEWTON_TOL
+            if not ok and it == NEWTON_MAX_ITER:
                 break
             try:
-                step = np.linalg.solve(J, f)
+                step = np.linalg.solve(J, F)
             except np.linalg.LinAlgError:
                 break
-            if np.max(np.abs(step), initial=0.0) > 10 * scale:
+            new = z - step
+            if not (np.max(np.abs(step[:m]), initial=0.0) <= 10 * scale
+                    and np.max(np.abs(new[m:]), initial=0.0) <= vd.radius):
                 break
-            u = u - step
-        out.append((u, ok))
+            z = new
+            closed += ok
+            if closed == CLOSING_STEPS:
+                break
+        out.append((z[:m], ok))
     return out
 
 
@@ -311,11 +334,70 @@ def test_seed_lanes_match_the_one_seed_loop(name):
     v = "v" if name == "transcritical" else "N1"
     for lam in (1e-2, 1e-4):
         u0, lams, scale = seed_lanes(red, v, np.array([lam]))
-        u, converged = reduced_newton(red, v, u0, lams, scale)
+        u, converged = flat_newton(red, v, u0, lams, scale)
         want = newton_one_seed_at_a_time(red, v, u0, lam, scale[0])
         assert [ok for _, ok in want] == converged.tolist()
         for (ui, _), got in zip(want, u):
             assert np.array_equal(ui, got)
+
+
+# (exponents, coefficients) of every branch at N1: the reduced maps are
+# lam*u - u^2 per coordinate (a=0), lam*u - u^2 (b=0) and lam - u^2 (ab-cd=0)
+EXACT_BRANCHES = {
+    "a=0": [([0, 0], [0, 0]), ([0, 1], [0, 1]), ([1, 0], [1, 0]),
+            ([1, 1], [1, 1])],
+    "b=0": [([0], [0]), ([1], [1])],
+    "ab-cd=0": [([0.5], [-1]), ([0.5], [1])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BRANCHES))
+def test_paper_case_branches_are_exact(name):
+    branches = find_branches_1param(reduction(name), "N1")
+    assert [b.exponents for b in branches] == \
+        [e for e, _ in EXACT_BRANCHES[name]]
+    for b, (_, want) in zip(branches, EXACT_BRANCHES[name]):
+        assert np.max(np.abs(np.subtract(b.coefficients, want))) <= 1e-12
+
+
+def test_transcritical_roots_match_mpmath():
+    # the nontrivial root of lam*u - u^2 + u^4 near u = lam, in 50 digits
+    branches = find_branches_1param(ls_reduce(transcritical_with_slave()),
+                                    "v")
+    (b,) = [b for b in branches if b.exponents == [1]]
+    assert len(b.points) == BRANCH_POINTS
+    with mpmath.workdps(50):
+        for lam, root in b.points:
+            lam = mpmath.mpf(lam)
+            want = float(mpmath.findroot(
+                lambda u: lam * u - u ** 2 + u ** 4, lam))
+            assert abs(root[0] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("case", [CASE1, CASE2, CASE3])
+def test_branch_tracer_solves_the_whole_field(case, monkeypatch):
+    # one evaluator call per lockstep Newton step and no phi solve; the
+    # synchrony lift still calls phi once per branch
+    calls = {"evaluator": 0, "phi_lanes": 0, "phi": 0}
+
+    def counted(cls, name, key):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return method(*args, **kw)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(CompiledField, "__call__", "evaluator")
+    counted(LSReduction, "phi_lanes", "phi_lanes")
+    red = case_study_reduction(case)
+    calls["evaluator"] = 0
+    assert find_branches_1param(red, "N1")
+    assert calls["phi_lanes"] == 0
+    assert 0 < calls["evaluator"] <= NEWTON_MAX_ITER + CLOSING_STEPS
+    counted(LSReduction, "phi", "phi")
+    report = casestudy_s10(*case)
+    assert calls["phi"] >= len(report.branches) > 0
 
 
 def test_vertex_without_kernel_has_no_roots():
@@ -347,10 +429,13 @@ def test_branch_tracer_raises_no_runtime_warning(case):
         assert find_branches_1param(red, "N1")
 
 
-@pytest.mark.parametrize("case", [CASE2, CASE3])
-def test_branch_tracer_evaluates_no_empty_batch(case, monkeypatch):
-    # a damping trial whose lanes all leave the radius is not evaluated
-    red = case_study_reduction(case)
+def test_no_empty_batch_is_evaluated(monkeypatch):
+    # the tracer stops when no lane is left, and phi_lanes does not evaluate
+    # a damping trial whose lanes all leave the radius
+    reductions = [case_study_reduction(case) for case in (CASE2, CASE3)]
+    red = ls_reduce(transcritical_with_slave())
+    u0, lam, _ = seed_lanes(red, "v", np.array([1e-2]))
+    far = np.abs(u0[:, 0]) > 0.33
     sizes, call = [], CompiledField.__call__
 
     def counted(self, z):
@@ -358,7 +443,10 @@ def test_branch_tracer_evaluates_no_empty_batch(case, monkeypatch):
         return call(self, z)
 
     monkeypatch.setattr(CompiledField, "__call__", counted)
-    assert find_branches_1param(red, "N1")
+    for case_red in reductions:
+        assert find_branches_1param(case_red, "N1")
+    status = red.reduced_lanes("v", u0[far], lam[far])[3]
+    assert (status == DAMPING_FAILED).all()
     assert sizes and min(sizes) > 0
 
 
