@@ -437,8 +437,9 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
     batch, and are exact to round-off. They are linked by continuation from
     large to small lam, and classified per coordinate by a log-log fit with
     exponents restricted to {1, 1/2}; coordinates below noise level are
-    reported as identically zero. A coordinate without three points at
-    distinct lam has no fit and leaves its branch unclassified.
+    reported as identically zero. A coordinate with fewer than three
+    points, or with all of them at one lam, has no fit and leaves its
+    branch unclassified.
     """
     if red.param_dim != 1:
         raise ValueError("branch tracing requires exactly one parameter")
@@ -495,7 +496,7 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
                 continue
             mask = col > 1e-12
             lx, ly = np.log(ls[mask]), np.log(col[mask])
-            # a fit needs three points at numerically distinct lam
+            # a fit needs three points, not all at one lam (to round-off)
             fit = np.polyfit(lx, ly, 1, full=True) if len(lx) >= 3 else None
             if fit is None or fit[2] < 2:
                 exps.append(None)

@@ -429,10 +429,11 @@ def test_branch_tracer_raises_no_runtime_warning(case):
         assert find_branches_1param(red, "N1")
 
 
-def test_no_empty_batch_is_evaluated(monkeypatch):
+@pytest.mark.parametrize("case", [CASE2, CASE3])
+def test_branch_tracer_evaluates_no_empty_batch(case, monkeypatch):
     # the tracer stops when no lane is left, and phi_lanes does not evaluate
     # a damping trial whose lanes all leave the radius
-    reductions = [case_study_reduction(case) for case in (CASE2, CASE3)]
+    case_red = case_study_reduction(case)
     red = ls_reduce(transcritical_with_slave())
     u0, lam, _ = seed_lanes(red, "v", np.array([1e-2]))
     far = np.abs(u0[:, 0]) > 0.33
@@ -443,8 +444,7 @@ def test_no_empty_batch_is_evaluated(monkeypatch):
         return call(self, z)
 
     monkeypatch.setattr(CompiledField, "__call__", counted)
-    for case_red in reductions:
-        assert find_branches_1param(case_red, "N1")
+    assert find_branches_1param(case_red, "N1")
     status = red.reduced_lanes("v", u0[far], lam[far])[3]
     assert (status == DAMPING_FAILED).all()
     assert sizes and min(sizes) > 0
