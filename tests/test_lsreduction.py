@@ -341,8 +341,8 @@ def test_seed_lanes_match_the_one_seed_loop(name):
             assert np.array_equal(ui, got)
 
 
-# (exponents, coefficients) of every branch at N1: the reduced maps are
-# lam*u - u^2 per coordinate (a=0), lam*u - u^2 (b=0) and lam - u^2 (ab-cd=0)
+# (exponents, coefficients) of every branch at N1, whose zeros are exactly
+# u_i in {0, lam} (a=0), u in {0, lam} (b=0) and u = +-sqrt(lam) (ab-cd=0)
 EXACT_BRANCHES = {
     "a=0": [([0, 0], [0, 0]), ([0, 1], [0, 1]), ([1, 0], [1, 0]),
             ([1, 1], [1, 1])],
