@@ -29,7 +29,8 @@ from .lsreduction import (SYNC_TOL, check_reduced_equivariance,
                           find_branches_1param, ls_reduce, synchrony_groups)
 from .network import ColouredNetwork, ResponseFamily
 from .quiver import Quiver, QuiverRepresentation, selection_matrix
-from .tuples import PolyMap, PolyMapTuple, check_equivariance
+from .tuples import (PolyMap, PolyMapTuple, check_equivariance,
+                     linear_part)
 
 CASES = ("a=0", "b=0", "ab-cd=0")
 
@@ -165,8 +166,10 @@ def casestudy_s10(f_text, g_text, case):
     req = check_reduced_equivariance(red, samples=100)
     decoupled = None
     if case == "a=0" and red.kernel_dim("N1") == 2:
-        _, J = red.reduced_jacobian("N1", np.zeros(2), [0.0])
-        decoupled = bool(max(abs(J[0, 1]), abs(J[1, 0])) <= 1e-8)
+        # D_u f(0; 0) is L on the kernel: K with L B = B K, exactly
+        ar, B = rep.arith, ker_sub.basis["N1"]
+        K = ar.solve(B, ar.matmul(linear_part(F)["N1"], B, 2))
+        decoupled = bool(K[0][1] == 0 and K[1][0] == 0)
     identity_restriction = all(
         ker_sub.subdim[s] != 1 or ker_sub.subdim[t] != 1
         or restricted[a] == ((Fraction(1),),)

@@ -4,17 +4,20 @@ Given a parameterized polynomial tuple F with F(0; 0) = 0, the spectral
 split of the linearization L = D_x F(0; 0) in F's own arithmetic divides
 every vertex space into the generalized kernel and the reduced image, and
 F is written in the split's coordinates z = M^{-1} x. The image-block
-equation is solved by damped Newton iteration to produce the implicit graph
-map phi_v(u; lam). Substituting back yields the reduced bifurcation map f_v
-on the kernel coordinates; when F is quiver-equivariant, the reduced tuple
-is again equivariant, which check_reduced_equivariance verifies by sampling.
+equation is solved by Newton iteration from w = 0 to produce the implicit
+graph map phi_v(u; lam). Substituting back yields the reduced bifurcation
+map f_v on the kernel coordinates; when F is quiver-equivariant, the
+reduced tuple is again equivariant, which check_reduced_equivariance
+verifies by sampling.
 
 Branches of a one-parameter reduced equation are traced on a logarithmic
 parameter window and classified by leading exponent (lam or sqrt(lam)).
 Their zeros come from Newton on the whole field F(u, w; lam) = 0 rather
 than on f_v: a zero of F with w inside the neighbourhood radius is a zero
 of f_v with w = phi(u; lam), and one Newton step on F costs one evaluation,
-where a step on f_v first solves for phi.
+where a step on f_v first solves for phi. Both are one lockstep Newton,
+VertexReduction.newton: phi moves the image coordinates with u held fixed,
+and the branch tracer moves all coordinates.
 """
 
 from __future__ import annotations
@@ -88,16 +91,6 @@ class CompiledField:
         return vals[..., :d], vals[..., d:].reshape(z.shape[:-1] + (d, d))
 
 
-@dataclass
-class VertexReduction:
-    """Per-vertex data of a Lyapunov-Schmidt reduction (float arithmetic)."""
-    dim: int
-    ker_dim: int
-    basis: np.ndarray          # [B_ker | B_im], dim x dim
-    radius: float
-    evaluator: CompiledField   # z |-> M^{-1} F(M z; lam) and its Jacobian
-
-
 def _max_abs(x):
     """max |x_i| over the last axis, 0 where it is empty."""
     return np.abs(x).max(axis=-1, initial=0.0)
@@ -123,10 +116,70 @@ def _lane_solve(A, b):
         return x, ok
 
 
-# Newton lane outcomes; every failure is one NewtonDiverged message of phi
-CONVERGED, SINGULAR, DAMPING_FAILED, NO_CONVERGENCE = range(4)
-# step lengths of the damped Newton: halved from 1 while above 1e-4
-DAMPING_STEPS = tuple(0.5 ** k for k in range(64) if 0.5 ** k > 1e-4)
+# Newton lane outcomes, and the NewtonDiverged message of each failure of phi
+CONVERGED, SINGULAR, LEFT_RADIUS, NO_CONVERGENCE = range(4)
+FAILURES = {SINGULAR: "singular image-block Jacobian",
+            LEFT_RADIUS: "Newton left the neighbourhood radius",
+            NO_CONVERGENCE: f"no convergence in {NEWTON_MAX_ITER} steps"}
+
+
+@dataclass
+class VertexReduction:
+    """Per-vertex data of a Lyapunov-Schmidt reduction (float arithmetic)."""
+    dim: int
+    ker_dim: int
+    basis: np.ndarray          # [B_ker | B_im], dim x dim
+    radius: float
+    evaluator: CompiledField   # z |-> M^{-1} F(M z; lam) and its Jacobian
+
+    def newton(self, z, free, scale, closing):
+        """Newton on the rows `free` of the field in the coordinates `free`
+        from every lane z[i] = (u, w, lam), in lockstep.
+
+        A lane fails when its Jacobian block is singular (SINGULAR), when
+        the u part of a step is longer than 10 * scale[i] or w leaves the
+        radius (LEFT_RADIUS), or when it has not converged in
+        NEWTON_MAX_ITER steps (NO_CONVERGENCE). It converges when
+        max |F[free]| <= NEWTON_TOL, and then takes `closing` more steps
+        under the same rules, so that its root is exact to round-off rather
+        than to NEWTON_TOL / |F'|; a closing step that fails a rule leaves
+        the lane where it was. Each lane takes the steps it would take
+        alone. Returns the lanes' last points, the field at each lane's last
+        evaluated point, and each lane's outcome.
+        """
+        m, d = self.ker_dim, self.dim
+        vals = np.zeros((len(z), d))
+        status = np.full(len(z), NO_CONVERGENCE)
+        closed = np.zeros(len(z), dtype=int)   # steps taken since converging
+        live = np.arange(len(z))
+        for it in range(NEWTON_MAX_ITER + closing + 1):
+            if not live.size:
+                break
+            field, jac = self.evaluator(z[live])
+            vals[live] = field
+            F, J = field[:, free], jac[:, free, free]
+            status[live[_max_abs(F) <= NEWTON_TOL]] = CONVERGED
+            conv = status[live] == CONVERGED
+            # a lane leaves once converged with its closing steps taken, or
+            # unconverged after NEWTON_MAX_ITER steps
+            stay = np.where(conv, closed[live] < closing,
+                            it < NEWTON_MAX_ITER)
+            live, F, J, conv = live[stay], F[stay], J[stay], conv[stay]
+            if not live.size:
+                break
+            step, ok = _lane_solve(J, F[:, :, None])
+            full = np.zeros((len(live), d))
+            full[:, free] = step[:, :, 0]
+            cand = z[live, :d] - full
+            inside = (_max_abs(full[:, :m]) <= 10 * scale[live]) \
+                & (_max_abs(cand[:, m:]) <= self.radius)
+            status[live[~conv & ~ok]] = SINGULAR
+            status[live[~conv & ok & ~inside]] = LEFT_RADIUS
+            ok &= inside
+            z[live[ok], :d] = cand[ok]
+            closed[live[ok & conv]] += 1
+            live = live[ok & (~conv | (closed[live] < closing))]
+        return z, vals, status
 
 
 @dataclass
@@ -140,97 +193,33 @@ class LSReduction:
     def kernel_dim(self, v):
         return self.vertex_data[v].ker_dim
 
-    def phi_lanes(self, v, u, lam):
-        """Damped Newton for the image-block equations at every lane
-        (u[i], lam[i]) of vertex v, in lockstep.
+    def reduced_lanes(self, v, u, lam):
+        """phi and the reduced map f_v at every lane (u[i], lam[i]) of
+        vertex v: Newton on the image rows in the image coordinates from
+        w = 0, with u held fixed.
 
-        Returns (w, vals, jac, status): the image coordinates, the field and
-        its Jacobian at (u, w, lam), and each lane's outcome (CONVERGED or
-        the failure that ended it). Each lane takes the steps it would take
-        alone: a lane leaves the batch when it converges or fails, and a
-        damping trial whose candidate leaves the neighbourhood radius is not
-        evaluated.
+        Returns (w, f, status): the image coordinates, the kernel rows of
+        the field at (u, w, lam), and each lane's outcome (CONVERGED or the
+        failure that ended it).
         """
         vd = self.vertex_data[v]
         m = vd.ker_dim
-        w = np.zeros((len(u), vd.dim - m))
-        vals, jac = vd.evaluator(np.hstack([u, w, lam]))
-        status = np.full(len(u), NO_CONVERGENCE)
-        live = np.arange(len(u))
-        for _ in range(NEWTON_MAX_ITER):
-            norm0 = _max_abs(vals[live, m:])
-            done = norm0 <= NEWTON_TOL
-            status[live[done]] = CONVERGED
-            live, norm0 = live[~done], norm0[~done]
-            if not live.size:
-                break
-            step, ok = _lane_solve(jac[live, m:, m:], vals[live, m:, None])
-            status[live[~ok]] = SINGULAR
-            live, norm0, step = live[ok], norm0[ok], step[ok, :, 0]
-            # damped step, clamped to the neighbourhood radius; an accepted
-            # candidate's field and Jacobian serve the next iteration
-            trying = np.arange(len(live))
-            for alpha in DAMPING_STEPS:
-                lanes = live[trying]
-                cand = w[lanes] - alpha * step[trying]
-                inside = ~(_max_abs(cand) > vd.radius)
-                lanes, cand = lanes[inside], cand[inside]
-                if not lanes.size:
-                    continue
-                cvals, cjac = vd.evaluator(
-                    np.hstack([u[lanes], cand, lam[lanes]]))
-                norm = _max_abs(cvals[:, m:])
-                acc = (norm < norm0[trying[inside]]) | \
-                    (norm <= NEWTON_TOL)
-                lanes = lanes[acc]
-                w[lanes], vals[lanes], jac[lanes] = \
-                    cand[acc], cvals[acc], cjac[acc]
-                trying = np.delete(trying, np.flatnonzero(inside)[acc])
-                if not trying.size:
-                    break
-            status[live[trying]] = DAMPING_FAILED
-            live = np.delete(live, trying)
-        return w, vals, jac, status
+        z = np.hstack([u, np.zeros((len(u), vd.dim - m)), lam])
+        # u does not move, so its step is 0 and bounded by a zero scale
+        z, vals, status = vd.newton(z, slice(m, vd.dim), np.zeros(len(u)), 0)
+        return z[:, m:vd.dim], vals[:, :m], status
 
-    def reduced_lanes(self, v, u, lam, jacobian=False):
-        """phi and the reduced map f_v at every lane (u[i], lam[i]), with
-        the Jacobian of f_v in u if asked.
-
-        Returns (w, f, J or None, status). With f the kernel rows and g the
-        image rows of the field at z = (u, phi(u; lam), lam), differentiating
-        g(u, phi(u; lam), lam) = 0 gives D_u phi = -g_w^{-1} g_u, so
-        D_u f_v = f_u - f_w g_w^{-1} g_u; a lane whose g_w is singular there
-        fails as phi's solve would.
-        """
-        m = self.kernel_dim(v)
-        w, vals, jac, status = self.phi_lanes(v, u, lam)
-        J = None
-        if jacobian:
-            lanes = np.flatnonzero(status == CONVERGED)
-            g = jac[lanes, m:]
-            dphi, ok = _lane_solve(g[:, :, m:], g[:, :, :m])
-            status[lanes[~ok]] = SINGULAR
-            J = np.zeros((len(u), m, m))
-            J[lanes] = jac[lanes, :m, :m] - jac[lanes, :m, m:] @ dphi
-        return w, vals[:, :m], J, status
-
-    def _one_lane(self, v, u, lam, jacobian=False):
-        """reduced_lanes at the one point (u, lam) as (w, f, J); raises
+    def _one_lane(self, v, u, lam):
+        """reduced_lanes at the one point (u, lam) as (w, f); raises
         NewtonDiverged naming the failure that ended the lane."""
         u = np.asarray(u, dtype=float)
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        w, f, J, status = self.reduced_lanes(v, u[None], lam[None], jacobian)
-        if status[0] == SINGULAR:
+        w, f, status = self.reduced_lanes(v, u[None], lam[None])
+        if status[0] != CONVERGED:
             raise NewtonDiverged(
-                f"vertex {v!r}: singular image-block Jacobian at "
-                f"u={u.tolist()}, lam={lam.tolist()}")
-        if status[0] == DAMPING_FAILED:
-            raise NewtonDiverged(
-                f"vertex {v!r}: damping failed at u={u.tolist()}")
-        if status[0] == NO_CONVERGENCE:
-            raise NewtonDiverged(
-                f"vertex {v!r}: no convergence in {NEWTON_MAX_ITER} steps")
-        return w[0], f[0], None if J is None else J[0]
+                f"vertex {v!r}: {FAILURES[status[0]]} at u={u.tolist()}, "
+                f"lam={lam.tolist()}")
+        return w[0], f[0]
 
     def phi(self, v, u, lam):
         """Image-block coordinates w solving the eliminated equations."""
@@ -239,10 +228,6 @@ class LSReduction:
     def reduced_eval(self, v, u, lam):
         """The reduced bifurcation map f_v(u; lam) on kernel coordinates."""
         return self._one_lane(v, u, lam)[1]
-
-    def reduced_jacobian(self, v, u, lam):
-        """f_v(u; lam) and its Jacobian in u (see reduced_lanes)."""
-        return self._one_lane(v, u, lam, jacobian=True)[1:]
 
     def lift(self, v, u, lam):
         """The full-space point x = M (u, phi(u; lam))."""
@@ -319,12 +304,12 @@ def check_reduced_equivariance(red, samples=100, tol=1e-8, radius=None,
             draws = rng.uniform(-r, r, (samples - done, m_s + red.param_dim))
             u, lam = draws[:, :m_s], draws[:, m_s:]
             if m_s:
-                _, f_s, _, status_s = red.reduced_lanes(s, u, lam)
+                _, f_s, status_s = red.reduced_lanes(s, u, lam)
                 lhs, failed = f_s @ C.T, status_s != CONVERGED
             else:
                 lhs = np.zeros((len(u), red.kernel_dim(t)))
                 failed = np.zeros(len(u), dtype=bool)
-            _, rhs, _, status_t = red.reduced_lanes(t, u @ C.T, lam)
+            _, rhs, status_t = red.reduced_lanes(t, u @ C.T, lam)
             failed |= status_t != CONVERGED
             kept = int(np.argmax(failed)) if failed.any() else len(u)
             worst = max(worst, float(
@@ -370,44 +355,6 @@ class Branch:
     classified: bool = True
 
 
-def flat_newton(red, v, u, lam, scale):
-    """Newton on the whole field F(u, w; lam) = 0 at vertex v from every
-    lane (u[i], 0; lam[i]), in lockstep.
-
-    A zero of F with w inside the vertex's radius is a zero of the reduced
-    map f_v, with w = phi(u; lam). A lane fails when its Jacobian is
-    singular, when the u part of a step is longer than 10 * scale[i], when
-    w leaves the radius, or when it has not converged in NEWTON_MAX_ITER
-    steps. It converges when max |F| <= NEWTON_TOL, and then takes
-    CLOSING_STEPS more steps under the same rules, so that its root is
-    exact to round-off rather than to NEWTON_TOL / |F'|; a closing step
-    that fails a rule leaves the lane where it was. Returns the last u of
-    every lane and the converged mask.
-    """
-    vd = red.vertex_data[v]
-    m, d = vd.ker_dim, vd.dim
-    z = np.hstack([u, np.zeros((len(u), d - m)), lam])
-    converged = np.zeros(len(u), dtype=bool)
-    closed = np.zeros(len(u), dtype=int)   # steps taken since converging
-    live = np.arange(len(u))
-    for it in range(NEWTON_MAX_ITER + CLOSING_STEPS):
-        if not live.size:
-            break
-        F, J = vd.evaluator(z[live])
-        converged[live] |= _max_abs(F) <= NEWTON_TOL
-        conv = converged[live]
-        step, ok = _lane_solve(J, F[:, :, None])
-        step = step[:, :, 0]
-        cand = z[live, :d] - step
-        ok &= (conv | (it < NEWTON_MAX_ITER)) \
-            & (_max_abs(step[:, :m]) <= 10 * scale[live]) \
-            & (_max_abs(cand[:, m:]) <= vd.radius)
-        z[live[ok], :d] = cand[ok]
-        closed[live[ok & conv]] += 1
-        live = live[ok & (closed[live] < CLOSING_STEPS)]
-    return z[:, :m], converged
-
-
 def _seed_grid(m, scale):
     """The 9^m grid on [-scale, scale]^m, one seed per row."""
     if not m:
@@ -432,9 +379,9 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
                          grid=BRANCH_POINTS):
     """Trace and classify branches of the reduced equation at one vertex.
 
-    Zeros are found by flat_newton on the whole field from a seed grid at
-    each of `grid` log-spaced parameter values in lam_range, all in one
-    batch, and are exact to round-off. They are linked by continuation from
+    Zeros are found by Newton on the whole field from a seed grid at each
+    of `grid` log-spaced parameter values in lam_range, all in one batch,
+    and are exact to round-off (VertexReduction.newton with CLOSING_STEPS). They are linked by continuation from
     large to small lam, and classified per coordinate by a log-log fit with
     exponents restricted to {1, 1/2}; coordinates below noise level are
     reported as identically zero. A coordinate with fewer than three
@@ -451,9 +398,12 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
     scales = [5.0 * math.sqrt(abs(lam)) for lam in lams]
     seeds = [_seed_grid(m, sc) for sc in scales]
     n = len(seeds[0])
-    u, converged = flat_newton(red, vertex, np.vstack(seeds),
-                               np.repeat(lams, n)[:, None],
-                               np.repeat(scales, n))
+    vd = red.vertex_data[vertex]
+    z = np.hstack([np.vstack(seeds), np.zeros((len(lams) * n, vd.dim - m)),
+                   np.repeat(lams, n)[:, None]])
+    z, _, status = vd.newton(z, slice(0, vd.dim), np.repeat(scales, n),
+                             CLOSING_STEPS)
+    u, converged = z[:, :m], status == CONVERGED
     branches = []
     for li, lam in enumerate(lams):
         block = slice(li * n, (li + 1) * n)

@@ -11,7 +11,8 @@ from quiverdyn.casestudy import (NODE_MAPS, assemble_case_tuple,
                                  linear_coefficients)
 from quiverdyn.errors import CaseMismatch
 from quiverdyn.fileio import parse_poly_dsl
-from quiverdyn.tuples import check_equivariance
+from quiverdyn.lsreduction import ls_reduce
+from quiverdyn.tuples import check_equivariance, linear_part
 
 from helpers import time_limit
 
@@ -129,6 +130,19 @@ def test_fractional_a0_case_splits_exact_linearization():
     assert all(b.classified for b in rep.branches)
     assert sorted(tuple(b.exponents) for b in rep.branches) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("inputs", [CASE1, TWO_THIRDS])
+def test_case_a0_kernel_block_is_exactly_zero(inputs):
+    # decoupled reads D_u f(0; 0), which is L on the kernel: the K with
+    # L B = B K for the exact kernel basis B at N1
+    F = assemble_case_tuple(poly(inputs[0]), poly(inputs[1]))
+    B = ls_reduce(F).kernel.basis["N1"]
+    ar = F.representation.arith
+    K = ar.solve(B, ar.matmul(linear_part(F)["N1"], B, 2))
+    assert K == ((0, 0), (0, 0))
+    assert all(type(k) is Fraction for row in K for k in row)
+    assert casestudy_s10(*inputs).decoupled is True
 
 
 def test_bad_arity_rejected():

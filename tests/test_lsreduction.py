@@ -14,13 +14,14 @@ from quiverdyn.casestudy import assemble_case_tuple, casestudy_s10
 from quiverdyn.errors import DomainTooSmall, NewtonDiverged, NotEquilibrium
 from quiverdyn.fileio import parse_poly_dsl
 from quiverdyn.lsreduction import (BRANCH_POINTS, BRANCH_WINDOW,
-                                   CLOSING_STEPS, CONVERGED, DAMPING_FAILED,
+                                   CLOSING_STEPS, CONVERGED, LEFT_RADIUS,
                                    NEWTON_MAX_ITER, NEWTON_TOL,
+                                   NO_CONVERGENCE, SINGULAR,
                                    CompiledField, LSReduction,
-                                   _distinct_roots, _lane_solve, _seed_grid,
+                                   VertexReduction, _distinct_roots,
+                                   _lane_solve, _seed_grid,
                                    check_reduced_equivariance,
-                                   find_branches_1param, flat_newton,
-                                   ls_reduce)
+                                   find_branches_1param, ls_reduce)
 from quiverdyn.polynomial import Poly, combine_rows, substitute_linear
 from quiverdyn.quiver import Quiver, QuiverRepresentation
 from quiverdyn.spectral import EndomorphismTuple, kernel_image_split
@@ -88,8 +89,9 @@ def test_cross_derivative_of_decoupled_system():
     p2 = Poly(3, {(0, 1, 1): 1, (0, 2, 0): -1})
     red = ls_reduce(one_param_tuple([p1, p2], 2))
     assert red.kernel_dim("v") == 2
-    _, J = red.reduced_jacobian("v", np.zeros(2), [0.0])
-    assert abs(J[0, 1]) <= 1e-8 and abs(J[1, 0]) <= 1e-8
+    # the kernel block of the field's Jacobian at the origin is D_u f(0; 0)
+    _, J = red.vertex_data["v"].evaluator(np.zeros(3))
+    assert J[0, 1] == 0.0 and J[1, 0] == 0.0
 
 
 def test_transcritical_branches():
@@ -215,35 +217,6 @@ def test_compiled_field_is_bit_exact_and_lane_independent():
     assert np.array_equal(every_third[1], jac[::3])
 
 
-def test_reduced_jacobian_matches_closed_form():
-    # f(u, lam) = lam*u - u^2 + u^4, so df/du = lam - 2u + 4u^3
-    red = ls_reduce(transcritical_with_slave())
-    for u, lam in [(0.01, 0.005), (-0.02, 0.003), (0.04, -0.001)]:
-        f, J = red.reduced_jacobian("v", np.array([u]), [lam])
-        assert f[0] == pytest.approx(lam * u - u ** 2 + u ** 4, abs=1e-12)
-        assert J.shape == (1, 1)
-        assert J[0, 0] == pytest.approx(lam - 2 * u + 4 * u ** 3, abs=1e-10)
-
-
-def test_reduced_jacobian_matches_central_differences():
-    h = 1e-5
-    red = case_study_reduction(CASE1)
-    rng = np.random.default_rng(1)
-    for v in ("N1", "N2"):
-        m = red.kernel_dim(v)
-        for _ in range(5):
-            u = rng.uniform(-0.01, 0.01, size=m)
-            lam = rng.uniform(-0.005, 0.005, size=1)
-            f, J = red.reduced_jacobian(v, u, lam)
-            assert np.array_equal(f, red.reduced_eval(v, u, lam))
-            for j in range(m):
-                e = np.zeros(m)
-                e[j] = h
-                fd = (red.reduced_eval(v, u + e, lam)
-                      - red.reduced_eval(v, u - e, lam)) / (2 * h)
-                assert np.max(np.abs(J[:, j] - fd)) <= 1e-6
-
-
 def seed_lanes(red, v, lams):
     """The branch tracer's lanes: every seed of the grid at every lam."""
     scales = np.array([5.0 * math.sqrt(lam) for lam in lams])
@@ -253,12 +226,22 @@ def seed_lanes(red, v, lams):
             np.repeat(scales, n))
 
 
+def whole_field_newton(red, v, u0, lam, scale):
+    """The branch tracer's Newton from every lane (u0[i], 0; lam[i]): the
+    last u of every lane and the converged mask."""
+    vd = red.vertex_data[v]
+    m, d = vd.ker_dim, vd.dim
+    z = np.hstack([u0, np.zeros((len(u0), d - m)), lam])
+    z, _, status = vd.newton(z, slice(0, d), scale, CLOSING_STEPS)
+    return z[:, :m], status == CONVERGED
+
+
 def test_transcritical_roots_from_seed_lanes():
     # radius 1.5e-3 keeps the root (0.010001, 0.010001^2) inside it, but
     # the first step from the four far seeds puts w outside it
     red = ls_reduce(transcritical_with_slave(), radius=1.5e-3)
     u0, lam, scale = seed_lanes(red, "v", np.array([1e-2]))
-    u, converged = flat_newton(red, "v", u0, lam, scale)
+    u, converged = whole_field_newton(red, "v", u0, lam, scale)
     roots = _distinct_roots(u, converged, scale[0])
     assert [float(r[0]) for r in roots] == pytest.approx([0.0, 0.010001],
                                                          abs=1e-6)
@@ -270,7 +253,7 @@ def test_transcritical_roots_from_seed_lanes():
     assert (np.abs(step[far, 1]) > 1.5e-3).all()
     # no branch root of the whole field has w = u^2 beyond a radius of 1e-5
     red = ls_reduce(transcritical_with_slave(), radius=1e-5)
-    u, converged = flat_newton(red, "v", u0, lam, scale)
+    u, converged = whole_field_newton(red, "v", u0, lam, scale)
     assert converged.tolist() == (u0[:, 0] == 0).tolist()
 
 
@@ -279,9 +262,11 @@ def test_phi_fails_beyond_the_radius():
     red = ls_reduce(transcritical_with_slave())
     u0, lam, _ = seed_lanes(red, "v", np.array([1e-2]))
     far = np.abs(u0[:, 0]) > 0.33
-    status = red.reduced_lanes("v", u0, lam)[3]
-    assert (status[far] == DAMPING_FAILED).all()
+    status = red.reduced_lanes("v", u0, lam)[2]
+    assert (status[far] == LEFT_RADIUS).all()
     assert (status[~far] == CONVERGED).all()
+    with pytest.raises(NewtonDiverged, match="left the neighbourhood radius"):
+        red.phi("v", u0[far][0], lam[0])
 
 
 @pytest.mark.parametrize("name", ["transcritical", "a=0", "b=0", "ab-cd=0"])
@@ -290,55 +275,79 @@ def test_each_seed_lane_solves_as_it_would_alone(name):
     v = "v" if name == "transcritical" else "N1"
     lams = np.geomspace(*BRANCH_WINDOW, BRANCH_POINTS)[::-1]
     u0, lam, scale = seed_lanes(red, v, lams)
-    u, converged = flat_newton(red, v, u0, lam, scale)
+    u, converged = whole_field_newton(red, v, u0, lam, scale)
     assert converged.any()
     for i in range(len(u0)):
-        ui, ci = flat_newton(red, v, u0[i:i + 1], lam[i:i + 1],
+        ui, ci = whole_field_newton(red, v, u0[i:i + 1], lam[i:i + 1],
                              scale[i:i + 1])
         assert np.array_equal(ui[0], u[i]) and ci[0] == converged[i]
 
 
-def newton_one_seed_at_a_time(red, v, u0, lam, scale):
-    """The branch tracer's Newton from each seed by a plain loop of
-    evaluator calls and np.linalg.solve: the last u and whether it
-    converged."""
+def newton_one_seed_at_a_time(red, v, u0, lam, scale, free, closing):
+    """Newton on the rows `free` of the field in the coordinates `free`
+    from each lane (u0[i], 0; lam), by a plain loop of evaluator calls and
+    np.linalg.solve: per lane, the last point, the field where it was last
+    evaluated, and the outcome."""
     vd = red.vertex_data[v]
-    m = vd.ker_dim
+    m, d = vd.ker_dim, vd.dim
     out = []
     for seed in u0:
-        z, ok, closed = np.concatenate([seed, np.zeros(vd.dim - m)]), False, 0
-        for it in range(NEWTON_MAX_ITER + CLOSING_STEPS):
-            F, J = vd.evaluator(np.concatenate([z, [lam]]))
-            ok = ok or np.max(np.abs(F), initial=0.0) <= NEWTON_TOL
-            if not ok and it == NEWTON_MAX_ITER:
+        z = np.concatenate([seed, np.zeros(d - m), [lam]])
+        status, closed = NO_CONVERGENCE, 0
+        for it in range(NEWTON_MAX_ITER + closing + 1):
+            F, J = vd.evaluator(z)
+            if np.max(np.abs(F[free]), initial=0.0) <= NEWTON_TOL:
+                status = CONVERGED
+            conv = status == CONVERGED
+            if closed == closing if conv else it == NEWTON_MAX_ITER:
                 break
+            step = np.zeros(d)
             try:
-                step = np.linalg.solve(J, F)
+                step[free] = np.linalg.solve(J[free, free], F[free])
             except np.linalg.LinAlgError:
+                status = status if conv else SINGULAR
                 break
-            new = z - step
+            new = z.copy()
+            new[:d] -= step
             if not (np.max(np.abs(step[:m]), initial=0.0) <= 10 * scale
-                    and np.max(np.abs(new[m:]), initial=0.0) <= vd.radius):
+                    and np.max(np.abs(new[m:d]), initial=0.0) <= vd.radius):
+                status = status if conv else LEFT_RADIUS
                 break
             z = new
-            closed += ok
-            if closed == CLOSING_STEPS:
+            closed += conv
+            if conv and closed == closing:
                 break
-        out.append((z[:m], ok))
+        out.append((z, F, status))
     return out
 
 
 @pytest.mark.parametrize("name", ["transcritical", "a=0", "b=0", "ab-cd=0"])
 def test_seed_lanes_match_the_one_seed_loop(name):
+    # the branch tracer's lanes and phi's lanes from the same seeds,
+    # statuses included; at lam = 1e-2 the far seeds put phi beyond the
+    # radius (transcritical, b=0), and one seed of ab-cd=0 meets a singular
+    # image block
     red = reduction(name)
     v = "v" if name == "transcritical" else "N1"
+    m, d = red.kernel_dim(v), red.vertex_data[v].dim
+    failed = set()
     for lam in (1e-2, 1e-4):
         u0, lams, scale = seed_lanes(red, v, np.array([lam]))
-        u, converged = flat_newton(red, v, u0, lams, scale)
-        want = newton_one_seed_at_a_time(red, v, u0, lam, scale[0])
-        assert [ok for _, ok in want] == converged.tolist()
-        for (ui, _), got in zip(want, u):
-            assert np.array_equal(ui, got)
+        u, converged = whole_field_newton(red, v, u0, lams, scale)
+        want = newton_one_seed_at_a_time(red, v, u0, lam, scale[0],
+                                         slice(0, d), CLOSING_STEPS)
+        assert [st == CONVERGED for _, _, st in want] == converged.tolist()
+        for (z, _, _), got in zip(want, u):
+            assert np.array_equal(z[:m], got)
+        w, f, status = red.reduced_lanes(v, u0, lams)
+        want = newton_one_seed_at_a_time(red, v, u0, lam, 0.0,
+                                         slice(m, d), 0)
+        assert [st for _, _, st in want] == status.tolist()
+        for (z, F, _), wi, fi in zip(want, w, f):
+            assert np.array_equal(z[m:d], wi) and np.array_equal(F[:m], fi)
+        failed |= set(status.tolist()) - {CONVERGED}
+    assert failed == {"transcritical": {LEFT_RADIUS}, "a=0": set(),
+                      "b=0": {LEFT_RADIUS}, "ab-cd=0": {SINGULAR}}[name]
 
 
 # (exponents, coefficients) of every branch at N1, whose zeros are exactly
@@ -378,7 +387,7 @@ def test_transcritical_roots_match_mpmath():
 def test_branch_tracer_solves_the_whole_field(case, monkeypatch):
     # one evaluator call per lockstep Newton step and no phi solve; the
     # synchrony lift still calls phi once per branch
-    calls = {"evaluator": 0, "phi_lanes": 0, "phi": 0}
+    calls = {"evaluator": 0, "newton": 0, "reduced_lanes": 0, "phi": 0}
 
     def counted(cls, name, key):
         method = getattr(cls, name)
@@ -389,11 +398,12 @@ def test_branch_tracer_solves_the_whole_field(case, monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(CompiledField, "__call__", "evaluator")
-    counted(LSReduction, "phi_lanes", "phi_lanes")
+    counted(VertexReduction, "newton", "newton")
+    counted(LSReduction, "reduced_lanes", "reduced_lanes")
     red = case_study_reduction(case)
     calls["evaluator"] = 0
     assert find_branches_1param(red, "N1")
-    assert calls["phi_lanes"] == 0
+    assert calls["newton"] == 1 and calls["reduced_lanes"] == 0
     assert 0 < calls["evaluator"] <= NEWTON_MAX_ITER + CLOSING_STEPS
     counted(LSReduction, "phi", "phi")
     report = casestudy_s10(*case)
@@ -431,8 +441,8 @@ def test_branch_tracer_raises_no_runtime_warning(case):
 
 @pytest.mark.parametrize("case", [CASE2, CASE3])
 def test_branch_tracer_evaluates_no_empty_batch(case, monkeypatch):
-    # the tracer stops when no lane is left, and phi_lanes does not evaluate
-    # a damping trial whose lanes all leave the radius
+    # the Newton stops when no lane is left: neither the tracer nor phi
+    # evaluates an empty batch, even when every lane leaves the radius
     case_red = case_study_reduction(case)
     red = ls_reduce(transcritical_with_slave())
     u0, lam, _ = seed_lanes(red, "v", np.array([1e-2]))
@@ -445,8 +455,8 @@ def test_branch_tracer_evaluates_no_empty_batch(case, monkeypatch):
 
     monkeypatch.setattr(CompiledField, "__call__", counted)
     assert find_branches_1param(case_red, "N1")
-    status = red.reduced_lanes("v", u0[far], lam[far])[3]
-    assert (status == DAMPING_FAILED).all()
+    status = red.reduced_lanes("v", u0[far], lam[far])[2]
+    assert (status == LEFT_RADIUS).all()
     assert sizes and min(sizes) > 0
 
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import re
 from collections import Counter
 
 import quiverdyn
@@ -262,3 +263,18 @@ def test_exact_or_float_is_decided_in_one_helper():
         stray += [f"{path.stem}:{line}"
                   for line in sorted(_type_tests(tree) - owned)]
     assert stray == []
+
+
+def test_the_ls_newton_is_written_once():
+    # one loop of the package runs over NEWTON_MAX_ITER, and the damped
+    # Newton and the implicit-function Jacobian are gone
+    loops = [f"{path.stem}:{node.lineno}" for path, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For) and "NEWTON_MAX_ITER" in _names(
+                 node.iter)
+             or isinstance(node, ast.While) and "NEWTON_MAX_ITER" in _names(
+                 node.test)]
+    assert len(loops) == 1, loops
+    text = "".join(path.read_text() for path in PACKAGE.glob("*.py"))
+    assert re.findall(r"\b(DAMPING_STEPS|DAMPING_FAILED|reduced_jacobian)\b",
+                      text) == []
