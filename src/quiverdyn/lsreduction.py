@@ -132,22 +132,23 @@ class VertexReduction:
     radius: float
     evaluator: CompiledField   # z |-> M^{-1} F(M z; lam) and its Jacobian
 
-    def newton(self, z, free, scale, closing):
-        """Newton on the rows `free` of the field in the coordinates `free`
-        from every lane z[i] = (u, w, lam), in lockstep.
+    def newton(self, z, first, scale, closing):
+        """Newton on the rows first..dim-1 of the field in the coordinates
+        first..dim-1 from every lane z[i] = (u, w, lam), in lockstep: the
+        image coordinates for first = ker_dim, all of them for first = 0.
 
         A lane fails when its Jacobian block is singular (SINGULAR), when
         the u part of a step is longer than 10 * scale[i] or w leaves the
         radius (LEFT_RADIUS), or when it has not converged in
         NEWTON_MAX_ITER steps (NO_CONVERGENCE). It converges when
-        max |F[free]| <= NEWTON_TOL, and then takes `closing` more steps
+        max |F[first:]| <= NEWTON_TOL, and then takes `closing` more steps
         under the same rules, so that its root is exact to round-off rather
         than to NEWTON_TOL / |F'|; a closing step that fails a rule leaves
         the lane where it was. Each lane takes the steps it would take
         alone. Returns the lanes' last points, the field at each lane's last
         evaluated point, and each lane's outcome.
         """
-        m, d = self.ker_dim, self.dim
+        d, k = self.dim, self.ker_dim - first   # a step's first k move u
         vals = np.zeros((len(z), d))
         status = np.full(len(z), NO_CONVERGENCE)
         closed = np.zeros(len(z), dtype=int)   # steps taken since converging
@@ -157,7 +158,7 @@ class VertexReduction:
                 break
             field, jac = self.evaluator(z[live])
             vals[live] = field
-            F, J = field[:, free], jac[:, free, free]
+            F, J = field[:, first:], jac[:, first:, first:]
             status[live[_max_abs(F) <= NEWTON_TOL]] = CONVERGED
             conv = status[live] == CONVERGED
             # a lane leaves once converged with its closing steps taken, or
@@ -168,15 +169,14 @@ class VertexReduction:
             if not live.size:
                 break
             step, ok = _lane_solve(J, F[:, :, None])
-            full = np.zeros((len(live), d))
-            full[:, free] = step[:, :, 0]
-            cand = z[live, :d] - full
-            inside = (_max_abs(full[:, :m]) <= 10 * scale[live]) \
-                & (_max_abs(cand[:, m:]) <= self.radius)
+            step = step[:, :, 0]
+            cand = z[live, first:d] - step
+            inside = (_max_abs(step[:, :k]) <= 10 * scale[live]) \
+                & (_max_abs(cand[:, k:]) <= self.radius)
             status[live[~conv & ~ok]] = SINGULAR
             status[live[~conv & ok & ~inside]] = LEFT_RADIUS
             ok &= inside
-            z[live[ok], :d] = cand[ok]
+            z[live[ok], first:d] = cand[ok]
             closed[live[ok & conv]] += 1
             live = live[ok & (~conv | (closed[live] < closing))]
         return z, vals, status
@@ -205,8 +205,8 @@ class LSReduction:
         vd = self.vertex_data[v]
         m = vd.ker_dim
         z = np.hstack([u, np.zeros((len(u), vd.dim - m)), lam])
-        # u does not move, so its step is 0 and bounded by a zero scale
-        z, vals, status = vd.newton(z, slice(m, vd.dim), np.zeros(len(u)), 0)
+        # u does not move: the scale bounds an empty step
+        z, vals, status = vd.newton(z, m, np.zeros(len(u)), 0)
         return z[:, m:vd.dim], vals[:, :m], status
 
     def _one_lane(self, v, u, lam):
@@ -401,8 +401,7 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
     vd = red.vertex_data[vertex]
     z = np.hstack([np.vstack(seeds), np.zeros((len(lams) * n, vd.dim - m)),
                    np.repeat(lams, n)[:, None]])
-    z, _, status = vd.newton(z, slice(0, vd.dim), np.repeat(scales, n),
-                             CLOSING_STEPS)
+    z, _, status = vd.newton(z, 0, np.repeat(scales, n), CLOSING_STEPS)
     u, converged = z[:, :m], status == CONVERGED
     branches = []
     for li, lam in enumerate(lams):

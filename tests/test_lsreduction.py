@@ -232,7 +232,7 @@ def whole_field_newton(red, v, u0, lam, scale):
     vd = red.vertex_data[v]
     m, d = vd.ker_dim, vd.dim
     z = np.hstack([u0, np.zeros((len(u0), d - m)), lam])
-    z, _, status = vd.newton(z, slice(0, d), scale, CLOSING_STEPS)
+    z, _, status = vd.newton(z, 0, scale, CLOSING_STEPS)
     return z[:, :m], status == CONVERGED
 
 
@@ -283,11 +283,11 @@ def test_each_seed_lane_solves_as_it_would_alone(name):
         assert np.array_equal(ui[0], u[i]) and ci[0] == converged[i]
 
 
-def newton_one_seed_at_a_time(red, v, u0, lam, scale, free, closing):
-    """Newton on the rows `free` of the field in the coordinates `free`
-    from each lane (u0[i], 0; lam), by a plain loop of evaluator calls and
-    np.linalg.solve: per lane, the last point, the field where it was last
-    evaluated, and the outcome."""
+def newton_one_seed_at_a_time(red, v, u0, lam, scale, first, closing):
+    """Newton on the rows first..d-1 of the field in the coordinates
+    first..d-1 from each lane (u0[i], 0; lam), by a plain loop of evaluator
+    calls and np.linalg.solve: per lane, the last point, the field where it
+    was last evaluated, and the outcome."""
     vd = red.vertex_data[v]
     m, d = vd.ker_dim, vd.dim
     out = []
@@ -296,14 +296,14 @@ def newton_one_seed_at_a_time(red, v, u0, lam, scale, free, closing):
         status, closed = NO_CONVERGENCE, 0
         for it in range(NEWTON_MAX_ITER + closing + 1):
             F, J = vd.evaluator(z)
-            if np.max(np.abs(F[free]), initial=0.0) <= NEWTON_TOL:
+            if np.max(np.abs(F[first:]), initial=0.0) <= NEWTON_TOL:
                 status = CONVERGED
             conv = status == CONVERGED
             if closed == closing if conv else it == NEWTON_MAX_ITER:
                 break
             step = np.zeros(d)
             try:
-                step[free] = np.linalg.solve(J[free, free], F[free])
+                step[first:] = np.linalg.solve(J[first:, first:], F[first:])
             except np.linalg.LinAlgError:
                 status = status if conv else SINGULAR
                 break
@@ -334,14 +334,13 @@ def test_seed_lanes_match_the_one_seed_loop(name):
     for lam in (1e-2, 1e-4):
         u0, lams, scale = seed_lanes(red, v, np.array([lam]))
         u, converged = whole_field_newton(red, v, u0, lams, scale)
-        want = newton_one_seed_at_a_time(red, v, u0, lam, scale[0],
-                                         slice(0, d), CLOSING_STEPS)
+        want = newton_one_seed_at_a_time(red, v, u0, lam, scale[0], 0,
+                                         CLOSING_STEPS)
         assert [st == CONVERGED for _, _, st in want] == converged.tolist()
         for (z, _, _), got in zip(want, u):
             assert np.array_equal(z[:m], got)
         w, f, status = red.reduced_lanes(v, u0, lams)
-        want = newton_one_seed_at_a_time(red, v, u0, lam, 0.0,
-                                         slice(m, d), 0)
+        want = newton_one_seed_at_a_time(red, v, u0, lam, 0.0, m, 0)
         assert [st for _, _, st in want] == status.tolist()
         for (z, F, _), wi, fi in zip(want, w, f):
             assert np.array_equal(z[m:d], wi) and np.array_equal(F[:m], fi)
@@ -385,8 +384,8 @@ def test_transcritical_roots_match_mpmath():
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3])
 def test_branch_tracer_solves_the_whole_field(case, monkeypatch):
-    # one evaluator call per lockstep Newton step and no phi solve; the
-    # synchrony lift still calls phi once per branch
+    # one lockstep Newton with one evaluator call per step, and no phi
+    # solve; the synchrony lift still calls phi once per branch
     calls = {"evaluator": 0, "newton": 0, "reduced_lanes": 0, "phi": 0}
 
     def counted(cls, name, key):
