@@ -381,10 +381,11 @@ def find_branches_1param(red, vertex, lam_range=BRANCH_WINDOW,
 
     Zeros are found by Newton on the whole field from a seed grid at each
     of `grid` log-spaced parameter values in lam_range, all in one batch,
-    and are exact to round-off (VertexReduction.newton with CLOSING_STEPS). They are linked by continuation from
-    large to small lam, and classified per coordinate by a log-log fit with
-    exponents restricted to {1, 1/2}; coordinates below noise level are
-    reported as identically zero. A coordinate with fewer than three
+    and are exact to round-off (VertexReduction.newton with
+    CLOSING_STEPS). They are linked by continuation from large to small
+    lam, and classified per coordinate by a log-log fit with exponents
+    restricted to {1, 1/2}; coordinates below noise level are reported as
+    identically zero. A coordinate with fewer than three
     points, or with all of them at one lam, has no fit and leaves its
     branch unclassified.
     """

@@ -279,7 +279,7 @@ def test_each_seed_lane_solves_as_it_would_alone(name):
     assert converged.any()
     for i in range(len(u0)):
         ui, ci = whole_field_newton(red, v, u0[i:i + 1], lam[i:i + 1],
-                             scale[i:i + 1])
+                                    scale[i:i + 1])
         assert np.array_equal(ui[0], u[i]) and ci[0] == converged[i]
 
 
