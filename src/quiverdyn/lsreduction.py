@@ -17,7 +17,10 @@ than on f_v: a zero of F with w inside the neighbourhood radius is a zero
 of f_v with w = phi(u; lam), and one Newton step on F costs one evaluation,
 where a step on f_v first solves for phi. Both are one lockstep Newton,
 VertexReduction.newton: phi moves the image coordinates with u held fixed,
-and the branch tracer moves all coordinates.
+and the branch tracer moves all coordinates. Its lanes are evaluated by the
+vertex's CompiledField, a plan of vector products and per-row term sums
+built once, and its steps are stacked solves (_lane_solve) that split off
+exactly singular lanes with one more call.
 """
 
 from __future__ import annotations
@@ -44,51 +47,83 @@ SYNC_TOL = 1e-6       # relative tolerance of synchrony_groups
 
 
 class CompiledField:
-    """A polynomial field and its Jacobian, evaluated by one matrix product.
+    """A polynomial field and its Jacobian, evaluated term by term.
 
-    The integer exponent array E has one row per monomial in the union of
-    the monomials of every field component and every Jacobian entry, and
-    top is its largest entry. The coefficient matrix C has one row per
-    field component, then one per Jacobian entry in row-major order. At z,
-    a table holds z_j^0 = 1 and z_j^k = z_j^(k-1) * z_j up to top, each
-    monomial is the product of its factors z_j^E[k, j] gathered from that
-    table in variable order, and C times those monomials lists the field
-    and then the whole Jacobian. Every power is a chain of correctly
-    rounded products, so its bits do not depend on how a float pow is
-    vectorised.
+    A plan of vector products is built once. Slots 0..n-1 hold the
+    variables z_j, slot n holds 1.0, and every further slot is the product
+    of two earlier ones: each power z_j^k is z_j^(k-1) * z_j, and each
+    monomial is the product of its factors z_j^k, k > 0, in variable order.
+    Every power is a chain of correctly rounded products, so its bits do not
+    depend on how a float pow is vectorised. The products of one level (one
+    more than their operands' highest) are one vector product.
+
+    The rows are the field components, then the Jacobian entries in
+    row-major order from the components' Poly.diff, each with its (slot,
+    coefficient) terms in ascending monomial order. Ranked by their number
+    of terms, the rows that have a q-th term come first, so the q-th terms
+    of all rows are added by one vector sum.
     """
 
-    def __init__(self, field, jacobian, nvars):
-        self.dim = len(field)
-        polys = list(field) + [p for row in jacobian for p in row]
-        monos = sorted({e for p in polys for e in p.terms})
-        column = {e: k for k, e in enumerate(monos)}
-        self.exponents = np.array(monos, dtype=int).reshape(len(monos), nvars)
-        self.top = int(self.exponents.max(initial=0))
-        self.coeffs = np.zeros((len(polys), len(monos)))
-        for i, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.coeffs[i, column[e]] = float(c)
+    def __init__(self, field, nvars):
+        d = self.dim = len(field)
+        rows = list(field) + [p.diff(j) for p in field for j in range(d)]
+        self.nvars = n = nvars
+        level = [0] * (n + 1)
+        products = {}            # level -> [(slot, a, b)]: slot = a * b
+
+        def times(a, b):
+            level.append(max(level[a], level[b]) + 1)
+            products.setdefault(level[-1], []).append((len(level) - 1, a, b))
+            return len(level) - 1
+
+        power, slot = {(j, 1): j for j in range(n)}, {}
+        for e in sorted({e for p in rows for e in p.terms}):
+            s = n
+            for j, k in enumerate(e):
+                for q in range(2, k + 1):
+                    if (j, q) not in power:
+                        power[j, q] = times(power[j, q - 1], j)
+                if k:
+                    s = power[j, k] if s == n else times(s, power[j, k])
+            slot[e] = s
+        self.slots = len(level)
+        self.levels = [np.array(products[lv]).T for lv in sorted(products)]
+        terms = [[(slot[e], p.terms[e]) for e in sorted(p.terms)]
+                 for p in rows]
+        rank = sorted(range(len(rows)), key=lambda i: -len(terms[i]))
+        self.unrank = np.argsort(rank)
+        self.spans, flat = [], []   # (first term, rows) of each position q
+        for q in range(max(map(len, terms), default=0)):
+            have = [terms[i][q] for i in rank if len(terms[i]) > q]
+            self.spans.append((len(flat), len(have)))
+            flat += have
+        self.term_slot = np.array([s for s, _ in flat], dtype=int)
+        self.coeff = np.array([c for _, c in flat], dtype=float)[:, None]
 
     def __call__(self, z):
         """(field, Jacobian) at every point z[..., :].
 
-        einsum, unlike a BLAS product, sums each lane's terms in the same
-        order whatever the number of lanes, so a lane's values do not depend
-        on the batch it is evaluated in. That holds only for C-ordered
-        monomials: the gather leaves a batch's monomials in another memory
-        order, and einsum would then sum a batch's terms in another order
-        than a single lane's.
+        The points are taken as variables x lanes, and every step is
+        elementwise over lanes, so a lane's values do not depend on the
+        batch it is evaluated in. Each row is summed term by term from 0.0;
+        a row with no term stays 0.
         """
-        table = np.empty(z.shape + (self.top + 1,))
-        table[..., 0] = 1.0
-        for k in range(1, self.top + 1):
-            table[..., k] = table[..., k - 1] * z
-        factors = table[..., np.arange(z.shape[-1]), self.exponents]
-        monos = np.ascontiguousarray(factors.prod(axis=-1))
-        vals = np.einsum("...k,ik->...i", monos, self.coeffs)
+        lead, n = z.shape[:-1], self.nvars
+        lanes = z.reshape(-1, n).T
+        S = np.empty((self.slots, lanes.shape[1]))
+        S[:n] = lanes
+        S[n] = 1.0
+        for dst, a, b in self.levels:
+            S[dst] = S[a] * S[b]
+        terms = S[self.term_slot]
+        terms *= self.coeff
+        acc = np.zeros((len(self.unrank), lanes.shape[1]))
+        for first, k in self.spans:
+            acc[:k] += terms[first:first + k]
+        out = acc[self.unrank].T
         d = self.dim
-        return vals[..., :d], vals[..., d:].reshape(z.shape[:-1] + (d, d))
+        return (out[:, :d].reshape(lead + (d,)),
+                out[:, d:].reshape(lead + (d, d)))
 
 
 def _max_abs(x):
@@ -100,19 +135,17 @@ def _lane_solve(A, b):
     """A[i]^{-1} b[i] for a stack of small systems, and a mask of the lanes
     whose matrix is not exactly singular.
 
-    When a matrix of the stack is singular, every lane is solved alone, so
-    that only the singular lanes fail.
+    When a matrix of the stack is singular, the stacked solve raises; the
+    mask is then where slogdet's LU reports a nonzero sign (the LU with
+    partial pivoting that the solve runs, so it fails on the same lanes),
+    and the other lanes are solved in one more stacked call.
     """
-    ok = np.ones(len(A), dtype=bool)
     try:
-        return np.linalg.solve(A, b), ok
+        return np.linalg.solve(A, b), np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(A)[0] != 0
         x = np.zeros(b.shape)
-        for i in range(len(A)):
-            try:
-                x[i] = np.linalg.solve(A[i], b[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
+        x[ok] = np.linalg.solve(A[ok], b[ok])
         return x, ok
 
 
@@ -264,8 +297,7 @@ def ls_reduce(F, radius=None):
         field = change_coordinates(
             [q.to_float() for q in F.components[v].outputs], M,
             as_float_matrix(split.basis_inv[v]), p)
-        jac = [[field[i].diff(j) for j in range(d)] for i in range(d)]
-        evaluator = CompiledField(field, jac, d + p)
+        evaluator = CompiledField(field, d + p)
         # image block of the linearization must be invertible
         if d - m:
             Jw = evaluator(np.zeros(d + p))[1][m:, m:]

@@ -190,24 +190,37 @@ def repeated_product(e, z):
     return value
 
 
-def test_compiled_field_is_bit_exact_and_lane_independent():
-    # vars x, y and the parameter lam; every component and Jacobian entry is
-    # a single term with coefficient 1, so the sum over monomials adds only
-    # zeros and its order cannot change a bit
-    def mono(*e):
-        return Poly(3, {e: 1})
+def term_by_term(p, z):
+    """p at the point z as Python floats: from 0.0, each term's
+    coefficient times repeated_product, added in ascending monomial order."""
+    total = 0.0
+    for e in sorted(p.terms):
+        total += p.terms[e] * repeated_product(e, z)
+    return total
 
-    field = [mono(3, 1, 1), mono(2, 2, 0)]
-    jacobian = [[mono(2, 1, 1), mono(3, 0, 1)], [mono(1, 2, 0), mono(0, 0, 0)]]
-    ev = CompiledField(field, jacobian, 3)
-    assert ev.top == 3
+
+def test_compiled_field_is_bit_exact_and_lane_independent():
+    # vars x, y and the parameter lam. The rows hold several terms with
+    # random coefficients, so adding them in another order changes bits; a
+    # constant term, and Jacobian entries with no term (d/dy of a component
+    # free of y) and with one
     rng = np.random.default_rng(5)
+
+    def poly(*exps):
+        return Poly(3, {e: rng.uniform(-3.0, 3.0) for e in exps})
+
+    field = [poly((3, 0, 1), (2, 0, 0), (1, 0, 1), (0, 0, 1), (0, 0, 0),
+                  (1, 0, 0)),
+             poly((2, 2, 0), (0, 3, 0), (1, 1, 1), (0, 1, 0), (4, 0, 0))]
+    rows = field + [p.diff(j) for p in field for j in range(2)]
+    assert [len(p.terms) for p in rows[2:]] == [4, 0, 3, 4]
+    ev = CompiledField(field, 3)
     Z = rng.uniform(-2.0, 2.0, size=(300, 6))[:, ::2]   # a strided view
     vals, jac = ev(Z)
-    exps = [next(iter(p.terms)) for p in field + sum(jacobian, [])]
+    assert vals.shape == (300, 2) and jac.shape == (300, 2, 2)
     for i, z in enumerate(Z.tolist()):
         got = list(vals[i]) + list(jac[i].ravel())
-        assert got == [repeated_product(e, z) for e in exps]
+        assert got == [term_by_term(p, z) for p in rows]
     for i in range(len(Z)):
         for lane_vals, lane_jac in (ev(Z[i]), [a[0] for a in ev(Z[i:i + 1])]):
             assert np.array_equal(lane_vals, vals[i])
@@ -215,6 +228,9 @@ def test_compiled_field_is_bit_exact_and_lane_independent():
     every_third = ev(Z[::3])
     assert np.array_equal(every_third[0], vals[::3])
     assert np.array_equal(every_third[1], jac[::3])
+    grid = ev(Z.reshape(10, 30, 3))
+    assert np.array_equal(grid[0], vals.reshape(10, 30, 2))
+    assert np.array_equal(grid[1], jac.reshape(10, 30, 2, 2))
 
 
 def seed_lanes(red, v, lams):
@@ -428,6 +444,64 @@ def test_singular_lane_fails_alone():
             assert np.array_equal(x[i], np.linalg.solve(A[i], b[i]))
     x, ok = _lane_solve(np.zeros((3, 0, 0)), np.zeros((3, 0, 2)))
     assert x.shape == (3, 0, 2) and ok.all()
+
+
+def solve_lane_by_lane(A, b):
+    """_lane_solve's oracle: np.linalg.solve on each lane alone, zeros and
+    a False mask where it raises."""
+    x, ok = np.zeros(b.shape), np.ones(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            x[i] = np.linalg.solve(A[i], b[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return x, ok
+
+
+def test_singular_lanes_are_split_off_with_one_more_solve(monkeypatch):
+    # the tracer's first stack in case ab-cd=0: the seed u = 0 has an
+    # exactly singular whole-field Jacobian at every lam
+    red = case_study_reduction(CASE3)
+    stacks = []
+
+    def first_stack(A, b):
+        stacks.append((A.copy(), b.copy()))
+        return _lane_solve(A, b)
+
+    monkeypatch.setattr("quiverdyn.lsreduction._lane_solve", first_stack)
+    find_branches_1param(red, "N1")
+    assert (~solve_lane_by_lane(*stacks[0])[1]).sum() >= BRANCH_POINTS
+    inputs = stacks[:1]
+    # random stacks with zero columns, zero rows and doubled rows
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        A = rng.normal(size=(60, n, n))
+        for i in rng.choice(60, 20, replace=False):
+            j, k = rng.integers(n, size=2)
+            kind = rng.integers(3)
+            if kind == 0:
+                A[i, :, j] = 0.0
+            elif kind == 1:
+                A[i, j] = 0.0
+            else:
+                A[i, j] = A[i, k] * 2.0 if j != k else 0.0
+        inputs.append((A, rng.normal(size=(60, n, 1))))
+    solve, calls = np.linalg.solve, []
+
+    def counted(A, b):
+        calls.append(len(A))
+        return solve(A, b)
+
+    for A, b in inputs:
+        want_x, want_ok = solve_lane_by_lane(A, b)
+        assert not want_ok.all()
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        x, ok = _lane_solve(A, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert len(calls) <= 2
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(x, want_x)
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3])

@@ -278,3 +278,22 @@ def test_the_ls_newton_is_written_once():
     text = "".join(path.read_text() for path in PACKAGE.glob("*.py"))
     assert re.findall(r"\b(DAMPING_STEPS|DAMPING_FAILED|reduced_jacobian)\b",
                       text) == []
+
+
+def test_the_ls_evaluator_and_solve_are_written_once():
+    # the field is evaluated by its term plan, not an einsum over a padded
+    # coefficient matrix, and only _lane_solve calls np.linalg.solve, with
+    # no lane loop
+    path = PACKAGE / "lsreduction.py"
+    assert re.findall(r"\beinsum\b", path.read_text()) == []
+    tree = ast.parse(path.read_text())
+    lane_solve, = [fn for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_lane_solve"]
+    inside = range(lane_solve.lineno, lane_solve.end_lineno + 1)
+    solves = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "solve"
+              and ast.unparse(node) == "np.linalg.solve"]
+    assert solves and all(line in inside for line in solves)
+    assert not [node for node in ast.walk(lane_solve)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
