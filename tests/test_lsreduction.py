@@ -464,11 +464,11 @@ def test_singular_lanes_are_split_off_with_one_more_solve(monkeypatch):
     red = case_study_reduction(CASE3)
     stacks = []
 
-    def first_stack(A, b):
+    def recorded(A, b):
         stacks.append((A.copy(), b.copy()))
         return _lane_solve(A, b)
 
-    monkeypatch.setattr("quiverdyn.lsreduction._lane_solve", first_stack)
+    monkeypatch.setattr("quiverdyn.lsreduction._lane_solve", recorded)
     find_branches_1param(red, "N1")
     assert (~solve_lane_by_lane(*stacks[0])[1]).sum() >= BRANCH_POINTS
     inputs = stacks[:1]
@@ -486,19 +486,18 @@ def test_singular_lanes_are_split_off_with_one_more_solve(monkeypatch):
             else:
                 A[i, j] = A[i, k] * 2.0 if j != k else 0.0
         inputs.append((A, rng.normal(size=(60, n, 1))))
+    wants = [solve_lane_by_lane(A, b) for A, b in inputs]
     solve, calls = np.linalg.solve, []
 
     def counted(A, b):
         calls.append(len(A))
         return solve(A, b)
 
-    for A, b in inputs:
-        want_x, want_ok = solve_lane_by_lane(A, b)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for (A, b), (want_x, want_ok) in zip(inputs, wants):
         assert not want_ok.all()
         calls.clear()
-        monkeypatch.setattr(np.linalg, "solve", counted)
         x, ok = _lane_solve(A, b)
-        monkeypatch.setattr(np.linalg, "solve", solve)
         assert len(calls) <= 2
         assert np.array_equal(ok, want_ok)
         assert np.array_equal(x, want_x)
