@@ -335,7 +335,8 @@ def _proven_factor(G, degree):
     centre c, each root c + x, good to about 1e-14 max(|x|, off) with off
     the distance the centre was rounded by, gives a linear candidate and
     each pair a quadratic (its product r (sum - r) from the better known
-    root r)."""
+    root r). At degree 1 the roots of G's own solve give the first
+    candidates, each tried by one exact division before any shift."""
     D = math.lcm(*(G[-1] // math.gcd(G[-1], x) for x in G))
 
     def linear(c, w, s):
@@ -353,9 +354,21 @@ def _proven_factor(G, degree):
         return (p.numerator * (e // p.denominator),
                 -s.numerator * (e // s.denominator), e)
 
-    zs = _roots(G)
+    def proven(candidates):
+        for F in candidates:
+            if F not in tried:
+                tried.add(F)
+                if _quo(G, F) is not None:
+                    return F
+        return None
+
+    zs, tried = _roots(G), set()
+    if degree == 1:
+        F = proven(linear(Fraction(0), w, abs(w)) for w in zs)
+        if F is not None:
+            return F
     starts = [(Fraction(0), G, zs, i) for i in range(len(zs))]
-    centres, tried = set(), set()
+    centres = set()
     for k, (c, H, roots, i) in enumerate(starts):
         steps, off = [math.inf], 0
         while True:
@@ -382,11 +395,9 @@ def _proven_factor(G, degree):
             candidates = (pair(c, roots[j], roots[l], scales[j], scales[l])
                           for j, l in itertools.combinations(
                               range(len(roots)), 2))
-        for F in candidates:
-            if F not in tried:
-                tried.add(F)
-                if _quo(G, F) is not None:
-                    return F
+        F = proven(candidates)
+        if F is not None:
+            return F
     return None
 
 

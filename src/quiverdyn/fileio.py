@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -43,8 +44,22 @@ def encode_number(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def _exponent_too_large(literal):
+    """Whether a rational literal's decimal exponent exceeds Python's limit
+    on the digits of an int read from a string (a limit of 0 is none):
+    Fraction("1e10000000") would build 10**10000000."""
+    _, e, exponent = literal.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    limit = sys.get_int_max_str_digits()
+    return (bool(e and limit and digits.isdecimal())
+            and (len(digits) > len(str(limit)) or int(digits) > limit))
+
+
 def decode_number(x):
     if isinstance(x, str):
+        if _exponent_too_large(x):
+            raise ParseError(f"bad rational literal {x[:40]!r}: exponent "
+                             f"above {sys.get_int_max_str_digits()}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,18 +1,36 @@
 """Multivariate polynomials with exact rational or float coefficients.
 
 A Poly is a mapping from exponent multi-indices (tuples of length nvars) to
-coefficients. Coefficients are exact or floats. An exact coefficient is an
-int when its value is an integer and a fractions.Fraction of denominator > 1
-otherwise (see exact_scalar), so integral arithmetic never pays the gcd of a
-Fraction. Terms with zero coefficient are dropped, so the zero polynomial has
-an empty term dict. Term order, wherever terms are listed, is graded
+coefficients. Terms with zero coefficient are dropped, so the zero
+polynomial has no terms. Term order, wherever terms are listed, is graded
 lexicographic: by total degree, then by the exponent tuple.
+
+An exact Poly is stored as integer numerators over one denominator: ``num``
+maps each multi-index to a nonzero int and ``den`` is an int >= 1 with
+gcd(den, all numerators) = 1, so two exact Polys are equal exactly when
+their (den, num) are. Every kernel of this module runs on those ints and
+finishes a result with one gcd pass, so no Fraction is built, added or
+multiplied: a product multiplies numerators and denominators, a sum brings
+both to the lcm of their denominators first (the sparse integer kernel of
+Monagan and Pearce). A Poly with a float coefficient has den None and keeps
+its coefficients in ``num`` as they are, and a kernel with a float operand
+does the arithmetic of Python's numeric tower on the coefficients, where an
+exact one meets a float as float(c). Each kernel has one loop; the
+representation decides only the operands it reads and how its result is
+finished. With the integer kernel the exact-closure benchmark workload runs
+about 1.25x as many operations per second as with Fraction coefficients
+(``BENCH_common_den.json``).
+
+``terms`` is the public view of the coefficients, for code outside the
+kernel: an exact coefficient is an int when its value is an integer and a
+fractions.Fraction of denominator > 1 otherwise (see exact_scalar). For
+den 1 the view is ``num`` itself; for den > 1 it is built on first read.
 
 The public constructor validates its input: nvars and every exponent must be
 non-negative integers, every multi-index must have length nvars. Arithmetic
-inside this module builds term dicts that already satisfy those rules and
-hold no zero coefficient, and hands them to ``Poly(nvars, terms,
-_clean=True)``, which stores them unchecked.
+inside this module builds numerator dicts that already satisfy those rules
+and the canonical form, and hands them to ``Poly(nvars, num, _clean=True,
+_den=den)``, which stores them unchecked.
 """
 
 from __future__ import annotations
@@ -54,6 +72,11 @@ def _coerce(c):
     return c if x is None else x
 
 
+def _ratio(n, d):
+    """n / d in the exact coefficient domain."""
+    return Fraction(n, d) if n % d else n // d
+
+
 def _count(x, what):
     """x as a non-negative int; ValueError for a bool, float, string or
     negative number."""
@@ -71,13 +94,17 @@ def _count(x, what):
 class Poly:
     """Polynomial in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "num", "den", "_terms")
 
-    def __init__(self, nvars, terms=None, *, _clean=False):
+    def __init__(self, nvars, terms=None, *, _clean=False, _den=1):
         if _clean:
-            # trusted: a fresh dict of valid multi-indices, no zero terms
+            # trusted: a fresh dict of valid multi-indices and nonzero
+            # numerators over _den in canonical form, or with _den None the
+            # coefficients of a Poly with a float coefficient
             self.nvars = nvars
-            self.terms = terms
+            self.num = terms
+            self.den = _den
+            self._terms = terms if _den == 1 or _den is None else None
             return
         self.nvars = nvars = _count(nvars, "nvars")
         clean = {}
@@ -94,7 +121,17 @@ class Poly:
                     clean[exps] = c
                 elif exps in clean:
                     del clean[exps]
-        self.terms = clean
+        self.num, self.den = _split(clean)
+        self._terms = clean
+
+    @property
+    def terms(self):
+        """The coefficients by multi-index, exact ones in their domain."""
+        t = self._terms
+        if t is None:
+            d = self.den
+            t = self._terms = {e: _ratio(n, d) for e, n in self.num.items()}
+        return t
 
     # --- constructors ---------------------------------------------------
 
@@ -115,20 +152,20 @@ class Poly:
     # --- predicates -------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def is_exact(self):
-        return all(exact_scalar(c) is not None for c in self.terms.values())
+        return self.den is not None
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def variables_used(self):
         used = set()
-        for exps in self.terms:
+        for exps in self.num:
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
@@ -148,44 +185,53 @@ class Poly:
 
     def __add__(self, other):
         self._check_compat(other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms)
-        return Poly(self.nvars, _nonzero(terms), _clean=True)
+        a, b, den = _aligned(self, other)
+        terms = dict(a)
+        _accumulate(terms, b)
+        return _finish(self.nvars, terms, den)
 
     def __sub__(self, other):
         self._check_compat(other)
-        terms = dict(self.terms)
+        a, b, den = _aligned(self, other)
+        terms = dict(a)
         get = terms.get
-        for e, c in other.terms.items():
+        for e, c in b.items():
             prev = get(e)
             terms[e] = -c if prev is None else prev - c
-        return Poly(self.nvars, _nonzero(terms), _clean=True)
+        return _finish(self.nvars, terms, den)
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()},
-                    _clean=True)
+        return Poly(self.nvars, {e: -c for e, c in self.num.items()},
+                    _clean=True, _den=self.den)
 
     def scale(self, c):
-        c = _coerce(c)
+        x = exact_scalar(c)
         if not c:
             return Poly(self.nvars, {}, _clean=True)
-        # a float product can underflow to zero
-        return Poly(self.nvars, _nonzero({e: c * v for e, v in
-                                          self.terms.items()}), _clean=True)
+        if x is None or self.den is None:
+            # a float product can underflow to zero
+            k, src, den = _coerce(c), self.terms, None
+        else:
+            k, src, den = x.numerator, self.num, self.den * x.denominator
+        return _finish(self.nvars, {e: k * v for e, v in src.items()}, den)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compat(other)
+        if self.den is None or other.den is None:
+            a, b, den = self.terms, other.terms, None
+        else:
+            a, b, den = self.num, other.num, self.den * other.den
         terms = {}
         get = terms.get
         add = operator.add
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = tuple(map(add, e1, e2))
                 prev = get(e)
                 terms[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly(self.nvars, _nonzero(terms), _clean=True)
+        return _finish(self.nvars, terms, den)
 
     __rmul__ = __mul__
 
@@ -202,14 +248,19 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
+        if not isinstance(other, Poly) or self.nvars != other.nvars:
+            return False
+        if self.den is None or other.den is None:
+            return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # from the terms view, so that an exact Poly hashes as an equal
+        # float one
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "Poly(0)"
         parts = []
         for exps, c in self.sorted_terms():
@@ -223,13 +274,13 @@ class Poly:
     def diff(self, i):
         """Partial derivative with respect to variable i."""
         terms = {}
-        for exps, c in self.terms.items():
+        for exps, c in self.num.items():
             if exps[i] == 0:
                 continue
             new = list(exps)
             new[i] -= 1
-            terms[tuple(new)] = _coerce(c * exps[i])
-        return Poly(self.nvars, terms, _clean=True)
+            terms[tuple(new)] = c * exps[i]
+        return _finish(self.nvars, terms, self.den)
 
     def eval(self, point):
         if len(point) != self.nvars:
@@ -250,13 +301,15 @@ class Poly:
         the nvars of the result. When every substitution is a monomial with
         coefficient 1 the exponents are remapped without multiplying;
         otherwise each term is expanded as c * s_0^e_0 * s_1^e_1 * ... in
-        that order, with the powers of each s_i cached.
+        that order, with the powers of each s_i cached. When this Poly and
+        every substitution are exact, c is the term's numerator and the sum
+        is divided by den once, at the end.
         """
         if len(substitutions) != self.nvars:
             raise ValueError("need one substitution per variable")
         if not substitutions:
             # 0-variable polynomial: only a constant term survives
-            return Poly(0, dict(self.terms), _clean=True)
+            return Poly(0, dict(self.num), _clean=True, _den=self.den)
         m = substitutions[0].nvars
         for p in substitutions:
             if p.nvars != m:
@@ -264,7 +317,9 @@ class Poly:
         targets = self._unit_monomials(substitutions)
         if targets is not None:
             return self._remap(m, targets)
-        powers = [{0: Poly.constant(m, 1)} for _ in range(self.nvars)]
+        zero = (0,) * m
+        one = Poly(m, {zero: 1}, _clean=True)
+        powers = [{0: one} for _ in range(self.nvars)]
 
         def power(i, e):
             cache = powers[i]
@@ -272,35 +327,38 @@ class Poly:
                 cache[e] = power(i, e - 1) * substitutions[i]
             return cache[e]
 
-        terms = {}
-        for exps, c in self.terms.items():
-            term = Poly(m, {(0,) * m: c}, _clean=True)
+        exact = self.den is not None and all(p.den is not None
+                                             for p in substitutions)
+        terms, den = {}, 1
+        for exps, c in (self.num if exact else self.terms).items():
+            term = (Poly(m, {zero: c}, _clean=True) if exact
+                    else _poly(m, {zero: c}))
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)
-            _accumulate(terms, term.terms)
-        return Poly(m, _nonzero(terms), _clean=True)
+            den = _add_into(terms, den, term)
+        return _finish(m, terms, den * self.den if exact else den)
 
     def _unit_monomials(self, substitutions):
         """The exponent tuples of the substitutions if each is one monomial
         with coefficient 1 that leaves this Poly's coefficients as they are,
         else None.
 
-        A float 1.0 would turn a Fraction coefficient into a float, so it
+        A float 1.0 would turn an exact coefficient into a float, so it
         qualifies only when every coefficient is a float already.
         """
         targets = []
         float_one = False
         for p in substitutions:
-            if len(p.terms) != 1:
+            if len(p.num) != 1 or p.den not in (1, None):
                 return None
-            (e, c), = p.terms.items()
+            (e, c), = p.num.items()
             if c != 1:
                 return None
-            float_one = float_one or exact_scalar(c) is None
+            float_one = float_one or p.den is None
             targets.append(e)
         if float_one and any(exact_scalar(c) is not None
-                             for c in self.terms.values()):
+                             for c in self.num.values()):
             return None
         return targets
 
@@ -310,7 +368,7 @@ class Poly:
         supports = [[(j, a) for j, a in enumerate(t) if a] for t in targets]
         terms = {}
         get = terms.get
-        for exps, c in self.terms.items():
+        for exps, c in self.num.items():
             new = [0] * m
             for e, support in zip(exps, supports):
                 if e:
@@ -319,21 +377,19 @@ class Poly:
             key = tuple(new)
             prev = get(key)
             terms[key] = c if prev is None else prev + c
-        if len(terms) < len(self.terms):     # terms merged, some may cancel
-            terms = _nonzero(terms)
-        return Poly(m, terms, _clean=True)
+        if len(terms) < len(self.num):     # terms merged, some may cancel
+            return _finish(m, terms, self.den)
+        return Poly(m, terms, _clean=True, _den=self.den)
 
     # --- structure ------------------------------------------------------
 
     def homogeneous_part(self, d):
-        return Poly(self.nvars,
-                    {e: c for e, c in self.terms.items() if sum(e) == d},
-                    _clean=True)
+        return _finish(self.nvars, {e: c for e, c in self.num.items()
+                                    if sum(e) == d}, self.den)
 
     def truncate(self, maxdeg):
-        return Poly(self.nvars,
-                    {e: c for e, c in self.terms.items() if sum(e) <= maxdeg},
-                    _clean=True)
+        return _finish(self.nvars, {e: c for e, c in self.num.items()
+                                    if sum(e) <= maxdeg}, self.den)
 
     def embed(self, new_nvars, var_map):
         """Relabel variables: old variable i becomes var_map[i] among new_nvars."""
@@ -347,13 +403,75 @@ class Poly:
         return self._remap(new_nvars, targets)
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=0)
+        m = max(map(abs, self.num.values()), default=0)
+        return m if self.den is None else _ratio(m, self.den)
 
     def to_float(self):
-        # a tiny Fraction can round to 0.0
-        return Poly(self.nvars,
-                    _nonzero({e: float(c) for e, c in self.terms.items()}),
-                    _clean=True)
+        # n / den is the correctly rounded float(n/den); a tiny coefficient
+        # can round to 0.0, and _poly drops it
+        d = self.den
+        if d is None:
+            return _poly(self.nvars, {e: float(c) for e, c in
+                                      self.num.items()})
+        return _poly(self.nvars, {e: n / d for e, n in self.num.items()})
+
+
+def _split(coeffs):
+    """(num, den) of a dict of nonzero coefficients in their domains: int
+    numerators over the lcm of the denominators, which is the canonical
+    form, or (coeffs, None) when a coefficient is a float."""
+    dens = []
+    for c in coeffs.values():
+        x = exact_scalar(c)
+        if x is None:
+            return coeffs, None
+        dens.append(x.denominator)
+    den = math.lcm(*dens)
+    if den == 1:
+        return coeffs, 1
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in coeffs.items()}, den
+
+
+def _poly(nvars, coeffs):
+    """The Poly of a dict of exact or float coefficients on valid
+    multi-indices; zero coefficients are dropped."""
+    num, den = _split({e: _coerce(c) for e, c in coeffs.items() if c})
+    return Poly(nvars, num, _clean=True, _den=den)
+
+
+def _finish(nvars, terms, den):
+    """The Poly a kernel loop leaves in terms: int numerators over den, or
+    exact and float coefficients when den is None. Zero terms are dropped,
+    and numerators and den are divided by their gcd."""
+    if den is None:
+        return _poly(nvars, terms)
+    if 0 in terms.values():
+        terms = {e: n for e, n in terms.items() if n}
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: n // g for e, n in terms.items()}
+    return Poly(nvars, terms, _clean=True, _den=den)
+
+
+def _rescaled(num, k):
+    """num with every numerator times k."""
+    return num if k == 1 else {e: n * k for e, n in num.items()}
+
+
+def _aligned(p, q):
+    """The coefficient dicts a sum of p and q runs on and the den of its
+    result: the numerators of exact p and q over the lcm of their dens, or
+    their terms views and None."""
+    dp, dq = p.den, q.den
+    if dp is None or dq is None:
+        return p.terms, q.terms, None
+    if dp == dq:
+        return p.num, q.num, dp
+    den = math.lcm(dp, dq)
+    return _rescaled(p.num, den // dp), _rescaled(q.num, den // dq), den
 
 
 def _accumulate(terms, more):
@@ -365,11 +483,24 @@ def _accumulate(terms, more):
         terms[e] = c if prev is None else prev + c
 
 
-def _nonzero(terms):
-    """terms without its zero coefficients, each in its domain: a sum or
-    product of Fractions can be integral."""
-    return {e: c if type(c) is int else _coerce(c)
-            for e, c in terms.items() if c}
+def _add_into(terms, den, p):
+    """Add the Poly p into the running sum `terms` over den in place, and
+    return the sum's new den. An exact sum holds numerators over the lcm of
+    its addends' dens; once an addend is not exact the sum holds
+    coefficients and its den is None."""
+    if den is not None and p.den is not None:
+        lcm = den if p.den == den else math.lcm(den, p.den)
+        if lcm != den:
+            k = lcm // den
+            for e in terms:
+                terms[e] *= k
+        _accumulate(terms, _rescaled(p.num, lcm // p.den))
+        return lcm
+    if den is not None:
+        for e, n in terms.items():
+            terms[e] = _ratio(n, den)
+    _accumulate(terms, p.terms)
+    return None
 
 
 def linear_forms(M, nvars):
@@ -386,7 +517,7 @@ def linear_forms(M, nvars):
                 e = [0] * nvars
                 e[j] = 1
                 terms[tuple(e)] = c
-        out.append(Poly(nvars, terms))
+        out.append(_poly(nvars, terms))
     return out
 
 
@@ -412,15 +543,15 @@ def combine_rows(M, polys, nvars):
     """
     out = []
     for row in tolist(M):
-        terms = {}
+        terms, den = {}, 1
         for c, p in zip(row, polys):
             if c != 0:
                 if p.nvars != nvars:
                     raise ValueError("nvars mismatch")
                 # an exact 1 leaves every coefficient as it is
                 one = exact_scalar(c) == 1
-                _accumulate(terms, p.terms if one else p.scale(c).terms)
-        out.append(Poly(nvars, _nonzero(terms), _clean=True))
+                den = _add_into(terms, den, p if one else p.scale(c))
+        out.append(_finish(nvars, terms, den))
     return out
 
 

@@ -165,6 +165,18 @@ def test_non_finite_numbers_are_input_errors(value):
                      [("tuple.json", json.dumps(F))]) == 2
 
 
+def test_huge_exponent_literal_is_an_input_error(capsys):
+    # one coefficient of the hopf tuple file as 1e10000000
+    F = json.loads(json.dumps(TUPLE["exact"]))
+    F["components"]["v"][0]["terms"][0]["coefficient"] = "1e10000000"
+    with time_limit(1):
+        code = exit_code(["check-equivariance", "tuple.json"],
+                         [("tuple.json", json.dumps(F))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "exponent" in err and "Traceback" not in err
+
+
 def test_branches_on_a_kernel_above_the_seed_grid_cap(capsys):
     # x_i' = lambda x_i - x_i^2 on four coordinates: the kernel at the
     # origin has dimension 4, and the 9^m seed grid stops at m = 3

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import feedforward_chain_network, hopf_tuple
+from helpers import feedforward_chain_network, hopf_tuple, time_limit
 from quiverdyn.errors import ParseError
 from quiverdyn.fileio import (decode_number, dump_json, dumps_canonical,
                               encode_number, load_json, network_from_json,
@@ -26,6 +26,18 @@ def test_rational_scalars_roundtrip():
         decode_number("abc")
     with pytest.raises(ParseError):
         decode_number(True)
+
+
+def test_huge_exponents_are_refused_at_once():
+    # Fraction("1e10000000") would build 10**10000000; an exponent above
+    # Python's limit on the digits of an int read from a string is refused
+    with time_limit(1):
+        for text in ("1e10000000", "-2.5E-10000000", "1e+4301"):
+            with pytest.raises(ParseError, match="exponent"):
+                decode_number(text)
+    assert decode_number("1e3") == 1000
+    assert decode_number("2.5e-3") == Fraction(1, 400)
+    assert decode_number("1e4300") == 10 ** 4300
 
 
 def test_exact_scalars_are_written_as_p_over_q():

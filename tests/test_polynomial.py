@@ -1,6 +1,7 @@
 """Polynomial arithmetic against evaluation, calculus, a naive expansion and
 sympy."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -318,3 +319,144 @@ def test_exact_scalar_tells_the_domain_from_floats():
     assert exact_scalar(0.5) is None
     with pytest.raises(TypeError):
         exact_scalar("1")
+
+
+# --- integer numerators over one denominator ----------------------------------
+
+def rational_polys(nvars=2, max_degree=3):
+    """Exact Polys whose coefficients have mixed denominators."""
+    exps = st.tuples(*([st.integers(0, max_degree)] * nvars)).filter(
+        lambda e: sum(e) <= max_degree)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return st.dictionaries(exps, coeffs, max_size=5).map(
+        lambda t: Poly(nvars, t))
+
+
+def assert_canonical(p):
+    """den >= 1, nonzero int numerators, gcd(den, numerators) = 1, and the
+    terms view in the exact domain, equal to numerator / den."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(n) is int and n != 0 for n in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert all(in_exact_domain(c) for c in p.terms.values())
+    assert p.terms == {e: Fraction(n, p.den) for e, n in p.num.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_polys(), rational_polys(),
+       st.fractions(min_value=-3, max_value=3, max_denominator=6),
+       st.lists(st.integers(0, 2), min_size=2, max_size=2),
+       st.lists(st.lists(st.fractions(min_value=-2, max_value=2,
+                                      max_denominator=3),
+                         min_size=2, max_size=2), min_size=2, max_size=2))
+def test_every_exact_kernel_result_is_canonical(p, q, c, var_map, M):
+    P, Q = plain(p), plain(q)
+    results = [
+        (p + q, plain_add(P, Q)),
+        (p - q, plain_add(P, plain_scale(Q, -1))),
+        (p - p, {}),
+        (-p, plain_scale(P, -1)),
+        (p * q, plain_mul(P, Q)),
+        (p.scale(c), plain_scale(P, c)),
+        (p ** 2, plain_mul(P, P)),
+        (p.diff(1), {tuple(k - (i == 1) for i, k in enumerate(e)): v * e[1]
+                     for e, v in P.items() if e[1]}),
+        (p.compose([q, p]), plain_compose(P, [Q, P], 2)),
+        (p.compose([q.scale(0), Poly.constant(2, c)]),
+         plain_compose(P, [{}, plain_scale({(0, 0): 1}, c)], 2)),
+        (p.embed(3, var_map),
+         plain_compose(P, [unit(3, j) for j in var_map], 3)),
+        (p.embed(1, [0, 0]), plain_compose(P, [unit(1, 0)] * 2, 1)),
+        (p.truncate(1), {e: v for e, v in P.items() if sum(e) <= 1}),
+        (p.homogeneous_part(2), {e: v for e, v in P.items() if sum(e) == 2}),
+    ]
+    results += zip(combine_rows(M, [p, q], 2),
+                   [plain_add(plain_scale(P, a), plain_scale(Q, b))
+                    for a, b in M])
+    for got, want in results:
+        assert_canonical(got)
+        assert got.terms == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), rational_polys(),
+       st.fractions(min_value=1, max_value=4, max_denominator=4))
+def test_equal_values_by_any_route_compare_and_hash_equal(p, q, c):
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    routes = [
+        Poly(2, plain(p)),                                # constructor
+        (p + q) - q,                                      # arithmetic
+        p * Poly.constant(2, 1),
+        p.scale(c).scale(1 / c),
+        p.compose([Poly.variable(2, 0), Poly.variable(2, 1)]),   # remap
+        p.compose([Poly.variable(2, 0) + q - q,
+                   Poly.variable(2, 1)]),                 # expansion
+        p.embed(3, [2, 0]).compose([y, z, x]).embed(2, [0, 1, 0])
+        .compose([Poly.variable(2, 0), Poly.variable(2, 1)]),
+    ]
+    for r in routes:
+        assert r == p and hash(r) == hash(p)
+    assert p + Poly.constant(2, Fraction(1, 7)) != p
+    # a float Poly of the same values is equal too, and hashes alike
+    if all(float(v) == v for v in plain(p).values()):
+        f = p.to_float()
+        assert f == p and hash(f) == hash(p)
+
+
+floats = st.floats(min_value=-4, max_value=4, allow_nan=False,
+                   allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), st.lists(floats, min_size=2, max_size=2),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       floats.filter(bool), max_size=4))
+def test_float_results_are_those_of_float_coefficients(p, x, f_terms):
+    # each exact coefficient c enters a float computation as float(c)
+    P = {e: float(c) for e, c in plain(p).items()}
+    bits = lambda d: {e: v.hex() for e, v in d.items()}
+    assert bits(p.to_float().terms) == bits({e: v for e, v in P.items()
+                                              if v})
+    want_eval = 0
+    for e, v in P.items():
+        t = v
+        for xi, k in zip(x, e):
+            if k:
+                t = t * xi ** k
+        want_eval = want_eval + t
+    assert float(p.eval(x)).hex() == float(want_eval).hex()
+    f = Poly(2, f_terms)
+    for a, b, got in ((P, f.terms, p * f), (f.terms, P, f * p)):
+        want = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1])
+                want[e] = c1 * c2 if e not in want else want[e] + c1 * c2
+        assert bits(got.terms) == bits({e: v for e, v in want.items() if v})
+
+
+def test_exact_kernels_build_no_fraction(monkeypatch):
+    # dyadic coefficients, as the symmetrised response families have
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 4), (2, 1): 1,
+                 (0, 3): Fraction(-5, 8)})
+    q = Poly(2, {(1, 1): Fraction(-1, 8), (0, 0): 2, (1, 0): Fraction(1, 2)})
+    subs = [Poly(3, {(1, 0, 0): Fraction(1, 2), (0, 1, 1): 1}),
+            Poly(3, {(0, 0, 2): Fraction(3, 2), (0, 1, 0): -1})]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    results = [p * q, p + q, p - q, p.diff(0), p.diff(1), p.compose(subs),
+               p.embed(3, [2, 0]), q.compose([subs[1], subs[0]])]
+    assert built == []
+    for r in results:
+        fractional = sum(1 for n in r.num.values() if n % r.den)
+        assert fractional
+        del built[:]
+        r.terms
+        r.terms
+        assert len(built) == fractional
