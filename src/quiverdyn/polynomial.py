@@ -18,8 +18,8 @@ does the arithmetic of Python's numeric tower on the coefficients, where an
 exact one meets a float as float(c). Each kernel has one loop; the
 representation decides only the operands it reads and how its result is
 finished. With the integer kernel the exact-closure benchmark workload runs
-about 1.25x as many operations per second as with Fraction coefficients
-(``BENCH_common_den.json``).
+1.34x as many operations per second as with Fraction coefficients (221.6
+against 296.9, medians of 10 alternating pairs, ``BENCH_common_den.json``).
 
 ``terms`` is the public view of the coefficients, for code outside the
 kernel: an exact coefficient is an int when its value is an integer and a
