@@ -7,8 +7,12 @@ forget the states outside the smaller subnetwork.
 build_quoq(N): one vertex per quotient network (deduplicated up to
 colour-preserving isomorphism), one arrow per distinct surjective graph
 fibration between representatives, with 0/1 lifting matrices
-x |-> (x_{phi(m)})_m. Parallel arrows arise when a fibration admits several
-edge maps; all of them are emitted.
+x |-> (x_{phi(m)})_m. A surjective fibration is a quotient map by a
+balanced partition followed by an isomorphism, and the balanced partitions
+of N/P are those of N coarser than P, so the arrows are read from the
+balanced partitions of N that enumerate_quotients visits, composed with the
+automorphisms of each codomain. Parallel arrows arise when a fibration
+admits several edge maps; all of them are emitted.
 
 Admissible maps induce equivariant tuples on both quivers by instantiating
 the same response family on every subnetwork / quotient. The first
@@ -165,9 +169,6 @@ class GraphFibration:
     def edge_dict(self):
         return dict(self.edge_map)
 
-    def is_surjective(self):
-        return set(dict(self.node_map).values()) == set(self.target.node_ids())
-
     def verify(self):
         """Re-check both fibration conditions; returns a list of problems."""
         problems = []
@@ -199,11 +200,13 @@ class _FibrationSearch:
     yet placed in (in-degree descending, natural key) order; `via` holds
     the node and edge colour a node was reached through, None for a root.
     `sources` holds each node's distinct sources by (edge colour, source
-    colour), and `groups` its in-edges by (edge colour, source).
+    colour), `groups` its in-edges by (edge colour, source), and `edge_ids`
+    the edges in N's order.
     """
 
     def __init__(self, N):
         nodes = N.node_ids()
+        self.edge_ids = [e for e, *_ in N.edges]
         colour = N.node_colour
         ins = {n: N.in_edges(n) for n in nodes}
         self.inputs = {n: [(s, c) for _, s, _, c in ins[n]] for n in nodes}
@@ -242,6 +245,35 @@ class _FibrationSearch:
 def _fibration_search(N):
     """N's search data, built once and kept on N."""
     return _kept(N, "_fibrations", _FibrationSearch)
+
+
+def _edge_maps(src, dst, nm):
+    """The edge maps of the fibrations with node map nm, as edge_map tuples.
+
+    src and dst are the search data of source and target. Each node's
+    in-edges are grouped by (edge colour, image of source); a group maps
+    bijectively onto the matching group of its image, and the maps are the
+    product of those bijections over the groups of two or more edges, in
+    node order and then group key order.
+    """
+    image, choices = {}, []
+    for n, groups in src.groups.items():
+        targets = dst.groups[nm[n]]
+        multi = {}
+        for (c, s), es in groups.items():
+            key = (c, nm[s])
+            if len(targets[key]) == 1:
+                image[es[0]] = targets[key][0]
+            else:
+                multi[key] = multi.get(key, []) + es
+        if multi:
+            choices += [[tuple(zip(multi[key], p))
+                         for p in itertools.permutations(targets[key])]
+                        for key in sorted(multi)]
+    for combo in itertools.product(*choices):
+        for group in combo:
+            image.update(group)
+        yield tuple((e, image[e]) for e in src.edge_ids)
 
 
 def enumerate_fibrations(N_src, N_dst, surjective_only=False):
@@ -300,22 +332,12 @@ def enumerate_fibrations(N_src, N_dst, surjective_only=False):
     extend(0)
 
     src_nodes = N_src.node_ids()
+    rank = {m: i for i, m in enumerate(N_dst.node_ids())}
+    results.sort(key=lambda d: [rank[d[n]] for n in src_nodes])
     fibrations = []
-    for nm in sorted(results,
-                     key=lambda d: tuple(_natural_key(d[n]) for n in src_nodes)):
-        # per node, the edge bijections of each (colour, mapped source) group
-        flat = []
-        for n in src_nodes:
-            groups_src = {}
-            for e, s, _, c in N_src.in_edges(n):
-                groups_src.setdefault((c, nm[s]), []).append(e)
-            for key in sorted(groups_src):
-                flat.append([tuple(zip(groups_src[key], p)) for p in
-                             itertools.permutations(dst.groups[nm[n]][key])])
-        node_map = tuple(sorted(nm.items(), key=lambda p: _natural_key(p[0])))
-        for combo in itertools.product(*flat):
-            em = tuple(sorted((pair for group in combo for pair in group),
-                              key=lambda p: _natural_key(p[0])))
+    for nm in results:
+        node_map = tuple((n, nm[n]) for n in src_nodes)
+        for em in _edge_maps(src, dst, nm):
             fibrations.append(GraphFibration(N_src, N_dst, node_map, em))
             if len(fibrations) > FIBRATION_CAP:
                 raise SizeOverflow(f"more than {FIBRATION_CAP} fibrations")
@@ -425,7 +447,9 @@ def _canonical_network_form(N):
     its prefix exceeds the best encoding's, or equals it while the best's
     next entry lies below `bound`. Swapping two twins (same colour and the
     same in-, out- and self-edges) is an automorphism, so one node per twin
-    class is tried at each label.
+    class is tried at each label. Returns (key, order): the encoding and
+    the nodes in label order of a relabelling that gives it, so two
+    networks with one key are isomorphic by matching equal labels.
     """
     node_ids = N.node_ids()
     colour = N.node_colour
@@ -446,14 +470,14 @@ def _canonical_network_form(N):
     label = {}
     order = []
     prefix = []
-    best = None
+    best = best_order = None
 
     def search(k, stop):
         """Labels 0..k-1 are placed; `stop` is the first source whose
         prefix entries are incomplete (k if there is none)."""
-        nonlocal best
+        nonlocal best, best_order
         if k == len(node_ids):
-            best = list(prefix)
+            best, best_order = list(prefix), tuple(order)
             return
         tried = []
         for v in pool[slots[k]]:
@@ -490,7 +514,7 @@ def _canonical_network_form(N):
             del label[v]
 
     search(0, 0)
-    return tuple(enumerate(slots)), tuple(best)
+    return (tuple(enumerate(slots)), tuple(best)), best_order
 
 
 @dataclass
@@ -498,6 +522,10 @@ class QuotientCatalog:
     """Quotients of a network up to colour-preserving isomorphism."""
     quotients: list      # of ColouredNetwork (canonical representatives)
     witnesses: list      # parallel list of node maps base -> quotient
+    partitions: list     # per balanced partition K, in search order: the
+    #                      index i of the quotient N/K is isomorphic to, and
+    #                      the map N -> N/K -> quotients[i] as the rank in
+    #                      quotients[i].node_ids() of each base node's image
 
 
 def enumerate_quotients(N):
@@ -505,20 +533,28 @@ def enumerate_quotients(N):
 
     Representatives come from balanced partitions with classes labelled by
     minimal original node id. Order: by node count descending (the trivial
-    quotient N itself first), then by canonical encoding. Raises
-    SizeOverflow above PARTITION_CAP balanced partitions.
+    quotient N itself first), then by canonical encoding. Every balanced
+    partition is kept as its map onto its representative, which matches
+    the canonical labels of the two. Raises SizeOverflow above
+    PARTITION_CAP balanced partitions.
     """
-    seen = {}
-    entries = []
+    node_ids = N.node_ids()
+    reps = {}     # key -> (number, quotient, witness, node rank of each label)
+    parts = []    # per partition: (number of its key, map onto its quotient)
     for blocks in _balanced_partitions(N):
         Q, node_map = quotient_network(N, blocks)
-        key = _canonical_network_form(Q)
-        if key in seen:
-            continue
-        seen[key] = True
-        entries.append((Q, node_map, key))
-    entries.sort(key=lambda t: (-len(t[0].nodes), t[2]))
-    return QuotientCatalog([e[0] for e in entries], [e[1] for e in entries])
+        key, order = _canonical_network_form(Q)
+        if key not in reps:
+            rank = {m: r for r, m in enumerate(Q.node_ids())}
+            reps[key] = (len(reps), Q, node_map, [rank[m] for m in order])
+        number, *_, ranks = reps[key]
+        to_rep = dict(zip(order, ranks))
+        parts.append((number, tuple([to_rep[node_map[n]] for n in node_ids])))
+    entries = sorted(reps.items(), key=lambda kv: (-len(kv[0][0]), kv[0]))
+    index = {rep[0]: i for i, (_, rep) in enumerate(entries)}
+    return QuotientCatalog([rep[1] for _, rep in entries],
+                           [rep[2] for _, rep in entries],
+                           [(index[number], img) for number, img in parts])
 
 
 def build_quoq(N):
@@ -528,32 +564,64 @@ def build_quoq(N):
     arrow_fibrations maps arrow id -> GraphFibration phi with
     s(arrow) = codomain of phi and t(arrow) = domain of phi. Vertex ids
     q01, q02, ... follow the catalog order, so quiver.vertices lines up
-    with catalog.quotients and catalog.witnesses. Raises SizeOverflow as
-    soon as more than ARROW_CAP arrows are found.
+    with catalog.quotients and catalog.witnesses.
+
+    The node maps of the fibrations Q_t -> Q_s are the maps alpha . psi.
+    psi runs over the maps Q_t -> N/K -> Q_s of the balanced partitions K
+    of N that are coarser than t's witness partition and whose quotient is
+    isomorphic to Q_s. alpha runs over the automorphisms of Q_s, found once
+    per quotient by enumerate_fibrations(Q_s, Q_s, surjective_only=True).
+    Arrows come by codomain, then domain, then node map (by the ranks of
+    its images) and edge map, numbered from 1 per pair. Raises SizeOverflow
+    as soon as more than ARROW_CAP node maps or arrows are found, or
+    through enumerate_fibrations.
     """
     catalog = enumerate_quotients(N)
     k = len(catalog.quotients)
     width = max(2, len(str(k)))
     vids = [f"q{str(i + 1).zfill(width)}" for i in range(k)]
-    networks = dict(zip(vids, catalog.quotients))
+    into = [[] for _ in vids]     # per quotient, the maps N -> it
+    for i, img in catalog.partitions:
+        into[i].append(img)
+    # a quotient's witness comes first among the maps into it; base holds
+    # a base node in the class of each of the quotient's nodes
+    domains = [(maps[0], [maps[0].index(r) for r in range(len(Q.nodes))])
+               for Q, maps in zip(catalog.quotients, into)]
     arrows = []
     matrices = {}
     arrow_fibrations = {}
-    for svid in vids:          # s(a) = N' (codomain of phi)
-        for tvid in vids:      # t(a) = N'' (domain of phi)
-            fibs = enumerate_fibrations(networks[tvid], networks[svid],
-                                        surjective_only=True)
-            for idx, phi in enumerate(fibs, start=1):
-                aid = f"{svid}>{tvid}#{idx}"
-                arrows.append((aid, svid, tvid))
-                if len(arrows) > ARROW_CAP:
-                    raise SizeOverflow(f"more than {ARROW_CAP} arrows")
-                arrow_fibrations[aid] = phi
-                matrices[aid] = _lifting_matrix(networks[svid],
-                                                networks[tvid],
-                                                phi.node_dict())
+    for svid, Q_s, maps_in in zip(vids, catalog.quotients, into):
+        s_nodes = Q_s.node_ids()
+        rank = {m: r for r, m in enumerate(s_nodes)}
+        auts = list(dict.fromkeys(
+            tuple(rank[m] for _, m in phi.node_map)
+            for phi in enumerate_fibrations(Q_s, Q_s, surjective_only=True)))
+        dst = _fibration_search(Q_s)
+        for tvid, Q_t, (witness, base) in zip(vids, catalog.quotients,
+                                              domains):
+            found = []
+            for img in maps_in:
+                psi = [img[b] for b in base]
+                if all(img[i] == psi[r] for i, r in enumerate(witness)):
+                    found += [tuple(a[p] for p in psi) for a in auts]
+                    if len(arrows) + len(found) > ARROW_CAP:
+                        raise SizeOverflow(f"more than {ARROW_CAP} arrows")
+            src = _fibration_search(Q_t)
+            idx = 0
+            for images in sorted(found):
+                nm = {n: s_nodes[r] for n, r in zip(Q_t.node_ids(), images)}
+                node_map = tuple(nm.items())
+                for em in _edge_maps(src, dst, nm):
+                    idx += 1
+                    aid = f"{svid}>{tvid}#{idx}"
+                    arrows.append((aid, svid, tvid))
+                    if len(arrows) > ARROW_CAP:
+                        raise SizeOverflow(f"more than {ARROW_CAP} arrows")
+                    arrow_fibrations[aid] = GraphFibration(Q_t, Q_s,
+                                                           node_map, em)
+                    matrices[aid] = _lifting_matrix(Q_s, Q_t, nm)
     quiver = Quiver(vids, arrows)
-    dim = {vid: networks[vid].total_dim() for vid in vids}
+    dim = {vid: Q.total_dim() for vid, Q in zip(vids, catalog.quotients)}
     rep = QuiverRepresentation(quiver, dim, matrices, mode="exact")
     return quiver, rep, catalog, arrow_fibrations
 

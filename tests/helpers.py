@@ -17,7 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from quiverdyn import exactlin
-from quiverdyn.builders import GraphFibration, quotient_network
+from quiverdyn.builders import (ARROW_CAP, GraphFibration, _lifting_matrix,
+                                enumerate_fibrations, enumerate_quotients,
+                                quotient_network)
+from quiverdyn.errors import SizeOverflow
 from quiverdyn.network import ColouredNetwork, ResponseFamily, _natural_key
 from quiverdyn.polynomial import Poly
 from quiverdyn.quiver import Quiver, QuiverRepresentation
@@ -499,6 +502,32 @@ def brute_enumerate_fibrations(N_src, N_dst, surjective_only=False):
                     tuple(sorted(nm.items(),
                                  key=lambda p: _natural_key(p[0]))), em))
     return fibrations
+
+
+def pairwise_quoq(N):
+    """Oracle: build_quoq's vertices, arrows, matrices and fibrations by a
+    surjective fibration search on every ordered pair of quotients, codomain
+    first. Returns (quiver, matrices, arrow_fibrations)."""
+    catalog = enumerate_quotients(N)
+    k = len(catalog.quotients)
+    width = max(2, len(str(k)))
+    vids = [f"q{str(i + 1).zfill(width)}" for i in range(k)]
+    networks = dict(zip(vids, catalog.quotients))
+    arrows, matrices, arrow_fibrations = [], {}, {}
+    for svid in vids:          # s(a) = N' (codomain of phi)
+        for tvid in vids:      # t(a) = N'' (domain of phi)
+            fibs = enumerate_fibrations(networks[tvid], networks[svid],
+                                        surjective_only=True)
+            for idx, phi in enumerate(fibs, start=1):
+                aid = f"{svid}>{tvid}#{idx}"
+                arrows.append((aid, svid, tvid))
+                if len(arrows) > ARROW_CAP:
+                    raise SizeOverflow(f"more than {ARROW_CAP} arrows")
+                arrow_fibrations[aid] = phi
+                matrices[aid] = _lifting_matrix(networks[svid],
+                                                networks[tvid],
+                                                phi.node_dict())
+    return Quiver(vids, arrows), matrices, arrow_fibrations
 
 
 # --- full-loop oracles for the exact intertwining checks ----------------------

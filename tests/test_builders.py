@@ -12,9 +12,10 @@ from helpers import (brute_balanced_partitions, brute_canonical_network_form,
                      brute_enumerate_fibrations, brute_enumerate_subnetworks,
                      brute_quotients, feedforward_pair_network,
                      feedforward_chain_network, isolated_network,
-                     random_response_family, ring_network, time_limit,
-                     two_colour_8_network, two_colour_network,
+                     pairwise_quoq, random_response_family, ring_network,
+                     time_limit, two_colour_8_network, two_colour_network,
                      two_type_network)
+from quiverdyn import builders
 from quiverdyn.builders import (ARROW_CAP, FIBRATION_CAP, _balanced_partitions,
                                 _canonical_network_form, build_quoq,
                                 build_subq, enumerate_fibrations,
@@ -247,12 +248,18 @@ def node_maps(A, B):
 @example(two_type_network())   # node 1 takes b from 2 and 3
 @example(SEVEN_PARALLEL)
 def test_quotient_searches_match_brute_force_oracles(N):
-    assert _canonical_network_form(N) == brute_canonical_network_form(N)
+    key, order = _canonical_network_form(N)
+    assert key == brute_canonical_network_form(N)
+    # the labelling returned with the key gives that encoding
+    label = {n: i for i, n in enumerate(order)}
+    assert key == (tuple(sorted((label[n], c) for n, c in N.nodes)),
+                   tuple(sorted((label[s], label[t], c)
+                                for _, s, t, c in N.edges)))
     assert _balanced_partitions(N) == brute_balanced_partitions(N)
     catalog = enumerate_quotients(N)
     assert (catalog.quotients, catalog.witnesses) == brute_quotients(N)
     # N with each quotient both ways, and every ordered pair of quotients,
-    # which is what build_quoq searches
+    # which is what the pairwise oracle of build_quoq searches
     pairs = [(A, B) for Q in catalog.quotients for A, B in ((N, Q), (Q, N))]
     for A, B in pairs + list(itertools.product(catalog.quotients, repeat=2)):
         if node_maps(A, B) > 2000:
@@ -267,6 +274,49 @@ def test_quotient_searches_match_brute_force_oracles(N):
             got = enumerate_fibrations(A, B, surjective)
             assert [(f.node_map, f.edge_map) for f in got] == \
                 [(f.node_map, f.edge_map) for f in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(coloured_networks())
+@example(two_type_network())
+@example(two_colour_8_network())
+@example(RANDOM_9_1)
+@example(ring_network(4))
+@example(ring_network(5))
+@example(ring_network(6))
+@example(ring_network(7))
+@example(ring_network(8))
+def test_quoq_matches_pairwise_fibration_search(N):
+    # the arrows read from the partition lattice are the fibrations found
+    # by a search on every ordered pair of quotients: same ids, same order
+    try:
+        quiver, matrices, fibrations = pairwise_quoq(N)
+    except SizeOverflow:
+        with pytest.raises(SizeOverflow):
+            build_quoq(N)
+        return
+    got, rep, _, got_fibrations = build_quoq(N)
+    assert got == quiver
+    assert rep.arrow_matrix == matrices
+    assert [(a, f.node_map, f.edge_map) for a, f in got_fibrations.items()] \
+        == [(a, f.node_map, f.edge_map) for a, f in fibrations.items()]
+
+
+def test_quoq_searches_each_quotient_once_for_its_automorphisms(monkeypatch):
+    calls = []
+
+    def counted(A, B, surjective_only=False):
+        calls.append((A, B, surjective_only))
+        return enumerate_fibrations(A, B, surjective_only)
+    monkeypatch.setattr(builders, "enumerate_fibrations", counted)
+    for N in (two_type_network(), two_colour_8_network(), RANDOM_9_1,
+              ring_network(8)):
+        calls.clear()
+        catalog = build_quoq(N)[2]
+        searched = [A for A, B, surjective in calls
+                    if A is B and surjective]
+        assert len(searched) == len(calls)
+        assert sorted(map(id, searched)) == sorted(map(id, catalog.quotients))
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +341,7 @@ def test_two_type_quoq_shape():
     assert validate_representation(rep) == []
     for a, s, t in quiver.arrows:
         fib = arrow_fibs[a]
-        assert fib.is_surjective()
+        assert set(fib.node_dict().values()) == set(fib.target.node_ids())
         assert fib.verify() == []
 
 
