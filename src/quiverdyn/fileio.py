@@ -32,6 +32,9 @@ from .quiver import Quiver, QuiverRepresentation
 from .tuples import DEGREE_CAP, PolyMap, PolyMapTuple
 
 SCHEMA_VERSION = 1
+# bits an exact literal's numerator and denominator may each have: both lie
+# below 2^1024, so every accepted literal converts to a finite float
+LITERAL_BITS = 1024
 
 
 # --- scalars -----------------------------------------------------------------
@@ -55,19 +58,31 @@ def _exponent_too_large(literal):
             and (len(digits) > len(str(limit)) or int(digits) > limit))
 
 
+def _bounded(q):
+    """q, unless its numerator or denominator has more than LITERAL_BITS
+    bits."""
+    bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+    if bits > LITERAL_BITS:
+        raise ParseError(f"rational literal with a {bits}-bit numerator or "
+                         f"denominator, above the bound of {LITERAL_BITS} "
+                         "bits")
+    return q
+
+
 def decode_number(x):
     if isinstance(x, str):
         if _exponent_too_large(x):
             raise ParseError(f"bad rational literal {x[:40]!r}: exponent "
                              f"above {sys.get_int_max_str_digits()}")
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {x!r}: {exc}")
+        return _bounded(q)
     if isinstance(x, bool):
         raise ParseError(f"expected a number, got {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return _bounded(Fraction(x))
     if isinstance(x, float):
         if not math.isfinite(x):    # json reads NaN and Infinity as floats
             raise ParseError(f"non-finite number {x!r}")

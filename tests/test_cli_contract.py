@@ -177,6 +177,26 @@ def test_huge_exponent_literal_is_an_input_error(capsys):
     assert "exponent" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, degree, literal", [
+    ("normal-form", 2, "1e3000"), ("cm-reduce", 1, "-1e3000")],
+    ids=["quadratic", "linear"])
+def test_literal_above_the_size_bound_is_an_input_error(
+        command, degree, literal, capsys):
+    # one hopf tuple coefficient of the given degree; below the exponent
+    # limit, it used to overflow a float conversion or the digits of a
+    # written coefficient
+    F = json.loads(json.dumps(TUPLE["exact"]))
+    term = next(t for terms in F["components"]["v"] for t in terms["terms"]
+                if sum(t["exponents"]) == degree)
+    term["coefficient"] = literal
+    with time_limit(5):
+        code = exit_code([command, "tuple.json"],
+                         [("tuple.json", json.dumps(F))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bits" in err and "Traceback" not in err
+
+
 def test_branches_on_a_kernel_above_the_seed_grid_cap(capsys):
     # x_i' = lambda x_i - x_i^2 on four coordinates: the kernel at the
     # origin has dimension 4, and the 9^m seed grid stops at m = 3

@@ -7,8 +7,9 @@ import pytest
 
 from helpers import feedforward_chain_network, hopf_tuple, time_limit
 from quiverdyn.errors import ParseError
-from quiverdyn.fileio import (decode_number, dump_json, dumps_canonical,
-                              encode_number, load_json, network_from_json,
+from quiverdyn.fileio import (LITERAL_BITS, decode_number, dump_json,
+                              dumps_canonical, encode_number, load_json,
+                              network_from_json,
                               network_to_json, parse_poly_dsl,
                               representation_from_json, representation_to_json,
                               tuple_from_json, tuple_to_json)
@@ -37,7 +38,19 @@ def test_huge_exponents_are_refused_at_once():
                 decode_number(text)
     assert decode_number("1e3") == 1000
     assert decode_number("2.5e-3") == Fraction(1, 400)
-    assert decode_number("1e4300") == 10 ** 4300
+    # an exponent within the limit still builds a numerator above the bound
+    with pytest.raises(ParseError, match="bits"):
+        decode_number("1e4300")
+
+
+def test_literal_size_is_bounded_at_1024_bits():
+    big = 2 ** LITERAL_BITS
+    for x in (big - 1, -(big - 1), f"1/{big - 1}", f"{big - 1}/{big - 2}",
+              "1.7e308", "-1e-308"):
+        assert abs(decode_number(x)) > 0
+    for x in (big, -big, f"1/{big}", f"{big}/3", "1e309", "-1e-309"):
+        with pytest.raises(ParseError, match="above the bound"):
+            decode_number(x)
 
 
 def test_exact_scalars_are_written_as_p_over_q():
