@@ -384,7 +384,7 @@ def check_admissible(N, F, param_dim=0, tol=1e-9):
 
     group_errors = []
     ambiguous = []
-    worst = 0.0
+    worst = 0 if F.is_exact() else 0.0
     edge_src = {e: s for e, s, _, _ in N.edges}
     for beta in symmetry_groupoid(N):
         if beta.from_node == beta.to_node and all(a == b for a, b in beta.edge_map):

@@ -10,6 +10,7 @@ from helpers import (feedforward_chain_network, feedforward_pair_network,
                      two_type_network, monoid_network, random_poly,
                      random_response_family)
 from quiverdyn import builders
+from quiverdyn.fileio import encode_number
 from quiverdyn.network import (AdmissibleTemplate, ColouredNetwork,
                                ResponseFamily, check_admissible,
                                input_bijections, symmetry_groupoid,
@@ -152,12 +153,17 @@ def test_instantiate_relabels_as_compose_did(network, induction, monkeypatch):
     assert calls[id(N)] == 0      # kept when the families were built
 
 
-def test_admissibility_and_equivariance_maxima_start_from_float_zero():
-    # reports print an int as "p/1", so a maximum over nothing, or over
-    # exact zeros, stays the 0.0 that check-admissible has always printed
+def test_admissibility_and_equivariance_maxima_start_from_zero():
+    # an exact map's maximum over exact zeros is exact, which reports print
+    # as "0/1" like the other exact reports; a float map's, and a maximum
+    # over nothing, is the float 0.0
     N = two_type_network()
     F = random_response_family(N, seed=3).instantiate()
     rpt = check_admissible(N, F)
+    assert rpt.ok
+    assert rpt.max_residual == 0 and encode_number(rpt.max_residual) == "0/1"
+    rpt = check_admissible(N, PolyMap([p.to_float() for p in F.outputs],
+                                      nvars=F.nvars))
     assert rpt.ok
     assert type(rpt.max_residual) is float and rpt.max_residual == 0
     assert type(EquivarianceReport({}, True, "exact").max_residual()) is float
