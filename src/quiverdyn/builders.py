@@ -522,10 +522,10 @@ class QuotientCatalog:
     """Quotients of a network up to colour-preserving isomorphism."""
     quotients: list      # of ColouredNetwork (canonical representatives)
     witnesses: list      # parallel list of node maps base -> quotient
-    partitions: list     # per balanced partition K, in search order: the
-    #                      index i of the quotient N/K is isomorphic to, and
-    #                      the map N -> N/K -> quotients[i] as the rank in
-    #                      quotients[i].node_ids() of each base node's image
+    partitions: list     # per balanced partition K, in search order:
+                         # (index i of the quotient isomorphic to N/K, rank
+                         # in quotients[i].node_ids() of each base node's
+                         # image under N -> N/K -> quotients[i])
 
 
 def enumerate_quotients(N):
